@@ -92,16 +92,17 @@ def _build_run(cfg):
 
 
 def _write_snapshot(path, op, state):
-    mesh = op.mesh
-    rows = []
-    for c in range(mesh.n_cells):
-        cx, cy = mesh.centroid[c]
-        for l in range(op.nm):
-            for comp in range(state.d):
-                rows.append((c, float(cx), float(cy), l, comp,
-                             float(state.coeffs[c, l, comp])))
-    _write_csv(path, ("cell_id", "centroid_x", "centroid_y", "mode",
-                      "component", "value"), rows)
+    """One row per (cell, mode, component); the bytes _write_csv would write."""
+    nc, nm, d = state.coeffs.shape
+    suffixes = [f"{l},{comp}," for l in range(nm) for comp in range(d)]
+    values = state.coeffs.reshape(nc, nm * d).tolist()
+    with open(path, "w", newline="") as out:
+        out.write("cell_id,centroid_x,centroid_y,mode,component,value\r\n")
+        for c, ((cx, cy), row) in enumerate(zip(op.mesh.centroid.tolist(),
+                                                values)):
+            prefix = f"{c},{cx:.17g},{cy:.17g},"
+            out.write("".join([f"{prefix}{sfx}{v:.17g}\r\n"
+                               for sfx, v in zip(suffixes, row)]))
 
 
 def _write_samples(path, op, state, n):

@@ -159,16 +159,12 @@ class SpatialOperator:
         self.TE = np.where(fwd[:, :, None, None],
                            self.basis_edge[0][None], self.basis_edge[1][None])
 
-        # vertex tables and derivative tables for the jump machinery
         self.vertex_basis = basis.eval_modes(k, REF_VERTICES)        # (3, nm)
-        self.ref_deriv = []
-        for j in range(k + 1):
-            tab = np.stack([basis.eval_modes(k, REF_VERTICES, r=j - ridx, s=ridx)
-                            for ridx in range(j + 1)])               # (j+1,3,nm)
-            self.ref_deriv.append(tab)
-        self.deriv_transform = [
-            basis.physical_derivative_transform(mesh.jac_inv, j)
-            for j in range(k + 1)]                                   # (nc,j+1,j+1)
+        # rows of the order-j mixed derivatives within the stacked vertex
+        # derivative axis: one row per alpha = (j - aidx, aidx), j = 0..k
+        self.deriv_rows = [slice(j * (j + 1) // 2, (j + 1) * (j + 2) // 2)
+                           for j in range(k + 1)]
+        self.n_derivs = self.deriv_rows[-1].stop
 
         # geometry gathered per edge (left-cell view)
         lc, ll = mesh.edge_cells[:, 0], mesh.edge_local[:, 0]
@@ -181,11 +177,12 @@ class SpatialOperator:
 
         self.interior_ids = mesh.interior_edge_ids
         self.boundary_ids = mesh.boundary_edge_ids
-        self.groups = {}
-        for eid in self.boundary_ids:
-            self.groups.setdefault(mesh.edge_tag[eid], []).append(eid)
-        self.groups = [(self.boundary[tag], np.array(eids))
-                       for tag, eids in sorted(self.groups.items())]
+        groups = {}
+        for pos, eid in enumerate(self.boundary_ids):
+            groups.setdefault(mesh.edge_tag[eid], []).append(pos)
+        # (rule, positions of its edges within boundary_ids)
+        self.groups = [(self.boundary[tag], np.array(pos))
+                       for tag, pos in sorted(groups.items())]
 
         # physical interior quadrature points
         v0 = mesh.vertices[mesh.cells[:, 0]]
@@ -215,13 +212,18 @@ class SpatialOperator:
         self._vol_op = np.ascontiguousarray(
             vol.transpose(0, 2, 1, 3).reshape(nc, nm, N * 2))
         self._inv_mass = 1.0 / self.mass[:, :, None]
-        # vertex-derivative operators per order j: (nc, (j+1)*3, nm)
-        self._vertex_deriv_op = []
-        for j in range(self.k + 1):
-            TD = np.einsum("car,rvl->cavl", self.deriv_transform[j],
-                           self.ref_deriv[j])                        # (nc,j+1,3,nm)
-            self._vertex_deriv_op.append(np.ascontiguousarray(
-                TD.reshape(nc, (j + 1) * 3, nm)))
+        # mixed physical derivatives of all orders j <= k at the 3 vertices,
+        # (nc, 3 * n_derivs, nm); filled order by order in place so that setup
+        # holds no second copy of the operator
+        R = self.n_derivs
+        D = np.empty((nc, 3, R, nm))
+        for j, rows in enumerate(self.deriv_rows):
+            ref = np.stack([basis.eval_modes(self.k, REF_VERTICES,
+                                             r=j - ridx, s=ridx)
+                            for ridx in range(j + 1)], axis=1)       # (3,j+1,nm)
+            T = basis.physical_derivative_transform(mesh.jac_inv, j)  # (nc,j+1,j+1)
+            np.matmul(T[:, None], ref, out=D[:, :, rows, :])
+        self._vertex_deriv_op = D.reshape(nc, 3 * R, nm)
 
     def _endpoint_tables(self):
         mesh = self.mesh
@@ -240,22 +242,30 @@ class SpatialOperator:
 
     def interior_values(self, coeffs):
         """Solution values at interior quadrature nodes: (nc, N, d)."""
-        return np.matmul(self.basis_int, coeffs)
+        nc, nm, d = coeffs.shape
+        U = self.basis_int @ coeffs.transpose(1, 0, 2).reshape(nm, nc * d)
+        return U.reshape(self.n_int, nc, d).transpose(1, 0, 2)
 
     def vertex_values(self, coeffs):
         """Solution values at the 3 cell vertices: (nc, 3, d)."""
         return np.matmul(self.vertex_basis, coeffs)
+
+    def vertex_jets(self, coeffs):
+        """Mixed physical derivatives of every order j <= k at cell vertices.
+
+        Returns (nc, 3, n_derivs, d); deriv_rows[j] selects order j on axis 2.
+        """
+        out = np.matmul(self._vertex_deriv_op, coeffs)
+        return out.reshape(len(coeffs), 3, self.n_derivs, coeffs.shape[2])
 
     def vertex_derivatives(self, coeffs, j):
         """Mixed physical derivatives of total order j at cell vertices.
 
         Returns (nc, 3, j+1, d); axis 2 indexes alpha = (j - aidx, aidx).
         """
-        if j == 0:
-            return self.vertex_values(coeffs)[:, :, None, :]
-        out = np.matmul(self._vertex_deriv_op[j], coeffs)
-        out = out.reshape(len(coeffs), j + 1, 3, coeffs.shape[2])
-        return out.transpose(0, 2, 1, 3)
+        nc, nm = len(coeffs), self.nm
+        D = self._vertex_deriv_op.reshape(nc, 3, self.n_derivs, nm)
+        return np.matmul(D[:, :, self.deriv_rows[j], :], coeffs[:, None])
 
     def evaluate(self, state, cell, points):
         """Evaluate the per-cell polynomial at physical points (…, 2)."""
@@ -265,18 +275,15 @@ class SpatialOperator:
 
     # -- ghosts -------------------------------------------------------------
 
-    def boundary_ghost_values(self, u_int_b, X_b, n_b, t, order):
-        """Exterior states for all boundary edges (stacked in boundary_ids order).
+    def boundary_ghost_values(self, u_int_b, X_b, n_b, t):
+        """Exterior states for all boundary edges.
 
-        `order` maps the boundary arrays: u_int_b etc. are indexed by position
-        within self.boundary_ids.
+        The arrays are indexed by position within self.boundary_ids.
         """
         u_ext = np.empty_like(u_int_b)
-        pos = {eid: i for i, eid in enumerate(self.boundary_ids)}
-        for rule, eids in self.groups:
-            idx = np.array([pos[e] for e in eids])
-            u_ext[idx] = rule.ghost(self.model, u_int_b[idx], X_b[idx],
-                                    n_b[idx], t)
+        for rule, pos in self.groups:
+            u_ext[pos] = rule.ghost(self.model, u_int_b[pos], X_b[pos],
+                                    n_b[pos], t)
         return u_ext
 
     def _edge_states(self, coeffs, t):
@@ -294,7 +301,7 @@ class SpatialOperator:
             nb = np.broadcast_to(self.edge_normal[bi][:, None, :],
                                  (len(bi), self.Q, 2))
             u_ext[bi] = self.boundary_ghost_values(
-                u_int[bi], self.edge_points[bi], nb, t, None)
+                u_int[bi], self.edge_points[bi], nb, t)
         return u_int, u_ext
 
     # -- residual -----------------------------------------------------------
@@ -378,7 +385,7 @@ class SpatialOperator:
             nb = np.broadcast_to(self.edge_normal[bi][:, None, :],
                                  (len(bi), 2, 2))
             ue_ext[bi] = self.boundary_ghost_values(
-                ue_int[bi], self.edge_endpoints[bi], nb, t, None)
+                ue_int[bi], self.edge_endpoints[bi], nb, t)
         nn = self.edge_normal[:, None, :]
         s = max(s, float(np.max(self.model.wavespeed(ue_int, nn))),
                 float(np.max(self.model.wavespeed(ue_ext, nn))))

@@ -44,23 +44,33 @@ class OEFilter:
         self.op = op
         self.mode = mode
         self.guard_wavespeed = guard_wavespeed
-        self.k = op.k
-        self.A = np.array([damping_prefactor(op.k, j) for j in range(op.k + 1)])
-        self.binom = [np.array([comb(j, a) for a in range(j + 1)], dtype=float)
-                      for j in range(op.k + 1)]
+        self.k = k = op.k
+        self.mom = list(op.model.momentum_components) if mode == "rioe" else []
         mesh = op.mesh
-        self.lc = mesh.edge_cells[:, 0]
-        self.rc = mesh.edge_cells[:, 1]
-        # boundary rule kind per edge ('copy' edges contribute zero jumps)
-        self.copy_edge = np.zeros(mesh.n_edges, dtype=bool)
-        self.state_ids = []
-        for rule, eids in op.groups:
-            if rule.kind == "copy":
-                self.copy_edge[eids] = True
-            else:
-                self.state_ids.append(eids)
-        self.state_ids = (np.concatenate(self.state_ids)
-                          if self.state_ids else np.array([], dtype=int))
+        # A^{k,j} h^(j-1) per cell edge and order j: (nc, 3, k+1)
+        self.A_h = np.stack([damping_prefactor(k, j) * mesh.height ** (j - 1)
+                             for j in range(k + 1)], axis=2)
+        # trapezoidal weights 0.5 binom(j, aidx) on the stacked derivative
+        # rows of the vertex jets, for both edge endpoints: (2 n_derivs, k+1)
+        w = np.zeros((op.n_derivs, k + 1))
+        for j, rows in enumerate(op.deriv_rows):
+            w[rows, j] = [0.5 * comb(j, a) for a in range(j + 1)]
+        self.weights = np.vstack([w, w])
+        # flat (cell, local vertex) index of both endpoints of every edge in
+        # global edge order; boundary edges read their own cell on the right,
+        # so their jumps start at zero
+        lc, rc = mesh.edge_cells[:, 0, None], mesh.edge_cells[:, 1, None]
+        self.left = 3 * lc + op.lv_end                            # (ne, 2)
+        self.right = np.where(rc >= 0, 3 * rc + op.rv_end, self.left)
+        # 'copy' boundary edges keep zero jumps of every order; 'state' edges
+        # jump against a degree-0 ghost
+        bi = op.boundary_ids
+        state = [bi[pos] for rule, pos in op.groups if rule.kind != "copy"]
+        self.state_ids = (np.concatenate(state) if state
+                          else np.array([], dtype=int))
+        self.bnd_points = op.edge_endpoints[bi]                   # (nb, 2, 2)
+        self.bnd_normals = np.broadcast_to(op.edge_normal[bi][:, None, :],
+                                           (len(bi), 2, 2))
 
     # -- deviations ---------------------------------------------------------
 
@@ -86,28 +96,66 @@ class OEFilter:
 
     # -- jump assembly ------------------------------------------------------
 
-    def _endpoint_ghosts(self, coeffs, t):
-        """Degree-0 ghost states at the endpoints of 'state'-kind boundary edges."""
+    def _endpoint_pass(self, coeffs, t):
+        """Jumps of every derivative order and the states at edge endpoints.
+
+        Returns J (ne, 2, n_derivs, d) indexed by (edge, endpoint, stacked
+        alpha, component), and the interior and exterior point values
+        (ne, 2, d). 'copy' boundary edges have zero jumps.
+        """
         op = self.op
-        if len(self.state_ids) == 0:
-            return None, None
-        ids = self.state_ids
-        VV = op.vertex_values(coeffs)
-        u_int = VV[self.lc[ids, None], op.lv_end[ids]]          # (nb, 2, d)
-        u_ghost = np.empty_like(u_int)
-        nrm = op.edge_normal[ids][:, None, :]
-        nb = np.broadcast_to(nrm, u_int.shape[:2] + (2,))
-        # reuse the operator's per-rule grouping
-        for rule, eids in op.groups:
-            if rule.kind == "copy":
-                continue
-            sel = np.isin(ids, eids)
-            if not np.any(sel):
-                continue
-            u_ghost[sel] = rule.ghost(op.model, u_int[sel],
-                                      op.edge_endpoints[ids][sel],
-                                      nb[sel], t)
-        return u_int, u_ghost
+        nc, d = len(coeffs), coeffs.shape[2]
+        V = op.vertex_jets(coeffs).reshape(3 * nc, op.n_derivs, d)
+        VL = np.take(V, self.left, axis=0)
+        VR = np.take(V, self.right, axis=0)
+        J = VL - VR
+        u_int = VL[:, :, 0, :]
+        u_ext = VR[:, :, 0, :]
+        bi = op.boundary_ids
+        if len(bi):
+            u_ext[bi] = op.boundary_ghost_values(
+                u_int[bi], self.bnd_points, self.bnd_normals, t)
+            sid = self.state_ids
+            J[sid] = VL[sid]
+            J[sid, :, 0, :] -= u_ext[sid]
+        return J, u_int, u_ext
+
+    def _edge_measures(self, coeffs, J, rotated):
+        """sqrt(S^j) over the global deviation, per edge: (ne, d, k+1).
+
+        S^j is the trapezoidal endpoint sum of the binom-weighted squared
+        order-j jumps. rotated: the momentum entries become the larger of the
+        normal and tangential momentum measures over the momentum-magnitude
+        deviation.
+        """
+        d = coeffs.shape[2]
+        sq = J * J                                               # (ne,2,R,d)
+        if rotated:
+            m1, m2 = J[..., self.mom[0]], J[..., self.mom[1]]
+            nrm = self.op.edge_normal[:, None, None, :]
+            jn = nrm[..., 0] * m1 + nrm[..., 1] * m2
+            jt = -nrm[..., 1] * m1 + nrm[..., 0] * m2
+            sq = np.concatenate([sq, (jn * jn)[..., None],
+                                 (jt * jt)[..., None]], axis=3)
+        ne, _, R, dd = sq.shape
+        S = sq.transpose(0, 3, 1, 2).reshape(ne * dd, 2 * R) @ self.weights
+        root = np.sqrt(S).reshape(ne, dd, self.k + 1)
+
+        dev, mdev = self.global_deviation(coeffs)
+        ubar = self.global_average(coeffs)
+        # component guard: quiescent components are not damped
+        active = dev > EPS_DEVIATION * np.maximum(1.0, np.abs(ubar))
+        inv_dev = np.where(active, 1.0 / np.where(active, dev, 1.0), 0.0)
+        G = root[:, :d, :] * inv_dev[None, :, None]
+        if rotated:
+            mom = self.mom
+            dhat = 0.0
+            if mdev > EPS_DEVIATION * max(
+                    1.0, float(np.hypot(ubar[mom[0]], ubar[mom[1]]))):
+                dhat = (np.maximum(root[:, d], root[:, d + 1])
+                        / mdev)[:, None, :]
+            G[:, mom, :] = dhat
+        return G
 
     def _edge_jumps(self, coeffs, t):
         """Derivative jumps at edge endpoints for j = 0..k.
@@ -115,46 +163,19 @@ class OEFilter:
         Returns a list; element j has shape (ne, 2, j+1, d) indexed by
         (edge, endpoint, alpha, component). 'copy' boundary edges are zero.
         """
-        op = self.op
-        mesh = op.mesh
-        ne = mesh.n_edges
-        ii = op.interior_ids
-        rci = self.rc[ii]
-        u_bint, u_bghost = self._endpoint_ghosts(coeffs, t)
-
-        jumps = []
-        for j in range(self.k + 1):
-            Vd = op.vertex_derivatives(coeffs, j)               # (nc,3,j+1,d)
-            J = np.zeros((ne, 2, j + 1, coeffs.shape[2]))
-            J_int = Vd[self.lc[:, None], op.lv_end]             # (ne,2,j+1,d)
-            J[ii] = J_int[ii] - Vd[rci[:, None], op.rv_end[ii]]
-            if len(self.state_ids):
-                ids = self.state_ids
-                if j == 0:
-                    J[ids] = u_bint[:, :, None, :] - u_bghost[:, :, None, :]
-                else:
-                    J[ids] = J_int[ids]
-            jumps.append(J)
-        return jumps
+        J = self._endpoint_pass(coeffs, t)[0]
+        return [J[:, :, rows, :] for rows in self.op.deriv_rows]
 
     def _edge_wavespeed(self, coeffs, t):
         """beta per edge: max wavespeed over the two endpoints and both sides."""
-        op = self.op
-        mesh = op.mesh
-        VV = op.vertex_values(coeffs)
-        u_int = VV[self.lc[:, None], op.lv_end]                 # (ne,2,d)
-        u_ext = u_int.copy()
-        ii = op.interior_ids
-        u_ext[ii] = VV[self.rc[ii, None], op.rv_end[ii]]
-        if len(self.state_ids):
-            _, ghosts = self._endpoint_ghosts(coeffs, t)
-            u_ext[self.state_ids] = ghosts
-        n = op.edge_normal[:, None, :]
-        speed = (op.model.wavespeed_clamped if self.guard_wavespeed
-                 else op.model.wavespeed)
-        s_int = speed(u_int, n)
-        s_ext = speed(u_ext, n)
-        return np.maximum(s_int, s_ext).max(axis=1)             # (ne,)
+        _, u_int, u_ext = self._endpoint_pass(coeffs, t)
+        return self._beta(u_int, u_ext)
+
+    def _beta(self, u_int, u_ext):
+        n = self.op.edge_normal[:, None, :]
+        speed = (self.op.model.wavespeed_clamped if self.guard_wavespeed
+                 else self.op.model.wavespeed)
+        return np.maximum(speed(u_int, n), speed(u_ext, n)).max(axis=1)
 
     def jump_measures(self, coeffs, t=0.0):
         """Dimensionless jump measures delta[cell, edge, j, component].
@@ -162,21 +183,12 @@ class OEFilter:
         Component-wise definition; the rotation-equivariant variant replaces
         the momentum entries inside damping_exponents.
         """
-        op = self.op
-        mesh = op.mesh
-        dev, _ = self.global_deviation(coeffs)
-        ubar = self.global_average(coeffs)
-        jumps = self._edge_jumps(coeffs, t)
-        ce = mesh.cell_edges
-        h = mesh.height
-        active = dev > EPS_DEVIATION * np.maximum(1.0, np.abs(ubar))
-        inv_dev = np.where(active, 1.0 / np.where(active, dev, 1.0), 0.0)
-        out = np.empty((mesh.n_cells, 3, self.k + 1, coeffs.shape[2]))
-        for j in range(self.k + 1):
-            S = 0.5 * np.einsum("a,nead->nd", self.binom[j], jumps[j] ** 2)
-            out[:, :, j, :] = (self.A[j] * h[:, :, None] ** j
-                               * np.sqrt(S[ce]) * inv_dev[None, None, :])
-        return out
+        J = self._endpoint_pass(coeffs, t)[0]
+        G = self._edge_measures(coeffs, J, rotated=False)
+        mesh = self.op.mesh
+        Ah = mesh.height[:, :, None] * self.A_h
+        return np.einsum("cej,cedj->cejd", Ah,
+                         np.take(G, mesh.cell_edges, axis=0))
 
     def edge_wavespeeds(self, coeffs, t=0.0):
         """Local wavespeed estimate beta per edge (max over endpoints/sides)."""
@@ -185,60 +197,17 @@ class OEFilter:
     # -- damping ------------------------------------------------------------
 
     def damping_exponents(self, coeffs, dt, t=0.0):
-        """Exponents X[c, m-1, d] = dt * sum_{j<=m} sigma_K^j for m = 1..k."""
-        op = self.op
-        mesh = op.mesh
-        d = coeffs.shape[2]
-        dev, mdev = self.global_deviation(coeffs)
-        ubar = self.global_average(coeffs)
+        """Exponents X[c, m-1, d] = dt * sum_{j<=m} sigma_K^j for m = 1..k.
 
-        jumps = self._edge_jumps(coeffs, t)
-        beta = self._edge_wavespeed(coeffs, t)
-
-        # trapezoidal endpoint sums, per edge and component
-        S = []  # S[j]: (ne, d)
-        for j in range(self.k + 1):
-            w = self.binom[j]
-            S.append(0.5 * np.einsum("a,nead->nd", w, jumps[j] ** 2))
-
-        mom = list(op.model.momentum_components) if self.mode == "rioe" else []
-        if mom:
-            n1 = op.edge_normal[:, 0][:, None, None]
-            n2 = op.edge_normal[:, 1][:, None, None]
-            S_mn, S_mt = [], []
-            for j in range(self.k + 1):
-                jm1 = jumps[j][..., mom[0]]
-                jm2 = jumps[j][..., mom[1]]
-                jn = n1 * jm1 + n2 * jm2
-                jt = -n2 * jm1 + n1 * jm2
-                w = self.binom[j]
-                S_mn.append(0.5 * np.einsum("a,nea->ne", w, jn ** 2).sum(axis=-1))
-                S_mt.append(0.5 * np.einsum("a,nea->ne", w, jt ** 2).sum(axis=-1))
-
-        ce = mesh.cell_edges                                     # (nc, 3)
-        h = mesh.height                                          # (nc, 3)
-        beta_ce = beta[ce]
-
-        # component guard: quiescent components are not damped
-        active = dev > EPS_DEVIATION * np.maximum(1.0, np.abs(ubar))
-        inv_dev = np.where(active, 1.0 / np.where(active, dev, 1.0), 0.0)
-
-        sigma = np.zeros((mesh.n_cells, self.k + 1, d))
-        for j in range(self.k + 1):
-            delta = (self.A[j] * h[:, :, None] ** j
-                     * np.sqrt(S[j][ce]) * inv_dev[None, None, :])
-            if mom:
-                if mdev > EPS_DEVIATION * max(
-                        1.0, float(np.hypot(ubar[mom[0]], ubar[mom[1]]))):
-                    dn = self.A[j] * h ** j * np.sqrt(S_mn[j][ce]) / mdev
-                    dtg = self.A[j] * h ** j * np.sqrt(S_mt[j][ce]) / mdev
-                    dhat = np.maximum(dn, dtg)
-                else:
-                    dhat = np.zeros_like(h)
-                delta[:, :, mom] = dhat[:, :, None]
-            sigma[:, j, :] = ((beta_ce / h)[:, :, None] * delta).sum(axis=1)
-
-        return dt * np.cumsum(sigma, axis=1)[:, 1:, :]
+        sigma_K^j = sum over the cell's edges of beta / h * delta^j, with
+        delta^j = A^{k,j} h^j sqrt(S^j) / deviation.
+        """
+        J, u_int, u_ext = self._endpoint_pass(coeffs, t)
+        G = self._edge_measures(coeffs, J, rotated=bool(self.mom))
+        ce = self.op.mesh.cell_edges
+        w = self._beta(u_int, u_ext)[ce][:, :, None] * self.A_h  # (nc,3,k+1)
+        sigma = np.einsum("cej,cedj->cdj", w, np.take(G, ce, axis=0))
+        return dt * np.cumsum(sigma, axis=2)[:, :, 1:].transpose(0, 2, 1)
 
     def apply(self, state, dt, t=None):
         """Damp high-order modal blocks; the cell averages are untouched."""

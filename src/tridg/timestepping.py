@@ -72,8 +72,12 @@ def default_scheme_for(k):
 
 
 def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
-    """One full RK step from state.t to state.t + dt with per-stage hooks."""
+    """One full RK step from state.t to state.t + dt with per-stage hooks.
+
+    The residual of each stage value is evaluated once, on first use.
+    """
     stages = [state]
+    residuals = [None] * scheme.n_stages
     for s in range(scheme.n_stages):
         acc = None
         for j, (a, b) in enumerate(zip(scheme.alpha[s], scheme.beta[s])):
@@ -83,11 +87,13 @@ def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
             if a != 0.0:
                 term = a * stages[j].coeffs
             if b != 0.0:
-                try:
-                    term = term + dt * b * residual_fn(stages[j].coeffs, state.t)
-                except Exception as exc:
-                    exc.rk_stage = s
-                    raise
+                if residuals[j] is None:
+                    try:
+                        residuals[j] = residual_fn(stages[j].coeffs, state.t)
+                    except Exception as exc:
+                        exc.rk_stage = s
+                        raise
+                term = term + dt * b * residuals[j]
             acc = term if acc is None else acc + term
         new = ModalState(state.k, acc, state.t)
         if oe is not None:
@@ -127,6 +133,9 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
     scheme = scheme or default_scheme_for(op.k)
     if isinstance(scheme, str):
         scheme = scheme_by_name(scheme)
+    if not np.all(np.isfinite(state.coeffs)):
+        raise NumericsError("non-finite initial state", last_state=state,
+                            step=0)
     limiter = None
     if bp_scheme is not None:
         limiter = bp_mod.BPLimiter(op, scheme=bp_scheme, bounds=bounds)
@@ -148,8 +157,11 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
             raise NumericsError("max_steps exceeded", last_state=state,
                                 step=result.steps)
         alpha = op.max_wavespeed(state.coeffs, t=state.t, mode=alpha_mode)
-        if not np.isfinite(alpha) or alpha <= 0:
-            alpha = max(alpha, 1e-14)
+        if not np.isfinite(alpha):
+            raise NumericsError("non-finite wavespeed bound",
+                                last_state=state, step=result.steps)
+        if alpha <= 0:
+            alpha = 1e-14
         if dt_rule == "p4paper":
             dt = _p4_paper_dt(op, alpha, scheme.c_ssp)
         elif limiter is not None:

@@ -174,6 +174,51 @@ def test_numeric_abort_exit_code(tmp_path):
     assert rc == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["--problem", "advection_smooth", "--k", "1", "--gen", "4,4"],
+    ["--problem", "euler_double_rarefaction", "--k", "1", "--oe", "ri",
+     "--bp", "dcw"],
+    ["--problem", "euler_double_rarefaction", "--k", "1", "--oe", "ri",
+     "--bp", "off"],
+])
+def test_nan_state_exit_code(tmp_path, monkeypatch, argv):
+    # one NaN coefficient is a numeric abort (4), not an admissibility one
+    from tridg.dg import SpatialOperator
+    project = SpatialOperator.project
+
+    def poisoned(op, fn, t=0.0):
+        state = project(op, fn, t)
+        state.coeffs[0, 1, 0] = np.nan
+        return state
+
+    monkeypatch.setattr(SpatialOperator, "project", poisoned)
+    rc = main(["run", *argv, "--tend", "0.01", "--out", str(tmp_path / "n")])
+    assert rc == 4
+
+
+def test_snapshot_bytes_match_csv_writer(tmp_path):
+    from tridg.cli import _write_csv, _write_snapshot
+    from tridg.dg import SpatialOperator
+    from tridg.mesh import generate_structured, perturb
+    from tridg.physics import Euler
+    mesh = perturb(generate_structured((0, 0, 1, 1), 3, 2), 0.2, seed=1)
+    op = SpatialOperator(mesh, Euler(), 2)
+    state = op.project(lambda x, y: Euler().from_primitive(1 + x, y, -x, 2.0))
+    state.coeffs.flat[:4] = [-0.0, 1e-300, 1e300, -3.25]
+    state.coeffs[-1, -1, :] = [-1e-300, -1e300, 0.1, -2 / 3]
+    rows = [(c, float(mesh.centroid[c, 0]), float(mesh.centroid[c, 1]), l,
+             comp, float(state.coeffs[c, l, comp]))
+            for c in range(mesh.n_cells) for l in range(op.nm)
+            for comp in range(state.d)]
+    _write_csv(tmp_path / "rows.csv", ("cell_id", "centroid_x", "centroid_y",
+                                       "mode", "component", "value"), rows)
+    _write_snapshot(tmp_path / "snap.csv", op, state)
+    want = (tmp_path / "rows.csv").read_bytes()
+    assert all(v in want for v in (b",-0\r\n", b",1e-300\r\n", b",-1e-300\r\n",
+                                   b",-1.0000000000000001e+300\r\n"))
+    assert (tmp_path / "snap.csv").read_bytes() == want
+
+
 def test_decomp_records_raw_nodes(tmp_path):
     out = tmp_path / "d.csv"
     v = f"0,0,1,0,0.5,{math.sqrt(3) / 2}"

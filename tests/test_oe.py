@@ -1,7 +1,9 @@
+from math import comb
+
 import numpy as np
 import pytest
 
-from tridg.dg import ModalState, SpatialOperator
+from tridg.dg import Inflow, ModalState, Outflow, Reflective, SpatialOperator
 from tridg.errors import ConfigError, UnsupportedOperationError
 from tridg.mesh import generate_structured, perturb
 from tridg.oe import EPS_DEVIATION, OEFilter, damping_prefactor
@@ -227,3 +229,108 @@ def test_jump_measures_consistent_with_exponents(rng):
     want = dt * np.cumsum(sigma, axis=1)[:, 1:, :]
     got = f.damping_exponents(st.coeffs, dt)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
+
+
+# -- reference: the per-order jump assembly, one derivative order at a time --
+
+def reference_damping_exponents(f, coeffs, dt, t=0.0):
+    """Damping exponents assembled order by order from vertex_derivatives."""
+    op, k, d = f.op, f.k, coeffs.shape[2]
+    mesh = op.mesh
+    ne = mesh.n_edges
+    lc, rc = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+    ii = op.interior_ids
+    groups = [(rule, op.boundary_ids[pos]) for rule, pos in op.groups]
+    state_ids = [eids for rule, eids in groups if rule.kind != "copy"]
+    state_ids = (np.concatenate(state_ids) if state_ids
+                 else np.array([], dtype=int))
+
+    # degree-0 ghosts at the endpoints of 'state' boundary edges
+    VV = op.vertex_values(coeffs)
+    u_bint = VV[lc[state_ids, None], op.lv_end[state_ids]]
+    u_bghost = np.empty_like(u_bint)
+    nb = np.broadcast_to(op.edge_normal[state_ids][:, None, :],
+                         u_bint.shape[:2] + (2,))
+    for rule, eids in groups:
+        sel = np.isin(state_ids, eids)
+        if rule.kind != "copy" and np.any(sel):
+            u_bghost[sel] = rule.ghost(op.model, u_bint[sel],
+                                       op.edge_endpoints[state_ids][sel],
+                                       nb[sel], t)
+
+    jumps = []
+    for j in range(k + 1):
+        Vd = op.vertex_derivatives(coeffs, j)
+        J = np.zeros((ne, 2, j + 1, d))
+        J_int = Vd[lc[:, None], op.lv_end]
+        J[ii] = J_int[ii] - Vd[rc[ii, None], op.rv_end[ii]]
+        if len(state_ids):
+            J[state_ids] = (u_bint - u_bghost)[:, :, None, :] if j == 0 \
+                else J_int[state_ids]
+        jumps.append(J)
+
+    u_int = VV[lc[:, None], op.lv_end]
+    u_ext = u_int.copy()
+    u_ext[ii] = VV[rc[ii, None], op.rv_end[ii]]
+    u_ext[state_ids] = u_bghost
+    n = op.edge_normal[:, None, :]
+    speed = (op.model.wavespeed_clamped if f.guard_wavespeed
+             else op.model.wavespeed)
+    beta = np.maximum(speed(u_int, n), speed(u_ext, n)).max(axis=1)
+
+    dev, mdev = f.global_deviation(coeffs)
+    ubar = f.global_average(coeffs)
+    active = dev > EPS_DEVIATION * np.maximum(1.0, np.abs(ubar))
+    inv_dev = np.where(active, 1.0 / np.where(active, dev, 1.0), 0.0)
+    mom = list(op.model.momentum_components) if f.mode == "rioe" else []
+    ce, h = mesh.cell_edges, mesh.height
+    sigma = np.zeros((mesh.n_cells, k + 1, d))
+    for j in range(k + 1):
+        A = damping_prefactor(k, j)
+        w = np.array([comb(j, a) for a in range(j + 1)], dtype=float)
+        S = 0.5 * np.einsum("a,nead->nd", w, jumps[j] ** 2)
+        delta = A * h[:, :, None] ** j * np.sqrt(S[ce]) * inv_dev
+        if mom:
+            jm1, jm2 = jumps[j][..., mom[0]], jumps[j][..., mom[1]]
+            n1 = op.edge_normal[:, 0][:, None, None]
+            n2 = op.edge_normal[:, 1][:, None, None]
+            S_n = 0.5 * np.einsum("a,nea->n", w, (n1 * jm1 + n2 * jm2) ** 2)
+            S_t = 0.5 * np.einsum("a,nea->n", w, (-n2 * jm1 + n1 * jm2) ** 2)
+            if mdev > EPS_DEVIATION * max(1.0, float(np.hypot(*ubar[mom]))):
+                dhat = A * h ** j * np.maximum(np.sqrt(S_n[ce]),
+                                               np.sqrt(S_t[ce])) / mdev
+            else:
+                dhat = np.zeros_like(h)
+            delta[:, :, mom] = dhat[:, :, None]
+        sigma[:, j, :] = ((beta[ce] / h)[:, :, None] * delta).sum(axis=1)
+    return dt * np.cumsum(sigma, axis=1)[:, 1:, :]
+
+
+def tagged_perturbed_mesh(n=5, seed=3):
+    mesh = generate_structured((0, 0, 1, 1), n, n, tags={
+        "left": "IN", "right": "OUT", "bottom": "WALL", "top": "WALL"})
+    return perturb(mesh, 0.25, seed=seed)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("model,mode", [(Advection(), "componentwise"),
+                                        (Euler(), "componentwise"),
+                                        (Euler(), "rioe")])
+@pytest.mark.parametrize("guard", [False, True])
+def test_damping_exponents_match_per_order_reference(k, model, mode, guard):
+    rng = np.random.default_rng(10 * k + guard)
+    mesh = tagged_perturbed_mesh(seed=k)
+    if model.name == "euler":
+        inflow = Inflow(model.from_primitive(1.0, 0.5, 0.2, 1.0))
+    else:
+        inflow = Inflow(lambda x, y, t: np.sin(3 * x + y + t)[..., None])
+    op = SpatialOperator(mesh, model, k, boundary={
+        "IN": inflow, "OUT": Outflow(), "WALL": Reflective()})
+    f = OEFilter(op, mode=mode, guard_wavespeed=guard)
+    coeffs = 1e-3 * rng.standard_normal((mesh.n_cells, op.nm, op.d))
+    coeffs[:, 0, :] += (model.from_primitive(1.0, 0.3, -0.2, 1.0)
+                        if model.name == "euler" else 0.5)
+    X = f.damping_exponents(coeffs, 0.01, t=0.2)
+    want = reference_damping_exponents(f, coeffs, 0.01, t=0.2)
+    assert np.abs(want).min() > 0
+    np.testing.assert_allclose(X, want, rtol=1e-13, atol=0)

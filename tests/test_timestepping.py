@@ -53,6 +53,20 @@ def test_rk_order_on_linear_problem(scheme, order):
     assert e1 / e2 == pytest.approx(2 ** order, rel=0.25)
 
 
+@pytest.mark.parametrize("scheme,calls", [(SSP_RK22, 2), (SSP_RK33, 3),
+                                          (SSP_RK54, 5)])
+def test_one_residual_per_stage(scheme, calls):
+    seen = []
+
+    def residual(c, t):
+        seen.append(c)
+        return -c
+
+    state = ModalState(1, np.full((1, 1, 1), 1.0))
+    advance(state, 0.1, residual, scheme)
+    assert len(seen) == calls
+
+
 def test_rk3_single_step_local_error():
     # one step matches exp to O(dt^4)
     for dt in (0.1, 0.05):
