@@ -13,6 +13,7 @@ from math import sqrt
 import numpy as np
 
 from . import quadrature
+from .dg import ModalState
 from .errors import AdmissibilityError, ConfigError
 
 SCHEMES = ("dcw", "zxs")
@@ -289,8 +290,9 @@ class BPLimiter:
     Check nodes: the edge Gauss points always; for k=1 with the optimal
     decomposition also the two vertices opposite the longest edges; for k=2
     the weighted internal remainder value. Scalar models enforce the maximum
-    principle on a fixed interval `bounds`; Euler enforces positive density
-    then positive internal energy. Cell averages are never modified.
+    principle on a fixed interval `bounds`; positivity-constrained models
+    (Euler) enforce positive density then positive internal energy. Cell
+    averages are never modified.
     """
 
     EPS = 1e-13
@@ -304,8 +306,8 @@ class BPLimiter:
         self.scheme = scheme
         self.k = op.k
         mesh = op.mesh
-        self.is_euler = op.model.name == "euler"
-        if not self.is_euler:
+        self.positivity = op.model.positivity_constrained
+        if not self.positivity:
             if bounds is None:
                 raise ConfigError("scalar BP limiting needs bounds=(lo, hi)")
             self.bounds = (float(bounds[0]), float(bounds[1]))
@@ -345,8 +347,8 @@ class BPLimiter:
     # main entry ------------------------------------------------------------
 
     def apply(self, state):
-        if self.is_euler:
-            return self._apply_euler(state)
+        if self.positivity:
+            return self._apply_positivity(state)
         return self._apply_scalar(state)
 
     def _apply_scalar(self, state):
@@ -375,9 +377,9 @@ class BPLimiter:
         theta = np.clip(np.minimum(theta, th_hi), 0.0, 1.0)
         self.violations += int(np.sum(theta < 1.0))
         coeffs[:, 1:, 0] *= theta[:, None]
-        return _with_coeffs(state, coeffs)
+        return ModalState(state.k, coeffs, state.t)
 
-    def _apply_euler(self, state):
+    def _apply_positivity(self, state):
         model = self.op.model
         coeffs = state.coeffs.copy()
         mean = coeffs[:, 0, :]
@@ -423,10 +425,4 @@ class BPLimiter:
         coeffs[:, 1:, :] *= theta2[:, None, None]
 
         self.violations += int(np.sum((theta1 < 1.0) | (theta2 < 1.0)))
-        return _with_coeffs(state, coeffs)
-
-
-def _with_coeffs(state, coeffs):
-    out = state.copy()
-    out.coeffs = coeffs
-    return out
+        return ModalState(state.k, coeffs, state.t)

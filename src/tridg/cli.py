@@ -106,27 +106,45 @@ def _write_snapshot(path, op, state):
 
 
 def _write_samples(path, op, state, n):
-    """Uniform point sampling over the mesh bounding box for contour tools."""
+    """Uniform point sampling over the mesh bounding box for contour tools.
+
+    Points outside every cell are skipped; a point on an edge or vertex
+    shared by several cells is evaluated in the lowest cell id.
+    """
     mesh = op.mesh
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
     xs = np.linspace(lo[0], hi[0], n)
     ys = np.linspace(lo[1], hi[1], n)
-    # locate each sample point's cell by brute-force barycentric test
-    rows = []
+    # candidate (cell, point) pairs: the grid points in each cell's bounding
+    # box, padded well beyond the 1e-12 reference-coordinate tolerance
     verts = mesh.vertices[mesh.cells]
-    for x in xs:
-        for y in ys:
-            ref_all = np.einsum(
-                "cab,cb->ca", mesh.jac_inv,
-                np.array([x, y])[None, :] - verts[:, 0, :])
-            inside = ((ref_all[:, 0] >= -1e-12) & (ref_all[:, 1] >= -1e-12)
-                      & (ref_all.sum(axis=1) <= 1 + 1e-12))
-            if not inside.any():
-                continue
-            c = int(np.argmax(inside))
-            u = op.evaluate(state, c, np.array([x, y]))
-            rows.append((float(x), float(y), *[float(v) for v in np.atleast_1d(u.squeeze())]))
+    cmin, cmax = verts.min(axis=1), verts.max(axis=1)
+    pad = 1e-9 * (cmax - cmin).sum(axis=1)
+    i0 = np.searchsorted(xs, cmin[:, 0] - pad, side="left")
+    i1 = np.searchsorted(xs, cmax[:, 0] + pad, side="right")
+    j0 = np.searchsorted(ys, cmin[:, 1] - pad, side="left")
+    j1 = np.searchsorted(ys, cmax[:, 1] + pad, side="right")
+    ny = j1 - j0
+    count = (i1 - i0) * ny
+    cand = np.repeat(np.arange(mesh.n_cells), count)
+    q = np.arange(len(cand)) - np.repeat(np.cumsum(count) - count, count)
+    ix = i0[cand] + q // ny[cand]
+    iy = j0[cand] + q % ny[cand]
+    # barycentric test, as for a brute-force scan of every cell
+    xy = np.stack([xs[ix], ys[iy]], axis=1)
+    ref = np.einsum("cab,cb->ca", mesh.jac_inv[cand], xy - verts[cand, 0, :])
+    inside = ((ref[:, 0] >= -1e-12) & (ref[:, 1] >= -1e-12)
+              & (ref.sum(axis=1) <= 1 + 1e-12))
+    # lowest inside cell per point; points are numbered in row order, by x
+    # and then by y
+    owner = np.full(n * n, mesh.n_cells)
+    np.minimum.at(owner, (ix * n + iy)[inside], cand[inside])
+    rows = []
+    for p in np.flatnonzero(owner < mesh.n_cells):
+        x, y = xs[p // n], ys[p % n]
+        u = op.evaluate(state, int(owner[p]), np.array([x, y]))
+        rows.append((float(x), float(y), *[float(v) for v in np.atleast_1d(u.squeeze())]))
     ncomp = state.d
     _write_csv(path, ("x", "y", *[f"u{i}" for i in range(ncomp)]), rows)
 

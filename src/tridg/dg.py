@@ -311,7 +311,7 @@ class SpatialOperator:
         mesh = self.mesh
         u_int, u_ext = self._edge_states(coeffs, t)
 
-        if self.model.name == "euler":
+        if self.model.positivity_constrained:
             bad = ~(self.model.admissible(u_int) & self.model.admissible(u_ext))
             if np.any(bad):
                 eid = int(np.nonzero(bad.any(axis=1))[0][0])

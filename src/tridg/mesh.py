@@ -111,8 +111,10 @@ def _compute_geometry(mesh):
 def _validate_cells(vertices, cells):
     if cells.min(initial=0) < 0 or cells.max(initial=-1) >= len(vertices):
         raise TopologyError("cell vertex index out of range")
-    triples = [tuple(sorted(c)) for c in cells]
-    if len(set(triples)) != len(triples):
+    # equal vertex triples are adjacent once the row-sorted cells are sorted
+    triples = np.sort(cells, axis=1)
+    triples = triples[np.lexsort(triples.T[::-1])]
+    if np.any(np.all(triples[1:] == triples[:-1], axis=1)):
         raise TopologyError("duplicate cell (same vertex triple appears twice)")
     v = vertices[cells]
     area2 = _cross2(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
@@ -137,60 +139,70 @@ def build_mesh(vertices, cells, boundary_tags=None):
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
     _validate_cells(vertices, cells)
-    nc = len(cells)
+    nv = len(vertices)
 
-    # unique-edge map: sorted vertex pair -> list of (cell, local_edge, a, b)
-    pair_map = {}
-    for c in range(nc):
-        for i in range(3):
-            a = int(cells[c, (i + 1) % 3])
-            b = int(cells[c, (i + 2) % 3])
-            pair_map.setdefault((min(a, b), max(a, b)), []).append((c, i, a, b))
+    # one user per (cell, local edge), in that order; local edge i runs
+    # from local vertex i+1 to i+2. Users are grouped by the sorted vertex
+    # pair, keyed as lo * nv + hi so keys sort like (lo, hi) tuples; the
+    # stable sort keeps each edge's users in (cell, local edge) order.
+    a = cells[:, [1, 2, 0]].ravel()
+    b = cells[:, [2, 0, 1]].ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    key = lo * nv + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    count = np.diff(np.r_[start, len(key)])
+    first = order[start]
+    second = np.where(count > 1, order[np.minimum(start + 1, len(key) - 1)], -1)
 
-    for pair, users in pair_map.items():
-        if len(users) > 2:
-            raise TopologyError(f"edge {pair} shared by {len(users)} cells")
-        if len(users) == 2 and users[0][2:] == users[1][2:]:
-            raise TopologyError(f"edge {pair} traversed twice in the same direction")
+    # an edge may have two users that traverse it in opposite directions
+    same_dir = (count == 2) & (a[first] == a[second]) & (b[first] == b[second])
+    bad = np.flatnonzero((count > 2) | same_dir)
+    if len(bad):
+        e = bad[np.argmin(first[bad])]       # first in (cell, local edge) order
+        pair = (int(lo[first[e]]), int(hi[first[e]]))
+        if count[e] > 2:
+            raise TopologyError(f"edge {pair} shared by {count[e]} cells")
+        raise TopologyError(f"edge {pair} traversed twice in the same direction")
 
     tag_of = {}
     if boundary_tags is not None:
         for iv0, iv1, tag in boundary_tags:
-            key = (min(int(iv0), int(iv1)), max(int(iv0), int(iv1)))
-            if key in tag_of:
-                raise TopologyError(f"boundary edge {key} tagged twice")
-            tag_of[key] = str(tag)
+            tkey = (min(int(iv0), int(iv1)), max(int(iv0), int(iv1)))
+            if tkey in tag_of:
+                raise TopologyError(f"boundary edge {tkey} tagged twice")
+            tag_of[tkey] = str(tag)
 
-    ev, ec, el, tags = [], [], [], []
-    eid_of_pair = {}
-    boundary_pairs = []
-    for pair, users in sorted(pair_map.items()):
-        c0, i0, a0, b0 = users[0]
-        eid = len(ev)
-        eid_of_pair[pair] = eid
-        ev.append((a0, b0))
-        el.append([i0, -1])
-        if len(users) == 2:
-            c1, i1, _, _ = users[1]
-            ec.append([c0, c1])
-            el[-1][1] = i1
-            tags.append(None)
+    ukey = key[start]
+    boundary = count == 1
+    tagged = np.zeros(len(ukey), dtype=bool)
+    tags = [None] * len(ukey)
+    extra = []
+    for tkey, tag in tag_of.items():
+        k = tkey[0] * nv + tkey[1]
+        eid = (int(np.searchsorted(ukey, k)) if 0 <= tkey[0] and tkey[1] < nv
+               else len(ukey))
+        if eid < len(ukey) and ukey[eid] == k:
+            tagged[eid] = True
+            tags[eid] = tag
         else:
-            ec.append([c0, -1])
-            tags.append(tag_of.get(pair))
-            if tags[-1] is None:
-                raise TopologyError(f"boundary edge {pair} has no tag")
-            boundary_pairs.append(pair)
-        if pair in tag_of and len(users) == 2:
-            raise TopologyError(f"interior edge {pair} carries a boundary tag")
-
-    extra = set(tag_of) - set(boundary_pairs)
+            extra.append(tkey)
+    # the first edge in key order that is an untagged boundary edge or a
+    # tagged interior edge
+    wrong = np.flatnonzero(boundary != tagged)
+    if len(wrong):
+        e = wrong[0]
+        pair = (int(lo[first[e]]), int(hi[first[e]]))
+        if boundary[e]:
+            raise TopologyError(f"boundary edge {pair} has no tag")
+        raise TopologyError(f"interior edge {pair} carries a boundary tag")
     if extra:
         raise TopologyError(f"tag references non-boundary edge {sorted(extra)[0]}")
 
-    ev = np.array(ev, dtype=np.int64)
-    ec = np.array(ec, dtype=np.int64)
-    el = np.array(el, dtype=np.int64)
+    ev = np.stack([a[first], b[first]], axis=1)
+    ec = np.stack([first // 3, np.where(boundary, -1, second // 3)], axis=1)
+    el = np.stack([first % 3, np.where(boundary, -1, second % 3)], axis=1)
     offset = np.zeros((len(ev), 2))
     periodic = np.zeros(len(ev), dtype=bool)
 
@@ -208,34 +220,44 @@ def _glue_periodic(mesh):
             groups.setdefault(tag, []).append(eid)
     if not groups:
         return
-    scale = max(np.ptp(mesh.vertices, axis=0).max(), 1.0)
+    names = sorted(groups)
+    sizes = np.array([len(groups[tag]) for tag in names])
+    # groups of the wrong size get a placeholder pair; they fail check 0
+    ea, eb = np.array([groups[tag] if len(groups[tag]) == 2
+                       else groups[tag][:1] * 2 for tag in names]).T
+    pa = mesh.vertices[mesh.edge_vertices[ea]]          # (npairs, 2, 2)
+    pb = mesh.vertices[mesh.edge_vertices[eb]]
+    la = np.linalg.norm(pa[:, 1] - pa[:, 0], axis=1)
+    lb = np.linalg.norm(pb[:, 1] - pb[:, 0], axis=1)
+    t = pb.mean(axis=1) - pa.mean(axis=1)
+    # match endpoints under translation; conforming pairs traverse reversed
+    atol = PERIODIC_REL_TOL * max(np.ptp(mesh.vertices, axis=0).max(), 1.0)
+    reverse = np.isclose(pa + t[:, None], pb[:, ::-1], atol=atol).all(axis=(1, 2))
+    forward = np.isclose(pa + t[:, None], pb, atol=atol).all(axis=(1, 2))
+    failed = np.stack([
+        sizes != 2,
+        np.abs(la - lb) > PERIODIC_REL_TOL * np.maximum(la, lb),
+        ~(reverse | forward),
+        ~reverse,
+    ])
+    bad = np.flatnonzero(failed.any(axis=0))
+    if len(bad):
+        g = bad[0]
+        tag = names[g]
+        raise TopologyError([
+            f"periodic pair id {tag} used by {sizes[g]} edges",
+            f"periodic pair {tag} has mismatched edge lengths",
+            f"periodic pair {tag} endpoints do not match under translation",
+            f"periodic pair {tag} traverses the same direction on both sides",
+        ][int(np.argmax(failed[:, g]))])
+    mesh.edge_cells[ea, 1] = mesh.edge_cells[eb, 0]
+    mesh.edge_local[ea, 1] = mesh.edge_local[eb, 0]
+    mesh.edge_offset[ea] = t
+    mesh.edge_periodic[ea] = True
+    for eid in ea:
+        mesh.edge_tag[eid] = None
     keep = np.ones(mesh.n_edges, dtype=bool)
-    for tag, eids in sorted(groups.items()):
-        if len(eids) != 2:
-            raise TopologyError(f"periodic pair id {tag} used by {len(eids)} edges")
-        ea, eb = eids
-        pa = mesh.vertices[mesh.edge_vertices[ea]]
-        pb = mesh.vertices[mesh.edge_vertices[eb]]
-        la, lb = np.linalg.norm(pa[1] - pa[0]), np.linalg.norm(pb[1] - pb[0])
-        if abs(la - lb) > PERIODIC_REL_TOL * max(la, lb):
-            raise TopologyError(f"periodic pair {tag} has mismatched edge lengths")
-        t = pb.mean(axis=0) - pa.mean(axis=0)
-        # match endpoints under translation; conforming pairs traverse reversed
-        if np.allclose(pa + t, pb[::-1], atol=PERIODIC_REL_TOL * scale):
-            reversed_match = True
-        elif np.allclose(pa + t, pb, atol=PERIODIC_REL_TOL * scale):
-            reversed_match = False
-        else:
-            raise TopologyError(f"periodic pair {tag} endpoints do not match under translation")
-        if not reversed_match:
-            raise TopologyError(
-                f"periodic pair {tag} traverses the same direction on both sides")
-        mesh.edge_cells[ea, 1] = mesh.edge_cells[eb, 0]
-        mesh.edge_local[ea, 1] = mesh.edge_local[eb, 0]
-        mesh.edge_offset[ea] = t
-        mesh.edge_periodic[ea] = True
-        mesh.edge_tag[ea] = None
-        keep[eb] = False
+    keep[eb] = False
     idx = np.nonzero(keep)[0]
     mesh.edge_vertices = mesh.edge_vertices[idx]
     mesh.edge_cells = mesh.edge_cells[idx]
@@ -249,14 +271,14 @@ def _build_cell_edge_tables(mesh):
     nc = mesh.n_cells
     mesh.cell_edges = np.full((nc, 3), -1, dtype=np.int64)
     mesh.cell_edge_forward = np.zeros((nc, 3), dtype=bool)
-    for eid in range(mesh.n_edges):
-        cl, cr = mesh.edge_cells[eid]
-        il, ir = mesh.edge_local[eid]
-        mesh.cell_edges[cl, il] = eid
-        mesh.cell_edge_forward[cl, il] = True
-        if cr >= 0:
-            mesh.cell_edges[cr, ir] = eid
-            mesh.cell_edge_forward[cr, ir] = False
+    eids = np.arange(mesh.n_edges)
+    cl, il = mesh.edge_cells[:, 0], mesh.edge_local[:, 0]
+    mesh.cell_edges[cl, il] = eids
+    mesh.cell_edge_forward[cl, il] = True
+    inner = mesh.edge_cells[:, 1] >= 0
+    cr, ir = mesh.edge_cells[inner, 1], mesh.edge_local[inner, 1]
+    mesh.cell_edges[cr, ir] = eids[inner]
+    mesh.cell_edge_forward[cr, ir] = False
     if np.any(mesh.cell_edges < 0):
         raise TopologyError("internal error: cell edge table incomplete")
 
@@ -273,11 +295,72 @@ def load_mesh(source):
     `#` starts a comment.
     """
     if hasattr(source, "read"):
-        lines = source.read().splitlines()
+        text = source.read()
     else:
         with open(source) as f:
-            lines = f.read().splitlines()
+            text = f.read()
+    # the block parser accepts only what the line parser accepts; anything
+    # else goes to the line parser, which names the offending line
+    parsed = _parse_blocks(text)
+    if parsed is None:
+        parsed = _parse_lines(text.splitlines())
+    return build_mesh(*parsed)
 
+
+def _valid_tag(tag):
+    return tag in BOUNDARY_TAGS or (tag.startswith("P") and tag[1:].isdigit())
+
+
+def _parse_blocks(text):
+    """Parse each block of a well-formed mesh file as one array.
+
+    Returns (vertices, cells, boundary records), or None if any line is
+    malformed, an index is out of range or a tag is unknown.
+    """
+    data = text.splitlines()
+    if "#" in text:
+        data = [raw.split("#", 1)[0] for raw in data]
+    data = list(filter(str.strip, data))            # drop blank lines
+    try:
+        nv, nc, nbe = (int(v) for v in data[0].split()) if data else ()
+    except ValueError:
+        return None
+    if min(nv, nc, nbe) < 0 or len(data) != 1 + nv + nc + nbe:
+        return None
+
+    def block(rows, dtype, width):
+        if not rows:
+            return np.empty((0, width), dtype=dtype)
+        # whitespace-separated fields, parsed like float() / int()
+        out = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+        if out.shape != (len(rows), width):
+            raise ValueError("wrong field count")
+        return out
+
+    try:
+        verts = block(data[1:1 + nv], float, 2)
+        cells = block(data[1 + nv:1 + nv + nc], np.int64, 3)
+    except ValueError:
+        return None
+    if cells.min(initial=0) < 0 or cells.max(initial=-1) >= nv:
+        return None
+    btags = []
+    for row in data[1 + nv + nc:]:
+        fields = row.split()
+        if len(fields) != 3 or not _valid_tag(fields[2]):
+            return None
+        try:
+            iv0, iv1 = int(fields[0]), int(fields[1])
+        except ValueError:
+            return None
+        if not (0 <= iv0 < nv and 0 <= iv1 < nv):
+            return None
+        btags.append((iv0, iv1, fields[2]))
+    return verts, cells, btags
+
+
+def _parse_lines(lines):
+    """Line-by-line parser: raises MeshFormatError at the first bad line."""
     tokens = []  # (line_number, fields)
     for n, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
@@ -321,11 +404,10 @@ def load_mesh(source):
         iv0, iv1, tag = parse(f, n, (int, int, str), "boundary edge `iv0 iv1 TAG`")
         if not (0 <= iv0 < nv and 0 <= iv1 < nv):
             raise MeshFormatError("boundary vertex index out of range", line=n)
-        if tag not in BOUNDARY_TAGS and not (
-                tag.startswith("P") and tag[1:].isdigit()):
+        if not _valid_tag(tag):
             raise MeshFormatError(f"unknown boundary tag {tag!r}", line=n)
         btags.append((iv0, iv1, tag))
-    return build_mesh(verts, cells, btags)
+    return verts, cells, btags
 
 
 def save_mesh(mesh, path):
@@ -486,22 +568,18 @@ def perturb(mesh, amplitude=0.2, seed=0):
     """
     rng = np.random.default_rng(seed)
     on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
-    for eid in range(mesh.n_edges):
-        if mesh.edge_cells[eid, 1] < 0 or mesh.edge_periodic[eid]:
-            on_boundary[mesh.edge_vertices[eid]] = True
-            if mesh.edge_periodic[eid]:
-                cr, ir = mesh.edge_cells[eid, 1], mesh.edge_local[eid, 1]
-                on_boundary[mesh.cells[cr, (ir + 1) % 3]] = True
-                on_boundary[mesh.cells[cr, (ir + 2) % 3]] = True
+    outer = (mesh.edge_cells[:, 1] < 0) | mesh.edge_periodic
+    on_boundary[mesh.edge_vertices[outer]] = True
+    # a periodic edge's right-side copy runs between the vertices of its
+    # right cell's local edge
+    cr = mesh.edge_cells[mesh.edge_periodic, 1]
+    ir = mesh.edge_local[mesh.edge_periodic, 1]
+    on_boundary[mesh.cells[cr, (ir + 1) % 3]] = True
+    on_boundary[mesh.cells[cr, (ir + 2) % 3]] = True
     # local scale: shortest incident edge per vertex
     scale = np.full(mesh.n_vertices, np.inf)
-    for c in range(mesh.n_cells):
-        for i in range(3):
-            a = mesh.cells[c, (i + 1) % 3]
-            b = mesh.cells[c, (i + 2) % 3]
-            l = mesh.edge_len[c, i]
-            scale[a] = min(scale[a], l)
-            scale[b] = min(scale[b], l)
+    for shift in (1, 2):
+        np.minimum.at(scale, np.roll(mesh.cells, -shift, axis=1), mesh.edge_len)
     verts = mesh.vertices.copy()
     free = ~on_boundary
     verts[free] += (rng.random((free.sum(), 2)) - 0.5) * (

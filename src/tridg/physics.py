@@ -15,8 +15,11 @@ class Model:
 
     name = "model"
     n_components = 1
-    has_rotation = False
     momentum_components = ()
+    # states must keep positive density and internal energy: the residual
+    # rejects inadmissible traces and the BP limiter enforces positivity;
+    # otherwise BP limiting enforces a scalar interval
+    positivity_constrained = False
 
     def flux(self, u):
         raise NotImplementedError
@@ -104,8 +107,8 @@ class Euler(Model):
 
     name = "euler"
     n_components = 4
-    has_rotation = True
     momentum_components = (1, 2)
+    positivity_constrained = True
 
     def __init__(self, gamma=1.4):
         self.gamma = float(gamma)
@@ -201,8 +204,8 @@ class ScaledModel(Model):
         self.lam = float(lam)
         self.name = f"scaled({base.name}, {lam})"
         self.n_components = base.n_components
-        self.has_rotation = base.has_rotation
         self.momentum_components = base.momentum_components
+        self.positivity_constrained = base.positivity_constrained
 
     def flux(self, u):
         return self.lam * self.base.flux(u)
@@ -218,6 +221,9 @@ class ScaledModel(Model):
 
     def admissible(self, u):
         return self.base.admissible(u)
+
+    def internal_energy(self, u):
+        return self.base.internal_energy(u)
 
     def rotate_state(self, u, phi):
         return self.base.rotate_state(u, phi)

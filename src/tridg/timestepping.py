@@ -8,6 +8,7 @@ then BP limiter.
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,18 @@ class RKScheme:
     @property
     def n_stages(self):
         return len(self.alpha)
+
+    @cached_property
+    def abscissae(self):
+        """Stage times c_0..c_n as fractions of dt; c_n is 1 for the step.
+
+        Stage value u^(s) approximates u(t + c_s dt): c_0 = 0 and
+        c_{s+1} = sum_j (alpha[s][j] c_j + beta[s][j]).
+        """
+        c = [0.0]
+        for a_row, b_row in zip(self.alpha, self.beta):
+            c.append(sum(a * cj + b for a, b, cj in zip(a_row, b_row, c)))
+        return tuple(c)
 
 
 SSP_RK22 = RKScheme(
@@ -74,8 +87,10 @@ def default_scheme_for(k):
 def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
     """One full RK step from state.t to state.t + dt with per-stage hooks.
 
-    The residual of each stage value is evaluated once, on first use.
+    The residual of each stage value is evaluated once, on first use, at
+    the stage's time t + c_j dt; the filter sees the new stage's time.
     """
+    c = scheme.abscissae
     stages = [state]
     residuals = [None] * scheme.n_stages
     for s in range(scheme.n_stages):
@@ -89,15 +104,16 @@ def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
             if b != 0.0:
                 if residuals[j] is None:
                     try:
-                        residuals[j] = residual_fn(stages[j].coeffs, state.t)
+                        residuals[j] = residual_fn(stages[j].coeffs,
+                                                   state.t + c[j] * dt)
                     except Exception as exc:
                         exc.rk_stage = s
                         raise
                 term = term + dt * b * residuals[j]
             acc = term if acc is None else acc + term
-        new = ModalState(state.k, acc, state.t)
+        new = ModalState(state.k, acc, state.t + c[s + 1] * dt)
         if oe is not None:
-            new = oe.apply(new, dt, t=state.t)
+            new = oe.apply(new, dt, t=new.t)
         if bp is not None:
             new = bp.apply(new)
         stages.append(new)

@@ -267,3 +267,24 @@ def test_seeded_ensemble_matches_acceptance_shape():
     assert np.all(lengths[:, 1] >= lengths[:, 2])
     # triangle inequality holds for real triangles
     assert np.all(lengths[:, 0] <= lengths[:, 1] + lengths[:, 2] + 1e-12)
+
+
+def test_scaled_euler_keeps_positivity_paths():
+    # dispatch follows the model's capability, not its name string
+    from tridg.physics import ScaledModel
+    mesh = generate_structured((0, 0, 1, 1), 4, 4)
+    plain = SpatialOperator(mesh, Euler(), 1)
+    scaled = SpatialOperator(mesh, ScaledModel(Euler(), 2.0), 1)
+    coeffs = np.zeros((mesh.n_cells, plain.nm, 4))
+    coeffs[:, 0] = Euler().from_primitive(1.0, 0.0, 0.0, 1.0)
+    coeffs[0, 1, 0] = 1.0                      # negative density at a node
+    st = ModalState(1, coeffs)
+    # BP: positivity limiting without scalar bounds, same result as Euler
+    out = bp.BPLimiter(scaled, "dcw").apply(st)
+    assert np.array_equal(out.coeffs, bp.BPLimiter(plain, "dcw").apply(st).coeffs)
+    assert not np.array_equal(out.coeffs, coeffs)
+    # residual: the trace admissibility check still runs
+    with pytest.raises(AdmissibilityError, match="inadmissible trace"):
+        scaled.residual(coeffs, 1.0)
+    assert np.array_equal(scaled.residual(out.coeffs, 1.0),
+                          2.0 * plain.residual(out.coeffs, 0.5))

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tridg.errors import GeometryError, MeshFormatError, TopologyError
-from tridg.mesh import (build_mesh, generate_structured, load_mesh, perturb,
+from tridg.mesh import (Mesh, _boundary_tag_records, _compute_geometry,
+                        _parse_blocks, _parse_lines, build_mesh,
+                        generate_structured, load_mesh, perturb,
                         refine_uniform, save_mesh)
+from tridg.problems import get_problem
 
 
 def cross2(a, b):
@@ -259,3 +262,295 @@ def test_structured_mesh_invariants(nx, ny, diag):
         a, b = m.edge_vertices[eid]
         cl, cr = m.edge_cells[eid]
         assert {a, b} <= set(m.cells[cl]) and {a, b} <= set(m.cells[cr])
+
+
+# ---------------------------------------------------------------------------
+# array builder against the per-cell loop builder it replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_build_mesh(vertices, cells, boundary_tags=None):
+    """The dict-of-vertex-pairs builder, kept as the reference."""
+    vertices = np.asarray(vertices, dtype=float)
+    cells = np.asarray(cells, dtype=np.int64)
+    if cells.min(initial=0) < 0 or cells.max(initial=-1) >= len(vertices):
+        raise TopologyError("cell vertex index out of range")
+    triples = [tuple(sorted(c)) for c in cells]
+    if len(set(triples)) != len(triples):
+        raise TopologyError("duplicate cell (same vertex triple appears twice)")
+    v = vertices[cells]
+    area2 = cross2(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    if np.any(area2 <= 0):
+        bad = int(np.argmax(area2 <= 0))
+        raise GeometryError(
+            f"cell {bad} has non-positive area (vertices must be CCW)")
+    nc = len(cells)
+    pair_map = {}
+    for c in range(nc):
+        for i in range(3):
+            a = int(cells[c, (i + 1) % 3])
+            b = int(cells[c, (i + 2) % 3])
+            pair_map.setdefault((min(a, b), max(a, b)), []).append((c, i, a, b))
+    for pair, users in pair_map.items():
+        if len(users) > 2:
+            raise TopologyError(f"edge {pair} shared by {len(users)} cells")
+        if len(users) == 2 and users[0][2:] == users[1][2:]:
+            raise TopologyError(f"edge {pair} traversed twice in the same direction")
+    tag_of = {}
+    if boundary_tags is not None:
+        for iv0, iv1, tag in boundary_tags:
+            key = (min(int(iv0), int(iv1)), max(int(iv0), int(iv1)))
+            if key in tag_of:
+                raise TopologyError(f"boundary edge {key} tagged twice")
+            tag_of[key] = str(tag)
+    ev, ec, el, tags = [], [], [], []
+    boundary_pairs = []
+    for pair, users in sorted(pair_map.items()):
+        c0, i0, a0, b0 = users[0]
+        ev.append((a0, b0))
+        el.append([i0, -1])
+        if len(users) == 2:
+            c1, i1, _, _ = users[1]
+            ec.append([c0, c1])
+            el[-1][1] = i1
+            tags.append(None)
+        else:
+            ec.append([c0, -1])
+            tags.append(tag_of.get(pair))
+            if tags[-1] is None:
+                raise TopologyError(f"boundary edge {pair} has no tag")
+            boundary_pairs.append(pair)
+        if pair in tag_of and len(users) == 2:
+            raise TopologyError(f"interior edge {pair} carries a boundary tag")
+    extra = set(tag_of) - set(boundary_pairs)
+    if extra:
+        raise TopologyError(f"tag references non-boundary edge {sorted(extra)[0]}")
+    ev = np.array(ev, dtype=np.int64)
+    mesh = Mesh(vertices, cells, ev, np.array(ec, dtype=np.int64),
+                np.array(el, dtype=np.int64), tags, np.zeros((len(ev), 2)),
+                np.zeros(len(ev), dtype=bool))
+    _compute_geometry(mesh)
+    loop_glue_periodic(mesh)
+    nc = mesh.n_cells
+    mesh.cell_edges = np.full((nc, 3), -1, dtype=np.int64)
+    mesh.cell_edge_forward = np.zeros((nc, 3), dtype=bool)
+    for eid in range(mesh.n_edges):
+        cl, cr = mesh.edge_cells[eid]
+        il, ir = mesh.edge_local[eid]
+        mesh.cell_edges[cl, il] = eid
+        mesh.cell_edge_forward[cl, il] = True
+        if cr >= 0:
+            mesh.cell_edges[cr, ir] = eid
+            mesh.cell_edge_forward[cr, ir] = False
+    return mesh
+
+
+def loop_glue_periodic(mesh):
+    groups = {}
+    for eid, tag in enumerate(mesh.edge_tag):
+        if tag is not None and tag.startswith("P"):
+            groups.setdefault(tag, []).append(eid)
+    if not groups:
+        return
+    scale = max(np.ptp(mesh.vertices, axis=0).max(), 1.0)
+    keep = np.ones(mesh.n_edges, dtype=bool)
+    for tag, eids in sorted(groups.items()):
+        if len(eids) != 2:
+            raise TopologyError(f"periodic pair id {tag} used by {len(eids)} edges")
+        ea, eb = eids
+        pa = mesh.vertices[mesh.edge_vertices[ea]]
+        pb = mesh.vertices[mesh.edge_vertices[eb]]
+        la, lb = np.linalg.norm(pa[1] - pa[0]), np.linalg.norm(pb[1] - pb[0])
+        if abs(la - lb) > 1e-12 * max(la, lb):
+            raise TopologyError(f"periodic pair {tag} has mismatched edge lengths")
+        t = pb.mean(axis=0) - pa.mean(axis=0)
+        if np.allclose(pa + t, pb[::-1], atol=1e-12 * scale):
+            reversed_match = True
+        elif np.allclose(pa + t, pb, atol=1e-12 * scale):
+            reversed_match = False
+        else:
+            raise TopologyError(f"periodic pair {tag} endpoints do not match under translation")
+        if not reversed_match:
+            raise TopologyError(
+                f"periodic pair {tag} traverses the same direction on both sides")
+        mesh.edge_cells[ea, 1] = mesh.edge_cells[eb, 0]
+        mesh.edge_local[ea, 1] = mesh.edge_local[eb, 0]
+        mesh.edge_offset[ea] = t
+        mesh.edge_periodic[ea] = True
+        mesh.edge_tag[ea] = None
+        keep[eb] = False
+    idx = np.nonzero(keep)[0]
+    for name in ("edge_vertices", "edge_cells", "edge_local", "edge_offset",
+                 "edge_periodic"):
+        setattr(mesh, name, getattr(mesh, name)[idx])
+    mesh.edge_tag = [mesh.edge_tag[i] for i in idx]
+
+
+EDGE_TABLES = ("edge_vertices", "edge_cells", "edge_local", "edge_offset",
+               "edge_periodic", "cell_edges", "cell_edge_forward")
+
+
+def assert_same_tables(new, ref):
+    for name in EDGE_TABLES:
+        a, b = getattr(new, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert new.edge_tag == ref.edge_tag
+
+
+def builder_cases():
+    sq = (0.0, 0.0, 1.0, 1.0)
+    mixed = {"left": "IN", "right": "OUT", "bottom": "WALL", "top": "WALL"}
+    return {
+        "uniform": generate_structured(sq, 4, 3, diagonal="uniform"),
+        "alternating": generate_structured(sq, 5, 4),
+        "periodic-x": generate_structured(sq, 4, 5, periodic=("x",)),
+        "periodic-y": generate_structured((0, 0, 2, 1), 6, 3, periodic=("y",)),
+        "periodic-xy": generate_structured(sq, 6, 6, periodic=("x", "y")),
+        "perturbed": perturb(generate_structured(sq, 7, 5, periodic=("x", "y")),
+                             0.3, seed=4),
+        "refined": refine_uniform(generate_structured(sq, 3, 2,
+                                                      periodic=("x",))),
+        "mixed-tags": perturb(generate_structured((0, 0, 3, 1), 6, 2,
+                                                  tags=mixed), 0.25, seed=2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(builder_cases()))
+def test_build_mesh_matches_loop_builder(name):
+    m = builder_cases()[name]
+    # the cells in a scrambled order exercise the key sort and tie-breaks
+    rng = np.random.default_rng(len(name))
+    cells = m.cells[rng.permutation(m.n_cells)]
+    tags = _boundary_tag_records(m)
+    for c in (m.cells, cells):
+        assert_same_tables(build_mesh(m.vertices, c, tags),
+                           loop_build_mesh(m.vertices, c, tags))
+
+
+def bad_builds():
+    sq = generate_structured((0, 0, 1, 1), 2, 2, diagonal="uniform")
+    per = generate_structured((0, 0, 1, 1), 2, 2, periodic=("x",))
+    v, c, t = sq.vertices, sq.cells, _boundary_tag_records(sq)
+    pv, pc, pt = per.vertices, per.cells, _boundary_tag_records(per)
+    p_tags = [r for r in pt if r[2].startswith("P")]
+    other = [r for r in pt if not r[2].startswith("P")]
+    interior = tuple(int(x) for x in sq.edge_vertices[sq.interior_edge_ids[1]])
+    stretched = pv.copy()
+    stretched[[2, 8], 0] = 1.1                    # right side, moved out
+    tilted = pv.copy()
+    tilted[8] = [1 + 0.5 * np.sin(0.2), 0.5 + 0.5 * np.cos(0.2)]  # same length
+    return {
+        "duplicate": ([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (1, 2, 0)], []),
+        "three users": ([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)],
+                        [(0, 1, 2), (1, 3, 2), (0, 2, 4), (2, 0, 3)], []),
+        "same direction": ([(0, 0), (1, 0), (0, 1), (1, 1)],
+                           [(0, 1, 2), (0, 3, 2)], []),
+        "tagged twice": (v, c, t + [(t[0][1], t[0][0], "WALL")]),
+        "untagged": (v, c, t[1:]),
+        "interior tagged": (v, c, t + [(*interior, "OUT")]),
+        "non-edge tag": (v, c, t + [(0, 8, "OUT")]),
+        "out-of-range tag": (v, c, t + [(0, 99, "OUT")]),
+        "lonely pair id": (pv, pc, other + p_tags[:-1] + [(*p_tags[-1][:2], "OUT")]),
+        "pair of three": (pv, pc, other + p_tags[:-1] + [(*p_tags[-1][:2], "P0")]),
+        "mismatched": (stretched, pc, pt),
+        "not translated": (tilted, pc, pt),
+        # the two left-side edges of the square, both traversed downwards
+        "same-direction pair": (v, c, [
+            (a, b, "P0" if {a, b} in ({0, 3}, {3, 6}) else tag)
+            for a, b, tag in t]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(bad_builds()))
+def test_build_mesh_errors_match_loop_builder(name):
+    args = bad_builds()[name]
+    with pytest.raises((TopologyError, GeometryError)) as ref:
+        loop_build_mesh(*args)
+    with pytest.raises(type(ref.value)) as new:
+        build_mesh(*args)
+    assert str(new.value) == str(ref.value)
+
+
+def loop_perturb(mesh, amplitude=0.2, seed=0):
+    """The per-edge/per-cell loop version of `perturb`, kept as the reference."""
+    rng = np.random.default_rng(seed)
+    on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
+    for eid in range(mesh.n_edges):
+        if mesh.edge_cells[eid, 1] < 0 or mesh.edge_periodic[eid]:
+            on_boundary[mesh.edge_vertices[eid]] = True
+            if mesh.edge_periodic[eid]:
+                cr, ir = mesh.edge_cells[eid, 1], mesh.edge_local[eid, 1]
+                on_boundary[mesh.cells[cr, (ir + 1) % 3]] = True
+                on_boundary[mesh.cells[cr, (ir + 2) % 3]] = True
+    scale = np.full(mesh.n_vertices, np.inf)
+    for c in range(mesh.n_cells):
+        for i in range(3):
+            a = mesh.cells[c, (i + 1) % 3]
+            b = mesh.cells[c, (i + 2) % 3]
+            l = mesh.edge_len[c, i]
+            scale[a] = min(scale[a], l)
+            scale[b] = min(scale[b], l)
+    verts = mesh.vertices.copy()
+    free = ~on_boundary
+    verts[free] += (rng.random((free.sum(), 2)) - 0.5) * (
+        amplitude * scale[free, None])
+    return build_mesh(verts, mesh.cells.copy(), _boundary_tag_records(mesh))
+
+
+# the benchmark's rect meshes: problem and nx of adv-p3, vacuum-p1, cold-start
+@pytest.mark.parametrize("problem,nx", [("advection_smooth", 32),
+                                        ("euler_double_rarefaction", 64),
+                                        ("advection_smooth", 64)])
+def test_perturb_saved_bytes_match_loop_version(tmp_path, problem, nx):
+    base = get_problem(problem).make_rect_mesh(nx)
+    for seed in range(3):
+        save_mesh(perturb(base, seed=seed), tmp_path / "new.txt")
+        save_mesh(loop_perturb(base, seed=seed), tmp_path / "ref.txt")
+        assert (tmp_path / "new.txt").read_bytes() == \
+            (tmp_path / "ref.txt").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# block parser against the line parser
+# ---------------------------------------------------------------------------
+
+def test_block_parser_matches_line_parser(tmp_path):
+    m = perturb(generate_structured((0, 0, 1, 1), 5, 4,
+                                    tags={"left": "IN", "top": "WALL"}), seed=3)
+    save_mesh(m, tmp_path / "m.txt")
+    text = (tmp_path / "m.txt").read_text()
+    commented = "# header\n\n" + text.replace("\n", "   # note\n", 7) + "\n  \n"
+    for t in (text, commented, MESH_TEXT):
+        fast, slow = _parse_blocks(t), _parse_lines(t.splitlines())
+        assert fast is not None
+        for a, b in zip(fast[:2], slow[:2]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert fast[2] == slow[2]
+    assert_same_tables(load_mesh(io.StringIO(commented)), m)
+
+
+@pytest.mark.parametrize("edit,line", [
+    (("1 1\n0 1\n", "1 1 1\n0\n"), 5),     # field counts that still sum up
+    (("1 1\n", "1_0 1\n"), None),            # float() accepts, parsed per line
+    (("1 1\n", "1 x\n"), 5),
+    (("0 2 3\n", "0 2 3.0\n"), 8),
+    (("0 2 3\n", "0 2 4\n"), 8),
+    (("0 2 3\n", "0 -1 3\n"), 8),
+    (("1 2 IN", "1 7 IN"), 10),
+    (("1 2 IN", "1 2 in"), 10),
+    (("2 3 WALL", "2 3 P"), 11),
+    (("2 3 WALL", "2 3"), 11),
+    (("4 2 4", "4 2 x"), 2),
+    (("4 2 4", "4 2 5"), 12),
+])
+def test_malformed_blocks_go_to_line_parser(edit, line):
+    text = MESH_TEXT.replace(*edit)
+    assert _parse_blocks(text) is None
+    if line is None:
+        # accepted by the line parser, so load_mesh accepts it too
+        m = load_mesh(io.StringIO(text))
+        assert m.n_cells == 2
+        return
+    with pytest.raises(MeshFormatError) as e:
+        load_mesh(io.StringIO(text))
+    assert e.value.line == line

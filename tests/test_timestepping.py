@@ -163,3 +163,51 @@ def test_average_dt_ratio_matches_cfl_numbers():
     # drop clipped final steps from the averages
     got = r_opt.dt_history[0] / r_cls.dt_history[0]
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# textbook abscissae c_j of each stage's residual (for SSP-RK(5,4): Spiteri
+# & Ruuth 2002, to the 12-15 digits its Shu-Osher rows are given to)
+@pytest.mark.parametrize("scheme,c", [
+    (SSP_RK22, [0.0, 1.0]),
+    (SSP_RK33, [0.0, 1.0, 0.5]),
+    (SSP_RK54, [0.0, 0.39175222700392, 0.58607968896780, 0.47454236302687,
+                0.93501063100924]),
+])
+def test_stage_times_follow_the_abscissae(scheme, c):
+    t0, dt = 0.5, 0.1
+    residual_times, filter_times = [], []
+
+    class RecordingFilter:
+        def apply(self, state, dt, t=None):
+            filter_times.append(t)
+            return state
+
+    def residual(coeffs, t):
+        residual_times.append(t)
+        return -coeffs
+
+    state = ModalState(1, np.full((1, 1, 1), 1.0), t0)
+    out = advance(state, dt, residual, scheme, oe=RecordingFilter())
+    want = t0 + dt * np.array(c)
+    assert residual_times == pytest.approx(want, rel=0, abs=1e-10)
+    # each filter call sees the time of the stage value it filters; the
+    # last one is the step's end
+    assert filter_times == pytest.approx(
+        np.r_[want[1:], t0 + dt], rel=0, abs=1e-10)
+    assert residual_times[0] == t0 and out.t == t0 + dt
+
+
+@pytest.mark.parametrize("scheme,order", [(SSP_RK22, 2), (SSP_RK33, 3),
+                                          (SSP_RK54, 4)])
+def test_rk_order_with_time_dependent_forcing(scheme, order):
+    # du/dt = cos(t) - u, u(0) = 0: a residual frozen at t^n within a step
+    # is first order
+    def error(dt):
+        state = ModalState(1, np.zeros((1, 1, 1)))
+        for _ in range(round(1.0 / dt)):
+            state = advance(state, dt, lambda c, t: np.cos(t) - c, scheme)
+        t = state.t
+        exact = 0.5 * (np.cos(t) + np.sin(t) - np.exp(-t))
+        return abs(state.coeffs[0, 0, 0] - exact)
+
+    assert error(0.05) / error(0.025) == pytest.approx(2 ** order, rel=0.25)
