@@ -12,7 +12,6 @@ from math import sqrt
 
 import numpy as np
 
-from . import quadrature
 from .dg import ModalState
 from .errors import AdmissibilityError, ConfigError
 
@@ -284,15 +283,24 @@ def generic_timestep(mesh, alpha, c_ssp, k):
 # limiter
 # ---------------------------------------------------------------------------
 
+def _theta(mean, node_min, floor):
+    """Zhang-Shu scale factor per cell: the largest theta in [0, 1] with
+    mean + theta * (node_min - mean) >= floor; 1 where node_min >= floor."""
+    theta = np.ones_like(mean)
+    np.divide(mean - floor, mean - node_min, out=theta,
+              where=node_min < floor)
+    return np.clip(theta, 0.0, 1.0)
+
+
 class BPLimiter:
     """Two-step scaling limiter enforcing admissibility at the check nodes.
 
-    Check nodes: the edge Gauss points always; for k=1 with the optimal
-    decomposition also the two vertices opposite the longest edges; for k=2
-    the weighted internal remainder value. Scalar models enforce the maximum
-    principle on a fixed interval `bounds`; positivity-constrained models
-    (Euler) enforce positive density then positive internal energy. Cell
-    averages are never modified.
+    Check nodes (`check_values`): the edge Gauss points always; for k=1 with
+    the optimal decomposition also the two vertices opposite the longest
+    edges; for k=2 the conserved remainder state u* of the decomposition.
+    Scalar models enforce the maximum principle on a fixed interval
+    `bounds`; positivity-constrained models (Euler) enforce positive density
+    then positive internal energy. Cell averages are never modified.
     """
 
     EPS = 1e-13
@@ -326,103 +334,70 @@ class BPLimiter:
         self.w_local = np.empty_like(w)
         np.put_along_axis(self.w_local, mesh.sort_order, w, axis=1)
         self.sum_w = self.w_local.sum(axis=1)
-        self.use_star = self.k == 2              # remainder value check node
-        self.use_vertices = self.k == 1 and scheme == "dcw"
-        # local indices of the vertices opposite the two longest edges
-        self.vert_ids = mesh.sort_order[:, :2]
+        # local indices of the vertices opposite the two longest edges, for
+        # k=1 dcw only
+        self.vert_ids = (mesh.sort_order[:, :2, None]
+                         if self.k == 1 and scheme == "dcw" else None)
 
         self.violations = 0                      # cells scaled so far
 
-    # node-value helpers ----------------------------------------------------
+    def check_values(self, coeffs):
+        """Conserved state at every check node: (nc, n_nodes, d).
 
-    def _edge_gauss_values(self, coeffs):
-        return self.op.traces(coeffs)            # (nc, 3, Q, d)
-
-    def _star(self, values_edge, mean):
-        """Decomposition remainder (mean - sum_i w_i avg_i) / (1 - sum w)."""
-        avg = np.einsum("q,ciq->ci", self.op.edge_w, values_edge)
-        num = mean - (self.w_local * avg).sum(axis=1)
-        return num / (1.0 - self.sum_w)
-
-    # main entry ------------------------------------------------------------
+        Nodes: the 3*Q edge Gauss points, then the two vertices (k=1 dcw) or
+        the remainder u* = (mean - sum_i w_i avg_i) / (1 - sum w) (k=2).
+        """
+        nc, _, d = coeffs.shape
+        tr = self.op.traces(coeffs)                          # (nc,3,Q,d)
+        vals = [tr.reshape(nc, -1, d)]
+        if self.vert_ids is not None:
+            vv = self.op.vertex_values(coeffs)               # (nc,3,d)
+            vals.append(np.take_along_axis(vv, self.vert_ids, axis=1))
+        if self.k == 2:
+            avg = np.einsum("q,ciqd->cid", self.op.edge_w, tr)
+            num = coeffs[:, 0, :] - (self.w_local[:, :, None] * avg).sum(axis=1)
+            vals.append((num / (1.0 - self.sum_w)[:, None])[:, None, :])
+        return np.concatenate(vals, axis=1)
 
     def apply(self, state):
-        if self.positivity:
-            return self._apply_positivity(state)
-        return self._apply_scalar(state)
-
-    def _apply_scalar(self, state):
-        lo, hi = self.bounds
-        coeffs = state.coeffs.copy()
-        mean = coeffs[:, 0, 0]
-        if np.any(mean < lo - 1e-12) or np.any(mean > hi + 1e-12):
-            bad = int(np.argmax((mean < lo - 1e-12) | (mean > hi + 1e-12)))
-            raise AdmissibilityError(
-                "cell average outside the invariant interval", cell=bad)
-        tr = self._edge_gauss_values(coeffs)[..., 0]
-        vals = [tr.reshape(len(mean), -1)]
-        if self.use_vertices:
-            vv = self.op.vertex_values(coeffs)[..., 0]
-            vals.append(np.take_along_axis(vv, self.vert_ids, axis=1))
-        if self.use_star:
-            vals.append(self._star(tr, mean)[:, None])
-        allv = np.concatenate(vals, axis=1)
-        vmin, vmax = allv.min(axis=1), allv.max(axis=1)
-        theta = np.ones(len(mean))
-        low = vmin < lo
-        np.divide(mean - lo, mean - vmin, out=theta, where=low)
-        th_hi = np.ones(len(mean))
-        high = vmax > hi
-        np.divide(hi - mean, vmax - mean, out=th_hi, where=high)
-        theta = np.clip(np.minimum(theta, th_hi), 0.0, 1.0)
-        self.violations += int(np.sum(theta < 1.0))
-        coeffs[:, 1:, 0] *= theta[:, None]
-        return ModalState(state.k, coeffs, state.t)
-
-    def _apply_positivity(self, state):
-        model = self.op.model
         coeffs = state.coeffs.copy()
         mean = coeffs[:, 0, :]
-        rho_bar = mean[:, 0]
-        e_bar = model.internal_energy(mean)
-        if np.any(rho_bar <= 0) or np.any(e_bar <= 0):
-            bad = int(np.argmax((rho_bar <= 0) | (e_bar <= 0)))
-            raise AdmissibilityError(
-                "inadmissible cell average (CFL violation or upstream bug)",
-                cell=bad)
+        model = self.op.model
+        if self.positivity:
+            rho_bar, e_bar = mean[:, 0], model.internal_energy(mean)
+            bad = (rho_bar <= 0) | (e_bar <= 0)
+            msg = "inadmissible cell average (CFL violation or upstream bug)"
+        else:
+            lo, hi = self.bounds
+            bad = (mean[:, 0] < lo - 1e-12) | (mean[:, 0] > hi + 1e-12)
+            msg = "cell average outside the invariant interval"
+        if np.any(bad):
+            raise AdmissibilityError(msg, cell=int(np.argmax(bad)))
+        vals = self.check_values(coeffs)
+
+        if not self.positivity:
+            u = vals[..., 0]
+            # the upper bound is the lower bound of -u
+            theta = np.minimum(_theta(mean[:, 0], u.min(axis=1), lo),
+                               _theta(-mean[:, 0], -u.max(axis=1), -hi))
+            coeffs[:, 1:, 0] *= theta[:, None]
+            self.violations += int(np.sum(theta < 1.0))
+            return ModalState(state.k, coeffs, state.t)
 
         # step 1: density positivity
-        tr = self._edge_gauss_values(coeffs)                  # (nc,3,Q,d)
-        rho_nodes = [tr[..., 0].reshape(len(rho_bar), -1)]
-        if self.use_vertices:
-            vv = self.op.vertex_values(coeffs)[..., 0]
-            rho_nodes.append(np.take_along_axis(vv, self.vert_ids, axis=1))
-        if self.use_star:
-            rho_nodes.append(self._star(tr[..., 0], rho_bar)[:, None])
-        rho_min = np.concatenate(rho_nodes, axis=1).min(axis=1)
-        eps1 = np.minimum(rho_bar, self.EPS)
-        need = rho_min < eps1
-        theta1 = np.ones(len(rho_bar))
-        np.divide(rho_bar - eps1, rho_bar - rho_min, out=theta1, where=need)
-        theta1 = np.clip(theta1, 0.0, 1.0)
+        theta1 = _theta(rho_bar, vals[..., 0].min(axis=1),
+                        np.minimum(rho_bar, self.EPS))
         coeffs[:, 1:, 0] *= theta1[:, None]
+        # node values are linear in the modes: the density-fixed state has
+        # rho_bar + theta1 (rho - rho_bar) at every node, u* included; only
+        # scaled cells are rewritten, so the others keep their exact values
+        cut = theta1 < 1.0
+        rb = rho_bar[cut, None]
+        vals[cut, :, 0] = rb + theta1[cut, None] * (vals[cut, :, 0] - rb)
 
         # step 2: internal energy positivity on the density-fixed state
-        tr = self._edge_gauss_values(coeffs)
-        e_nodes = [model.internal_energy(tr).reshape(len(rho_bar), -1)]
-        if self.use_vertices:
-            vv = self.op.vertex_values(coeffs)
-            ev = model.internal_energy(vv)
-            e_nodes.append(np.take_along_axis(ev, self.vert_ids, axis=1))
-        if self.use_star:
-            e_nodes.append(self._star(model.internal_energy(tr), e_bar)[:, None])
-        e_min = np.concatenate(e_nodes, axis=1).min(axis=1)
-        eps2 = np.minimum(e_bar, self.EPS)
-        need2 = e_min < eps2
-        theta2 = np.ones(len(rho_bar))
-        np.divide(e_bar - eps2, e_bar - e_min, out=theta2, where=need2)
-        theta2 = np.clip(theta2, 0.0, 1.0)
+        theta2 = _theta(e_bar, model.internal_energy(vals).min(axis=1),
+                        np.minimum(e_bar, self.EPS))
         coeffs[:, 1:, :] *= theta2[:, None, None]
-
-        self.violations += int(np.sum((theta1 < 1.0) | (theta2 < 1.0)))
+        self.violations += int(np.sum(cut | (theta2 < 1.0)))
         return ModalState(state.k, coeffs, state.t)

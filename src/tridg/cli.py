@@ -12,14 +12,14 @@ import time
 import numpy as np
 
 from . import bp as bp_mod
-from .config import RunConfig, load_config
+from .config import BP_MODES, OE_MODES, RunConfig, load_config
 from .dg import SpatialOperator
 from .errors import AdmissibilityError, ConfigError, NumericsError, TriDGError
-from .harness import cfl_ratio_scan, convergence_study, solve_problem
+from .harness import cfl_ratio_scan, convergence_study
 from .mesh import load_mesh
 from .oe import OEFilter
 from .problems import get_problem
-from .timestepping import run, scheme_by_name
+from .timestepping import SCHEMES, run, scheme_by_name
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,9 +47,9 @@ def _add_run_flags(p):
     p.add_argument("--config", help="key=value configuration file")
     p.add_argument("--problem", help="library problem name")
     p.add_argument("--k", type=int, help="polynomial degree 1..4")
-    p.add_argument("--rk", choices=("rk22", "rk33", "rk54"))
-    p.add_argument("--oe", choices=("off", "cw", "ri"))
-    p.add_argument("--bp", choices=("off", "zxs", "dcw"))
+    p.add_argument("--rk", choices=tuple(SCHEMES))
+    p.add_argument("--oe", choices=OE_MODES)
+    p.add_argument("--bp", choices=BP_MODES)
     p.add_argument("--mesh", help="mesh file (overrides the problem recipe)")
     p.add_argument("--gen", help="nx,ny structured-mesh override")
     p.add_argument("--level", type=int, help="refinement level of the recipe")
@@ -74,7 +74,7 @@ def _config_from_args(args):
 def _build_run(cfg):
     prob = get_problem(cfg.problem)
     model = prob.make_model()
-    cfg.validate(model_name=model.name)
+    cfg.validate(model)
     if cfg.mesh:
         mesh = load_mesh(cfg.mesh)
     elif cfg.gen:
@@ -157,7 +157,7 @@ def cmd_run(args):
     result = run(op, state, t_end, scheme=cfg.rk and scheme_by_name(cfg.rk),
                  oe=oe, bp_scheme=cfg.bp_scheme, bounds=prob.bp_bounds,
                  output_times=cfg.times, cfl_scale=cfg.cfl,
-                 max_steps=cfg.max_steps, dt_rule=cfg.dt_rule)
+                 max_steps=cfg.max_steps)
     wall = time.perf_counter() - t0
     prefix = cfg.out or f"{cfg.problem}_k{cfg.k}"
     for i, (t, snap) in enumerate(result.snapshots):

@@ -3,6 +3,7 @@
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .timestepping import SCHEMES
 
 OE_MODES = ("off", "cw", "ri")
 BP_MODES = ("off", "zxs", "dcw")
@@ -26,10 +27,9 @@ class RunConfig:
     seed: int = 0
     output_times: str = ""    # comma-separated times
     max_steps: int = 1_000_000
-    dt_rule: str = None       # None | p4paper
     sample_grid: int = 0      # optional uniform point sampling resolution
 
-    def validate(self, model_name=None):
+    def validate(self, model=None):
         if self.problem is None and self.mesh is None:
             raise ConfigError("field 'problem': no problem or mesh given")
         if not 1 <= self.k <= 4:
@@ -40,9 +40,10 @@ class RunConfig:
             raise ConfigError(f"field 'bp': {self.bp!r} not in {BP_MODES}")
         if self.bp != "off" and self.k not in (1, 2):
             raise ConfigError("field 'bp': limiting requires k in (1, 2)")
-        if self.oe == "ri" and model_name is not None and model_name != "euler":
-            raise ConfigError("field 'oe': 'ri' requires the Euler model")
-        if self.rk is not None and self.rk not in ("rk22", "rk33", "rk54"):
+        if (self.oe == "ri" and model is not None
+                and not model.momentum_components):
+            raise ConfigError("field 'oe': 'ri' requires a model with momentum")
+        if self.rk is not None and self.rk not in SCHEMES:
             raise ConfigError(f"field 'rk': unknown scheme {self.rk!r}")
         if self.gen is not None:
             try:

@@ -137,14 +137,14 @@ class RunResult:
 
 
 def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
-        output_times=(), cfl_scale=1.0, max_steps=1_000_000,
-        alpha_mode=None, dt_rule=None, record_initial=True):
+        output_times=(), cfl_scale=1.0, max_steps=1_000_000):
     """Time loop: per-step global wavespeed, CFL time step, RK advance.
 
     bp_scheme: None | 'zxs' | 'dcw' selects the BP limiter and its CFL rule.
-    alpha_mode defaults to the provable 'sup' bound for BP runs and the cell
-    average elsewhere. Snapshots are recorded at each requested output time
-    (the final step is clipped to land on them exactly).
+    Limited runs bound the wavespeed over the edge Gauss points, the traces
+    the limiter controls; unlimited runs use the cheap cell-average bound.
+    The initial state is always recorded; further snapshots are recorded at
+    each requested output time (the step is clipped to land on it exactly).
     """
     scheme = scheme or default_scheme_for(op.k)
     if isinstance(scheme, str):
@@ -156,16 +156,10 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
     if bp_scheme is not None:
         limiter = bp_mod.BPLimiter(op, scheme=bp_scheme, bounds=bounds)
         state = limiter.apply(state)
-    if alpha_mode is None:
-        # limited runs bound the wavespeed over the traces the limiter
-        # actually controls; unlimited runs use the cheap cell-average bound
-        alpha_mode = "edge_gauss" if limiter is not None else "cell_average"
+    alpha_mode = "edge_gauss" if limiter is not None else "cell_average"
 
-    result = RunResult(state=state)
-    outputs = sorted(set(float(t) for t in output_times))
-    if record_initial:
-        result.snapshots.append((state.t, state.copy()))
-    outputs = [t for t in outputs if t > state.t]
+    result = RunResult(state=state, snapshots=[(state.t, state.copy())])
+    outputs = sorted(t for t in set(map(float, output_times)) if t > state.t)
 
     t0 = time.perf_counter()
     while state.t < t_end - 1e-14:
@@ -178,9 +172,7 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
                                 last_state=state, step=result.steps)
         if alpha <= 0:
             alpha = 1e-14
-        if dt_rule == "p4paper":
-            dt = _p4_paper_dt(op, alpha, scheme.c_ssp)
-        elif limiter is not None:
+        if limiter is not None:
             dt = bp_mod.bp_timestep(op.mesh, alpha, scheme.c_ssp,
                                     bp_scheme, op.k)
         else:
@@ -207,10 +199,3 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
         result.bp_violations = limiter.violations
     return result
 
-
-def _p4_paper_dt(op, alpha, c_ssp):
-    # verbatim reproduction-mode step rule for the degree-4 accuracy tables
-    mesh = op.mesh
-    lbar = mesh.edge_len.mean(axis=1)
-    base = float(np.min(mesh.area / (3.0 * lbar)))
-    return c_ssp / 9.0 * (base / alpha) ** 1.25

@@ -6,6 +6,7 @@ import pytest
 
 from tridg.cli import main
 from tridg.config import RunConfig, load_config
+from tridg.physics import Burgers, Euler, ScaledModel
 
 
 def read_csv(path):
@@ -140,9 +141,15 @@ def test_config_validation_messages():
     with pytest.raises(ConfigError, match="'bp'"):
         RunConfig(problem="advection_smooth", k=3, bp="dcw").validate()
     with pytest.raises(ConfigError, match="'oe'"):
-        RunConfig(problem="x", oe="ri").validate(model_name="burgers")
+        RunConfig(problem="x", oe="ri").validate(Burgers())
     with pytest.raises(ConfigError, match="'gen'"):
         RunConfig(problem="x", gen="4").validate()
+
+
+def test_config_accepts_rioe_by_capability():
+    # 'ri' needs momentum components, whatever the model is called
+    RunConfig(problem="x", oe="ri").validate(Euler())
+    RunConfig(problem="x", oe="ri").validate(ScaledModel(Euler(), 2.0))
 
 
 def test_run_with_mesh_file(tmp_path):
