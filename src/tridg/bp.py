@@ -258,25 +258,35 @@ def _triangle_monomial_mean(v, a, b):
 # time-step bounds
 # ---------------------------------------------------------------------------
 
-def bp_timestep(mesh, alpha, c_ssp, scheme, k):
-    """dt = (C_SSP / alpha) * min_K C_K |K| for the chosen decomposition."""
+def step_factor(mesh, k, scheme=None):
+    """The mesh-only factor of the time step, dt = (C_SSP / alpha) * factor.
+
+    scheme 'dcw'/'zxs': min_K C_K |K| of that decomposition; None: the non-BP
+    CFL bound min_K |K| / ((2k+1) sum_i l_i).
+    """
     if mesh.n_cells == 0:
         raise ConfigError("empty mesh")
+    if scheme is None:
+        return float(
+            np.min(mesh.area / ((2 * k + 1) * mesh.edge_len.sum(axis=1))))
+    lsorted = np.take_along_axis(mesh.edge_len, mesh.sort_order, axis=1)
+    return float(np.min(cfl_number(lsorted, k, scheme) * mesh.area))
+
+
+def bp_timestep(mesh, alpha, c_ssp, scheme, k):
+    """dt = (C_SSP / alpha) * min_K C_K |K| for the chosen decomposition."""
+    factor = step_factor(mesh, k, scheme)
     if alpha <= 0:
         raise ConfigError("alpha must be positive")
-    lsorted = np.take_along_axis(mesh.edge_len, mesh.sort_order, axis=1)
-    c = cfl_number(lsorted, k, scheme)
-    return c_ssp / alpha * float(np.min(c * mesh.area))
+    return c_ssp / alpha * factor
 
 
 def generic_timestep(mesh, alpha, c_ssp, k):
     """Non-BP CFL bound dt = (C_SSP / alpha) * min_K |K| / ((2k+1) sum_i l_i)."""
-    if mesh.n_cells == 0:
-        raise ConfigError("empty mesh")
+    factor = step_factor(mesh, k)
     if alpha <= 0:
         raise ConfigError("alpha must be positive")
-    return c_ssp / alpha * float(
-        np.min(mesh.area / ((2 * k + 1) * mesh.edge_len.sum(axis=1))))
+    return c_ssp / alpha * factor
 
 
 # ---------------------------------------------------------------------------

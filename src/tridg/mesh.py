@@ -489,21 +489,31 @@ def generate_structured(bounds, nx, ny, diagonal="alternating",
 
 
 def _boundary_tag_records(mesh):
-    """Recover (iv0, iv1, tag) records, re-expanding periodic pairs."""
-    records = []
-    pid = 0
-    for eid in range(mesh.n_edges):
-        a, b = mesh.edge_vertices[eid]
-        if mesh.edge_periodic[eid]:
-            cr, ir = mesh.edge_cells[eid, 1], mesh.edge_local[eid, 1]
-            ra = int(mesh.cells[cr, (ir + 1) % 3])
-            rb = int(mesh.cells[cr, (ir + 2) % 3])
-            records.append((int(a), int(b), f"P{pid}"))
-            records.append((ra, rb, f"P{pid}"))
-            pid += 1
-        elif mesh.edge_tag[eid] is not None:
-            records.append((int(a), int(b), mesh.edge_tag[eid]))
-    return records
+    """Recover (iv0, iv1, tag) records, re-expanding periodic pairs.
+
+    Records follow the edge order; a periodic edge gives two records, its own
+    endpoints and then its partner's, both tagged P{pid} with pid counting the
+    periodic edges.
+    """
+    per = np.asarray(mesh.edge_periodic, dtype=bool)
+    tagged = np.array([t is not None for t in mesh.edge_tag], dtype=bool)
+    eids = np.flatnonzero(per | tagged)
+    p = per[eids]
+    # row of each selected edge's first record; a periodic edge takes two
+    first = np.arange(len(eids)) + np.cumsum(p) - p
+    second = first[p] + 1
+    pe = eids[p]
+    cr, ir = mesh.edge_cells[pe, 1], mesh.edge_local[pe, 1]
+    rows = np.empty((len(eids) + len(pe), 2), dtype=np.int64)
+    rows[first] = mesh.edge_vertices[eids]
+    rows[second, 0] = mesh.cells[cr, (ir + 1) % 3]
+    rows[second, 1] = mesh.cells[cr, (ir + 2) % 3]
+    tags = np.empty(len(rows), dtype=object)
+    tags[first] = [mesh.edge_tag[e] for e in eids.tolist()]
+    names = [f"P{pid}" for pid in range(len(pe))]
+    tags[first[p]] = names
+    tags[second] = names
+    return list(zip(*rows.T.tolist(), tags.tolist()))
 
 
 def refine_uniform(mesh):

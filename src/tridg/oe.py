@@ -128,31 +128,33 @@ class OEFilter:
         normal and tangential momentum measures over the momentum-magnitude
         deviation.
         """
-        d = coeffs.shape[2]
-        sq = J * J                                               # (ne,2,R,d)
+        ne, _, R, d = J.shape
+        # squared jumps as (edge, component, endpoint, alpha) rows of the GEMM
+        sq = J.transpose(0, 3, 1, 2).copy()                      # (ne,d,2,R)
         if rotated:
-            m1, m2 = J[..., self.mom[0]], J[..., self.mom[1]]
+            # the momentum rows carry the normal and tangential jumps; their
+            # component-wise measures would be overwritten by dhat below
+            m1, m2 = J[..., self.mom[0]], J[..., self.mom[1]]    # (ne,2,R)
             nrm = self.op.edge_normal[:, None, None, :]
-            jn = nrm[..., 0] * m1 + nrm[..., 1] * m2
-            jt = -nrm[..., 1] * m1 + nrm[..., 0] * m2
-            sq = np.concatenate([sq, (jn * jn)[..., None],
-                                 (jt * jt)[..., None]], axis=3)
-        ne, _, R, dd = sq.shape
-        S = sq.transpose(0, 3, 1, 2).reshape(ne * dd, 2 * R) @ self.weights
-        root = np.sqrt(S).reshape(ne, dd, self.k + 1)
+            n1, n2 = nrm[..., 0], nrm[..., 1]
+            sq[:, self.mom[0]] = n1 * m1 + n2 * m2
+            sq[:, self.mom[1]] = -n2 * m1 + n1 * m2
+        np.square(sq, out=sq)
+        S = sq.reshape(ne * d, 2 * R) @ self.weights
+        root = np.sqrt(S).reshape(ne, d, self.k + 1)
 
         dev, mdev = self.global_deviation(coeffs)
         ubar = self.global_average(coeffs)
         # component guard: quiescent components are not damped
         active = dev > EPS_DEVIATION * np.maximum(1.0, np.abs(ubar))
         inv_dev = np.where(active, 1.0 / np.where(active, dev, 1.0), 0.0)
-        G = root[:, :d, :] * inv_dev[None, :, None]
+        G = root * inv_dev[None, :, None]
         if rotated:
             mom = self.mom
             dhat = 0.0
             if mdev > EPS_DEVIATION * max(
                     1.0, float(np.hypot(ubar[mom[0]], ubar[mom[1]]))):
-                dhat = (np.maximum(root[:, d], root[:, d + 1])
+                dhat = (np.maximum(root[:, mom[0]], root[:, mom[1]])
                         / mdev)[:, None, :]
             G[:, mom, :] = dhat
         return G
@@ -206,7 +208,9 @@ class OEFilter:
         G = self._edge_measures(coeffs, J, rotated=bool(self.mom))
         ce = self.op.mesh.cell_edges
         w = self._beta(u_int, u_ext)[ce][:, :, None] * self.A_h  # (nc,3,k+1)
-        sigma = np.einsum("cej,cedj->cdj", w, np.take(G, ce, axis=0))
+        GG = np.take(G, ce, axis=0)                              # (nc,3,d,k+1)
+        GG *= w[:, :, None, :]
+        sigma = GG[:, 0] + GG[:, 1] + GG[:, 2]
         return dt * np.cumsum(sigma, axis=2)[:, :, 1:].transpose(0, 2, 1)
 
     def apply(self, state, dt, t=None):

@@ -1,8 +1,9 @@
 """Conservation-law models: linear advection, Burgers, compressible Euler.
 
 All state arguments are arrays whose last axis holds the d components; flux
-returns shape (..., 2, d). Directional wavespeeds bound the spectral radius of
-the flux Jacobian projected on a unit normal.
+returns shape (..., 2, d) and normal_flux the projection F(u) . n, shape
+(..., d). Directional wavespeeds bound the spectral radius of the flux
+Jacobian projected on a unit normal.
 """
 
 import numpy as np
@@ -27,6 +28,12 @@ class Model:
     def flux_unchecked(self, u):
         # volume-quadrature path: no admissibility checks
         return self.flux(u)
+
+    def normal_flux(self, u, n):
+        """F(u) . n = F_x n1 + F_y n2 for normals n (..., 2): (..., d)."""
+        f = self.flux(u)
+        n = np.asarray(n, dtype=float)
+        return f[..., 0, :] * n[..., 0, None] + f[..., 1, :] * n[..., 1, None]
 
     def wavespeed(self, u, n):
         """Bound on |eigenvalues of F'(u) . n| for unit normal n."""
@@ -55,8 +62,8 @@ class Model:
         u_int = np.asarray(u_int, dtype=float)
         u_ext = np.asarray(u_ext, dtype=float)
         n = np.asarray(n, dtype=float)
-        fi = np.einsum("...kd,...k->...d", self.flux(u_int), n)
-        fe = np.einsum("...kd,...k->...d", self.flux(u_ext), n)
+        fi = self.normal_flux(u_int, n)
+        fe = self.normal_flux(u_ext, n)
         return 0.5 * (fi + fe - alpha * (u_ext - u_int))
 
 
@@ -68,6 +75,14 @@ def rotate_vector(v, phi):
                      -s * v[..., 0] + c * v[..., 1]], axis=-1)
 
 
+def _both_directions(f):
+    """The flux (..., 2, d) of a law whose x and y fluxes are both f."""
+    out = np.empty(f.shape[:-1] + (2,) + f.shape[-1:])
+    out[..., 0, :] = f
+    out[..., 1, :] = f
+    return out
+
+
 class Advection(Model):
     """u_t + u_x + u_y = 0 (velocity field (1, 1))."""
 
@@ -75,8 +90,12 @@ class Advection(Model):
     n_components = 1
 
     def flux(self, u):
+        return _both_directions(np.asarray(u, dtype=float))
+
+    def normal_flux(self, u, n):
         u = np.asarray(u, dtype=float)
-        return np.stack([u, u], axis=-2)
+        n = np.asarray(n, dtype=float)
+        return u * n[..., 0, None] + u * n[..., 1, None]
 
     def wavespeed(self, u, n):
         n = np.asarray(n, dtype=float)
@@ -93,8 +112,7 @@ class Burgers(Model):
 
     def flux(self, u):
         u = np.asarray(u, dtype=float)
-        f = 0.5 * u * u
-        return np.stack([f, f], axis=-2)
+        return _both_directions(0.5 * u * u)
 
     def wavespeed(self, u, n):
         u = np.asarray(u, dtype=float)
@@ -136,24 +154,55 @@ class Euler(Model):
             raise AdmissibilityError("non-positive density in flux evaluation")
         return self.flux_unchecked(u)
 
-    def flux_unchecked(self, u):
-        u = np.asarray(u, dtype=float)
+    def _velocity_pressure(self, u):
         rho, m1, m2, E = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
         v1, v2 = m1 / rho, m2 / rho
         p = (self.gamma - 1.0) * (E - 0.5 * (m1 * v1 + m2 * v2))
-        f1 = np.stack([m1, m1 * v1 + p, m2 * v1, (E + p) * v1], axis=-1)
-        f2 = np.stack([m2, m1 * v2, m2 * v2 + p, (E + p) * v2], axis=-1)
-        return np.stack([f1, f2], axis=-2)
+        return m1, m2, v1, v2, p, E + p
+
+    def flux_unchecked(self, u):
+        u = np.asarray(u, dtype=float)
+        m1, m2, v1, v2, p, Ep = self._velocity_pressure(u)
+        f = np.empty(u.shape[:-1] + (2, 4))
+        f[..., 0, 0] = m1
+        f[..., 0, 1] = m1 * v1 + p
+        f[..., 0, 2] = m2 * v1
+        f[..., 0, 3] = Ep * v1
+        f[..., 1, 0] = m2
+        f[..., 1, 1] = m1 * v2
+        f[..., 1, 2] = m2 * v2 + p
+        f[..., 1, 3] = Ep * v2
+        return f
+
+    def normal_flux(self, u, n):
+        """F_x n1 + F_y n2 from the terms of flux_unchecked, without F."""
+        u = np.asarray(u, dtype=float)
+        if np.any(u[..., 0] <= 0):
+            raise AdmissibilityError("non-positive density in flux evaluation")
+        m1, m2, v1, v2, p, Ep = self._velocity_pressure(u)
+        n = np.asarray(n, dtype=float)
+        n1, n2 = n[..., 0], n[..., 1]
+        f = np.empty(np.broadcast_shapes(u.shape[:-1], n.shape[:-1]) + (4,))
+        f[..., 0] = m1 * n1 + m2 * n2
+        f[..., 1] = (m1 * v1 + p) * n1 + (m1 * v2) * n2
+        f[..., 2] = (m2 * v1) * n1 + (m2 * v2 + p) * n2
+        f[..., 3] = (Ep * v1) * n1 + (Ep * v2) * n2
+        return f
 
     def wavespeed(self, u, n):
         """|v . n| + sound speed; errors on inadmissible states."""
         u = np.asarray(u, dtype=float)
-        if np.any(~self.admissible(u)):
+        rho = u[..., 0]
+        # admissible() without a second pass for the pressure: rho > 0 first,
+        # so e is only formed where it is defined
+        if not np.all(rho > 0):
+            raise AdmissibilityError("inadmissible state in wavespeed evaluation")
+        e = self.internal_energy(u)
+        if not np.all(e > 0):
             raise AdmissibilityError("inadmissible state in wavespeed evaluation")
         n = np.asarray(n, dtype=float)
-        rho = u[..., 0]
         vn = (u[..., 1] * n[..., 0] + u[..., 2] * n[..., 1]) / rho
-        c = np.sqrt(self.gamma * self.pressure(u) / rho)
+        c = np.sqrt(self.gamma * ((self.gamma - 1.0) * e) / rho)
         return np.abs(vn) + c
 
     def wavespeed_clamped(self, u, n):

@@ -157,6 +157,8 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
         limiter = bp_mod.BPLimiter(op, scheme=bp_scheme, bounds=bounds)
         state = limiter.apply(state)
     alpha_mode = "edge_gauss" if limiter is not None else "cell_average"
+    # dt = C_SSP / alpha * factor; the factor depends only on the mesh
+    factor = bp_mod.step_factor(op.mesh, op.k, bp_scheme)
 
     result = RunResult(state=state, snapshots=[(state.t, state.copy())])
     outputs = sorted(t for t in set(map(float, output_times)) if t > state.t)
@@ -172,12 +174,7 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
                                 last_state=state, step=result.steps)
         if alpha <= 0:
             alpha = 1e-14
-        if limiter is not None:
-            dt = bp_mod.bp_timestep(op.mesh, alpha, scheme.c_ssp,
-                                    bp_scheme, op.k)
-        else:
-            dt = bp_mod.generic_timestep(op.mesh, alpha, scheme.c_ssp, op.k)
-        dt *= cfl_scale
+        dt = scheme.c_ssp / alpha * factor * cfl_scale
         # clip to the next output time and the final time
         t_next = min([t for t in outputs if t > state.t + 1e-14] + [t_end])
         dt = min(dt, t_next - state.t)

@@ -165,6 +165,32 @@ def test_generic_timestep():
     assert dt == pytest.approx(want, rel=1e-14)
 
 
+def test_step_factor_gives_the_timestep_bytes():
+    # the per-step formulas as they were before the mesh factor was split off
+    def bp_dt(mesh, alpha, c_ssp, scheme, k):
+        lsorted = np.take_along_axis(mesh.edge_len, mesh.sort_order, axis=1)
+        c = bp.cfl_number(lsorted, k, scheme)
+        return c_ssp / alpha * float(np.min(c * mesh.area))
+
+    def generic_dt(mesh, alpha, c_ssp, k):
+        return c_ssp / alpha * float(
+            np.min(mesh.area / ((2 * k + 1) * mesh.edge_len.sum(axis=1))))
+
+    mesh = perturb(generate_structured((0, 0, 1, 1), 6, 5), 0.3, seed=1)
+    for k in (1, 2):
+        for alpha in (0.37, 1.0, 13.1):
+            for c_ssp in (1.0, 2.0 / 3.0):
+                for scheme in ("dcw", "zxs"):
+                    want = bp_dt(mesh, alpha, c_ssp, scheme, k)
+                    assert bp.bp_timestep(mesh, alpha, c_ssp, scheme,
+                                          k) == want
+                    assert c_ssp / alpha * bp.step_factor(
+                        mesh, k, scheme) == want
+                want = generic_dt(mesh, alpha, c_ssp, k)
+                assert bp.generic_timestep(mesh, alpha, c_ssp, k) == want
+                assert c_ssp / alpha * bp.step_factor(mesh, k) == want
+
+
 # --- limiter ----------------------------------------------------------------
 
 def euler_op(k=1, n=4):

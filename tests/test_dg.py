@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from tridg.dg import (ExactBC, Inflow, ModalState, Outflow, Reflective,
                       SpatialOperator, ghost_state)
 from tridg.errors import AdmissibilityError, ConfigError
 from tridg.mesh import build_mesh, generate_structured, perturb
-from tridg.physics import Advection, Euler
+from tridg.physics import Advection, Burgers, Euler
 
 
 def single_ref_cell():
@@ -223,3 +225,56 @@ def test_p4_pipeline():
                     lambda x, y, t: np.sin(2 * np.pi * (x + y - 2 * t)))
     assert e[0] <= 1e-4
     assert res.steps > 0
+
+
+# -- the residual against the stack-and-einsum flux code it replaced --------
+
+def stacked_flux(model, u):
+    """F(u) as (..., 2, d), assembled with np.stack as the models once did."""
+    if isinstance(model, Euler):
+        rho, m1, m2, E = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
+        v1, v2 = m1 / rho, m2 / rho
+        p = (model.gamma - 1.0) * (E - 0.5 * (m1 * v1 + m2 * v2))
+        f1 = np.stack([m1, m1 * v1 + p, m2 * v1, (E + p) * v1], axis=-1)
+        f2 = np.stack([m2, m1 * v2, m2 * v2 + p, (E + p) * v2], axis=-1)
+        return np.stack([f1, f2], axis=-2)
+    f = 0.5 * u * u if isinstance(model, Burgers) else u
+    return np.stack([f, f], axis=-2)
+
+
+def with_stacked_fluxes(model):
+    """A copy of `model` whose residual path uses stacked F and einsum F.n."""
+    ref = copy.copy(model)
+
+    def lf_flux(u_int, u_ext, n, alpha):
+        fi = np.einsum("...kd,...k->...d", stacked_flux(model, u_int), n)
+        fe = np.einsum("...kd,...k->...d", stacked_flux(model, u_ext), n)
+        return 0.5 * (fi + fe - alpha * (u_ext - u_int))
+
+    ref.lf_flux = lf_flux
+    ref.flux_unchecked = lambda u: stacked_flux(model, u)
+    return ref
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("model", [Advection(), Burgers(), Euler()],
+                         ids=lambda m: m.name)
+def test_residual_matches_stacked_flux_reference(k, model):
+    rng = np.random.default_rng(k)
+    mesh = perturb(generate_structured((0, 0, 1, 1), 5, 4, tags={
+        "left": "IN", "right": "OUT", "bottom": "WALL", "top": "WALL"}),
+        0.25, seed=k)
+    if isinstance(model, Euler):
+        mean = model.from_primitive(1.0, 0.3, -0.2, 1.0)
+        inflow = Inflow(model.from_primitive(1.2, 0.5, 0.1, 0.9))
+    else:
+        mean = 0.5
+        inflow = Inflow(lambda x, y, t: np.sin(3 * x + y + t)[..., None])
+    boundary = {"IN": inflow, "OUT": Outflow(), "WALL": Reflective()}
+    op = SpatialOperator(mesh, model, k, boundary=boundary)
+    ref = SpatialOperator(mesh, with_stacked_fluxes(model), k,
+                          boundary=boundary)
+    coeffs = 0.05 * rng.standard_normal((mesh.n_cells, op.nm, op.d))
+    coeffs[:, 0, :] += mean
+    assert np.array_equal(op.residual(coeffs, 2.5, t=0.3),
+                          ref.residual(coeffs, 2.5, t=0.3))

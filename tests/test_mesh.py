@@ -510,6 +510,54 @@ def test_perturb_saved_bytes_match_loop_version(tmp_path, problem, nx):
             (tmp_path / "ref.txt").read_bytes()
 
 
+def loop_boundary_tag_records(mesh):
+    """The per-edge loop version of `_boundary_tag_records`, the reference."""
+    records = []
+    pid = 0
+    for eid in range(mesh.n_edges):
+        a, b = mesh.edge_vertices[eid]
+        if mesh.edge_periodic[eid]:
+            cr, ir = mesh.edge_cells[eid, 1], mesh.edge_local[eid, 1]
+            ra = int(mesh.cells[cr, (ir + 1) % 3])
+            rb = int(mesh.cells[cr, (ir + 2) % 3])
+            records.append((int(a), int(b), f"P{pid}"))
+            records.append((ra, rb, f"P{pid}"))
+            pid += 1
+        elif mesh.edge_tag[eid] is not None:
+            records.append((int(a), int(b), mesh.edge_tag[eid]))
+    return records
+
+
+def tag_record_cases():
+    cases = {f"{problem}-{nx}": perturb(get_problem(problem)
+                                        .make_rect_mesh(nx), seed=0)
+             for problem, nx in [("advection_smooth", 32),
+                                 ("euler_double_rarefaction", 64),
+                                 ("advection_smooth", 64)]}
+    cases.update(builder_cases())
+    cases["single-cell"] = build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], [
+        (0, 1, "WALL"), (1, 2, "IN"), (2, 0, "OUT")])
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(tag_record_cases()))
+def test_boundary_tag_records_match_loop_version(tmp_path, monkeypatch, name):
+    import tridg.mesh as mesh_module
+
+    m = tag_record_cases()[name]
+    records = _boundary_tag_records(m)
+    want = loop_boundary_tag_records(m)
+    assert records == want
+    assert all(type(a) is int and type(b) is int and type(t) is str
+               for a, b, t in records)
+    save_mesh(m, tmp_path / "new.txt")
+    monkeypatch.setattr(mesh_module, "_boundary_tag_records",
+                        loop_boundary_tag_records)
+    save_mesh(m, tmp_path / "ref.txt")
+    assert (tmp_path / "new.txt").read_bytes() == \
+        (tmp_path / "ref.txt").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # block parser against the line parser
 # ---------------------------------------------------------------------------

@@ -334,3 +334,67 @@ def test_damping_exponents_match_per_order_reference(k, model, mode, guard):
     want = reference_damping_exponents(f, coeffs, 0.01, t=0.2)
     assert np.abs(want).min() > 0
     np.testing.assert_allclose(X, want, rtol=1e-13, atol=0)
+
+
+# -- reference: the concatenate/einsum measures of the fused pass ------------
+
+def concatenated_edge_measures(f, coeffs, J, rotated):
+    """The fused pass's measures with the rotated jumps as two extra columns."""
+    d = coeffs.shape[2]
+    sq = J * J
+    if rotated:
+        m1, m2 = J[..., f.mom[0]], J[..., f.mom[1]]
+        nrm = f.op.edge_normal[:, None, None, :]
+        jn = nrm[..., 0] * m1 + nrm[..., 1] * m2
+        jt = -nrm[..., 1] * m1 + nrm[..., 0] * m2
+        sq = np.concatenate([sq, (jn * jn)[..., None],
+                             (jt * jt)[..., None]], axis=3)
+    ne, _, R, dd = sq.shape
+    S = sq.transpose(0, 3, 1, 2).reshape(ne * dd, 2 * R) @ f.weights
+    root = np.sqrt(S).reshape(ne, dd, f.k + 1)
+    dev, mdev = f.global_deviation(coeffs)
+    ubar = f.global_average(coeffs)
+    active = dev > EPS_DEVIATION * np.maximum(1.0, np.abs(ubar))
+    inv_dev = np.where(active, 1.0 / np.where(active, dev, 1.0), 0.0)
+    G = root[:, :d, :] * inv_dev[None, :, None]
+    if rotated:
+        dhat = 0.0
+        if mdev > EPS_DEVIATION * max(1.0, float(np.hypot(*ubar[f.mom]))):
+            dhat = (np.maximum(root[:, d], root[:, d + 1]) / mdev)[:, None, :]
+        G[:, f.mom, :] = dhat
+    return G
+
+
+def concatenated_damping_exponents(f, coeffs, dt, t=0.0):
+    J, u_int, u_ext = f._endpoint_pass(coeffs, t)
+    G = concatenated_edge_measures(f, coeffs, J, rotated=bool(f.mom))
+    ce = f.op.mesh.cell_edges
+    w = f._beta(u_int, u_ext)[ce][:, :, None] * f.A_h
+    sigma = np.einsum("cej,cedj->cdj", w, np.take(G, ce, axis=0))
+    return dt * np.cumsum(sigma, axis=2)[:, :, 1:].transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("model,mode", [(Advection(), "componentwise"),
+                                        (Euler(), "componentwise"),
+                                        (Euler(), "rioe")])
+@pytest.mark.parametrize("guard", [False, True])
+def test_damping_exponents_match_concatenated_reference(k, model, mode,
+                                                        guard):
+    rng = np.random.default_rng(7 * k + guard)
+    mesh = tagged_perturbed_mesh(seed=k + 5)
+    if model.name == "euler":
+        inflow = Inflow(model.from_primitive(1.0, 0.5, 0.2, 1.0))
+        mean = model.from_primitive(1.0, 0.3, -0.2, 1.0)
+    else:
+        inflow = Inflow(lambda x, y, t: np.sin(3 * x + y + t)[..., None])
+        mean = 0.5
+    op = SpatialOperator(mesh, model, k, boundary={
+        "IN": inflow, "OUT": Outflow(), "WALL": Reflective()})
+    f = OEFilter(op, mode=mode, guard_wavespeed=guard)
+    coeffs = 1e-2 * rng.standard_normal((mesh.n_cells, op.nm, op.d))
+    coeffs[:, 0, :] += mean
+    X = f.damping_exponents(coeffs, 0.01, t=0.2)
+    want = concatenated_damping_exponents(f, coeffs, 0.01, t=0.2)
+    assert np.abs(want).min() > 0
+    assert np.array_equal(X, want)

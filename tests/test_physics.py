@@ -185,3 +185,63 @@ def test_rotate_vector_preserves_norm(vx, vy, phi):
     assert np.hypot(*r) == pytest.approx(np.hypot(vx, vy), abs=1e-12)
     back = rotate_vector(r, -phi)
     assert np.allclose(back, v, atol=1e-12)
+
+
+def random_states(rng, model, n, q):
+    if model.n_components == 4:
+        return random_admissible(rng, n * q).reshape(n, q, 4)
+    return rng.standard_normal((n, q, 1))
+
+
+def einsum_normal_flux(model, u, n):
+    # the contraction lf_flux used before models had their own normal flux
+    return np.einsum("...kd,...k->...d", model.flux(u), n)
+
+
+@pytest.mark.parametrize("model", [Advection(), Burgers(), Euler(),
+                                   ScaledModel(Euler(), 2.5)],
+                         ids=lambda m: m.name)
+def test_normal_flux_matches_einsum_reference(rng, model):
+    u = random_states(rng, model, 60, 3)
+    v = random_states(rng, model, 60, 3)
+    phi = rng.uniform(0, 2 * np.pi, 60)
+    edge_n = np.stack([np.cos(phi), np.sin(phi)], axis=-1)[:, None, :]
+    point_n = np.broadcast_to(edge_n, (60, 3, 2)) * rng.choice([-1.0, 1.0],
+                                                               (60, 3, 1))
+    for n in (edge_n, point_n):
+        assert np.array_equal(model.normal_flux(u, n),
+                              einsum_normal_flux(model, u, n))
+        want = 0.5 * (einsum_normal_flux(model, u, n)
+                      + einsum_normal_flux(model, v, n) - 3.5 * (v - u))
+        assert np.array_equal(model.lf_flux(u, v, n, 3.5), want)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.5])
+def test_lf_flux_rejects_nonpositive_density_on_either_side(rng, rho):
+    model = Euler()
+    good = random_admissible(rng, 8)
+    bad = good.copy()
+    bad[3, 0] = rho
+    n = np.tile([0.6, 0.8], (8, 1))
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(AdmissibilityError, match="non-positive density"):
+            model.lf_flux(a, b, n, 1.0)
+
+
+def test_euler_wavespeed_matches_pressure_form(rng):
+    model = Euler()
+    u = random_admissible(rng, 200)
+    phi = rng.uniform(0, 2 * np.pi, 200)
+    n = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    rho = u[:, 0]
+    vn = (u[:, 1] * n[:, 0] + u[:, 2] * n[:, 1]) / rho
+    want = np.abs(vn) + np.sqrt(model.gamma * model.pressure(u) / rho)
+    assert np.array_equal(model.wavespeed(u, n), want)
+    # zero or negative density, non-positive internal energy and NaN all fail
+    for row, col, value in ((5, 0, 0.0), (5, 0, -1.0), (7, 3, 0.0),
+                            (9, 1, np.nan)):
+        bad = u.copy()
+        bad[row, col] = value
+        with pytest.raises(AdmissibilityError,
+                           match="inadmissible state in wavespeed"):
+            model.wavespeed(bad, n)

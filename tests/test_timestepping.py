@@ -211,3 +211,28 @@ def test_rk_order_with_time_dependent_forcing(scheme, order):
         return abs(state.coeffs[0, 0, 0] - exact)
 
     assert error(0.05) / error(0.025) == pytest.approx(2 ** order, rel=0.25)
+
+
+@pytest.mark.parametrize("bp_scheme", [None, "dcw", "zxs"])
+def test_run_takes_the_step_factor_once(monkeypatch, bp_scheme):
+    from tridg import bp
+
+    calls, alphas = [], []
+    step_factor = bp.step_factor
+    monkeypatch.setattr(bp, "step_factor",
+                        lambda *a: calls.append(a) or step_factor(*a))
+    mesh = generate_structured((0, 0, 1, 1), 4, 4, periodic=("x", "y"))
+    op = SpatialOperator(mesh, Advection(), 1)
+    max_wavespeed = op.max_wavespeed
+    op.max_wavespeed = lambda *a, **kw: alphas.append(
+        max_wavespeed(*a, **kw)) or alphas[-1]
+    st = op.project(lambda x, y: 0.5 + 0.25 * np.sin(2 * np.pi * (x + y)))
+    res = run(op, st, 0.1, scheme=SSP_RK22, bp_scheme=bp_scheme,
+              bounds=(0.0, 1.0))
+    assert len(calls) == 1 and res.steps > 2
+    # every step but the last, which is clipped to t_end, has the full bound
+    for dt, alpha in zip(res.dt_history[:-1], alphas):
+        want = (bp.generic_timestep(mesh, alpha, SSP_RK22.c_ssp, 1)
+                if bp_scheme is None else
+                bp.bp_timestep(mesh, alpha, SSP_RK22.c_ssp, bp_scheme, 1))
+        assert dt == want
