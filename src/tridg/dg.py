@@ -175,8 +175,14 @@ class SpatialOperator:
         self.edge_points = pa[:, None, :] + tq[None, :, None] * (pb - pa)[:, None, :]
         self.edge_endpoints = np.stack([pa, pb], axis=1)             # (ne, 2, 2)
 
-        self.interior_ids = mesh.interior_edge_ids
-        self.boundary_ids = mesh.boundary_edge_ids
+        self.boundary_ids = bi = mesh.boundary_edge_ids
+        # boundary geometry at the edge Gauss points and the edge endpoints
+        self.bnd_points = self.edge_points[bi]                       # (nb,Q,2)
+        self.bnd_normals = np.broadcast_to(
+            self.edge_normal[bi][:, None, :], (len(bi), self.Q, 2))
+        self.bnd_endpoints = self.edge_endpoints[bi]                 # (nb,2,2)
+        self.bnd_endpoint_normals = np.broadcast_to(
+            self.edge_normal[bi][:, None, :], (len(bi), 2, 2))
         groups = {}
         for pos, eid in enumerate(self.boundary_ids):
             groups.setdefault(mesh.edge_tag[eid], []).append(pos)
@@ -190,7 +196,6 @@ class SpatialOperator:
                                 + np.einsum("qa,cba->cqb", self.int_pts, mesh.jac))
 
         self.mass = basis.cell_mass(mesh.area, k)                    # (nc, nm)
-        # local endpoint vertex indices of each edge, global order, both sides
         self._endpoint_tables()
         self._build_operators()
 
@@ -226,12 +231,26 @@ class SpatialOperator:
         self._vertex_deriv_op = D.reshape(nc, 3 * R, nm)
 
     def _endpoint_tables(self):
+        """Flat indices of the two sides of every edge, global edge order.
+
+        trace_sides (2, ne) indexes (cell, local edge) and endpoint_sides
+        (2, ne, 2) indexes (cell, local vertex) of both endpoints. A boundary
+        edge reads its own cell on side 1, where the ghost is written
+        afterwards.
+        """
         mesh = self.mesh
         il, ir = mesh.edge_local[:, 0], mesh.edge_local[:, 1]
-        # left cell traverses (il+1)%3 -> (il+2)%3 in global order
-        self.lv_end = np.stack([(il + 1) % 3, (il + 2) % 3], axis=1)
-        # right cell traverses its local edge reversed w.r.t. global order
-        self.rv_end = np.stack([(ir + 2) % 3, (ir + 1) % 3], axis=1)
+        lc, rc = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+        left = 3 * lc + il
+        self.trace_sides = np.stack([left, np.where(rc >= 0, 3 * rc + ir,
+                                                    left)])
+        # left cell traverses (il+1)%3 -> (il+2)%3 in global order; the
+        # right cell traverses its local edge reversed
+        lv_end = np.stack([(il + 1) % 3, (il + 2) % 3], axis=1)
+        rv_end = np.stack([(ir + 2) % 3, (ir + 1) % 3], axis=1)
+        left = 3 * lc[:, None] + lv_end
+        self.endpoint_sides = np.stack([
+            left, np.where(rc[:, None] >= 0, 3 * rc[:, None] + rv_end, left)])
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -287,40 +306,52 @@ class SpatialOperator:
         return u_ext
 
     def _edge_states(self, coeffs, t):
-        """Interior/exterior states at edge Gauss points for every edge."""
-        mesh = self.mesh
-        TR = self.traces(coeffs)
-        lc, ll = mesh.edge_cells[:, 0], mesh.edge_local[:, 0]
-        u_int = TR[lc, ll]                                           # (ne,Q,d)
-        u_ext = np.empty_like(u_int)
-        ii = self.interior_ids
-        rc, rl = mesh.edge_cells[ii, 1], mesh.edge_local[ii, 1]
-        u_ext[ii] = TR[rc, rl]
+        """Two-sided states at the edge Gauss points: (2, ne, Q, d).
+
+        Side 0 is the left cell's trace; side 1 is the right cell's trace on
+        interior edges and the boundary rule's ghost on boundary edges.
+        """
+        d = coeffs.shape[2]
+        TR = self.traces(coeffs).reshape(3 * len(coeffs), self.Q, d)
+        U = np.take(TR, self.trace_sides, axis=0)
         bi = self.boundary_ids
         if len(bi):
-            nb = np.broadcast_to(self.edge_normal[bi][:, None, :],
-                                 (len(bi), self.Q, 2))
-            u_ext[bi] = self.boundary_ghost_values(
-                u_int[bi], self.edge_points[bi], nb, t)
-        return u_int, u_ext
+            U[1, bi] = self.boundary_ghost_values(
+                U[0, bi], self.bnd_points, self.bnd_normals, t)
+        return U
+
+    def _reject_inadmissible(self, ok):
+        """Raise for the first inadmissible (edge, side) in edge order.
+
+        ok: (2, ne, Q) admissibility of the two-sided edge states. The error
+        names the cell that owns the bad trace: the right cell for side 1 of
+        an interior edge, the boundary cell for a ghost.
+        """
+        eid, side = np.argwhere(~ok.all(axis=2).T)[0]
+        cell = self.mesh.edge_cells[eid, side]
+        if cell < 0:
+            cell = self.mesh.edge_cells[eid, 0]
+        raise AdmissibilityError(
+            "inadmissible trace at edge quadrature point",
+            cell=int(cell), edge=int(eid))
 
     # -- residual -----------------------------------------------------------
 
-    def residual(self, coeffs, alpha, t=0.0):
-        """d(coeffs)/dt of the semi-discrete scheme; shape (nc, nm, d)."""
+    def residual(self, coeffs, alpha, t=0.0, states=None):
+        """d(coeffs)/dt of the semi-discrete scheme; shape (nc, nm, d).
+
+        states: the two-sided edge states of coeffs at t, when the caller
+        already built them with _edge_states.
+        """
         mesh = self.mesh
-        u_int, u_ext = self._edge_states(coeffs, t)
+        U = self._edge_states(coeffs, t) if states is None else states
 
         if self.model.positivity_constrained:
-            bad = ~(self.model.admissible(u_int) & self.model.admissible(u_ext))
-            if np.any(bad):
-                eid = int(np.nonzero(bad.any(axis=1))[0][0])
-                raise AdmissibilityError(
-                    "inadmissible trace at edge quadrature point",
-                    cell=int(mesh.edge_cells[eid, 0]), edge=eid)
+            ok = self.model.admissible(U)
+            if not ok.all():
+                self._reject_inadmissible(ok)
 
-        fhat = self.model.lf_flux(u_int, u_ext, self.edge_normal[:, None, :],
-                                  alpha)                              # (ne,Q,d)
+        fhat = self.model.lf_flux(U, self.edge_normal[:, None, :], alpha)
 
         # edge contributions: -sign * l * sum_nu w_nu fhat Psi
         nc, d = len(coeffs), coeffs.shape[2]
@@ -348,14 +379,15 @@ class SpatialOperator:
 
     # -- wavespeed bound ----------------------------------------------------
 
-    def max_wavespeed(self, coeffs, t=0.0, mode="sup"):
+    def max_wavespeed(self, coeffs, t=0.0, mode="sup", states=None):
         """Global LF viscosity parameter.
 
         mode 'cell_average': max over cells/edges of the wavespeed of the cell
         average. mode 'edge_gauss': max over the edge quadrature traces of
         both sides (the states entering the cell-average update; this is what
         limited runs control). mode 'sup': 'edge_gauss' plus the edge endpoint
-        traces.
+        traces. states: the two-sided edge states of coeffs at t, when the
+        caller already built them with _edge_states.
         """
         mesh = self.mesh
         if mode == "cell_average":
@@ -365,28 +397,17 @@ class SpatialOperator:
         if mode not in ("sup", "edge_gauss"):
             raise ConfigError(f"unknown wavespeed mode {mode!r}")
 
-        u_int, u_ext = self._edge_states(coeffs, t)
+        U = self._edge_states(coeffs, t) if states is None else states
         n = self.edge_normal[:, None, :]
-        s = max(float(np.max(self.model.wavespeed(u_int, n))),
-                float(np.max(self.model.wavespeed(u_ext, n))))
+        s = float(np.max(self.model.wavespeed(U, n)))
         if mode == "edge_gauss":
             return s
 
-        # endpoint traces from both sides
-        VV = self.vertex_values(coeffs)                               # (nc,3,d)
-        lc = mesh.edge_cells[:, 0]
-        ue_int = VV[lc[:, None], self.lv_end]                         # (ne,2,d)
-        ue_ext = np.empty_like(ue_int)
-        ii = self.interior_ids
-        rc = mesh.edge_cells[ii, 1]
-        ue_ext[ii] = VV[rc[:, None], self.rv_end[ii]]
+        # endpoint traces from both sides, (2, ne, 2, d)
+        VV = self.vertex_values(coeffs).reshape(3 * len(coeffs), -1)
+        UE = np.take(VV, self.endpoint_sides, axis=0)
         bi = self.boundary_ids
         if len(bi):
-            nb = np.broadcast_to(self.edge_normal[bi][:, None, :],
-                                 (len(bi), 2, 2))
-            ue_ext[bi] = self.boundary_ghost_values(
-                ue_int[bi], self.edge_endpoints[bi], nb, t)
-        nn = self.edge_normal[:, None, :]
-        s = max(s, float(np.max(self.model.wavespeed(ue_int, nn))),
-                float(np.max(self.model.wavespeed(ue_ext, nn))))
-        return s
+            UE[1, bi] = self.boundary_ghost_values(
+                UE[0, bi], self.bnd_endpoints, self.bnd_endpoint_normals, t)
+        return max(s, float(np.max(self.model.wavespeed(UE, n))))

@@ -56,21 +56,13 @@ class OEFilter:
         for j, rows in enumerate(op.deriv_rows):
             w[rows, j] = [0.5 * comb(j, a) for a in range(j + 1)]
         self.weights = np.vstack([w, w])
-        # flat (cell, local vertex) index of both endpoints of every edge in
-        # global edge order; boundary edges read their own cell on the right,
-        # so their jumps start at zero
-        lc, rc = mesh.edge_cells[:, 0, None], mesh.edge_cells[:, 1, None]
-        self.left = 3 * lc + op.lv_end                            # (ne, 2)
-        self.right = np.where(rc >= 0, 3 * rc + op.rv_end, self.left)
-        # 'copy' boundary edges keep zero jumps of every order; 'state' edges
-        # jump against a degree-0 ghost
+        # boundary edges read their own cell on side 1 of op.endpoint_sides,
+        # so their jumps start at zero: 'copy' boundary edges keep zero jumps
+        # of every order; 'state' edges jump against a degree-0 ghost
         bi = op.boundary_ids
         state = [bi[pos] for rule, pos in op.groups if rule.kind != "copy"]
         self.state_ids = (np.concatenate(state) if state
                           else np.array([], dtype=int))
-        self.bnd_points = op.edge_endpoints[bi]                   # (nb, 2, 2)
-        self.bnd_normals = np.broadcast_to(op.edge_normal[bi][:, None, :],
-                                           (len(bi), 2, 2))
 
     # -- deviations ---------------------------------------------------------
 
@@ -78,20 +70,28 @@ class OEFilter:
         mesh = self.op.mesh
         return mesh.area @ coeffs[:, 0, :] / mesh.area.sum()
 
-    def global_deviation(self, coeffs):
+    def global_deviation(self, coeffs, ubar=None):
         """(per-component max deviation, momentum-magnitude max deviation).
 
         Maxima are taken over the interior quadrature nodes of all cells; the
         second value is None unless the model carries momentum components.
+        ubar: the global average of coeffs, when the caller already has it.
         """
-        ubar = self.global_average(coeffs)
-        vals = self.op.interior_values(coeffs) - ubar[None, None, :]
-        dev = np.abs(vals).max(axis=(0, 1))
+        if ubar is None:
+            ubar = self.global_average(coeffs)
+        # interior values component-major, (N, d, nc), so that every
+        # reduction runs along the cells
+        nc, nm, d = coeffs.shape
+        vals = (self.op.basis_int
+                @ coeffs.transpose(1, 2, 0).reshape(nm, d * nc))
+        vals = vals.reshape(-1, d, nc)
+        vals -= ubar[:, None]
         mdev = None
         mom = self.op.model.momentum_components
         if mom:
-            mdev = float(np.sqrt((vals[..., list(mom)] ** 2)
-                                 .sum(axis=-1)).max())
+            m1, m2 = vals[:, mom[0]], vals[:, mom[1]]
+            mdev = float(np.sqrt((m1 * m1 + m2 * m2).max()))
+        dev = np.abs(vals, out=vals).max(axis=2).max(axis=0)
         return dev, mdev
 
     # -- jump assembly ------------------------------------------------------
@@ -100,25 +100,24 @@ class OEFilter:
         """Jumps of every derivative order and the states at edge endpoints.
 
         Returns J (ne, 2, n_derivs, d) indexed by (edge, endpoint, stacked
-        alpha, component), and the interior and exterior point values
-        (ne, 2, d). 'copy' boundary edges have zero jumps.
+        alpha, component), and the two-sided point values u (2, ne, 2, d):
+        side 0 the left cell's, side 1 the right cell's or the ghost. 'copy'
+        boundary edges have zero jumps.
         """
         op = self.op
         nc, d = len(coeffs), coeffs.shape[2]
         V = op.vertex_jets(coeffs).reshape(3 * nc, op.n_derivs, d)
-        VL = np.take(V, self.left, axis=0)
-        VR = np.take(V, self.right, axis=0)
-        J = VL - VR
-        u_int = VL[:, :, 0, :]
-        u_ext = VR[:, :, 0, :]
+        W = np.take(V, op.endpoint_sides, axis=0)                # (2,ne,2,R,d)
+        J = W[0] - W[1]
+        u = W[:, :, :, 0, :]
         bi = op.boundary_ids
         if len(bi):
-            u_ext[bi] = op.boundary_ghost_values(
-                u_int[bi], self.bnd_points, self.bnd_normals, t)
+            u[1, bi] = op.boundary_ghost_values(
+                u[0, bi], op.bnd_endpoints, op.bnd_endpoint_normals, t)
             sid = self.state_ids
-            J[sid] = VL[sid]
-            J[sid, :, 0, :] -= u_ext[sid]
-        return J, u_int, u_ext
+            J[sid] = W[0, sid]
+            J[sid, :, 0, :] -= u[1, sid]
+        return J, u
 
     def _edge_measures(self, coeffs, J, rotated):
         """sqrt(S^j) over the global deviation, per edge: (ne, d, k+1).
@@ -143,8 +142,8 @@ class OEFilter:
         S = sq.reshape(ne * d, 2 * R) @ self.weights
         root = np.sqrt(S).reshape(ne, d, self.k + 1)
 
-        dev, mdev = self.global_deviation(coeffs)
         ubar = self.global_average(coeffs)
+        dev, mdev = self.global_deviation(coeffs, ubar)
         # component guard: quiescent components are not damped
         active = dev > EPS_DEVIATION * np.maximum(1.0, np.abs(ubar))
         inv_dev = np.where(active, 1.0 / np.where(active, dev, 1.0), 0.0)
@@ -170,14 +169,16 @@ class OEFilter:
 
     def _edge_wavespeed(self, coeffs, t):
         """beta per edge: max wavespeed over the two endpoints and both sides."""
-        _, u_int, u_ext = self._endpoint_pass(coeffs, t)
-        return self._beta(u_int, u_ext)
+        return self._beta(self._endpoint_pass(coeffs, t)[1])
 
-    def _beta(self, u_int, u_ext):
+    def _beta(self, u):
+        """Max wavespeed per edge of the two-sided endpoint values u."""
         n = self.op.edge_normal[:, None, :]
         speed = (self.op.model.wavespeed_clamped if self.guard_wavespeed
                  else self.op.model.wavespeed)
-        return np.maximum(speed(u_int, n), speed(u_ext, n)).max(axis=1)
+        s = speed(u, n)                                          # (2, ne, 2)
+        s = np.maximum(s[0], s[1])
+        return np.maximum(s[:, 0], s[:, 1])
 
     def jump_measures(self, coeffs, t=0.0):
         """Dimensionless jump measures delta[cell, edge, j, component].
@@ -204,14 +205,20 @@ class OEFilter:
         sigma_K^j = sum over the cell's edges of beta / h * delta^j, with
         delta^j = A^{k,j} h^j sqrt(S^j) / deviation.
         """
-        J, u_int, u_ext = self._endpoint_pass(coeffs, t)
+        J, u = self._endpoint_pass(coeffs, t)
         G = self._edge_measures(coeffs, J, rotated=bool(self.mom))
         ce = self.op.mesh.cell_edges
-        w = self._beta(u_int, u_ext)[ce][:, :, None] * self.A_h  # (nc,3,k+1)
+        w = self._beta(u)[ce][:, :, None] * self.A_h             # (nc,3,k+1)
         GG = np.take(G, ce, axis=0)                              # (nc,3,d,k+1)
         GG *= w[:, :, None, :]
         sigma = GG[:, 0] + GG[:, 1] + GG[:, 2]
-        return dt * np.cumsum(sigma, axis=2)[:, :, 1:].transpose(0, 2, 1)
+        # running sum over the orders, the additions of np.cumsum in order
+        X = np.empty((len(coeffs), self.k, coeffs.shape[2]))
+        acc = sigma[:, :, 0]
+        for m in range(1, self.k + 1):
+            acc = acc + sigma[:, :, m]
+            X[:, m - 1] = acc
+        return dt * X
 
     def apply(self, state, dt, t=None):
         """Damp high-order modal blocks; the cell averages are untouched."""

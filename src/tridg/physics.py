@@ -57,14 +57,15 @@ class Model:
         """Mirror ghost state at a wall with outward unit normal n."""
         return np.array(u, copy=True)
 
-    def lf_flux(self, u_int, u_ext, n, alpha):
-        """Lax-Friedrichs flux 0.5 (F(ui).n + F(ue).n - alpha (ue - ui))."""
-        u_int = np.asarray(u_int, dtype=float)
-        u_ext = np.asarray(u_ext, dtype=float)
-        n = np.asarray(n, dtype=float)
-        fi = self.normal_flux(u_int, n)
-        fe = self.normal_flux(u_ext, n)
-        return 0.5 * (fi + fe - alpha * (u_ext - u_int))
+    def lf_flux(self, u, n, alpha):
+        """Lax-Friedrichs flux 0.5 (F(ui).n + F(ue).n - alpha (ue - ui)).
+
+        u is two-sided, (2, ..., d): u[0] the interior and u[1] the exterior
+        states; the normal flux is evaluated once over both sides.
+        """
+        u = np.asarray(u, dtype=float)
+        f = self.normal_flux(u, np.asarray(n, dtype=float))
+        return 0.5 * (f[0] + f[1] - alpha * (u[1] - u[0]))
 
 
 def rotate_vector(v, phi):

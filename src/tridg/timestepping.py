@@ -84,15 +84,18 @@ def default_scheme_for(k):
     return SSP_RK22 if k == 1 else SSP_RK33 if k == 2 else SSP_RK54
 
 
-def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
+def advance(state, dt, residual_fn, scheme, oe=None, bp=None,
+            start_residual=None):
     """One full RK step from state.t to state.t + dt with per-stage hooks.
 
     The residual of each stage value is evaluated once, on first use, at
     the stage's time t + c_j dt; the filter sees the new stage's time.
+    start_residual: the residual of `state`, when the caller evaluated it.
     """
     c = scheme.abscissae
     stages = [state]
     residuals = [None] * scheme.n_stages
+    residuals[0] = start_residual
     for s in range(scheme.n_stages):
         acc = None
         for j, (a, b) in enumerate(zip(scheme.alpha[s], scheme.beta[s])):
@@ -142,7 +145,9 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
 
     bp_scheme: None | 'zxs' | 'dcw' selects the BP limiter and its CFL rule.
     Limited runs bound the wavespeed over the edge Gauss points, the traces
-    the limiter controls; unlimited runs use the cheap cell-average bound.
+    the limiter controls, and build those edge states once per step for the
+    bound and the first stage's residual; unlimited runs use the cheap
+    cell-average bound.
     The initial state is always recorded; further snapshots are recorded at
     each requested output time (the step is clipped to land on it exactly).
     """
@@ -156,7 +161,6 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
     if bp_scheme is not None:
         limiter = bp_mod.BPLimiter(op, scheme=bp_scheme, bounds=bounds)
         state = limiter.apply(state)
-    alpha_mode = "edge_gauss" if limiter is not None else "cell_average"
     # dt = C_SSP / alpha * factor; the factor depends only on the mesh
     factor = bp_mod.step_factor(op.mesh, op.k, bp_scheme)
 
@@ -168,7 +172,14 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
         if result.steps >= max_steps:
             raise NumericsError("max_steps exceeded", last_state=state,
                                 step=result.steps)
-        alpha = op.max_wavespeed(state.coeffs, t=state.t, mode=alpha_mode)
+        states = None
+        if limiter is None:
+            alpha = op.max_wavespeed(state.coeffs, t=state.t,
+                                     mode="cell_average")
+        else:
+            states = op._edge_states(state.coeffs, state.t)
+            alpha = op.max_wavespeed(state.coeffs, t=state.t,
+                                     mode="edge_gauss", states=states)
         if not np.isfinite(alpha):
             raise NumericsError("non-finite wavespeed bound",
                                 last_state=state, step=result.steps)
@@ -179,8 +190,16 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
         t_next = min([t for t in outputs if t > state.t + 1e-14] + [t_end])
         dt = min(dt, t_next - state.t)
 
+        start_residual = None
+        if states is not None:
+            try:
+                start_residual = op.residual(state.coeffs, alpha, state.t,
+                                             states=states)
+            except Exception as exc:
+                exc.rk_stage = 0
+                raise
         new = advance(state, dt, lambda c, t: op.residual(c, alpha, t),
-                      scheme, oe=oe, bp=limiter)
+                      scheme, oe=oe, bp=limiter, start_residual=start_residual)
         if not np.all(np.isfinite(new.coeffs)):
             raise NumericsError("non-finite solution detected",
                                 last_state=state, step=result.steps)

@@ -9,8 +9,8 @@ def unit_square_2x2():
     return generate_structured((0.0, 0.0, 1.0, 1.0), 2, 2, diagonal="uniform")
 
 
-@pytest.fixture
-def periodic_square(scope="module"):
+@pytest.fixture(scope="module")
+def periodic_square():
     return generate_structured((0.0, 0.0, 1.0, 1.0), 5, 5,
                                diagonal="alternating", periodic=("x", "y"))
 

@@ -314,7 +314,8 @@ def test_run_calls_the_traced_entry_points_once(tmp_path, monkeypatch):
     # calling through them would silently zero its per-layer metrics
     import tridg.cli as cli
     import tridg.mesh as mesh_mod
-    from tridg.mesh import generate_structured, save_mesh
+    from tridg.mesh import generate_structured, perturb, save_mesh
+    from tridg.problems import get_problem
     calls = {}
 
     def counted(owner, name):
@@ -339,3 +340,25 @@ def test_run_calls_the_traced_entry_points_once(tmp_path, monkeypatch):
     # one snapshot per written file: the initial state and the final one
     assert calls == {"load_mesh": 1, "build_mesh": 1, "_write_snapshot": 2,
                      "_write_samples": 1}
+
+    # a limited Euler run: the per-layer spans count one residual per RK
+    # stage, one LF flux per residual and one wavespeed bound per step
+    import tridg.dg as dg
+    import tridg.physics as physics
+    for owner, name in ((dg.SpatialOperator, "residual"),
+                        (physics.Model, "lf_flux"),
+                        (dg.SpatialOperator, "max_wavespeed")):
+        counted(owner, name)
+    save_mesh(perturb(get_problem("euler_double_rarefaction")
+                      .make_rect_mesh(8), seed=0), mesh_path)
+    calls.clear()
+    rc = main(["run", "--problem", "euler_double_rarefaction", "--k", "1",
+               "--rk", "rk22", "--oe", "ri", "--bp", "dcw",
+               "--mesh", str(mesh_path), "--tend", "0.004",
+               "--out", str(tmp_path / "e")])
+    assert rc == 0
+    steps = int(read_csv(tmp_path / "e_meta.csv")[0]["steps"])
+    assert steps > 2
+    assert {name: calls[name] for name in
+            ("residual", "lf_flux", "max_wavespeed")} == {
+        "residual": 2 * steps, "lf_flux": 2 * steps, "max_wavespeed": steps}

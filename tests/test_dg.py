@@ -8,7 +8,7 @@ from tridg.dg import (ExactBC, Inflow, ModalState, Outflow, Reflective,
                       SpatialOperator, ghost_state)
 from tridg.errors import AdmissibilityError, ConfigError
 from tridg.mesh import build_mesh, generate_structured, perturb
-from tridg.physics import Advection, Burgers, Euler
+from tridg.physics import Advection, Burgers, Euler, ScaledModel
 
 
 def single_ref_cell():
@@ -121,8 +121,8 @@ def test_mode0_residual_is_edge_flux_sum(unit_square_2x2):
     alpha = np.sqrt(2.0)
     R = op.residual(coeffs, alpha)
     # reconstruct mode-0 residual from the edge fluxes directly
-    u_int, u_ext = op._edge_states(coeffs, 0.0)
-    fhat = op.model.lf_flux(u_int, u_ext, op.edge_normal[:, None, :], alpha)
+    u = op._edge_states(coeffs, 0.0)
+    fhat = op.model.lf_flux(u, op.edge_normal[:, None, :], alpha)
     for c in range(m.n_cells):
         total = 0.0
         for i in range(3):
@@ -151,6 +151,45 @@ def test_residual_rejects_inadmissible_trace():
     with pytest.raises(AdmissibilityError) as e:
         op.residual(coeffs, alpha=2.0)
     assert e.value.cell is not None
+
+
+def uniform_euler_p1(mesh, inflow_rho=1.0):
+    """P1 Euler operator and a uniform admissible state; IN ghosts carry
+    density inflow_rho."""
+    model = Euler()
+    op = SpatialOperator(mesh, model, 1, boundary={
+        "IN": Inflow(model.from_primitive(inflow_rho, 0.2, 0.0, 1.0))})
+    coeffs = np.zeros((mesh.n_cells, op.nm, 4))
+    coeffs[:, 0] = model.from_primitive(1.0, 0.0, 0.0, 1.0)
+    return op, coeffs
+
+
+def test_inadmissible_right_trace_names_its_own_cell():
+    # periodic: every edge is interior; pick a cell whose lowest edge id has
+    # it as the right cell, so the first bad (edge, side) is a side-1 trace
+    mesh = generate_structured((0, 0, 1, 1), 3, 3, periodic=("x", "y"))
+    for cell in range(mesh.n_cells):
+        eid = mesh.cell_edges[cell].min()
+        if mesh.edge_cells[eid, 1] == cell:
+            break
+    else:
+        pytest.fail("no cell is the right cell of its lowest edge")
+    op, coeffs = uniform_euler_p1(mesh)
+    coeffs[cell, 0, 3] = -1.0  # every trace of the cell is inadmissible
+    with pytest.raises(AdmissibilityError) as e:
+        op.residual(coeffs, alpha=2.0)
+    assert (e.value.cell, e.value.edge) == (cell, eid)
+    assert mesh.edge_cells[eid, 0] != cell
+
+
+def test_inadmissible_ghost_names_the_boundary_cell():
+    mesh = generate_structured((0, 0, 1, 1), 2, 2, tags={
+        "left": "IN", "right": "IN", "bottom": "IN", "top": "IN"})
+    op, coeffs = uniform_euler_p1(mesh, inflow_rho=-1.0)
+    with pytest.raises(AdmissibilityError) as e:
+        op.residual(coeffs, alpha=2.0)
+    eid = mesh.boundary_edge_ids.min()
+    assert (e.value.cell, e.value.edge) == (mesh.edge_cells[eid, 0], eid)
 
 
 def test_smooth_advection_average_decay(periodic_square):
@@ -246,10 +285,10 @@ def with_stacked_fluxes(model):
     """A copy of `model` whose residual path uses stacked F and einsum F.n."""
     ref = copy.copy(model)
 
-    def lf_flux(u_int, u_ext, n, alpha):
-        fi = np.einsum("...kd,...k->...d", stacked_flux(model, u_int), n)
-        fe = np.einsum("...kd,...k->...d", stacked_flux(model, u_ext), n)
-        return 0.5 * (fi + fe - alpha * (u_ext - u_int))
+    def lf_flux(u, n, alpha):
+        fi = np.einsum("...kd,...k->...d", stacked_flux(model, u[0]), n)
+        fe = np.einsum("...kd,...k->...d", stacked_flux(model, u[1]), n)
+        return 0.5 * (fi + fe - alpha * (u[1] - u[0]))
 
     ref.lf_flux = lf_flux
     ref.flux_unchecked = lambda u: stacked_flux(model, u)
@@ -278,3 +317,33 @@ def test_residual_matches_stacked_flux_reference(k, model):
     coeffs[:, 0, :] += mean
     assert np.array_equal(op.residual(coeffs, 2.5, t=0.3),
                           ref.residual(coeffs, 2.5, t=0.3))
+
+
+# -- one edge-state buffer shared by the wavespeed bound and the residual ----
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("model", [Advection(), Burgers(), Euler(),
+                                   ScaledModel(Euler(), 2.5)],
+                         ids=lambda m: m.name)
+def test_shared_edge_states_match_unshared_calls(k, model):
+    rng = np.random.default_rng(20 + k)
+    mesh = perturb(generate_structured((0, 0, 1, 1), 5, 4, tags={
+        "left": "IN", "right": "OUT", "bottom": "WALL", "top": "WALL"}),
+        0.25, seed=k)
+    if model.positivity_constrained:
+        mean = Euler().from_primitive(1.0, 0.3, -0.2, 1.0)
+        inflow = Inflow(Euler().from_primitive(1.2, 0.5, 0.1, 0.9))
+    else:
+        mean = 0.5
+        inflow = Inflow(lambda x, y, t: np.sin(3 * x + y + t)[..., None])
+    op = SpatialOperator(mesh, model, k, boundary={
+        "IN": inflow, "OUT": Outflow(), "WALL": Reflective()})
+    coeffs = 0.02 * rng.standard_normal((mesh.n_cells, op.nm, op.d))
+    coeffs[:, 0, :] += mean
+    states = op._edge_states(coeffs, 0.3)
+    assert states.shape == (2, mesh.n_edges, op.Q, op.d)
+    assert np.array_equal(op.residual(coeffs, 2.5, t=0.3, states=states),
+                          op.residual(coeffs, 2.5, t=0.3))
+    for mode in ("edge_gauss", "sup"):
+        assert (op.max_wavespeed(coeffs, t=0.3, mode=mode, states=states)
+                == op.max_wavespeed(coeffs, t=0.3, mode=mode))

@@ -171,6 +171,17 @@ def test_beta_burgers_endpoint_max():
     assert beta[eid] == pytest.approx(2.0 * abs(n[0] + n[1]), rel=1e-12)
 
 
+def endpoint_vertices(mesh):
+    """Local vertex indices of each edge's endpoints in global edge order.
+
+    The left cell traverses (il+1)%3 -> (il+2)%3; the right cell traverses
+    its local edge reversed.
+    """
+    il, ir = mesh.edge_local[:, 0], mesh.edge_local[:, 1]
+    return (np.stack([(il + 1) % 3, (il + 2) % 3], axis=1),
+            np.stack([(ir + 2) % 3, (ir + 1) % 3], axis=1))
+
+
 def test_beta_euler_matches_wavespeed(rng):
     prob = get_problem("euler_implosion_mild")
     model = prob.make_model()
@@ -181,7 +192,7 @@ def test_beta_euler_matches_wavespeed(rng):
     beta = f._edge_wavespeed(st.coeffs, 0.0)
     VV = op.vertex_values(st.coeffs)
     lc = mesh.edge_cells[:, 0]
-    u_end = VV[lc[:, None], op.lv_end]
+    u_end = VV[lc[:, None], endpoint_vertices(mesh)[0]]
     n = op.edge_normal[:, None, :]
     direct = model.wavespeed(u_end, n).max(axis=1)
     assert np.all(beta >= direct - 1e-13)
@@ -231,6 +242,38 @@ def test_jump_measures_consistent_with_exponents(rng):
     assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
 
 
+# -- reference: the global deviations as (nc, N, d) short-axis reductions ----
+
+def reference_deviation(op, coeffs):
+    """(ubar, dev, mdev) from cell-major interior values, as first written."""
+    mesh = op.mesh
+    ubar = mesh.area @ coeffs[:, 0, :] / mesh.area.sum()
+    vals = op.interior_values(coeffs) - ubar[None, None, :]
+    dev = np.abs(vals).max(axis=(0, 1))
+    mdev = None
+    mom = op.model.momentum_components
+    if mom:
+        mdev = float(np.sqrt((vals[..., list(mom)] ** 2)
+                             .sum(axis=-1)).max())
+    return ubar, dev, mdev
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("model", [Advection(), Euler()],
+                         ids=lambda m: m.name)
+def test_global_deviation_matches_reference(k, model):
+    rng = np.random.default_rng(k)
+    op = SpatialOperator(tagged_perturbed_mesh(seed=k), model, k, boundary={
+        "IN": Outflow()})
+    f = OEFilter(op)
+    coeffs = rng.standard_normal((op.mesh.n_cells, op.nm, op.d))
+    ubar, dev, mdev = reference_deviation(op, coeffs)
+    assert np.array_equal(f.global_average(coeffs), ubar)
+    for got in (f.global_deviation(coeffs), f.global_deviation(coeffs, ubar)):
+        assert np.array_equal(got[0], dev)
+        assert got[1] == mdev
+
+
 # -- reference: the per-order jump assembly, one derivative order at a time --
 
 def reference_damping_exponents(f, coeffs, dt, t=0.0):
@@ -239,7 +282,8 @@ def reference_damping_exponents(f, coeffs, dt, t=0.0):
     mesh = op.mesh
     ne = mesh.n_edges
     lc, rc = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
-    ii = op.interior_ids
+    ii = mesh.interior_edge_ids
+    lv_end, rv_end = endpoint_vertices(mesh)
     groups = [(rule, op.boundary_ids[pos]) for rule, pos in op.groups]
     state_ids = [eids for rule, eids in groups if rule.kind != "copy"]
     state_ids = (np.concatenate(state_ids) if state_ids
@@ -247,7 +291,7 @@ def reference_damping_exponents(f, coeffs, dt, t=0.0):
 
     # degree-0 ghosts at the endpoints of 'state' boundary edges
     VV = op.vertex_values(coeffs)
-    u_bint = VV[lc[state_ids, None], op.lv_end[state_ids]]
+    u_bint = VV[lc[state_ids, None], lv_end[state_ids]]
     u_bghost = np.empty_like(u_bint)
     nb = np.broadcast_to(op.edge_normal[state_ids][:, None, :],
                          u_bint.shape[:2] + (2,))
@@ -262,24 +306,23 @@ def reference_damping_exponents(f, coeffs, dt, t=0.0):
     for j in range(k + 1):
         Vd = op.vertex_derivatives(coeffs, j)
         J = np.zeros((ne, 2, j + 1, d))
-        J_int = Vd[lc[:, None], op.lv_end]
-        J[ii] = J_int[ii] - Vd[rc[ii, None], op.rv_end[ii]]
+        J_int = Vd[lc[:, None], lv_end]
+        J[ii] = J_int[ii] - Vd[rc[ii, None], rv_end[ii]]
         if len(state_ids):
             J[state_ids] = (u_bint - u_bghost)[:, :, None, :] if j == 0 \
                 else J_int[state_ids]
         jumps.append(J)
 
-    u_int = VV[lc[:, None], op.lv_end]
+    u_int = VV[lc[:, None], lv_end]
     u_ext = u_int.copy()
-    u_ext[ii] = VV[rc[ii, None], op.rv_end[ii]]
+    u_ext[ii] = VV[rc[ii, None], rv_end[ii]]
     u_ext[state_ids] = u_bghost
     n = op.edge_normal[:, None, :]
     speed = (op.model.wavespeed_clamped if f.guard_wavespeed
              else op.model.wavespeed)
     beta = np.maximum(speed(u_int, n), speed(u_ext, n)).max(axis=1)
 
-    dev, mdev = f.global_deviation(coeffs)
-    ubar = f.global_average(coeffs)
+    ubar, dev, mdev = reference_deviation(f.op, coeffs)
     active = dev > EPS_DEVIATION * np.maximum(1.0, np.abs(ubar))
     inv_dev = np.where(active, 1.0 / np.where(active, dev, 1.0), 0.0)
     mom = list(op.model.momentum_components) if f.mode == "rioe" else []
@@ -352,8 +395,7 @@ def concatenated_edge_measures(f, coeffs, J, rotated):
     ne, _, R, dd = sq.shape
     S = sq.transpose(0, 3, 1, 2).reshape(ne * dd, 2 * R) @ f.weights
     root = np.sqrt(S).reshape(ne, dd, f.k + 1)
-    dev, mdev = f.global_deviation(coeffs)
-    ubar = f.global_average(coeffs)
+    ubar, dev, mdev = reference_deviation(f.op, coeffs)
     active = dev > EPS_DEVIATION * np.maximum(1.0, np.abs(ubar))
     inv_dev = np.where(active, 1.0 / np.where(active, dev, 1.0), 0.0)
     G = root[:, :d, :] * inv_dev[None, :, None]
@@ -366,10 +408,10 @@ def concatenated_edge_measures(f, coeffs, J, rotated):
 
 
 def concatenated_damping_exponents(f, coeffs, dt, t=0.0):
-    J, u_int, u_ext = f._endpoint_pass(coeffs, t)
+    J, u = f._endpoint_pass(coeffs, t)
     G = concatenated_edge_measures(f, coeffs, J, rotated=bool(f.mom))
     ce = f.op.mesh.cell_edges
-    w = f._beta(u_int, u_ext)[ce][:, :, None] * f.A_h
+    w = f._beta(u)[ce][:, :, None] * f.A_h
     sigma = np.einsum("cej,cedj->cdj", w, np.take(G, ce, axis=0))
     return dt * np.cumsum(sigma, axis=2)[:, :, 1:].transpose(0, 2, 1)
 

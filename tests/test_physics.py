@@ -71,18 +71,18 @@ def test_lf_flux_consistency_and_antisymmetry(rng):
     n = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     alpha = 5.0
     # consistency
-    f_same = model.lf_flux(u, u, n, alpha)
+    f_same = model.lf_flux(np.stack([u, u]), n, alpha)
     fn = np.einsum("nkd,nk->nd", model.flux(u), n)
     assert np.allclose(f_same, fn, atol=1e-13)
     # conservation across the edge
-    f_ab = model.lf_flux(u, v, n, alpha)
-    f_ba = model.lf_flux(v, u, -n, alpha)
+    f_ab = model.lf_flux(np.stack([u, v]), n, alpha)
+    f_ba = model.lf_flux(np.stack([v, u]), -n, alpha)
     assert np.allclose(f_ab, -f_ba, atol=1e-12)
 
 
 def test_lf_flux_hand_value():
-    f = Advection().lf_flux(np.array([1.0]), np.array([0.0]),
-                            np.array([1.0, 0.0]), 1.0)
+    f = Advection().lf_flux(np.array([[1.0], [0.0]]), np.array([1.0, 0.0]),
+                            1.0)
     assert f == pytest.approx(1.0)
 
 
@@ -213,7 +213,7 @@ def test_normal_flux_matches_einsum_reference(rng, model):
                               einsum_normal_flux(model, u, n))
         want = 0.5 * (einsum_normal_flux(model, u, n)
                       + einsum_normal_flux(model, v, n) - 3.5 * (v - u))
-        assert np.array_equal(model.lf_flux(u, v, n, 3.5), want)
+        assert np.array_equal(model.lf_flux(np.stack([u, v]), n, 3.5), want)
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.5])
@@ -225,7 +225,7 @@ def test_lf_flux_rejects_nonpositive_density_on_either_side(rng, rho):
     n = np.tile([0.6, 0.8], (8, 1))
     for a, b in ((bad, good), (good, bad)):
         with pytest.raises(AdmissibilityError, match="non-positive density"):
-            model.lf_flux(a, b, n, 1.0)
+            model.lf_flux(np.stack([a, b]), n, 1.0)
 
 
 def test_euler_wavespeed_matches_pressure_form(rng):

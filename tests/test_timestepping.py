@@ -3,10 +3,10 @@ import pytest
 
 from tridg.bp import BPLimiter
 from tridg.dg import ModalState, SpatialOperator
-from tridg.errors import ConfigError, NumericsError
-from tridg.mesh import generate_structured
+from tridg.errors import AdmissibilityError, ConfigError, NumericsError
+from tridg.mesh import generate_structured, perturb
 from tridg.oe import OEFilter
-from tridg.physics import Advection
+from tridg.physics import Advection, Euler
 from tridg.timestepping import (SSP_RK22, SSP_RK33, SSP_RK54, advance,
                                 default_scheme_for, run, scheme_by_name)
 
@@ -236,3 +236,65 @@ def test_run_takes_the_step_factor_once(monkeypatch, bp_scheme):
                 if bp_scheme is None else
                 bp.bp_timestep(mesh, alpha, SSP_RK22.c_ssp, bp_scheme, 1))
         assert dt == want
+
+
+def test_limited_step_builds_its_start_edge_states_once():
+    # the wavespeed bound and the first stage's residual share one buffer:
+    # an RK22 step builds edge states twice, not three times
+    mesh = generate_structured((0, 0, 1, 1), 4, 4, periodic=("x", "y"))
+    op = SpatialOperator(mesh, Advection(), 1)
+    built, shared = [], []
+    edge_states, residual = op._edge_states, op.residual
+    op._edge_states = lambda *a: built.append(a) or edge_states(*a)
+
+    def recording_residual(c, alpha, t, states=None):
+        shared.append(states is not None)
+        return residual(c, alpha, t, states=states)
+
+    op.residual = recording_residual
+    st = op.project(lambda x, y: 0.5 + 0.25 * np.sin(2 * np.pi * (x + y)))
+    res = run(op, st, 0.05, scheme=SSP_RK22,
+              oe=OEFilter(op, guard_wavespeed=True), bp_scheme="dcw",
+              bounds=(0.0, 1.0))
+    assert res.steps > 2
+    assert len(built) == 2 * res.steps
+    assert shared == [True, False] * res.steps
+
+
+@pytest.mark.parametrize("stage", [0, 1, 2])
+def test_residual_errors_carry_their_rk_stage(stage):
+    mesh = generate_structured((0, 0, 1, 1), 4, 4, periodic=("x", "y"))
+    op = SpatialOperator(mesh, Advection(), 1)
+    residual, calls = op.residual, []
+
+    def failing_residual(c, alpha, t, states=None):
+        if len(calls) == stage:
+            raise AdmissibilityError("injected")
+        calls.append(t)
+        return residual(c, alpha, t, states=states)
+
+    op.residual = failing_residual
+    st = op.project(lambda x, y: 0.5 + 0.25 * np.sin(2 * np.pi * (x + y)))
+    with pytest.raises(AdmissibilityError) as e:
+        run(op, st, 1.0, scheme=SSP_RK33, bp_scheme="dcw", bounds=(0.0, 1.0))
+    assert e.value.rk_stage == stage
+
+
+def test_mass_conserved_on_perturbed_mesh_with_rioe_and_dcw():
+    # diverging flow on a periodic perturbed mesh: a near-vacuum rarefaction
+    # at x = 0.5 and a collision at x = 0, so OE and BP both act
+    mesh = perturb(generate_structured((0, 0, 1, 1), 8, 8,
+                                       periodic=("x", "y")), 0.25, seed=3)
+    model = Euler()
+    op = SpatialOperator(mesh, model, 2)
+    st = op.project(lambda x, y: model.from_primitive(
+        1.0, np.where(x < 0.5, -2.0, 2.0), 0.0 * y, 0.4))
+    mass0 = mesh.area @ st.coeffs[:, 0, :]
+    res = run(op, st, 0.02, oe=OEFilter(op, mode="rioe",
+                                        guard_wavespeed=True),
+              bp_scheme="dcw")
+    assert res.steps > 2 and res.bp_violations > 0
+    mass = mesh.area @ res.state.coeffs[:, 0, :]
+    scale = (mesh.area @ np.abs(st.coeffs[:, 0, :])).max()
+    assert np.all(np.abs(mass - mass0) <= 1e-12 * scale)
+    assert abs(mass[0] - mass0[0]) <= 1e-12 * mass0[0]
