@@ -66,19 +66,15 @@ class OEFilter:
 
     # -- deviations ---------------------------------------------------------
 
-    def global_average(self, coeffs):
-        mesh = self.op.mesh
-        return mesh.area @ coeffs[:, 0, :] / mesh.area.sum()
-
-    def global_deviation(self, coeffs, ubar=None):
-        """(per-component max deviation, momentum-magnitude max deviation).
+    def global_deviation(self, coeffs):
+        """(global average, per-component max deviation, momentum-magnitude
+        max deviation).
 
         Maxima are taken over the interior quadrature nodes of all cells; the
-        second value is None unless the model carries momentum components.
-        ubar: the global average of coeffs, when the caller already has it.
+        last value is None unless the model carries momentum components.
         """
-        if ubar is None:
-            ubar = self.global_average(coeffs)
+        mesh = self.op.mesh
+        ubar = mesh.area @ coeffs[:, 0, :] / mesh.area.sum()
         # interior values component-major, (N, d, nc), so that every
         # reduction runs along the cells
         nc, nm, d = coeffs.shape
@@ -92,7 +88,7 @@ class OEFilter:
             m1, m2 = vals[:, mom[0]], vals[:, mom[1]]
             mdev = float(np.sqrt((m1 * m1 + m2 * m2).max()))
         dev = np.abs(vals, out=vals).max(axis=2).max(axis=0)
-        return dev, mdev
+        return ubar, dev, mdev
 
     # -- jump assembly ------------------------------------------------------
 
@@ -142,8 +138,7 @@ class OEFilter:
         S = sq.reshape(ne * d, 2 * R) @ self.weights
         root = np.sqrt(S).reshape(ne, d, self.k + 1)
 
-        ubar = self.global_average(coeffs)
-        dev, mdev = self.global_deviation(coeffs, ubar)
+        ubar, dev, mdev = self.global_deviation(coeffs)
         # component guard: quiescent components are not damped
         active = dev > EPS_DEVIATION * np.maximum(1.0, np.abs(ubar))
         inv_dev = np.where(active, 1.0 / np.where(active, dev, 1.0), 0.0)

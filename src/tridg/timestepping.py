@@ -84,18 +84,15 @@ def default_scheme_for(k):
     return SSP_RK22 if k == 1 else SSP_RK33 if k == 2 else SSP_RK54
 
 
-def advance(state, dt, residual_fn, scheme, oe=None, bp=None,
-            start_residual=None):
+def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
     """One full RK step from state.t to state.t + dt with per-stage hooks.
 
     The residual of each stage value is evaluated once, on first use, at
     the stage's time t + c_j dt; the filter sees the new stage's time.
-    start_residual: the residual of `state`, when the caller evaluated it.
     """
     c = scheme.abscissae
     stages = [state]
     residuals = [None] * scheme.n_stages
-    residuals[0] = start_residual
     for s in range(scheme.n_stages):
         acc = None
         for j, (a, b) in enumerate(zip(scheme.alpha[s], scheme.beta[s])):
@@ -190,16 +187,16 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
         t_next = min([t for t in outputs if t > state.t + 1e-14] + [t_end])
         dt = min(dt, t_next - state.t)
 
-        start_residual = None
-        if states is not None:
-            try:
-                start_residual = op.residual(state.coeffs, alpha, state.t,
-                                             states=states)
-            except Exception as exc:
-                exc.rk_stage = 0
-                raise
-        new = advance(state, dt, lambda c, t: op.residual(c, alpha, t),
-                      scheme, oe=oe, bp=limiter, start_residual=start_residual)
+        def residual_fn(c, t):
+            # advance's first call is the start state's residual, at
+            # state.t: it reuses the edge states built for the bound
+            nonlocal states
+            if states is None:
+                return op.residual(c, alpha, t)
+            shared, states = states, None
+            return op.residual(c, alpha, t, states=shared)
+
+        new = advance(state, dt, residual_fn, scheme, oe=oe, bp=limiter)
         if not np.all(np.isfinite(new.coeffs)):
             raise NumericsError("non-finite solution detected",
                                 last_state=state, step=result.steps)

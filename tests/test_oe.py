@@ -36,11 +36,11 @@ def test_global_deviation():
     # constant state -> zero deviation
     coeffs = np.zeros((op.mesh.n_cells, op.nm, 1))
     coeffs[:, 0, 0] = 7.0
-    dev, _ = f.global_deviation(coeffs)
+    _, dev, _ = f.global_deviation(coeffs)
     assert dev[0] <= 1e-14 * 7.0  # round-off only; guarded downstream
     # two-component averages weighted by area
     coeffs[: op.mesh.n_cells // 2, 0, 0] = 0.0
-    dev, _ = f.global_deviation(coeffs)
+    _, dev, _ = f.global_deviation(coeffs)
     areas = op.mesh.area
     ubar = areas @ coeffs[:, 0, 0] / areas.sum()
     assert dev[0] == pytest.approx(max(abs(0 - ubar), abs(7 - ubar)), rel=1e-13)
@@ -53,7 +53,7 @@ def test_deviation_single_mode_on_reference_cell():
     f = OEFilter(op)
     coeffs = np.zeros((op.mesh.n_cells, op.nm, 1))
     coeffs[:, 1, 0] = 1.0
-    dev, _ = f.global_deviation(coeffs)
+    _, dev, _ = f.global_deviation(coeffs)
     psi_vals = np.abs(op.basis_int[:, 1])
     assert dev[0] == pytest.approx(psi_vals.max(), rel=1e-13)
 
@@ -268,10 +268,10 @@ def test_global_deviation_matches_reference(k, model):
     f = OEFilter(op)
     coeffs = rng.standard_normal((op.mesh.n_cells, op.nm, op.d))
     ubar, dev, mdev = reference_deviation(op, coeffs)
-    assert np.array_equal(f.global_average(coeffs), ubar)
-    for got in (f.global_deviation(coeffs), f.global_deviation(coeffs, ubar)):
-        assert np.array_equal(got[0], dev)
-        assert got[1] == mdev
+    got = f.global_deviation(coeffs)
+    assert np.array_equal(got[0], ubar)
+    assert np.array_equal(got[1], dev)
+    assert got[2] == mdev
 
 
 # -- reference: the per-order jump assembly, one derivative order at a time --
