@@ -354,7 +354,8 @@ class BPLimiter:
     def check_values(self, coeffs):
         """Conserved state at every check node: (nc, n_nodes, d).
 
-        Nodes: the 3*Q edge Gauss points, then the two vertices (k=1 dcw) or
+        Nodes: the 3*Q edge Gauss points (in the cell's traversal order, as
+        SpatialOperator.traces gives them), then the two vertices (k=1 dcw) or
         the remainder u* = (mean - sum_i w_i avg_i) / (1 - sum w) (k=2).
         """
         nc, _, d = coeffs.shape

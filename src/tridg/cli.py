@@ -6,6 +6,7 @@ Exit codes: 0 ok, 2 configuration error, 3 admissibility abort,
 
 import argparse
 import csv
+import math
 import sys
 import time
 
@@ -153,6 +154,11 @@ def cmd_run(args):
     cfg = _config_from_args(args)
     prob, op, state, oe = _build_run(cfg)
     t_end = cfg.tend if cfg.tend is not None else prob.t_end
+    # run never reaches a time past t_end, so its snapshot would be lost
+    for t in cfg.times:
+        if not math.isfinite(t) or t > t_end:
+            raise ConfigError(f"field 'output_times': {t!r} is not a finite "
+                              f"time within t_end = {t_end!r}")
     t0 = time.perf_counter()
     result = run(op, state, t_end, scheme=cfg.rk and scheme_by_name(cfg.rk),
                  oe=oe, bp_scheme=cfg.bp_scheme, bounds=prob.bp_bounds,

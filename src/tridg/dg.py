@@ -1,9 +1,13 @@
 """Semi-discrete DG spatial operator on modal coefficients.
 
 The operator precomputes all basis/quadrature tables for a fixed (mesh, degree,
-model, boundary rules) so that residual evaluation is a handful of einsums over
-cell and edge arrays. Interior edge fluxes are computed once per edge and
-scattered with opposite signs, which makes the scheme discretely conservative.
+model, boundary rules) so that residual evaluation is a few matrix products
+over cell and edge arrays. Edge traces and the edge scatter go through one
+reference-element matrix shared by all cells, applied as one GEMM to the
+mode-major coefficients (nm, nc * d); edge orientation lives in precomputed
+gather indices. The volume term and the vertex derivatives keep one small
+matrix per cell. Interior edge fluxes are computed once per edge and scattered
+with opposite signs, which makes the scheme discretely conservative.
 """
 
 from dataclasses import dataclass
@@ -143,21 +147,17 @@ class SpatialOperator:
         self.grad_int = basis.eval_grad(k, self.int_pts)             # (N, nm, 2)
         self.n_int = len(self.int_w)
 
-        # edge quadrature tables (forward = local traversal order)
+        # edge quadrature tables; point p of local edge i runs from vertex
+        # (i+1)%3 to (i+2)%3, the cell's own traversal order
         tq, wq = quadrature.edge_rule(self.Q)
         self.edge_t, self.edge_w = tq, wq
-        ref_fwd = np.empty((3, self.Q, 2))
+        ref_edge = np.empty((3, self.Q, 2))
         for i in range(3):
             a = REF_VERTICES[(i + 1) % 3]
             b = REF_VERTICES[(i + 2) % 3]
-            ref_fwd[i] = a[None, :] + tq[:, None] * (b - a)[None, :]
-        be_fwd = np.stack([basis.eval_modes(k, ref_fwd[i]) for i in range(3)])
-        self.basis_edge = np.stack([be_fwd, be_fwd[:, ::-1]])        # (2,3,Q,nm)
-
-        # per-cell trace tensor in global edge-point order
-        fwd = mesh.cell_edge_forward
-        self.TE = np.where(fwd[:, :, None, None],
-                           self.basis_edge[0][None], self.basis_edge[1][None])
+            ref_edge[i] = a[None, :] + tq[:, None] * (b - a)[None, :]
+        # reference trace matrix, rows (local edge, point): (3Q, nm)
+        self.ref_trace = basis.eval_modes(k, ref_edge.reshape(3 * self.Q, 2))
 
         self.vertex_basis = basis.eval_modes(k, REF_VERTICES)        # (3, nm)
         # rows of the order-j mixed derivatives within the stacked vertex
@@ -190,28 +190,26 @@ class SpatialOperator:
         self.groups = [(self.boundary[tag], np.array(pos))
                        for tag, pos in sorted(groups.items())]
 
-        # physical interior quadrature points
+        # physical interior quadrature points, x = v0 + J xi term by term
         v0 = mesh.vertices[mesh.cells[:, 0]]
-        self.int_points_phys = (v0[:, None, :]
-                                + np.einsum("qa,cba->cqb", self.int_pts, mesh.jac))
+        xi, jac = self.int_pts, mesh.jac
+        self.int_points_phys = v0[:, None, :] + (
+            xi[None, :, 0, None] * jac[:, None, :, 0]
+            + xi[None, :, 1, None] * jac[:, None, :, 1])
 
         self.mass = basis.cell_mass(mesh.area, k)                    # (nc, nm)
-        self._endpoint_tables()
+        self._gather_tables()
         self._build_operators()
 
     def _build_operators(self):
-        """Precompute the state-independent residual operators as matrices."""
+        """Precompute the state-independent per-cell residual operators."""
         mesh = self.mesh
-        nc, nm, Q, N = mesh.n_cells, self.nm, self.Q, self.n_int
-        self._trace_op = np.ascontiguousarray(
-            self.TE.reshape(nc, 3 * Q, nm))
-        sign = np.where(mesh.cell_edge_forward, 1.0, -1.0)
-        wgt = (sign * mesh.edge_len)[:, :, None] * self.edge_w[None, None, :]
-        scatter = wgt[:, :, :, None] * self.TE                        # (nc,3,Q,nm)
-        self._scatter_op = np.ascontiguousarray(
-            scatter.reshape(nc, 3 * Q, nm).transpose(0, 2, 1))
-        # physical gradients and the volume operator area * w_q * dPsi/dx_b
-        G = np.einsum("qla,cab->cqlb", self.grad_int, mesh.jac_inv)  # (nc,N,nm,2)
+        nc, nm, N = mesh.n_cells, self.nm, self.n_int
+        # physical gradients dPsi/dx_b = sum_a dPsi/dxi_a (J^-1)_ab term by
+        # term, (nc, N, nm, 2), and the volume operator area * w_q * dPsi/dx_b
+        g, Ji = self.grad_int, mesh.jac_inv
+        G = (g[None, :, :, 0, None] * Ji[:, None, None, 0, :]
+             + g[None, :, :, 1, None] * Ji[:, None, None, 1, :])
         vol = (mesh.area[:, None, None, None] * self.int_w[None, :, None, None]
                * G)
         self._vol_op = np.ascontiguousarray(
@@ -230,20 +228,37 @@ class SpatialOperator:
             np.matmul(T[:, None], ref, out=D[:, :, rows, :])
         self._vertex_deriv_op = D.reshape(nc, 3 * R, nm)
 
-    def _endpoint_tables(self):
-        """Flat indices of the two sides of every edge, global edge order.
+    def _gather_tables(self):
+        """Flat gather indices between cell-local and global edge orders.
 
-        trace_sides (2, ne) indexes (cell, local edge) and endpoint_sides
-        (2, ne, 2) indexes (cell, local vertex) of both endpoints. A boundary
-        edge reads its own cell on side 1, where the ghost is written
-        afterwards.
+        trace_sides (2, ne, Q) indexes rows (local edge, point, cell) of the
+        (3Q * nc, d) trace GEMM result, at the edge Gauss points of both
+        sides in global edge-point order; endpoint_sides (2, ne, 2) indexes
+        (cell, local vertex) of both endpoints. A boundary edge reads its own
+        cell on side 1, where the ghost is written afterwards. The edge
+        scatter gathers the flux at every (local edge, point, cell) through
+        _flux_rows (3Q, nc) and weighs it by _flux_weights (3Q, nc, 1),
+        -sign * length * w_q, the minus of the edge term folded in.
         """
         mesh = self.mesh
+        nc, Q = mesh.n_cells, self.Q
         il, ir = mesh.edge_local[:, 0], mesh.edge_local[:, 1]
         lc, rc = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
-        left = 3 * lc + il
-        self.trace_sides = np.stack([left, np.where(rc >= 0, 3 * rc + ir,
+        # the left cell traverses its local edge in global order, the right
+        # cell reversed: global point q is its reference point Q-1-q
+        q = np.arange(Q)
+        left = (il[:, None] * Q + q) * nc + lc[:, None]
+        right = (ir[:, None] * Q + (Q - 1 - q)) * nc + rc[:, None]
+        self.trace_sides = np.stack([left, np.where(rc[:, None] >= 0, right,
                                                     left)])
+        fwd = mesh.cell_edge_forward
+        gq = np.where(fwd[:, :, None], q, Q - 1 - q)                 # (nc,3,Q)
+        rows = mesh.cell_edges[:, :, None] * Q + gq
+        self._flux_rows = np.ascontiguousarray(rows.reshape(nc, 3 * Q).T)
+        sign = np.where(fwd, -1.0, 1.0)
+        wgt = (sign * mesh.edge_len)[:, :, None] * self.edge_w[gq]
+        self._flux_weights = np.ascontiguousarray(
+            wgt.reshape(nc, 3 * Q).T)[:, :, None]
         # left cell traverses (il+1)%3 -> (il+2)%3 in global order; the
         # right cell traverses its local edge reversed
         lv_end = np.stack([(il + 1) % 3, (il + 2) % 3], axis=1)
@@ -254,20 +269,39 @@ class SpatialOperator:
 
     # -- evaluation helpers -------------------------------------------------
 
+    @staticmethod
+    def _modes_first(coeffs):
+        """Mode-major coefficients (nm, nc * d), the right GEMM operand."""
+        nc, nm, d = coeffs.shape
+        return coeffs.transpose(1, 0, 2).reshape(nm, nc * d)
+
+    @staticmethod
+    def _at_nodes(ref, modes, d):
+        """Values at reference nodes, node-major: (n_nodes, nc, d)."""
+        return (ref @ modes).reshape(len(ref), -1, d)
+
     def traces(self, coeffs):
-        """Solution values at edge Gauss points: (nc, 3, Q, d), global order."""
-        out = np.matmul(self._trace_op, coeffs)
-        return out.reshape(len(coeffs), 3, self.Q, coeffs.shape[2])
+        """Solution values at edge Gauss points: (nc, 3, Q, d).
+
+        Point p of local edge i is in the cell's own traversal order, from
+        local vertex (i+1)%3 to (i+2)%3: global edge-point order for the
+        left cell of an edge, reversed for the right cell.
+        """
+        nc, _, d = coeffs.shape
+        TR = self._at_nodes(self.ref_trace, self._modes_first(coeffs), d)
+        return TR.reshape(3, self.Q, nc, d).transpose(2, 0, 1, 3)
 
     def interior_values(self, coeffs):
         """Solution values at interior quadrature nodes: (nc, N, d)."""
-        nc, nm, d = coeffs.shape
-        U = self.basis_int @ coeffs.transpose(1, 0, 2).reshape(nm, nc * d)
-        return U.reshape(self.n_int, nc, d).transpose(1, 0, 2)
+        d = coeffs.shape[2]
+        U = self._at_nodes(self.basis_int, self._modes_first(coeffs), d)
+        return U.transpose(1, 0, 2)
 
     def vertex_values(self, coeffs):
         """Solution values at the 3 cell vertices: (nc, 3, d)."""
-        return np.matmul(self.vertex_basis, coeffs)
+        d = coeffs.shape[2]
+        V = self._at_nodes(self.vertex_basis, self._modes_first(coeffs), d)
+        return V.transpose(1, 0, 2)
 
     def vertex_jets(self, coeffs):
         """Mixed physical derivatives of every order j <= k at cell vertices.
@@ -305,14 +339,17 @@ class SpatialOperator:
                                     n_b[pos], t)
         return u_ext
 
-    def _edge_states(self, coeffs, t):
+    def _edge_states(self, coeffs, t, modes=None):
         """Two-sided states at the edge Gauss points: (2, ne, Q, d).
 
         Side 0 is the left cell's trace; side 1 is the right cell's trace on
         interior edges and the boundary rule's ghost on boundary edges.
+        modes: _modes_first(coeffs), when the caller already built it.
         """
         d = coeffs.shape[2]
-        TR = self.traces(coeffs).reshape(3 * len(coeffs), self.Q, d)
+        if modes is None:
+            modes = self._modes_first(coeffs)
+        TR = self._at_nodes(self.ref_trace, modes, d).reshape(-1, d)
         U = np.take(TR, self.trace_sides, axis=0)
         bi = self.boundary_ids
         if len(bi):
@@ -343,8 +380,9 @@ class SpatialOperator:
         states: the two-sided edge states of coeffs at t, when the caller
         already built them with _edge_states.
         """
-        mesh = self.mesh
-        U = self._edge_states(coeffs, t) if states is None else states
+        nc, _, d = coeffs.shape
+        modes = self._modes_first(coeffs)
+        U = self._edge_states(coeffs, t, modes) if states is None else states
 
         if self.model.positivity_constrained:
             ok = self.model.admissible(U)
@@ -353,17 +391,19 @@ class SpatialOperator:
 
         fhat = self.model.lf_flux(U, self.edge_normal[:, None, :], alpha)
 
-        # edge contributions: -sign * l * sum_nu w_nu fhat Psi
-        nc, d = len(coeffs), coeffs.shape[2]
-        F_ce = fhat[mesh.cell_edges].reshape(nc, 3 * self.Q, d)
-        R = -np.matmul(self._scatter_op, F_ce)
-
         # volume term: area * sum_q w_q F(u) . grad Psi
-        U = self.interior_values(coeffs)
+        U = self._at_nodes(self.basis_int, modes, d).transpose(1, 0, 2)
         Fv = self.model.flux_unchecked(U)                             # (nc,N,2,d)
-        R += np.matmul(self._vol_op, Fv.reshape(nc, 2 * self.n_int, d))
+        R = np.matmul(self._vol_op, Fv.reshape(nc, 2 * self.n_int, d))
 
-        return R * self._inv_mass
+        # edge contributions: -sign * l * sum_nu w_nu fhat Psi, in each
+        # cell's traversal order, through the shared reference matrix
+        F = np.take(fhat.reshape(-1, d), self._flux_rows, axis=0)    # (3Q,nc,d)
+        F *= self._flux_weights
+        E = self.ref_trace.T @ F.reshape(3 * self.Q, nc * d)         # (nm,nc*d)
+        R += E.reshape(self.nm, nc, d).transpose(1, 0, 2)
+        R *= self._inv_mass
+        return R
 
     # -- projection ---------------------------------------------------------
 

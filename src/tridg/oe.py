@@ -16,7 +16,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from . import basis
+from .dg import ModalState
 from .errors import ConfigError, UnsupportedOperationError
 
 EPS_DEVIATION = 1e-12
@@ -45,6 +45,8 @@ class OEFilter:
         self.mode = mode
         self.guard_wavespeed = guard_wavespeed
         self.k = k = op.k
+        # total degree of every mode: degree m owns m + 1 modes
+        self.mode_degree = np.repeat(np.arange(k + 1), np.arange(1, k + 2))
         self.mom = list(op.model.momentum_components) if mode == "rioe" else []
         mesh = op.mesh
         # A^{k,j} h^(j-1) per cell edge and order j: (nc, 3, k+1)
@@ -221,8 +223,10 @@ class OEFilter:
             raise ConfigError("dt must be non-negative")
         t = state.t if t is None else t
         X = self.damping_exponents(state.coeffs, dt, t)
-        out = state.copy()
-        for m in range(1, self.k + 1):
-            block = basis.degree_block(m)
-            out.coeffs[:, block, :] *= np.exp(-X[:, m - 1, None, :])
-        return out
+        # one factor per degree, 1.0 for the cell average, spread to modes
+        nc, _, d = state.coeffs.shape
+        scale = np.empty((nc, self.k + 1, d))
+        scale[:, 0] = 1.0
+        np.exp(-X, out=scale[:, 1:])
+        coeffs = state.coeffs * np.take(scale, self.mode_degree, axis=1)
+        return ModalState(state.k, coeffs, state.t)

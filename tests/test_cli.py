@@ -86,6 +86,28 @@ def test_config_error_codes(tmp_path):
                  "--oe", "ri"]) == 2  # rioe needs Euler
 
 
+@pytest.mark.parametrize("times", ["0.5", "0.02,nan", "inf"])
+def test_output_times_outside_the_run_are_config_errors(tmp_path, times,
+                                                        capsys):
+    # run never reaches a time past t_end: its snapshot would be dropped
+    rc = main(["run", "--problem", "advection_smooth", "--k", "1",
+               "--gen", "3,3", "--tend", "0.1", "--output-times", times,
+               "--out", str(tmp_path / "p")])
+    assert rc == 2
+    assert "output_times" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_output_time_at_t_end_is_written(tmp_path):
+    rc = main(["run", "--problem", "advection_smooth", "--k", "1",
+               "--gen", "3,3", "--tend", "0.1", "--output-times", "0.05,0.1",
+               "--out", str(tmp_path / "p")])
+    assert rc == 0
+    # the initial state, then one snapshot per requested time
+    assert all((tmp_path / f"p_t{i}.csv").exists() for i in range(3))
+    assert not (tmp_path / "p_t3.csv").exists()
+
+
 def test_admissibility_exit_code(tmp_path):
     rc = main(["run", "--problem", "euler_double_rarefaction", "--k", "1",
                "--oe", "ri", "--bp", "off", "--tend", "0.05",
@@ -362,3 +384,29 @@ def test_run_calls_the_traced_entry_points_once(tmp_path, monkeypatch):
     assert {name: calls[name] for name in
             ("residual", "lf_flux", "max_wavespeed")} == {
         "residual": 2 * steps, "lf_flux": 2 * steps, "max_wavespeed": steps}
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the benchmark wraps these bindings by name; a rename has to fail here,
+    # not first inside a benchmark run
+    import importlib.util
+    from pathlib import Path
+
+    import tridg
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer.BOUNDARY + tracer.LAYERS
+    assert targets
+    for module_name, attr_path, _ in targets:
+        module = getattr(tridg, module_name)
+        owner_name, _, attr = attr_path.rpartition(".")
+        if owner_name == "*":
+            owners = [c for c in vars(module).values()
+                      if isinstance(c, type) and attr in vars(c)]
+        else:
+            owners = [getattr(module, owner_name) if owner_name else module]
+        assert owners, attr_path
+        for owner in owners:
+            assert callable(getattr(owner, attr)), (module_name, attr_path)

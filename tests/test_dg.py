@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from tridg import basis
-from tridg.dg import (ExactBC, Inflow, ModalState, Outflow, Reflective,
-                      SpatialOperator, ghost_state)
+from tridg.dg import (REF_VERTICES, ExactBC, Inflow, ModalState, Outflow,
+                      Reflective, SpatialOperator, ghost_state)
 from tridg.errors import AdmissibilityError, ConfigError
-from tridg.mesh import build_mesh, generate_structured, perturb
+from tridg.mesh import build_mesh, generate_structured, perturb, refine_uniform
 from tridg.physics import Advection, Burgers, Euler, ScaledModel
 
 
@@ -347,3 +347,165 @@ def test_shared_edge_states_match_unshared_calls(k, model):
     for mode in ("edge_gauss", "sup"):
         assert (op.max_wavespeed(coeffs, t=0.3, mode=mode, states=states)
                 == op.max_wavespeed(coeffs, t=0.3, mode=mode))
+
+
+# -- shared reference-element edge operators against per-cell matrices -------
+
+class PerCellEdgeOperators:
+    """The per-cell trace and scatter matrices the operator once stored.
+
+    TE (nc, 3, Q, nm) evaluates the modes at every cell's edge Gauss points
+    in global edge-point order; the trace matrix is TE per cell and the
+    scatter matrix its transpose weighted by sign * length * w_q.
+    """
+
+    def __init__(self, op):
+        mesh, k, Q = op.mesh, op.k, op.Q
+        tq = op.edge_t
+        fwd_pts = np.empty((3, Q, 2))
+        for i in range(3):
+            a, b = REF_VERTICES[(i + 1) % 3], REF_VERTICES[(i + 2) % 3]
+            fwd_pts[i] = a[None, :] + tq[:, None] * (b - a)[None, :]
+        be_fwd = np.stack([basis.eval_modes(k, fwd_pts[i]) for i in range(3)])
+        fwd = mesh.cell_edge_forward
+        TE = np.where(fwd[:, :, None, None], be_fwd[None],
+                      be_fwd[:, ::-1][None])
+        nc, nm = mesh.n_cells, op.nm
+        self.op = op
+        self.trace_op = TE.reshape(nc, 3 * Q, nm)
+        sign = np.where(fwd, 1.0, -1.0)
+        wgt = (sign * mesh.edge_len)[:, :, None] * op.edge_w[None, None, :]
+        self.scatter_op = (wgt[:, :, :, None] * TE).reshape(
+            nc, 3 * Q, nm).transpose(0, 2, 1)
+
+    def traces(self, coeffs):
+        """(nc, 3, Q, d) in global edge-point order."""
+        nc, _, d = coeffs.shape
+        return np.matmul(self.trace_op, coeffs).reshape(nc, 3, self.op.Q, d)
+
+    def edge_states(self, coeffs, t):
+        op, mesh = self.op, self.op.mesh
+        nc, _, d = coeffs.shape
+        TR = self.traces(coeffs).reshape(3 * nc, op.Q, d)
+        lc, rc = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+        il, ir = mesh.edge_local[:, 0], mesh.edge_local[:, 1]
+        left = 3 * lc + il
+        U = np.take(TR, np.stack([left, np.where(rc >= 0, 3 * rc + ir, left)]),
+                    axis=0)
+        bi = op.boundary_ids
+        if len(bi):
+            U[1, bi] = op.boundary_ghost_values(U[0, bi], op.bnd_points,
+                                                op.bnd_normals, t)
+        return U
+
+    def residual(self, coeffs, alpha, t):
+        op = self.op
+        nc, _, d = coeffs.shape
+        U = self.edge_states(coeffs, t)
+        fhat = op.model.lf_flux(U, op.edge_normal[:, None, :], alpha)
+        F_ce = fhat[op.mesh.cell_edges].reshape(nc, 3 * op.Q, d)
+        R = -np.matmul(self.scatter_op, F_ce)
+        Fv = op.model.flux_unchecked(op.interior_values(coeffs))
+        R += np.matmul(op._vol_op, Fv.reshape(nc, 2 * op.n_int, d))
+        return R / op.mass[:, :, None]
+
+    def vertex_values(self, coeffs):
+        return np.matmul(self.op.vertex_basis, coeffs)
+
+
+def assert_close_to_max(got, want, rtol=1e-13):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def orientation_meshes():
+    """Periodic, perturbed, refined and IN/OUT/WALL meshes."""
+    tags = {"left": "IN", "right": "OUT", "bottom": "WALL", "top": "WALL"}
+    periodic = generate_structured((0, 0, 1, 1), 4, 3, periodic=("x", "y"))
+    return {
+        "periodic": periodic,
+        "perturbed-periodic": perturb(periodic, 0.3, seed=2),
+        "refined": refine_uniform(perturb(generate_structured(
+            (0, 0, 1, 1), 2, 2, periodic=("x",), tags=tags), 0.3, seed=4)),
+        "tagged": perturb(generate_structured((0, 0, 1, 1), 4, 3, tags=tags),
+                          0.25, seed=5),
+    }
+
+
+MESHES = orientation_meshes()
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("model", [Advection(), Burgers(), Euler(),
+                                   ScaledModel(Euler(), 2.5)],
+                         ids=lambda m: m.name)
+def test_edge_operators_match_per_cell_reference(mesh_name, k, model):
+    mesh = MESHES[mesh_name]
+    fwd = mesh.cell_edge_forward
+    # both orientations occur, on several local edge indices, and boundary
+    # edges sit on more than one local edge index
+    assert sum(fwd[:, i].any() and not fwd[:, i].all() for i in range(3)) >= 2
+    bi = mesh.boundary_edge_ids
+    assert not len(bi) or len(np.unique(mesh.edge_local[bi, 0])) >= 2
+    rng = np.random.default_rng(40 + k)
+    if model.positivity_constrained:
+        mean = Euler().from_primitive(1.0, 0.3, -0.2, 1.0)
+        inflow = Inflow(Euler().from_primitive(1.2, 0.5, 0.1, 0.9))
+    else:
+        mean = 0.5
+        inflow = Inflow(lambda x, y, t: np.sin(3 * x + y + t)[..., None])
+    op = SpatialOperator(mesh, model, k, boundary={
+        "IN": inflow, "OUT": Outflow(), "WALL": Reflective()})
+    ref = PerCellEdgeOperators(op)
+    coeffs = 0.02 * rng.standard_normal((mesh.n_cells, op.nm, op.d))
+    coeffs[:, 0, :] += mean
+
+    # traces run in each cell's traversal order: reversed where the cell
+    # is the right side of its edge
+    want = ref.traces(coeffs)
+    want = np.where(fwd[:, :, None, None], want, want[:, :, ::-1])
+    assert_close_to_max(op.traces(coeffs), want)
+    assert_close_to_max(op._edge_states(coeffs, 0.3),
+                        ref.edge_states(coeffs, 0.3))
+    assert_close_to_max(op.vertex_values(coeffs), ref.vertex_values(coeffs))
+    assert_close_to_max(op.residual(coeffs, 2.5, t=0.3),
+                        ref.residual(coeffs, 2.5, t=0.3))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_mass_conserved_on_perturbed_periodic_mesh(k):
+    rng = np.random.default_rng(50 + k)
+    mesh = MESHES["perturbed-periodic"]
+    op = SpatialOperator(mesh, Burgers(), k)
+    coeffs = 0.3 * rng.standard_normal((mesh.n_cells, op.nm, 1))
+    coeffs[:, 0, :] += 1.0
+    R0 = op.residual(coeffs, 2.0)[:, 0, 0]
+    assert abs(mesh.area @ R0) <= 1e-13 * (mesh.area @ np.abs(R0))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_volume_operator_and_points_match_einsum_formulas(k):
+    mesh = MESHES["perturbed-periodic"]
+    op = SpatialOperator(mesh, Advection(), k)
+    G = np.einsum("qla,cab->cqlb", op.grad_int, mesh.jac_inv)
+    vol = mesh.area[:, None, None, None] * op.int_w[None, :, None, None] * G
+    want = vol.transpose(0, 2, 1, 3).reshape(mesh.n_cells, op.nm, -1)
+    assert np.array_equal(op._vol_op, want)
+    X = (mesh.vertices[mesh.cells[:, 0]][:, None, :]
+         + np.einsum("qa,cba->cqb", op.int_pts, mesh.jac))
+    assert np.array_equal(op.int_points_phys, X)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_no_per_cell_trace_or_scatter_matrix(k):
+    # at k = 1 the volume operator (nc, nm, 2N) has the shape (nc, nm, 3Q)
+    mesh = MESHES["perturbed-periodic"]
+    op = SpatialOperator(mesh, Euler(), k)
+    nc, nm, Q = mesh.n_cells, op.nm, op.Q
+    per_cell = {(nc, 3 * Q, nm), (nc, nm, 3 * Q), (nc, 3, Q, nm),
+                (nc, nm, 3, Q)}
+    arrays = {name: v.shape for name, v in vars(op).items()
+              if isinstance(v, np.ndarray)}
+    assert arrays
+    assert not {name for name, shape in arrays.items() if shape in per_cell}

@@ -440,3 +440,45 @@ def test_damping_exponents_match_concatenated_reference(k, model, mode,
     want = concatenated_damping_exponents(f, coeffs, 0.01, t=0.2)
     assert np.abs(want).min() > 0
     assert np.array_equal(X, want)
+
+
+# -- reference: the per-degree block scaling of a full state copy ------------
+
+def block_loop_apply(f, state, dt):
+    from tridg import basis
+    X = f.damping_exponents(state.coeffs, dt, state.t)
+    out = state.copy()
+    for m in range(1, f.k + 1):
+        out.coeffs[:, basis.degree_block(m), :] *= np.exp(-X[:, m - 1, None, :])
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("model,mode", [(Advection(), "componentwise"),
+                                        (Euler(), "rioe")])
+def test_apply_matches_block_loop(k, model, mode):
+    rng = np.random.default_rng(30 + k)
+    mesh = tagged_perturbed_mesh(seed=k)
+    if model.name == "euler":
+        inflow = Inflow(model.from_primitive(1.0, 0.5, 0.2, 1.0))
+        mean = model.from_primitive(1.0, 0.3, -0.2, 1.0)
+    else:
+        inflow = Inflow(lambda x, y, t: np.sin(3 * x + y + t)[..., None])
+        mean = 0.5
+    op = SpatialOperator(mesh, model, k, boundary={
+        "IN": inflow, "OUT": Outflow(), "WALL": Reflective()})
+    f = OEFilter(op, mode=mode)
+    coeffs = 1e-2 * rng.standard_normal((mesh.n_cells, op.nm, op.d))
+    coeffs[:, 0, :] += mean
+    # signed zeros in every degree; in the cell average where admissible
+    if model.name == "euler":
+        coeffs[::7, 1:, :] = -0.0
+    else:
+        coeffs[::7, :, :] = -0.0
+    state = ModalState(k, coeffs, t=0.2)
+    out = f.apply(state, 0.01)
+    want = block_loop_apply(f, state, 0.01)
+    assert out.t == want.t and out.k == want.k
+    assert np.array_equal(out.coeffs, want.coeffs)
+    assert np.array_equal(np.signbit(out.coeffs), np.signbit(want.coeffs))
+    assert not np.shares_memory(out.coeffs, state.coeffs)
