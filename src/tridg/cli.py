@@ -9,9 +9,11 @@ import csv
 import math
 import sys
 import time
+import weakref
 
 import numpy as np
 
+from . import basis
 from . import bp as bp_mod
 from .config import BP_MODES, OE_MODES, RunConfig, load_config
 from .dg import SpatialOperator
@@ -92,25 +94,56 @@ def _build_run(cfg):
     return prob, op, state, oe
 
 
+# rows per `%` template in _write_snapshot: its temporaries stay below what
+# a list of every value would take, at the same speed
+SNAPSHOT_CHUNK_ROWS = 1024
+
+# row prefixes "cell_id,centroid_x,centroid_y," of the last operator written;
+# a run writes several snapshots of one operator through the same
+# (path, op, state) call, and the weak reference neither keeps an operator
+# alive nor matches a new one made where a freed one was
+_prefix_cache = (lambda: None, ())
+
+
+def _cell_prefixes(op):
+    """One formatted row prefix per cell of op's mesh, cached for op."""
+    global _prefix_cache
+    ref, prefixes = _prefix_cache
+    if ref() is not op:
+        centroid = op.mesh.centroid
+        text = ("%.17g,%.17g,\n" * len(centroid)
+                % tuple(centroid.ravel().tolist()))
+        prefixes = [f"{c},{xy}" for c, xy in enumerate(text.split("\n")[:-1])]
+        _prefix_cache = (weakref.ref(op), prefixes)
+    return prefixes
+
+
 def _write_snapshot(path, op, state):
-    """One row per (cell, mode, component); the bytes _write_csv would write."""
+    """One row per (cell, mode, component); the bytes _write_csv would write.
+
+    Each chunk of whole cells is one row template filled by a single `%`.
+    """
     nc, nm, d = state.coeffs.shape
-    suffixes = [f"{l},{comp}," for l in range(nm) for comp in range(d)]
-    values = state.coeffs.reshape(nc, nm * d).tolist()
+    prefixes = _cell_prefixes(op)
+    # prefix.join(parts) is the cell's nm * d rows, prefix repeated per row
+    parts = ["", *(f"{l},{comp},%.17g\r\n"
+                   for l in range(nm) for comp in range(d))]
+    flat = state.coeffs.reshape(nc, nm * d)
+    step = max(1, SNAPSHOT_CHUNK_ROWS // (nm * d))
     with open(path, "w", newline="") as out:
         out.write("cell_id,centroid_x,centroid_y,mode,component,value\r\n")
-        for c, ((cx, cy), row) in enumerate(zip(op.mesh.centroid.tolist(),
-                                                values)):
-            prefix = f"{c},{cx:.17g},{cy:.17g},"
-            out.write("".join([f"{prefix}{sfx}{v:.17g}\r\n"
-                               for sfx, v in zip(suffixes, row)]))
+        for c0 in range(0, nc, step):
+            template = "".join([p.join(parts) for p in prefixes[c0:c0 + step]])
+            out.write(template % tuple(flat[c0:c0 + step].ravel().tolist()))
 
 
 def _write_samples(path, op, state, n):
     """Uniform point sampling over the mesh bounding box for contour tools.
 
     Points outside every cell are skipped; a point on an edge or vertex
-    shared by several cells is evaluated in the lowest cell id.
+    shared by several cells is evaluated in the lowest cell id. The owned
+    points are evaluated in one batch whose per-point operand shapes are
+    those of `op.evaluate`, so every value has the bits of a per-point call.
     """
     mesh = op.mesh
     lo = mesh.vertices.min(axis=0)
@@ -141,24 +174,28 @@ def _write_samples(path, op, state, n):
     # and then by y
     owner = np.full(n * n, mesh.n_cells)
     np.minimum.at(owner, (ix * n + iy)[inside], cand[inside])
-    rows = []
-    for p in np.flatnonzero(owner < mesh.n_cells):
-        x, y = xs[p // n], ys[p % n]
-        u = op.evaluate(state, int(owner[p]), np.array([x, y]))
-        rows.append((float(x), float(y), *[float(v) for v in np.atleast_1d(u.squeeze())]))
-    ncomp = state.d
-    _write_csv(path, ("x", "y", *[f"u{i}" for i in range(ncomp)]), rows)
+    pts = np.flatnonzero(owner < mesh.n_cells)
+    cells = owner[pts]
+    xy = np.stack([xs[pts // n], ys[pts % n]], axis=1)
+    # op.evaluate per point: (1, 2) @ (2, 2), eval_modes, (1, nm) @ (nm, d)
+    rel = (xy - verts[cells, 0, :])[:, None, :]
+    ref = np.matmul(rel, mesh.jac_inv[cells].transpose(0, 2, 1))[:, 0]
+    vals = basis.eval_modes(op.k, ref)[:, None, :]
+    u = np.matmul(vals, state.coeffs[cells])[:, 0]
+    _write_csv(path, ("x", "y", *[f"u{i}" for i in range(state.d)]),
+               np.column_stack([xy, u]).tolist())
 
 
 def cmd_run(args):
     cfg = _config_from_args(args)
     prob, op, state, oe = _build_run(cfg)
     t_end = cfg.tend if cfg.tend is not None else prob.t_end
-    # run never reaches a time past t_end, so its snapshot would be lost
+    # run records no time before the initial state or past t_end, so such a
+    # snapshot would be lost
     for t in cfg.times:
-        if not math.isfinite(t) or t > t_end:
+        if not (math.isfinite(t) and state.t <= t <= t_end):
             raise ConfigError(f"field 'output_times': {t!r} is not a finite "
-                              f"time within t_end = {t_end!r}")
+                              f"time within [{state.t!r}, {t_end!r}]")
     t0 = time.perf_counter()
     result = run(op, state, t_end, scheme=cfg.rk and scheme_by_name(cfg.rk),
                  oe=oe, bp_scheme=cfg.bp_scheme, bounds=prob.bp_bounds,

@@ -1,5 +1,6 @@
 """Run configuration: flat key=value files plus command-line overrides."""
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -45,6 +46,11 @@ class RunConfig:
             raise ConfigError("field 'oe': 'ri' requires a model with momentum")
         if self.rk is not None and self.rk not in SCHEMES:
             raise ConfigError(f"field 'rk': unknown scheme {self.rk!r}")
+        if not (math.isfinite(self.cfl) and self.cfl > 0):
+            raise ConfigError(f"field 'cfl': {self.cfl!r} is not a finite "
+                              "number > 0")
+        if self.sample_grid < 0:
+            raise ConfigError(f"field 'sample_grid': {self.sample_grid} < 0")
         if self.gen is not None:
             try:
                 nx, ny = (int(v) for v in self.gen.split(","))

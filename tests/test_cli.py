@@ -86,15 +86,43 @@ def test_config_error_codes(tmp_path):
                  "--oe", "ri"]) == 2  # rioe needs Euler
 
 
-@pytest.mark.parametrize("times", ["0.5", "0.02,nan", "inf"])
+@pytest.mark.parametrize("times", ["0.5", "0.02,nan", "inf", "-0.5"])
 def test_output_times_outside_the_run_are_config_errors(tmp_path, times,
                                                         capsys):
-    # run never reaches a time past t_end: its snapshot would be dropped
+    # run records no time past t_end or before the initial state: the
+    # snapshot would be dropped
     rc = main(["run", "--problem", "advection_smooth", "--k", "1",
                "--gen", "3,3", "--tend", "0.1", "--output-times", times,
                "--out", str(tmp_path / "p")])
     assert rc == 2
     assert "output_times" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("cfl", ["0", "-1", "nan", "inf"])
+def test_cfl_must_be_finite_and_positive(tmp_path, capsys, cfl, source):
+    # cfl 0 stepped with dt = 0 until max_steps; nan ended as a numeric abort
+    argv = ["run", "--problem", "advection_smooth", "--k", "1",
+            "--gen", "3,3", "--tend", "0.1", "--out", str(tmp_path / "p")]
+    if source == "flag":
+        argv += ["--cfl", cfl]
+    else:
+        (tmp_path / "run.cfg").write_text(f"cfl = {cfl}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 2
+    assert "'cfl'" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == (
+        ["run.cfg"] if source == "file" else [])
+
+
+def test_negative_sample_grid_is_a_config_error(tmp_path, capsys):
+    # it used to run the whole simulation, then fail in np.linspace
+    rc = main(["run", "--problem", "advection_smooth", "--k", "1",
+               "--gen", "3,3", "--tend", "0.01", "--sample-grid", "-2",
+               "--out", str(tmp_path / "p")])
+    assert rc == 2
+    assert "'sample_grid'" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -248,6 +276,82 @@ def test_snapshot_bytes_match_csv_writer(tmp_path):
     assert (tmp_path / "snap.csv").read_bytes() == want
 
 
+def per_row_snapshot(path, op, state):
+    """The per-row f-string writer `_write_snapshot` replaced, as reference."""
+    nc, nm, d = state.coeffs.shape
+    suffixes = [f"{l},{comp}," for l in range(nm) for comp in range(d)]
+    values = state.coeffs.reshape(nc, nm * d).tolist()
+    with open(path, "w", newline="") as out:
+        out.write("cell_id,centroid_x,centroid_y,mode,component,value\r\n")
+        for c, ((cx, cy), row) in enumerate(zip(op.mesh.centroid.tolist(),
+                                                values)):
+            prefix = f"{c},{cx:.17g},{cy:.17g},"
+            out.write("".join([f"{prefix}{sfx}{v:.17g}\r\n"
+                               for sfx, v in zip(suffixes, row)]))
+
+
+def snapshot_case(model_name, k, nx, ny, seed):
+    """An operator on a perturbed unit-square mesh and a smooth state."""
+    from tridg.dg import SpatialOperator
+    from tridg.mesh import generate_structured, perturb
+    from tridg.physics import Advection
+    model = Advection() if model_name == "advection" else Euler()
+    mesh = perturb(generate_structured((0, 0, 1, 1), nx, ny), 0.2, seed=seed)
+    op = SpatialOperator(mesh, model, k)
+    if model.n_components == 1:
+        state = op.project(lambda x, y: np.sin(3 * x) * np.exp(y))
+    else:
+        state = op.project(lambda x, y: model.from_primitive(1 + x, y, -x, 2.0))
+    return op, state
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("model", ["advection", "euler"])
+def test_snapshot_bytes_match_per_row_writer(tmp_path, model, k):
+    from tridg.cli import SNAPSHOT_CHUNK_ROWS, _write_snapshot
+    op, state = snapshot_case(model, k, 21, 20, seed=3)
+    # 840 cells: several full chunks and a partial last one
+    step = SNAPSHOT_CHUNK_ROWS // (op.nm * state.d)
+    assert op.mesh.n_cells > 2 * step and op.mesh.n_cells % step
+    special = [-0.0, 1e-300, 1e300, -3.25, -1e-300, -1e300, 0.1, -2 / 3,
+               np.nan, np.inf, -np.inf, 5e-324]
+    state.coeffs.flat[:6] = special[:6]
+    state.coeffs.flat[-6:] = special[6:]
+    # the last cell of the first chunk and the first of the second
+    state.coeffs[step - 1:step + 1, -1, -1] = [1 / 3, -0.0]
+    _write_snapshot(tmp_path / "snap.csv", op, state)
+    per_row_snapshot(tmp_path / "ref.csv", op, state)
+    want = (tmp_path / "ref.csv").read_bytes()
+    assert all(v in want for v in (b",-0\r\n", b",1e-300\r\n", b",nan\r\n",
+                                   b",-inf\r\n",
+                                   b",4.9406564584124654e-324\r\n"))
+    assert want.count(b"\n") == 1 + op.mesh.n_cells * op.nm * state.d
+    assert (tmp_path / "snap.csv").read_bytes() == want
+
+
+def test_snapshot_prefixes_follow_the_operator(tmp_path):
+    # two operators on different meshes, written alternately in one process,
+    # then one made after the first is freed: each file has its own centroids
+    import gc
+
+    from tridg.cli import _write_snapshot
+    cases = [snapshot_case("advection", 1, 5, 4, seed=1),
+             snapshot_case("euler", 2, 4, 5, seed=2)]
+    for i in range(4):
+        op, state = cases[i % 2]
+        _write_snapshot(tmp_path / "snap.csv", op, state)
+        per_row_snapshot(tmp_path / "ref.csv", op, state)
+        assert (tmp_path / "snap.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+    del cases[0], op, state
+    gc.collect()
+    op, state = snapshot_case("advection", 1, 4, 5, seed=4)
+    _write_snapshot(tmp_path / "snap.csv", op, state)
+    per_row_snapshot(tmp_path / "ref.csv", op, state)
+    assert (tmp_path / "snap.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+
 def test_decomp_records_raw_nodes(tmp_path):
     out = tmp_path / "d.csv"
     v = f"0,0,1,0,0.5,{math.sqrt(3) / 2}"
@@ -329,6 +433,20 @@ def test_samples_bytes_match_brute_force_scan(tmp_path, case, n):
     assert new == (tmp_path / "ref.csv").read_bytes()
     rows = new.count(b"\n") - 1
     assert rows == (n * n if case != "l-shaped" else n * n - (n // 2) ** 2)
+
+
+@pytest.mark.parametrize("model,k", [("advection", 1), ("advection", 3),
+                                     ("euler", 1)])
+def test_batched_samples_match_per_point_evaluation(tmp_path, model, k):
+    from tridg.cli import _write_samples
+    op, state = snapshot_case(model, k, 6, 5, seed=6)
+    # discontinuous across cells, so picking the wrong cell changes the bytes
+    state.coeffs[:, 1:, :] += 0.01 * np.arange(op.mesh.n_cells)[:, None, None]
+    _write_samples(tmp_path / "new.csv", op, state, 15)
+    brute_force_samples(tmp_path / "ref.csv", op, state, 15)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert new.count(b"\n") == 1 + 15 * 15
 
 
 def test_run_calls_the_traced_entry_points_once(tmp_path, monkeypatch):
