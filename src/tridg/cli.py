@@ -6,10 +6,12 @@ Exit codes: 0 ok, 2 configuration error, 3 admissibility abort,
 
 import argparse
 import csv
+import ctypes
 import math
 import sys
 import time
 import weakref
+from dataclasses import fields
 
 import numpy as np
 
@@ -219,9 +221,19 @@ def cmd_run(args):
     return EXIT_OK
 
 
+# the RunConfig fields convergence_study takes (and `out`); it builds each
+# level's mesh and time step itself, so it would drop any other field
+CONVERGENCE_FIELDS = {"problem", "k", "rk", "oe", "tend", "out"}
+
+
 def cmd_convergence(args):
     cfg = _config_from_args(args)
     cfg.validate()
+    default = RunConfig()
+    for f in fields(RunConfig):
+        if (f.name not in CONVERGENCE_FIELDS
+                and getattr(cfg, f.name) != getattr(default, f.name)):
+            raise ConfigError(f"field {f.name!r}: not used by 'convergence'")
     rows = convergence_study(cfg.problem, cfg.k, args.levels,
                              oe_mode=cfg.oe_mode if cfg.oe != "off" else "off",
                              t_end=cfg.tend,
@@ -305,7 +317,37 @@ def build_parser():
     return p
 
 
+# glibc mallopt parameters and the values `main` gives them. A trim threshold
+# no run reaches keeps the heap top that each RK stage frees for the next
+# stage, where glibc's default would return it to the kernel and fault it
+# back in. Setting either threshold turns off glibc's dynamic mmap threshold,
+# so the mmap threshold is pinned at the 32 MiB ceiling that dynamic rule
+# stops at on 64-bit.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MALLOC_SETTINGS = ((M_TRIM_THRESHOLD, 1 << 30), (M_MMAP_THRESHOLD, 32 << 20))
+
+
+def keep_freed_memory():
+    """Best effort: set MALLOC_SETTINGS through the C library's `mallopt`.
+
+    Does nothing where the C library cannot be loaded or has no `mallopt`.
+    Only the command line calls this; a program that imports tridg keeps
+    its own allocator settings.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        # TypeError: platforms without a handle on the running process
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in MALLOC_SETTINGS:
+        mallopt(param, value)
+
+
 def main(argv=None):
+    keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,9 +1,18 @@
 import csv
+import json
 import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tridg.cli as cli
 from tridg.cli import main
 from tridg.config import RunConfig, load_config
 from tridg.physics import Burgers, Euler, ScaledModel
@@ -158,6 +167,32 @@ def test_convergence_command(tmp_path):
     rows = read_csv(out)
     l1 = [float(r["L1"]) for r in rows]
     assert all(a > b for a, b in zip(l1, l1[1:]))
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--cfl", "0.5"), ("--bp", "dcw"), ("--mesh", "m.txt"), ("--gen", "4,4"),
+    ("--level", "1"), ("--seed", "3"), ("--output-times", "0.1"),
+    ("--sample-grid", "4")])
+def test_convergence_rejects_run_flags_it_ignores(tmp_path, capsys, flag,
+                                                  value):
+    # convergence_study builds its own meshes and time steps: these flags
+    # used to be dropped without a word
+    out = tmp_path / "conv.csv"
+    rc = main(["convergence", "--problem", "advection_smooth", "--k", "1",
+               "--levels", "2", flag, value, "--out", str(out)])
+    assert rc == 2
+    field = flag[2:].replace("-", "_")
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_convergence_rejects_ignored_config_file_keys(tmp_path, capsys):
+    cfg_file = tmp_path / "conv.cfg"
+    cfg_file.write_text("problem = advection_smooth\nmax_steps = 10\n")
+    rc = main(["convergence", "--config", str(cfg_file), "--levels", "2",
+               "--out", str(tmp_path / "conv.csv")])
+    assert rc == 2
+    assert "field 'max_steps'" in capsys.readouterr().err
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -528,3 +563,84 @@ def test_benchmark_tracer_targets_resolve():
         assert owners, attr_path
         for owner in owners:
             assert callable(getattr(owner, attr)), (module_name, attr_path)
+
+
+def fake_cdll(mallopt=None, error=None):
+    """A ctypes.CDLL stand-in: a C library with the given mallopt, if any."""
+    def cdll(name):
+        if error is not None:
+            raise error
+        lib = types.SimpleNamespace()
+        if mallopt is not None:
+            lib.mallopt = mallopt
+        return lib
+    return cdll
+
+
+def test_main_sets_allocator_thresholds_before_the_command(monkeypatch):
+    events = []
+
+    def mallopt(param, value):
+        events.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll(mallopt))
+    monkeypatch.setattr(cli, "cmd_decomp",
+                        lambda args: events.append("decomp") or 0)
+    assert main(["decomp", "--vertices", "0,0,1,0,0,1"]) == 0
+    # M_TRIM_THRESHOLD 1 GiB, then M_MMAP_THRESHOLD 32 MiB
+    assert events == [(-1, 2 ** 30), (-3, 32 * 2 ** 20), "decomp"]
+
+
+@pytest.mark.parametrize("cdll", [fake_cdll(), fake_cdll(error=OSError("x"))],
+                         ids=["no-mallopt", "no-libc"])
+def test_main_runs_without_mallopt(tmp_path, monkeypatch, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    out = tmp_path / "dec.csv"
+    assert main(["decomp", "--vertices", "0,0,1,0,0,1", "--out",
+                 str(out)]) == 0
+    assert out.exists()
+
+
+# page faults per RK step of `tridg run`, counted in the process itself
+FAULT_PROBE = """
+import json, resource, sys
+import tridg.cli
+import tridg.timestepping as ts
+
+faults = []
+advance = ts.advance
+
+def counted(*args, **kwargs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = advance(*args, **kwargs)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return out
+
+ts.advance = counted
+print(json.dumps({"rc": tridg.cli.main(sys.argv[1:]), "faults": faults}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator settings are glibc mallopt calls")
+def test_run_steps_reuse_freed_memory(tmp_path):
+    # the benchmark's near-vacuum run: 768 cells, whose RK stages free more
+    # than they keep; with glibc's default thresholds each step gave the
+    # freed heap top back to the kernel and faulted ~350 pages back in
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE, "run",
+         "--problem", "euler_double_rarefaction", "--level", "1",
+         "--k", "1", "--rk", "rk22", "--oe", "ri", "--bp", "dcw",
+         "--tend", "0.005", "--out", str(tmp_path / "vac")],
+        capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    faults = record["faults"]
+    assert record["rc"] == 0 and len(faults) >= 8
+    # a count, not a time: the steady state takes no new pages
+    assert statistics.median(faults[len(faults) // 2:]) <= 10, faults

@@ -3,11 +3,12 @@ import pytest
 
 from tridg.dg import SpatialOperator
 from tridg.errors import ConfigError
-from tridg.harness import (cfl_ratio_scan, convergence_study, error_norms,
-                           random_triangle_lengths, rotation_experiment,
-                           solve_problem)
-from tridg.mesh import generate_structured
-from tridg.physics import Advection
+from tridg.harness import (_rotate_mesh, cfl_ratio_scan, convergence_study,
+                           error_norms, random_triangle_lengths,
+                           rotation_experiment, run_fixed_steps, solve_problem)
+from tridg.mesh import generate_structured, perturb
+from tridg.oe import OEFilter
+from tridg.physics import Advection, rotate_vector
 from tridg.problems import PROBLEMS, get_problem
 
 
@@ -106,6 +107,38 @@ def test_rotation_experiment_small():
     assert eps["max"] <= 1e-12
     eps_cw = rotation_experiment(mode="componentwise", k=1, n=8, steps=10)
     assert eps_cw["max"] > eps["max"]
+
+
+def rotated_twin_discrepancy(prob, mesh, mode, phi, steps):
+    """Largest cell-average difference of rho, velocity and p between a run
+    and its twin on the mesh rotated by phi, rotated back."""
+    model = prob.make_model()
+
+    def ic_rotated(x, y):
+        back = rotate_vector(np.stack([x, y], axis=-1), -phi)
+        return model.rotate_state(
+            np.asarray(prob.ic(back[..., 0], back[..., 1]), dtype=float), phi)
+
+    averages = []
+    for m, ic in ((mesh, prob.ic), (_rotate_mesh(mesh, phi), ic_rotated)):
+        op = SpatialOperator(m, model, 1, boundary=prob.boundary(model))
+        state = run_fixed_steps(op, op.project(ic), steps,
+                                oe=OEFilter(op, mode=mode))
+        averages.append(state.cell_averages())
+    u, u_r = averages
+    v = u[:, 1:3] / u[:, :1]
+    v_r = rotate_vector(u_r[:, 1:3] / u_r[:, :1], -phi)
+    return max(np.abs(u[:, 0] - u_r[:, 0]).max(), np.abs(v - v_r).max(),
+               np.abs(model.pressure(u) - model.pressure(u_r)).max())
+
+
+def test_rioe_equivariant_at_random_angles_on_perturbed_mesh():
+    prob = get_problem("euler_implosion_mild")
+    mesh = perturb(prob.make_rect_mesh(8), seed=3)
+    for phi in np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 3):
+        assert rotated_twin_discrepancy(prob, mesh, "rioe", phi, 10) <= 1e-12
+        assert rotated_twin_discrepancy(prob, mesh, "componentwise", phi,
+                                        10) >= 1e-6
 
 
 def test_solve_problem_smoke():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from tridg import timestepping
 from tridg.bp import BPLimiter
 from tridg.dg import ModalState, SpatialOperator
 from tridg.errors import AdmissibilityError, ConfigError, NumericsError
 from tridg.mesh import generate_structured, perturb
 from tridg.oe import OEFilter
 from tridg.physics import Advection, Euler
+from tridg.problems import get_problem
 from tridg.timestepping import (SSP_RK22, SSP_RK33, SSP_RK54, advance,
                                 default_scheme_for, run, scheme_by_name)
 
@@ -298,3 +300,37 @@ def test_mass_conserved_on_perturbed_mesh_with_rioe_and_dcw():
     scale = (mesh.area @ np.abs(st.coeffs[:, 0, :])).max()
     assert np.all(np.abs(mass - mass0) <= 1e-12 * scale)
     assert abs(mass[0] - mass0[0]) <= 1e-12 * mass0[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("scheme", ["dcw", "zxs"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("problem", ["euler_double_rarefaction",
+                                     "euler_implosion_mild"])
+def test_bp_positivity_at_unit_cfl_on_perturbed_meshes(monkeypatch, problem,
+                                                       k, scheme, seed):
+    # the paper's BP claim at exactly the BP time step: after every step,
+    # density and internal energy are positive at every check node. The
+    # limiter scales cells near the vacuum; the wall-bounded implosion only
+    # checks that the cell averages stay admissible with reflective walls.
+    prob = get_problem(problem)
+    model = prob.make_model()
+    op = SpatialOperator(perturb(prob.make_rect_mesh(16), seed=seed), model,
+                         k, boundary=prob.boundary(model))
+    check = BPLimiter(op, scheme)
+    lows = []
+
+    def checked_advance(*args, **kwargs):
+        out = advance(*args, **kwargs)
+        nodes = check.check_values(out.coeffs)
+        lows.append((nodes[..., 0].min(), model.internal_energy(nodes).min()))
+        return out
+
+    monkeypatch.setattr(timestepping, "advance", checked_advance)
+    res = run(op, op.project(prob.ic), 0.02,
+              oe=OEFilter(op, mode="rioe", guard_wavespeed=True),
+              bp_scheme=scheme, bounds=prob.bp_bounds, cfl_scale=1.0)
+    assert res.steps == len(lows) > 0
+    assert res.bp_violations > 0 or problem == "euler_implosion_mild"
+    rho_min, e_min = np.min(lows, axis=0)
+    assert rho_min > 0 and e_min > 0
