@@ -61,7 +61,6 @@ def _add_run_flags(p):
     p.add_argument("--tend", type=float, help="final time")
     p.add_argument("--cfl", type=float, help="CFL safety factor")
     p.add_argument("--out", help="output directory/prefix")
-    p.add_argument("--seed", type=int)
     p.add_argument("--output-times", dest="output_times")
     p.add_argument("--sample-grid", dest="sample_grid", type=int)
 
@@ -69,7 +68,7 @@ def _add_run_flags(p):
 def _config_from_args(args):
     cfg = load_config(args.config) if args.config else RunConfig()
     for name in ("problem", "k", "rk", "oe", "bp", "mesh", "gen", "level",
-                 "tend", "cfl", "out", "seed", "output_times", "sample_grid"):
+                 "tend", "cfl", "out", "output_times", "sample_grid"):
         v = getattr(args, name, None)
         if v is not None:
             setattr(cfg, name, v)

@@ -25,7 +25,6 @@ class RunConfig:
     tend: float = None
     cfl: float = 1.0
     out: str = None
-    seed: int = 0
     output_times: str = ""    # comma-separated times
     max_steps: int = 1_000_000
     sample_grid: int = 0      # optional uniform point sampling resolution

@@ -2,12 +2,14 @@
 
 The operator precomputes all basis/quadrature tables for a fixed (mesh, degree,
 model, boundary rules) so that residual evaluation is a few matrix products
-over cell and edge arrays. Edge traces and the edge scatter go through one
+over cell and edge arrays. On affine triangles every modal operator is a
 reference-element matrix shared by all cells, applied as one GEMM to the
-mode-major coefficients (nm, nc * d); edge orientation lives in precomputed
-gather indices. The volume term and the vertex derivatives keep one small
-matrix per cell. Interior edge fluxes are computed once per edge and scattered
-with opposite signs, which makes the scheme discretely conservative.
+mode-major coefficients (nm, nc * d), times a few per-cell Jacobian factors:
+edge orientation lives in precomputed gather indices, the volume term weighs
+the flux by each cell's contravariant vectors and the vertex derivatives go
+through per-cell transforms of order j. No table couples a cell to the modes.
+Interior edge fluxes are computed once per edge and scattered with opposite
+signs, which makes the scheme discretely conservative.
 """
 
 from dataclasses import dataclass
@@ -144,7 +146,6 @@ class SpatialOperator:
         # interior quadrature tables
         self.int_pts, self.int_w = quadrature.interior_points_ref(k)
         self.basis_int = basis.eval_modes(k, self.int_pts)           # (N, nm)
-        self.grad_int = basis.eval_grad(k, self.int_pts)             # (N, nm, 2)
         self.n_int = len(self.int_w)
 
         # edge quadrature tables; point p of local edge i runs from vertex
@@ -197,48 +198,51 @@ class SpatialOperator:
             xi[None, :, 0, None] * jac[:, None, :, 0]
             + xi[None, :, 1, None] * jac[:, None, :, 1])
 
-        self.mass = basis.cell_mass(mesh.area, k)                    # (nc, nm)
         self._gather_tables()
         self._build_operators()
 
     def _build_operators(self):
-        """Precompute the state-independent per-cell residual operators."""
-        mesh = self.mesh
-        nc, nm, N = mesh.n_cells, self.nm, self.n_int
-        # physical gradients dPsi/dx_b = sum_a dPsi/dxi_a (J^-1)_ab term by
-        # term, (nc, N, nm, 2), and the volume operator area * w_q * dPsi/dx_b
-        g, Ji = self.grad_int, mesh.jac_inv
-        G = (g[None, :, :, 0, None] * Ji[:, None, None, 0, :]
-             + g[None, :, :, 1, None] * Ji[:, None, None, 1, :])
-        vol = (mesh.area[:, None, None, None] * self.int_w[None, :, None, None]
-               * G)
-        self._vol_op = np.ascontiguousarray(
-            vol.transpose(0, 2, 1, 3).reshape(nc, nm, N * 2))
-        self._inv_mass = 1.0 / self.mass[:, :, None]
-        # mixed physical derivatives of all orders j <= k at the 3 vertices,
-        # (nc, 3 * n_derivs, nm); filled order by order in place so that setup
-        # holds no second copy of the operator
-        R = self.n_derivs
-        D = np.empty((nc, 3, R, nm))
-        for j, rows in enumerate(self.deriv_rows):
-            ref = np.stack([basis.eval_modes(self.k, REF_VERTICES,
-                                             r=j - ridx, s=ridx)
-                            for ridx in range(j + 1)], axis=1)       # (3,j+1,nm)
-            T = basis.physical_derivative_transform(mesh.jac_inv, j)  # (nc,j+1,j+1)
-            np.matmul(T[:, None], ref, out=D[:, :, rows, :])
-        self._vertex_deriv_op = D.reshape(nc, 3 * R, nm)
+        """Reference matrices and per-cell Jacobian factors of the residual.
+
+        The mass matrix 2|K| diag(||Psi_l||^2) splits into the reference
+        norms, folded into the rows of the volume and scatter matrices, and
+        1 / |det J| = 1 / (2|K|), applied per cell.
+        """
+        mesh, k = self.mesh, self.k
+        inv_norms = 1.0 / basis.REF_NORMS[: self.nm, None]
+        # volume term: w_q dPsi/dxi_a, columns (a, q), against the flux
+        # projected on the contravariant vectors |K| (row a of J^-1)
+        wg = self.int_w[:, None, None] * basis.eval_grad(k, self.int_pts)
+        self._vol_ref = inv_norms * wg.transpose(1, 2, 0).reshape(self.nm, -1)
+        self._scatter_ref = inv_norms * self.ref_trace.T             # (nm, 3Q)
+        # (2, 1, nc, 2) for (a, node, cell, b), C-contiguous: the models'
+        # broadcasts over (N, nc) run several times slower on a strided view
+        self._contravariant = np.ascontiguousarray(
+            (mesh.area[:, None, None] * mesh.jac_inv).transpose(1, 0, 2)
+        )[:, None]
+        self._inv_det = 0.5 / mesh.area[:, None, None]
+        # vertex jets: reference mixed derivatives d^(j-ridx)_xi d^ridx_eta,
+        # rows (stacked alpha, vertex), and per order j >= 1 the transform
+        # to physical derivatives as (j+1, j+1, nc)
+        self._jet_ref = np.concatenate([
+            basis.eval_modes(k, REF_VERTICES, r=j - ridx, s=ridx)
+            for j in range(k + 1) for ridx in range(j + 1)])         # (3R, nm)
+        self._jet_transforms = [np.ascontiguousarray(
+            basis.physical_derivative_transform(mesh.jac_inv, j)
+            .transpose(1, 2, 0)) for j in range(1, k + 1)]
 
     def _gather_tables(self):
         """Flat gather indices between cell-local and global edge orders.
 
         trace_sides (2, ne, Q) indexes rows (local edge, point, cell) of the
         (3Q * nc, d) trace GEMM result, at the edge Gauss points of both
-        sides in global edge-point order; endpoint_sides (2, ne, 2) indexes
-        (cell, local vertex) of both endpoints. A boundary edge reads its own
-        cell on side 1, where the ghost is written afterwards. The edge
-        scatter gathers the flux at every (local edge, point, cell) through
-        _flux_rows (3Q, nc) and weighs it by _flux_weights (3Q, nc, 1),
-        -sign * length * w_q, the minus of the edge term folded in.
+        sides in global edge-point order; endpoint_sides (2, 2, ne) indexes
+        rows (local vertex, cell) of node-major vertex arrays for (side,
+        endpoint, edge). A boundary edge reads its own cell on side 1, where
+        the ghost is written afterwards. The edge scatter gathers the flux
+        at every (local edge, point, cell) through _flux_rows (3Q, nc) and
+        weighs it by _flux_weights (3Q, nc, 1), -sign * length * w_q, the
+        minus of the edge term folded in.
         """
         mesh = self.mesh
         nc, Q = mesh.n_cells, self.Q
@@ -263,9 +267,9 @@ class SpatialOperator:
         # right cell traverses its local edge reversed
         lv_end = np.stack([(il + 1) % 3, (il + 2) % 3], axis=1)
         rv_end = np.stack([(ir + 2) % 3, (ir + 1) % 3], axis=1)
-        left = 3 * lc[:, None] + lv_end
+        left = lv_end.T * nc + lc
         self.endpoint_sides = np.stack([
-            left, np.where(rc[:, None] >= 0, 3 * rc[:, None] + rv_end, left)])
+            left, np.where(rc >= 0, rv_end.T * nc + rc, left)])
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -306,19 +310,18 @@ class SpatialOperator:
     def vertex_jets(self, coeffs):
         """Mixed physical derivatives of every order j <= k at cell vertices.
 
-        Returns (nc, 3, n_derivs, d); deriv_rows[j] selects order j on axis 2.
+        Returns (n_derivs, 3, nc, d), derivative-major: deriv_rows[j] selects
+        order j on axis 0, whose entries are alpha = (j - aidx, aidx).
         """
-        out = np.matmul(self._vertex_deriv_op, coeffs)
-        return out.reshape(len(coeffs), 3, self.n_derivs, coeffs.shape[2])
-
-    def vertex_derivatives(self, coeffs, j):
-        """Mixed physical derivatives of total order j at cell vertices.
-
-        Returns (nc, 3, j+1, d); axis 2 indexes alpha = (j - aidx, aidx).
-        """
-        nc, nm = len(coeffs), self.nm
-        D = self._vertex_deriv_op.reshape(nc, 3, self.n_derivs, nm)
-        return np.matmul(D[:, :, self.deriv_rows[j], :], coeffs[:, None])
+        nc, _, d = coeffs.shape
+        ref = (self._jet_ref @ self._modes_first(coeffs)).reshape(
+            self.n_derivs, 3, nc, d)
+        out = np.empty_like(ref)
+        out[0] = ref[0]
+        # d^alpha u = sum_ridx T[aidx, ridx] * reference derivative ridx
+        for T, rows in zip(self._jet_transforms, self.deriv_rows[1:]):
+            np.einsum("arc,rvcd->avcd", T, ref[rows], out=out[rows])
+        return out
 
     def evaluate(self, state, cell, points):
         """Evaluate the per-cell polynomial at physical points (…, 2)."""
@@ -338,6 +341,20 @@ class SpatialOperator:
             u_ext[pos] = rule.ghost(self.model, u_int_b[pos], X_b[pos],
                                     n_b[pos], t)
         return u_ext
+
+    def endpoint_ghosts(self, UE, t):
+        """Write the ghosts into side 1 of endpoint values UE (2, 2, ne, d).
+
+        Axes are (side, endpoint, edge, component), as endpoint_sides
+        gathers them; side 1 of a boundary edge holds its own cell's value
+        until this call.
+        """
+        bi = self.boundary_ids
+        if len(bi):
+            u_int = UE[0][:, bi].transpose(1, 0, 2)                  # (nb,2,d)
+            UE[1][:, bi] = self.boundary_ghost_values(
+                u_int, self.bnd_endpoints, self.bnd_endpoint_normals,
+                t).transpose(1, 0, 2)
 
     def _edge_states(self, coeffs, t, modes=None):
         """Two-sided states at the edge Gauss points: (2, ne, Q, d).
@@ -391,19 +408,20 @@ class SpatialOperator:
 
         fhat = self.model.lf_flux(U, self.edge_normal[:, None, :], alpha)
 
-        # volume term: area * sum_q w_q F(u) . grad Psi
-        U = self._at_nodes(self.basis_int, modes, d).transpose(1, 0, 2)
-        Fv = self.model.flux_unchecked(U)                             # (nc,N,2,d)
-        R = np.matmul(self._vol_op, Fv.reshape(nc, 2 * self.n_int, d))
+        # volume term: sum_a sum_q w_q dPsi/dxi_a F(u) . (|K| row a of J^-1)
+        U = self._at_nodes(self.basis_int, modes, d)                 # (N,nc,d)
+        Fc = self.model.normal_flux_unchecked(U, self._contravariant)
+        R = self._vol_ref @ Fc.reshape(2 * self.n_int, nc * d)       # (nm,nc*d)
 
         # edge contributions: -sign * l * sum_nu w_nu fhat Psi, in each
         # cell's traversal order, through the shared reference matrix
         F = np.take(fhat.reshape(-1, d), self._flux_rows, axis=0)    # (3Q,nc,d)
         F *= self._flux_weights
-        E = self.ref_trace.T @ F.reshape(3 * self.Q, nc * d)         # (nm,nc*d)
-        R += E.reshape(self.nm, nc, d).transpose(1, 0, 2)
-        R *= self._inv_mass
-        return R
+        R += self._scatter_ref @ F.reshape(3 * self.Q, nc * d)
+        out = np.empty((nc, self.nm, d))
+        np.multiply(R.reshape(self.nm, nc, d).transpose(1, 0, 2),
+                    self._inv_det, out=out)
+        return out
 
     # -- projection ---------------------------------------------------------
 
@@ -443,11 +461,10 @@ class SpatialOperator:
         if mode == "edge_gauss":
             return s
 
-        # endpoint traces from both sides, (2, ne, 2, d)
-        VV = self.vertex_values(coeffs).reshape(3 * len(coeffs), -1)
-        UE = np.take(VV, self.endpoint_sides, axis=0)
-        bi = self.boundary_ids
-        if len(bi):
-            UE[1, bi] = self.boundary_ghost_values(
-                UE[0, bi], self.bnd_endpoints, self.bnd_endpoint_normals, t)
-        return max(s, float(np.max(self.model.wavespeed(UE, n))))
+        # endpoint traces from both sides, (2, 2, ne, d)
+        d = coeffs.shape[2]
+        V = self._at_nodes(self.vertex_basis, self._modes_first(coeffs), d)
+        UE = np.take(V.reshape(-1, d), self.endpoint_sides, axis=0)
+        self.endpoint_ghosts(UE, t)
+        return max(s, float(np.max(self.model.wavespeed(UE,
+                                                        self.edge_normal))))

@@ -25,15 +25,16 @@ class Model:
     def flux(self, u):
         raise NotImplementedError
 
-    def flux_unchecked(self, u):
-        # volume-quadrature path: no admissibility checks
-        return self.flux(u)
-
     def normal_flux(self, u, n):
         """F(u) . n = F_x n1 + F_y n2 for normals n (..., 2): (..., d)."""
         f = self.flux(u)
         n = np.asarray(n, dtype=float)
         return f[..., 0, :] * n[..., 0, None] + f[..., 1, :] * n[..., 1, None]
+
+    def normal_flux_unchecked(self, u, n):
+        # volume-quadrature path: no admissibility checks; n need not be a
+        # unit vector
+        return self.normal_flux(u, n)
 
     def wavespeed(self, u, n):
         """Bound on |eigenvalues of F'(u) . n| for unit normal n."""
@@ -176,10 +177,14 @@ class Euler(Model):
         return f
 
     def normal_flux(self, u, n):
-        """F_x n1 + F_y n2 from the terms of flux_unchecked, without F."""
         u = np.asarray(u, dtype=float)
         if np.any(u[..., 0] <= 0):
             raise AdmissibilityError("non-positive density in flux evaluation")
+        return self.normal_flux_unchecked(u, n)
+
+    def normal_flux_unchecked(self, u, n):
+        """F_x n1 + F_y n2 from the terms of flux_unchecked, without F."""
+        u = np.asarray(u, dtype=float)
         m1, m2, v1, v2, p, Ep = self._velocity_pressure(u)
         n = np.asarray(n, dtype=float)
         n1, n2 = n[..., 0], n[..., 1]
@@ -260,8 +265,8 @@ class ScaledModel(Model):
     def flux(self, u):
         return self.lam * self.base.flux(u)
 
-    def flux_unchecked(self, u):
-        return self.lam * self.base.flux_unchecked(u)
+    def normal_flux_unchecked(self, u, n):
+        return self.lam * self.base.normal_flux_unchecked(u, n)
 
     def wavespeed(self, u, n):
         return self.lam * self.base.wavespeed(u, n)

@@ -171,7 +171,7 @@ def test_convergence_command(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [
     ("--cfl", "0.5"), ("--bp", "dcw"), ("--mesh", "m.txt"), ("--gen", "4,4"),
-    ("--level", "1"), ("--seed", "3"), ("--output-times", "0.1"),
+    ("--level", "1"), ("--output-times", "0.1"),
     ("--sample-grid", "4")])
 def test_convergence_rejects_run_flags_it_ignores(tmp_path, capsys, flag,
                                                   value):

@@ -1,4 +1,6 @@
 import copy
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,10 @@ from tridg.dg import (REF_VERTICES, ExactBC, Inflow, ModalState, Outflow,
                       Reflective, SpatialOperator, ghost_state)
 from tridg.errors import AdmissibilityError, ConfigError
 from tridg.mesh import build_mesh, generate_structured, perturb, refine_uniform
+from tridg.oe import OEFilter
 from tridg.physics import Advection, Burgers, Euler, ScaledModel
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def single_ref_cell():
@@ -211,18 +216,26 @@ def test_max_wavespeed_modes(periodic_square):
         op.max_wavespeed(st.coeffs, mode="bogus")
 
 
+def vertex_derivatives(op, coeffs, j):
+    """Order-j mixed physical derivatives at the cell vertices.
+
+    Returns (nc, 3, j+1, d); axis 2 indexes alpha = (j - aidx, aidx).
+    """
+    return op.vertex_jets(coeffs)[op.deriv_rows[j]].transpose(2, 1, 0, 3)
+
+
 def test_vertex_derivatives_match_polynomial():
     # quadratic with known mixed derivatives
     m = perturb(generate_structured((0, 0, 1, 1), 3, 3), 0.2, seed=4)
     op = SpatialOperator(m, Advection(), 2)
     st = op.project(lambda x, y: x * x + 3 * x * y - 2 * y * y + x - y + 0.5)
     verts = m.vertices[m.cells]  # (nc, 3, 2)
-    d1 = op.vertex_derivatives(st.coeffs, 1)[..., 0]  # (nc, 3, 2)
+    d1 = vertex_derivatives(op, st.coeffs, 1)[..., 0]  # (nc, 3, 2)
     ux = 2 * verts[..., 0] + 3 * verts[..., 1] + 1
     uy = 3 * verts[..., 0] - 4 * verts[..., 1] - 1
     assert np.allclose(d1[..., 0], ux, atol=1e-11)
     assert np.allclose(d1[..., 1], uy, atol=1e-11)
-    d2 = op.vertex_derivatives(st.coeffs, 2)[..., 0]  # alpha = (2,0),(1,1),(0,2)
+    d2 = vertex_derivatives(op, st.coeffs, 2)[..., 0]  # alpha = (2,0),(1,1),(0,2)
     assert np.allclose(d2[..., 0], 2.0, atol=1e-10)
     assert np.allclose(d2[..., 1], 3.0, atol=1e-10)
     assert np.allclose(d2[..., 2], -4.0, atol=1e-10)
@@ -291,7 +304,8 @@ def with_stacked_fluxes(model):
         return 0.5 * (fi + fe - alpha * (u[1] - u[0]))
 
     ref.lf_flux = lf_flux
-    ref.flux_unchecked = lambda u: stacked_flux(model, u)
+    ref.normal_flux_unchecked = lambda u, n: np.einsum(
+        "...kd,...k->...d", stacked_flux(model, u), n)
     return ref
 
 
@@ -405,12 +419,55 @@ class PerCellEdgeOperators:
         fhat = op.model.lf_flux(U, op.edge_normal[:, None, :], alpha)
         F_ce = fhat[op.mesh.cell_edges].reshape(nc, 3 * op.Q, d)
         R = -np.matmul(self.scatter_op, F_ce)
-        Fv = op.model.flux_unchecked(op.interior_values(coeffs))
-        R += np.matmul(op._vol_op, Fv.reshape(nc, 2 * op.n_int, d))
-        return R / op.mass[:, :, None]
+        R += PerCellVolumeAndJets(op).volume(coeffs)
+        return R / basis.cell_mass(op.mesh.area, op.k)[:, :, None]
 
     def vertex_values(self, coeffs):
         return np.matmul(self.op.vertex_basis, coeffs)
+
+
+class PerCellVolumeAndJets:
+    """The per-cell volume and vertex-derivative matrices the operator once
+    stored, with their batched products.
+
+    vol_op (nc, nm, 2N) is area * w_q * dPsi/dx_b, columns (q, b); jet_op
+    (nc, 3 * n_derivs, nm) maps a cell's modes to the mixed physical
+    derivatives of every order at its vertices, rows (vertex, stacked alpha).
+    """
+
+    def __init__(self, op):
+        mesh, k = op.mesh, op.k
+        nc, nm, N = mesh.n_cells, op.nm, op.n_int
+        g, Ji = basis.eval_grad(k, op.int_pts), mesh.jac_inv
+        G = (g[None, :, :, 0, None] * Ji[:, None, None, 0, :]
+             + g[None, :, :, 1, None] * Ji[:, None, None, 1, :])
+        vol = (mesh.area[:, None, None, None] * op.int_w[None, :, None, None]
+               * G)
+        self.vol_op = np.ascontiguousarray(
+            vol.transpose(0, 2, 1, 3).reshape(nc, nm, N * 2))
+        R = op.n_derivs
+        D = np.empty((nc, 3, R, nm))
+        for j, rows in enumerate(op.deriv_rows):
+            ref = np.stack([basis.eval_modes(k, REF_VERTICES,
+                                             r=j - ridx, s=ridx)
+                            for ridx in range(j + 1)], axis=1)       # (3,j+1,nm)
+            T = basis.physical_derivative_transform(Ji, j)           # (nc,j+1,j+1)
+            np.matmul(T[:, None], ref, out=D[:, :, rows, :])
+        self.jet_op = D.reshape(nc, 3 * R, nm)
+        self.op = op
+
+    def volume(self, coeffs):
+        """area * sum_q w_q F(u) . grad Psi per cell: (nc, nm, d)."""
+        op = self.op
+        nc, _, d = coeffs.shape
+        Fv = op.model.flux(op.interior_values(coeffs))               # (nc,N,2,d)
+        return np.matmul(self.vol_op, Fv.reshape(nc, 2 * op.n_int, d))
+
+    def vertex_jets(self, coeffs):
+        """(n_derivs, 3, nc, d), the layout of SpatialOperator.vertex_jets."""
+        nc, _, d = coeffs.shape
+        out = np.matmul(self.jet_op, coeffs)
+        return out.reshape(nc, 3, self.op.n_derivs, d).transpose(2, 1, 0, 3)
 
 
 def assert_close_to_max(got, want, rtol=1e-13):
@@ -484,28 +541,107 @@ def test_mass_conserved_on_perturbed_periodic_mesh(k):
     assert abs(mesh.area @ R0) <= 1e-13 * (mesh.area @ np.abs(R0))
 
 
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("model,mode", [
+    (Advection(), "componentwise"), (Burgers(), "componentwise"),
+    (Euler(), "componentwise"), (Euler(), "rioe"),
+    (ScaledModel(Euler(), 2.5), "componentwise"),
+    (ScaledModel(Euler(), 2.5), "rioe")],
+    ids=lambda v: getattr(v, "name", v))
+def test_volume_and_jets_match_per_cell_reference(mesh_name, k, model, mode):
+    mesh = MESHES[mesh_name]
+    rng = np.random.default_rng(60 + k)
+    if model.positivity_constrained:
+        mean = Euler().from_primitive(1.0, 0.3, -0.2, 1.0)
+        inflow = Inflow(Euler().from_primitive(1.2, 0.5, 0.1, 0.9))
+    else:
+        mean = 0.5
+        inflow = Inflow(lambda x, y, t: np.sin(3 * x + y + t)[..., None])
+    boundary = {"IN": inflow, "OUT": Outflow(), "WALL": Reflective()}
+    op = SpatialOperator(mesh, model, k, boundary=boundary)
+    ref = PerCellVolumeAndJets(op)
+    coeffs = 0.02 * rng.standard_normal((mesh.n_cells, op.nm, op.d))
+    coeffs[:, 0, :] += mean
+
+    assert_close_to_max(op.vertex_jets(coeffs), ref.vertex_jets(coeffs))
+    assert_close_to_max(op.residual(coeffs, 2.5, t=0.3),
+                        PerCellEdgeOperators(op).residual(coeffs, 2.5, 0.3))
+    # the filter on an operator whose jets come from the per-cell matrices;
+    # the clamped wavespeed keeps rough P4 vertex values usable
+    ref_op = copy.copy(op)
+    ref_op.vertex_jets = ref.vertex_jets
+    X = OEFilter(op, mode=mode, guard_wavespeed=True).damping_exponents(
+        coeffs, 0.01, t=0.3)
+    want = OEFilter(ref_op, mode=mode, guard_wavespeed=True) \
+        .damping_exponents(coeffs, 0.01, t=0.3)
+    assert np.abs(want).min() > 0
+    assert_close_to_max(X, want)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_volume_operator_and_points_match_einsum_formulas(k):
     mesh = MESHES["perturbed-periodic"]
     op = SpatialOperator(mesh, Advection(), k)
-    G = np.einsum("qla,cab->cqlb", op.grad_int, mesh.jac_inv)
+    G = np.einsum("qla,cab->cqlb", basis.eval_grad(k, op.int_pts),
+                  mesh.jac_inv)
     vol = mesh.area[:, None, None, None] * op.int_w[None, :, None, None] * G
     want = vol.transpose(0, 2, 1, 3).reshape(mesh.n_cells, op.nm, -1)
-    assert np.array_equal(op._vol_op, want)
+    assert np.array_equal(PerCellVolumeAndJets(op).vol_op, want)
+    # the shared form: the reference matrix, its rows scaled back by the
+    # reference norms, against the contravariant vectors |K| (row a of J^-1)
+    shared = np.einsum("laq,acb->clqb",
+                       op._vol_ref.reshape(op.nm, 2, op.n_int),
+                       op._contravariant[:, 0])
+    shared *= basis.REF_NORMS[: op.nm, None, None]
+    assert_close_to_max(shared.reshape(mesh.n_cells, op.nm, -1), want)
     X = (mesh.vertices[mesh.cells[:, 0]][:, None, :]
          + np.einsum("qa,cba->cqb", op.int_pts, mesh.jac))
     assert np.array_equal(op.int_points_phys, X)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+def named_arrays(obj):
+    """(attribute, array) for every array an object holds, in lists too."""
+    for name, value in vars(obj).items():
+        stack = [value]
+        while stack:
+            v = stack.pop()
+            if isinstance(v, np.ndarray):
+                yield name, v
+            elif isinstance(v, (list, tuple)):
+                stack.extend(v)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_no_per_cell_trace_or_scatter_matrix(k):
-    # at k = 1 the volume operator (nc, nm, 2N) has the shape (nc, nm, 3Q)
-    mesh = MESHES["perturbed-periodic"]
+    # no array on the operator or the filter has both a cell axis and a mode
+    # axis; the per-cell tables below have edge points, interior nodes or
+    # local edges where a length can equal nm (3Q = nm at k = 4, N = 3 local
+    # edges = nm at k = 1); 60 cells, more than any reference table has rows
+    # or columns
+    mesh = perturb(generate_structured((0, 0, 1, 1), 6, 5,
+                                       periodic=("x", "y")), 0.3, seed=2)
     op = SpatialOperator(mesh, Euler(), k)
     nc, nm, Q = mesh.n_cells, op.nm, op.Q
-    per_cell = {(nc, 3 * Q, nm), (nc, nm, 3 * Q), (nc, 3, Q, nm),
-                (nc, nm, 3, Q)}
-    arrays = {name: v.shape for name, v in vars(op).items()
-              if isinstance(v, np.ndarray)}
+    known = {"_flux_rows": (3 * Q, nc), "_flux_weights": (3 * Q, nc, 1),
+             "int_points_phys": (nc, op.n_int, 2), "A_h": (k + 1, 3, nc)}
+    arrays = [*named_arrays(op), *named_arrays(OEFilter(op, mode="rioe"))]
     assert arrays
-    assert not {name for name, shape in arrays.items() if shape in per_cell}
+    flagged = [(name, a.shape) for name, a in arrays
+               if nc in a.shape and nm in a.shape]
+    assert all(known.get(name) == shape for name, shape in flagged)
+
+
+def test_retained_operator_bytes_per_cell_at_p3(monkeypatch):
+    # the numpy bytes a k = 3 operator keeps on the 64 x 64 periodic mesh,
+    # counted as the benchmark counts them; one matrix per cell on the modes
+    # took 5.2 KB per cell
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_child",
+                                                  PERFBENCH / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    mesh = generate_structured((0, 0, 1, 1), 64, 64, periodic=("x", "y"))
+    op = SpatialOperator(mesh, Advection(), 3)
+    per_cell = child.retained_bytes(vars(op), set()) / mesh.n_cells
+    assert per_cell <= 1500

@@ -22,6 +22,41 @@ def random_state(op, rng, d=None, scale=1.0):
         (op.mesh.n_cells, op.nm, d)))
 
 
+# -- the filter's intermediate quantities, read through its private passes ---
+
+def edge_jumps(f, coeffs, t=0.0):
+    """Derivative jumps at edge endpoints for j = 0..k.
+
+    Element j has shape (ne, 2, j+1, d) indexed by (edge, endpoint, alpha,
+    component). 'copy' boundary edges are zero.
+    """
+    J = f._endpoint_pass(coeffs, t)[0]                       # (R,2,ne,d)
+    return [J[rows].transpose(2, 1, 0, 3) for rows in f.op.deriv_rows]
+
+
+def edge_wavespeeds(f, coeffs, t=0.0):
+    """beta per edge: max wavespeed over the two endpoints and both sides."""
+    return f._beta(f._endpoint_pass(coeffs, t)[1])
+
+
+def jump_measures(f, coeffs, t=0.0):
+    """Component-wise jump measures delta[cell, edge, j, component]."""
+    J = f._endpoint_pass(coeffs, t)[0]
+    G = f._edge_measures(coeffs, J, rotated=False)           # (k+1,ne,d)
+    mesh = f.op.mesh
+    Ah = mesh.height.T[None] * f.A_h                         # (k+1,3,nc)
+    delta = Ah[..., None] * np.take(G, mesh.cell_edges.T, axis=1)
+    return delta.transpose(2, 1, 0, 3)
+
+
+def vertex_derivatives(op, coeffs, j):
+    """Order-j mixed physical derivatives at the cell vertices.
+
+    Returns (nc, 3, j+1, d); axis 2 indexes alpha = (j - aidx, aidx).
+    """
+    return op.vertex_jets(coeffs)[op.deriv_rows[j]].transpose(2, 1, 0, 3)
+
+
 def test_damping_prefactor():
     # (2j+1)/((2k-1) j!)
     assert damping_prefactor(1, 0) == pytest.approx(1.0)
@@ -129,7 +164,7 @@ def test_piecewise_constant_delta_value():
         coeffs = np.zeros((mesh.n_cells, op.nm, 1))
         right = mesh.centroid[:, 0] > 0.5
         coeffs[right, 0, 0] = 1.0
-        jumps = f._edge_jumps(coeffs, 0.0)
+        jumps = edge_jumps(f, coeffs)
         S0 = 0.5 * (jumps[0][:, 0, 0, 0] ** 2 + jumps[0][:, 1, 0, 0] ** 2)
         # interface edges: those whose two cells differ
         lc, rc = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
@@ -153,7 +188,7 @@ def test_beta_advection_independent_of_state(rng):
     op = make_op(k=1)
     f = OEFilter(op)
     st = random_state(op, rng)
-    beta = f._edge_wavespeed(st.coeffs, 0.0)
+    beta = edge_wavespeeds(f, st.coeffs)
     n = op.edge_normal
     assert np.allclose(beta, np.abs(n[:, 0] + n[:, 1]), atol=1e-14)
 
@@ -164,7 +199,7 @@ def test_beta_burgers_endpoint_max():
     op = SpatialOperator(mesh, Burgers(), 1)
     f = OEFilter(op)
     st = op.project(lambda x, y: 3.0 * x - 1.0)  # values in [-1, 2]
-    beta = f._edge_wavespeed(st.coeffs, 0.0)
+    beta = edge_wavespeeds(f, st.coeffs)
     eid = mesh.interior_edge_ids[0]
     n = op.edge_normal[eid]
     # diagonal edge endpoints (1,0) and (0,1): |u| max is 2 at (1,0)
@@ -189,7 +224,7 @@ def test_beta_euler_matches_wavespeed(rng):
     op = SpatialOperator(mesh, model, 1, boundary=prob.boundary(model))
     f = OEFilter(op, mode="rioe")
     st = op.project(prob.ic)
-    beta = f._edge_wavespeed(st.coeffs, 0.0)
+    beta = edge_wavespeeds(f, st.coeffs)
     VV = op.vertex_values(st.coeffs)
     lc = mesh.edge_cells[:, 0]
     u_end = VV[lc[:, None], endpoint_vertices(mesh)[0]]
@@ -221,20 +256,20 @@ def test_outflow_edges_contribute_no_jump():
     op = SpatialOperator(mesh, Advection(), 1)
     f = OEFilter(op)
     st = op.project(lambda x, y: np.sin(x + y))
-    jumps = f._edge_jumps(st.coeffs, 0.0)
+    jumps = edge_jumps(f, st.coeffs)
     for eid in mesh.boundary_edge_ids:
         assert np.all(jumps[0][eid] == 0.0)
         assert np.all(jumps[1][eid] == 0.0)
 
 
 def test_jump_measures_consistent_with_exponents(rng):
-    # recombining the public jump measures and wavespeeds reproduces the
+    # recombining the jump measures and the edge wavespeeds reproduces the
     # damping exponents (component-wise mode)
     op = make_op(k=2)
     f = OEFilter(op)
     st = random_state(op, rng)
-    delta = f.jump_measures(st.coeffs)
-    beta = f.edge_wavespeeds(st.coeffs)[op.mesh.cell_edges]
+    delta = jump_measures(f, st.coeffs)
+    beta = edge_wavespeeds(f, st.coeffs)[op.mesh.cell_edges]
     sigma = ((beta / op.mesh.height)[:, :, None, None] * delta).sum(axis=1)
     dt = 0.03
     want = dt * np.cumsum(sigma, axis=1)[:, 1:, :]
@@ -304,7 +339,7 @@ def reference_damping_exponents(f, coeffs, dt, t=0.0):
 
     jumps = []
     for j in range(k + 1):
-        Vd = op.vertex_derivatives(coeffs, j)
+        Vd = vertex_derivatives(op, coeffs, j)
         J = np.zeros((ne, 2, j + 1, d))
         J_int = Vd[lc[:, None], lv_end]
         J[ii] = J_int[ii] - Vd[rc[ii, None], rv_end[ii]]
@@ -387,33 +422,33 @@ def concatenated_edge_measures(f, coeffs, J, rotated):
     sq = J * J
     if rotated:
         m1, m2 = J[..., f.mom[0]], J[..., f.mom[1]]
-        nrm = f.op.edge_normal[:, None, None, :]
-        jn = nrm[..., 0] * m1 + nrm[..., 1] * m2
-        jt = -nrm[..., 1] * m1 + nrm[..., 0] * m2
+        n1, n2 = f.op.edge_normal[:, 0], f.op.edge_normal[:, 1]
+        jn = n1 * m1 + n2 * m2
+        jt = -n2 * m1 + n1 * m2
         sq = np.concatenate([sq, (jn * jn)[..., None],
                              (jt * jt)[..., None]], axis=3)
-    ne, _, R, dd = sq.shape
-    S = sq.transpose(0, 3, 1, 2).reshape(ne * dd, 2 * R) @ f.weights
-    root = np.sqrt(S).reshape(ne, dd, f.k + 1)
+    R, _, ne, dd = sq.shape
+    S = f.weights @ sq.reshape(2 * R, ne * dd)
+    root = np.sqrt(S).reshape(f.k + 1, ne, dd)
     ubar, dev, mdev = reference_deviation(f.op, coeffs)
     active = dev > EPS_DEVIATION * np.maximum(1.0, np.abs(ubar))
     inv_dev = np.where(active, 1.0 / np.where(active, dev, 1.0), 0.0)
-    G = root[:, :d, :] * inv_dev[None, :, None]
+    G = root[..., :d] * inv_dev
     if rotated:
         dhat = 0.0
         if mdev > EPS_DEVIATION * max(1.0, float(np.hypot(*ubar[f.mom]))):
-            dhat = (np.maximum(root[:, d], root[:, d + 1]) / mdev)[:, None, :]
-        G[:, f.mom, :] = dhat
+            dhat = (np.maximum(root[..., d], root[..., d + 1]) / mdev)[..., None]
+        G[..., f.mom] = dhat
     return G
 
 
 def concatenated_damping_exponents(f, coeffs, dt, t=0.0):
     J, u = f._endpoint_pass(coeffs, t)
     G = concatenated_edge_measures(f, coeffs, J, rotated=bool(f.mom))
-    ce = f.op.mesh.cell_edges
-    w = f._beta(u)[ce][:, :, None] * f.A_h
-    sigma = np.einsum("cej,cedj->cdj", w, np.take(G, ce, axis=0))
-    return dt * np.cumsum(sigma, axis=2)[:, :, 1:].transpose(0, 2, 1)
+    ce = f.op.mesh.cell_edges.T
+    w = f._beta(u)[ce] * f.A_h
+    sigma = np.einsum("jec,jecd->jcd", w, np.take(G, ce, axis=1))
+    return dt * np.cumsum(sigma, axis=0)[1:].transpose(1, 0, 2)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
