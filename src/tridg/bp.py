@@ -12,7 +12,7 @@ from math import sqrt
 
 import numpy as np
 
-from .dg import ModalState
+from .dg import ModalState, component_major, modal_view
 from .errors import AdmissibilityError, ConfigError
 
 SCHEMES = ("dcw", "zxs")
@@ -345,70 +345,80 @@ class BPLimiter:
         np.put_along_axis(self.w_local, mesh.sort_order, w, axis=1)
         self.sum_w = self.w_local.sum(axis=1)
         # local indices of the vertices opposite the two longest edges, for
-        # k=1 dcw only
-        self.vert_ids = (mesh.sort_order[:, :2, None]
+        # k=1 dcw only: (2, 1, nc) against node-major (3, d, nc) values
+        self.vert_ids = (np.ascontiguousarray(mesh.sort_order[:, :2].T)[:, None]
                          if self.k == 1 and scheme == "dcw" else None)
 
         self.violations = 0                      # cells scaled so far
 
     def check_values(self, coeffs):
-        """Conserved state at every check node: (nc, n_nodes, d).
+        """Conserved state at every check node: (nc, n_nodes, d), a view.
 
         Nodes: the 3*Q edge Gauss points (in the cell's traversal order, as
         SpatialOperator.traces gives them), then the two vertices (k=1 dcw) or
         the remainder u* = (mean - sum_i w_i avg_i) / (1 - sum w) (k=2).
         """
-        nc, _, d = coeffs.shape
-        tr = self.op.traces(coeffs)                          # (nc,3,Q,d)
-        vals = [tr.reshape(nc, -1, d)]
+        return self._node_values(component_major(coeffs)).transpose(2, 0, 1)
+
+    def _node_values(self, buf):
+        """check_values of the buffer buf (nm, d, nc), node-major:
+        (n_nodes, d, nc)."""
+        op, coeffs = self.op, modal_view(buf)
+        # the component-major arrays behind the views traces and
+        # vertex_values return
+        tr = op.traces(coeffs).transpose(1, 2, 3, 0).reshape(
+            3 * op.Q, *buf.shape[1:])                            # (3Q,d,nc)
+        vals = [tr]
         if self.vert_ids is not None:
-            vv = self.op.vertex_values(coeffs)               # (nc,3,d)
-            vals.append(np.take_along_axis(vv, self.vert_ids, axis=1))
+            vv = op.vertex_values(coeffs).transpose(1, 2, 0)     # (3,d,nc)
+            vals.append(np.take_along_axis(vv, self.vert_ids, axis=0))
         if self.k == 2:
-            avg = np.einsum("q,ciqd->cid", self.op.edge_w, tr)
-            num = coeffs[:, 0, :] - (self.w_local[:, :, None] * avg).sum(axis=1)
-            vals.append((num / (1.0 - self.sum_w)[:, None])[:, None, :])
-        return np.concatenate(vals, axis=1)
+            avg = np.einsum("q,iqdc->idc", op.edge_w,
+                            tr.reshape(3, op.Q, *tr.shape[1:]))
+            num = buf[0] - (self.w_local.T[:, None] * avg).sum(axis=0)
+            vals.append((num / (1.0 - self.sum_w))[None])
+        return np.concatenate(vals, axis=0)
 
     def apply(self, state):
-        coeffs = state.coeffs.copy()
-        mean = coeffs[:, 0, :]
+        buf = component_major(state.coeffs, copy=True)           # (nm,d,nc)
+        mean = buf[0]
         model = self.op.model
         if self.positivity:
-            rho_bar, e_bar = mean[:, 0], model.internal_energy(mean)
+            rho_bar, e_bar = mean[0], model.internal_energy(mean.T)
             bad = (rho_bar <= 0) | (e_bar <= 0)
             msg = "inadmissible cell average (CFL violation or upstream bug)"
         else:
             lo, hi = self.bounds
-            bad = (mean[:, 0] < lo - 1e-12) | (mean[:, 0] > hi + 1e-12)
+            bad = (mean[0] < lo - 1e-12) | (mean[0] > hi + 1e-12)
             msg = "cell average outside the invariant interval"
         if np.any(bad):
             raise AdmissibilityError(msg, cell=int(np.argmax(bad)))
-        vals = self.check_values(coeffs)
+        vals = self._node_values(buf)                            # (n,d,nc)
 
         if not self.positivity:
-            u = vals[..., 0]
+            u = vals[:, 0]
             # the upper bound is the lower bound of -u
-            theta = np.minimum(_theta(mean[:, 0], u.min(axis=1), lo),
-                               _theta(-mean[:, 0], -u.max(axis=1), -hi))
-            coeffs[:, 1:, 0] *= theta[:, None]
+            theta = np.minimum(_theta(mean[0], u.min(axis=0), lo),
+                               _theta(-mean[0], -u.max(axis=0), -hi))
+            buf[1:, 0] *= theta
             self.violations += int(np.sum(theta < 1.0))
-            return ModalState(state.k, coeffs, state.t)
+            return ModalState(state.k, modal_view(buf), state.t)
 
         # step 1: density positivity
-        theta1 = _theta(rho_bar, vals[..., 0].min(axis=1),
+        theta1 = _theta(rho_bar, vals[:, 0].min(axis=0),
                         np.minimum(rho_bar, self.EPS))
-        coeffs[:, 1:, 0] *= theta1[:, None]
+        buf[1:, 0] *= theta1
         # node values are linear in the modes: the density-fixed state has
         # rho_bar + theta1 (rho - rho_bar) at every node, u* included; only
         # scaled cells are rewritten, so the others keep their exact values
         cut = theta1 < 1.0
-        rb = rho_bar[cut, None]
-        vals[cut, :, 0] = rb + theta1[cut, None] * (vals[cut, :, 0] - rb)
+        rb = rho_bar[cut]
+        vals[:, 0, cut] = rb + theta1[cut] * (vals[:, 0, cut] - rb)
 
         # step 2: internal energy positivity on the density-fixed state
-        theta2 = _theta(e_bar, model.internal_energy(vals).min(axis=1),
+        e_nodes = model.internal_energy(vals.transpose(0, 2, 1))  # (n, nc)
+        theta2 = _theta(e_bar, e_nodes.min(axis=0),
                         np.minimum(e_bar, self.EPS))
-        coeffs[:, 1:, :] *= theta2[:, None, None]
+        buf[1:] *= theta2
         self.violations += int(np.sum(cut | (theta2 < 1.0)))
-        return ModalState(state.k, coeffs, state.t)
+        return ModalState(state.k, modal_view(buf), state.t)

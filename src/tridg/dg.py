@@ -2,14 +2,18 @@
 
 The operator precomputes all basis/quadrature tables for a fixed (mesh, degree,
 model, boundary rules) so that residual evaluation is a few matrix products
-over cell and edge arrays. On affine triangles every modal operator is a
-reference-element matrix shared by all cells, applied as one GEMM to the
-mode-major coefficients (nm, nc * d), times a few per-cell Jacobian factors:
-edge orientation lives in precomputed gather indices, the volume term weighs
-the flux by each cell's contravariant vectors and the vertex derivatives go
-through per-cell transforms of order j. No table couples a cell to the modes.
-Interior edge fluxes are computed once per edge and scattered with opposite
-signs, which makes the scheme discretely conservative.
+over cell and edge arrays. The working coefficients are component-major: a
+C-contiguous (nm, d, nc) buffer, of which ModalState.coeffs is the (nc, nm, d)
+view. On affine triangles every modal operator is a reference-element matrix
+shared by all cells, applied as one GEMM to that buffer read as (nm, d * nc),
+times a few per-cell Jacobian factors: edge orientation lives in precomputed
+gather indices that also carry the component offset, so one take gives the
+component-first edge states (d, 2, ne, Q) the models work on; the volume term
+weighs the flux by each cell's contravariant vectors and the vertex
+derivatives go through per-cell transforms of order j, both along the cell
+axis. No table couples a cell to the modes. Interior edge fluxes are computed
+once per edge and scattered with opposite signs, which makes the scheme
+discretely conservative.
 """
 
 from dataclasses import dataclass
@@ -22,12 +26,30 @@ from .errors import AdmissibilityError, ConfigError
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+def component_major(coeffs, copy=False):
+    """The (nm, d, nc) buffer behind coefficients coeffs (nc, nm, d).
+
+    A view when coeffs is already the modal view of such a buffer; otherwise,
+    or with copy=True, a new C-contiguous buffer.
+    """
+    buf = coeffs.transpose(1, 2, 0)
+    return np.array(buf, order="C") if copy else np.ascontiguousarray(buf)
+
+
+def modal_view(buf):
+    """The (nc, nm, d) view of a component-major buffer (nm, d, nc)."""
+    return buf.transpose(2, 0, 1)
+
+
 @dataclass
 class ModalState:
     """Per-cell modal coefficients u_K^(l) in R^d, l = 0..L_k."""
 
     k: int
-    coeffs: np.ndarray  # (n_cells, n_modes, d)
+    # (n_cells, n_modes, d). The solver's states are modal views of a
+    # component-major (n_modes, d, n_cells) buffer and keep that layout;
+    # any other layout is accepted and read through a copy.
+    coeffs: np.ndarray
     t: float = 0.0
 
     @property
@@ -39,7 +61,8 @@ class ModalState:
         return self.coeffs.shape[2]
 
     def copy(self):
-        return ModalState(self.k, self.coeffs.copy(), self.t)
+        # order "K" keeps the buffer's layout; the default is C order
+        return ModalState(self.k, self.coeffs.copy(order="K"), self.t)
 
     def cell_averages(self):
         # Psi^(0) = 1 and orthogonality make mode 0 the cell average
@@ -170,6 +193,8 @@ class SpatialOperator:
         # geometry gathered per edge (left-cell view)
         lc, ll = mesh.edge_cells[:, 0], mesh.edge_local[:, 0]
         self.edge_normal = mesh.normal[lc, ll]                       # (ne, 2)
+        # component-first, the models' normal layout: (2, ne)
+        self.edge_normal_cf = np.ascontiguousarray(self.edge_normal.T)
         self.edge_length = mesh.edge_len[lc, ll]                     # (ne,)
         pa = mesh.vertices[mesh.edge_vertices[:, 0]]
         pb = mesh.vertices[mesh.edge_vertices[:, 1]]
@@ -215,12 +240,13 @@ class SpatialOperator:
         wg = self.int_w[:, None, None] * basis.eval_grad(k, self.int_pts)
         self._vol_ref = inv_norms * wg.transpose(1, 2, 0).reshape(self.nm, -1)
         self._scatter_ref = inv_norms * self.ref_trace.T             # (nm, 3Q)
-        # (2, 1, nc, 2) for (a, node, cell, b), C-contiguous: the models'
-        # broadcasts over (N, nc) run several times slower on a strided view
+        # (2, 2, 1, nc) for (b, a, node, cell), component-first like the
+        # models' normals and C-contiguous: the models' broadcasts over
+        # (N, nc) run several times slower on a strided view
         self._contravariant = np.ascontiguousarray(
-            (mesh.area[:, None, None] * mesh.jac_inv).transpose(1, 0, 2)
-        )[:, None]
-        self._inv_det = 0.5 / mesh.area[:, None, None]
+            (mesh.area[:, None, None] * mesh.jac_inv).transpose(2, 1, 0)
+        )[:, :, None]
+        self._inv_det = 0.5 / mesh.area
         # vertex jets: reference mixed derivatives d^(j-ridx)_xi d^ridx_eta,
         # rows (stacked alpha, vertex), and per order j >= 1 the transform
         # to physical derivatives as (j+1, j+1, nc)
@@ -234,107 +260,107 @@ class SpatialOperator:
     def _gather_tables(self):
         """Flat gather indices between cell-local and global edge orders.
 
-        trace_sides (2, ne, Q) indexes rows (local edge, point, cell) of the
-        (3Q * nc, d) trace GEMM result, at the edge Gauss points of both
-        sides in global edge-point order; endpoint_sides (2, 2, ne) indexes
-        rows (local vertex, cell) of node-major vertex arrays for (side,
-        endpoint, edge). A boundary edge reads its own cell on side 1, where
-        the ghost is written afterwards. The edge scatter gathers the flux
-        at every (local edge, point, cell) through _flux_rows (3Q, nc) and
-        weighs it by _flux_weights (3Q, nc, 1), -sign * length * w_q, the
-        minus of the edge term folded in.
+        Node-major GEMM results (n_nodes, d, nc) are read flat, at index
+        (node * d + component) * nc + cell, so one take returns its values
+        component-first. trace_take (d, 2, ne, Q) reads the trace GEMM at the
+        edge Gauss points of both sides in global edge-point order;
+        endpoint_take (2, 2, d, ne) reads node-major vertex arrays for (side,
+        endpoint, component, edge). A boundary edge reads its own cell on
+        side 1, where the ghost is written afterwards. The edge scatter
+        gathers the flux (d, ne, Q) at every (local edge, point, component,
+        cell) through _flux_take (3Q, d, nc) and weighs it by _flux_weights
+        (3Q, 1, nc), -sign * length * w_q, the minus of the edge term folded
+        in.
         """
         mesh = self.mesh
-        nc, Q = mesh.n_cells, self.Q
+        nc, Q, d = mesh.n_cells, self.Q, self.d
+        ne = mesh.n_edges
+        comp = np.arange(d)
         il, ir = mesh.edge_local[:, 0], mesh.edge_local[:, 1]
         lc, rc = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
         # the left cell traverses its local edge in global order, the right
         # cell reversed: global point q is its reference point Q-1-q
         q = np.arange(Q)
-        left = (il[:, None] * Q + q) * nc + lc[:, None]
-        right = (ir[:, None] * Q + (Q - 1 - q)) * nc + rc[:, None]
-        self.trace_sides = np.stack([left, np.where(rc[:, None] >= 0, right,
-                                                    left)])
+        left = (il[:, None] * Q + q) * (d * nc) + lc[:, None]
+        right = (ir[:, None] * Q + (Q - 1 - q)) * (d * nc) + rc[:, None]
+        sides = np.stack([left, np.where(rc[:, None] >= 0, right, left)])
+        self._trace_take = comp[:, None, None, None] * nc + sides
         fwd = mesh.cell_edge_forward
         gq = np.where(fwd[:, :, None], q, Q - 1 - q)                 # (nc,3,Q)
-        rows = mesh.cell_edges[:, :, None] * Q + gq
-        self._flux_rows = np.ascontiguousarray(rows.reshape(nc, 3 * Q).T)
+        rows = (mesh.cell_edges[:, :, None] * Q + gq).reshape(nc, 3 * Q).T
+        self._flux_take = comp[:, None] * (ne * Q) + rows[:, None, :]
         sign = np.where(fwd, -1.0, 1.0)
         wgt = (sign * mesh.edge_len)[:, :, None] * self.edge_w[gq]
         self._flux_weights = np.ascontiguousarray(
-            wgt.reshape(nc, 3 * Q).T)[:, :, None]
+            wgt.reshape(nc, 3 * Q).T)[:, None, :]
         # left cell traverses (il+1)%3 -> (il+2)%3 in global order; the
         # right cell traverses its local edge reversed
         lv_end = np.stack([(il + 1) % 3, (il + 2) % 3], axis=1)
         rv_end = np.stack([(ir + 2) % 3, (ir + 1) % 3], axis=1)
-        left = lv_end.T * nc + lc
-        self.endpoint_sides = np.stack([
-            left, np.where(rc >= 0, rv_end.T * nc + rc, left)])
+        left = lv_end.T * (d * nc) + lc
+        sides = np.stack([
+            left, np.where(rc >= 0, rv_end.T * (d * nc) + rc, left)])
+        self._endpoint_take = sides[:, :, None, :] + comp[:, None] * nc
 
     # -- evaluation helpers -------------------------------------------------
 
-    @staticmethod
-    def _modes_first(coeffs):
-        """Mode-major coefficients (nm, nc * d), the right GEMM operand."""
-        nc, nm, d = coeffs.shape
-        return coeffs.transpose(1, 0, 2).reshape(nm, nc * d)
-
-    @staticmethod
-    def _at_nodes(ref, modes, d):
-        """Values at reference nodes, node-major: (n_nodes, nc, d)."""
-        return (ref @ modes).reshape(len(ref), -1, d)
+    def _at_nodes(self, ref, buf):
+        """Values at reference nodes of the buffer buf (nm, d, nc): one GEMM,
+        node-major and component-first per node, (n_nodes, d, nc)."""
+        return (ref @ buf.reshape(self.nm, -1)).reshape(len(ref), self.d, -1)
 
     def traces(self, coeffs):
-        """Solution values at edge Gauss points: (nc, 3, Q, d).
+        """Solution values at edge Gauss points: (nc, 3, Q, d), a view.
 
         Point p of local edge i is in the cell's own traversal order, from
         local vertex (i+1)%3 to (i+2)%3: global edge-point order for the
         left cell of an edge, reversed for the right cell.
         """
-        nc, _, d = coeffs.shape
-        TR = self._at_nodes(self.ref_trace, self._modes_first(coeffs), d)
-        return TR.reshape(3, self.Q, nc, d).transpose(2, 0, 1, 3)
+        TR = self._at_nodes(self.ref_trace, component_major(coeffs))
+        return TR.reshape(3, self.Q, self.d, -1).transpose(3, 0, 1, 2)
 
     def interior_values(self, coeffs):
-        """Solution values at interior quadrature nodes: (nc, N, d)."""
-        d = coeffs.shape[2]
-        U = self._at_nodes(self.basis_int, self._modes_first(coeffs), d)
-        return U.transpose(1, 0, 2)
+        """Solution values at interior quadrature nodes: (nc, N, d), a view."""
+        return self._at_nodes(self.basis_int,
+                              component_major(coeffs)).transpose(2, 0, 1)
 
     def vertex_values(self, coeffs):
-        """Solution values at the 3 cell vertices: (nc, 3, d)."""
-        d = coeffs.shape[2]
-        V = self._at_nodes(self.vertex_basis, self._modes_first(coeffs), d)
-        return V.transpose(1, 0, 2)
+        """Solution values at the 3 cell vertices: (nc, 3, d), a view."""
+        return self._at_nodes(self.vertex_basis,
+                              component_major(coeffs)).transpose(2, 0, 1)
 
     def vertex_jets(self, coeffs):
         """Mixed physical derivatives of every order j <= k at cell vertices.
 
-        Returns (n_derivs, 3, nc, d), derivative-major: deriv_rows[j] selects
-        order j on axis 0, whose entries are alpha = (j - aidx, aidx).
+        Returns (n_derivs, 3, d, nc), derivative-major and component-first:
+        deriv_rows[j] selects order j on axis 0, whose entries are
+        alpha = (j - aidx, aidx).
         """
-        nc, _, d = coeffs.shape
-        ref = (self._jet_ref @ self._modes_first(coeffs)).reshape(
-            self.n_derivs, 3, nc, d)
+        ref = self._at_nodes(self._jet_ref, component_major(coeffs)).reshape(
+            self.n_derivs, 3, self.d, -1)
         out = np.empty_like(ref)
         out[0] = ref[0]
-        # d^alpha u = sum_ridx T[aidx, ridx] * reference derivative ridx
+        # d^alpha u = sum_ridx T[aidx, ridx] * reference derivative ridx,
+        # along the cells
         for T, rows in zip(self._jet_transforms, self.deriv_rows[1:]):
-            np.einsum("arc,rvcd->avcd", T, ref[rows], out=out[rows])
+            np.einsum("arc,rvdc->avdc", T, ref[rows], out=out[rows])
         return out
 
     def evaluate(self, state, cell, points):
         """Evaluate the per-cell polynomial at physical points (…, 2)."""
         ref = self.mesh.physical_to_reference(cell, points)
         vals = basis.eval_modes(self.k, np.atleast_2d(ref))
-        return vals @ state.coeffs[cell]
+        # the cell's (nm, d) block C-ordered: the product's path, and so its
+        # bits, depend on the operand's layout
+        return vals @ np.ascontiguousarray(state.coeffs[cell])
 
     # -- ghosts -------------------------------------------------------------
 
     def boundary_ghost_values(self, u_int_b, X_b, n_b, t):
-        """Exterior states for all boundary edges.
+        """Exterior states for all boundary edges, components last.
 
-        The arrays are indexed by position within self.boundary_ids.
+        The arrays are indexed by position within self.boundary_ids; the
+        boundary rules see and return (..., d) states.
         """
         u_ext = np.empty_like(u_int_b)
         for rule, pos in self.groups:
@@ -343,35 +369,34 @@ class SpatialOperator:
         return u_ext
 
     def endpoint_ghosts(self, UE, t):
-        """Write the ghosts into side 1 of endpoint values UE (2, 2, ne, d).
+        """Write the ghosts into side 1 of endpoint values UE (d, 2, 2, ne).
 
-        Axes are (side, endpoint, edge, component), as endpoint_sides
-        gathers them; side 1 of a boundary edge holds its own cell's value
-        until this call.
+        Axes are (component, side, endpoint, edge); side 1 of a boundary
+        edge holds its own cell's value until this call. Only the boundary
+        edges are transposed for the rules.
         """
         bi = self.boundary_ids
         if len(bi):
-            u_int = UE[0][:, bi].transpose(1, 0, 2)                  # (nb,2,d)
-            UE[1][:, bi] = self.boundary_ghost_values(
+            u_int = UE[:, 0][:, :, bi].transpose(2, 1, 0)            # (nb,2,d)
+            UE[:, 1][:, :, bi] = self.boundary_ghost_values(
                 u_int, self.bnd_endpoints, self.bnd_endpoint_normals,
-                t).transpose(1, 0, 2)
+                t).transpose(2, 1, 0)
 
-    def _edge_states(self, coeffs, t, modes=None):
-        """Two-sided states at the edge Gauss points: (2, ne, Q, d).
+    def _edge_states(self, coeffs, t, buf=None):
+        """Two-sided states at the edge Gauss points: (d, 2, ne, Q).
 
         Side 0 is the left cell's trace; side 1 is the right cell's trace on
         interior edges and the boundary rule's ghost on boundary edges.
-        modes: _modes_first(coeffs), when the caller already built it.
+        buf: component_major(coeffs), when the caller already has it.
         """
-        d = coeffs.shape[2]
-        if modes is None:
-            modes = self._modes_first(coeffs)
-        TR = self._at_nodes(self.ref_trace, modes, d).reshape(-1, d)
-        U = np.take(TR, self.trace_sides, axis=0)
+        if buf is None:
+            buf = component_major(coeffs)
+        U = np.take(self._at_nodes(self.ref_trace, buf), self._trace_take)
         bi = self.boundary_ids
         if len(bi):
-            U[1, bi] = self.boundary_ghost_values(
-                U[0, bi], self.bnd_points, self.bnd_normals, t)
+            U[:, 1, bi] = self.boundary_ghost_values(
+                U[:, 0, bi].transpose(1, 2, 0), self.bnd_points,
+                self.bnd_normals, t).transpose(2, 0, 1)
         return U
 
     def _reject_inadmissible(self, ok):
@@ -392,36 +417,40 @@ class SpatialOperator:
     # -- residual -----------------------------------------------------------
 
     def residual(self, coeffs, alpha, t=0.0, states=None):
-        """d(coeffs)/dt of the semi-discrete scheme; shape (nc, nm, d).
+        """d(coeffs)/dt of the semi-discrete scheme: the (nc, nm, d) view of
+        a component-major buffer.
 
         states: the two-sided edge states of coeffs at t, when the caller
         already built them with _edge_states.
         """
-        nc, _, d = coeffs.shape
-        modes = self._modes_first(coeffs)
-        U = self._edge_states(coeffs, t, modes) if states is None else states
+        nc, d, N = coeffs.shape[0], self.d, self.n_int
+        buf = component_major(coeffs)
+        U = self._edge_states(coeffs, t, buf) if states is None else states
 
         if self.model.positivity_constrained:
             ok = self.model.admissible(U)
             if not ok.all():
                 self._reject_inadmissible(ok)
 
-        fhat = self.model.lf_flux(U, self.edge_normal[:, None, :], alpha)
+        fhat = self.model.lf_flux(U, self.edge_normal_cf[:, :, None], alpha)
 
-        # volume term: sum_a sum_q w_q dPsi/dxi_a F(u) . (|K| row a of J^-1)
-        U = self._at_nodes(self.basis_int, modes, d)                 # (N,nc,d)
-        Fc = self.model.normal_flux_unchecked(U, self._contravariant)
-        R = self._vol_ref @ Fc.reshape(2 * self.n_int, nc * d)       # (nm,nc*d)
+        # volume term: sum_a sum_q w_q dPsi/dxi_a F(u) . (|K| row a of J^-1),
+        # the flux written node-major (a, q, d, nc) for the GEMM
+        Ui = self._at_nodes(self.basis_int, buf)                     # (N,d,nc)
+        Fc = np.empty((2, N, d, nc))
+        self.model.normal_flux_unchecked(Ui.transpose(1, 0, 2)[:, None],
+                                         self._contravariant,
+                                         out=Fc.transpose(2, 0, 1, 3))
+        R = self._vol_ref @ Fc.reshape(2 * N, d * nc)                # (nm,d*nc)
 
         # edge contributions: -sign * l * sum_nu w_nu fhat Psi, in each
         # cell's traversal order, through the shared reference matrix
-        F = np.take(fhat.reshape(-1, d), self._flux_rows, axis=0)    # (3Q,nc,d)
+        F = np.take(fhat, self._flux_take)                           # (3Q,d,nc)
         F *= self._flux_weights
-        R += self._scatter_ref @ F.reshape(3 * self.Q, nc * d)
-        out = np.empty((nc, self.nm, d))
-        np.multiply(R.reshape(self.nm, nc, d).transpose(1, 0, 2),
-                    self._inv_det, out=out)
-        return out
+        R += self._scatter_ref @ F.reshape(3 * self.Q, d * nc)
+        R = R.reshape(self.nm, d, nc)
+        R *= self._inv_det
+        return modal_view(R)
 
     # -- projection ---------------------------------------------------------
 
@@ -433,7 +462,7 @@ class SpatialOperator:
             vals = vals[..., None]
         coeffs = np.einsum("q,cqd,ql->cld", self.int_w, vals, self.basis_int)
         coeffs /= (2.0 * basis.REF_NORMS[: self.nm])[None, :, None]
-        return ModalState(self.k, coeffs, t)
+        return ModalState(self.k, modal_view(component_major(coeffs)), t)
 
     # -- wavespeed bound ----------------------------------------------------
 
@@ -449,22 +478,21 @@ class SpatialOperator:
         """
         mesh = self.mesh
         if mode == "cell_average":
-            ubar = coeffs[:, 0, :]
-            s = self.model.wavespeed(ubar[:, None, :], mesh.normal)
+            ubar = coeffs[:, 0, :].T                                 # (d, nc)
+            s = self.model.wavespeed(ubar[:, :, None],
+                                     mesh.normal.transpose(2, 0, 1))
             return float(np.max(s))
         if mode not in ("sup", "edge_gauss"):
             raise ConfigError(f"unknown wavespeed mode {mode!r}")
 
         U = self._edge_states(coeffs, t) if states is None else states
-        n = self.edge_normal[:, None, :]
-        s = float(np.max(self.model.wavespeed(U, n)))
+        n = self.edge_normal_cf
+        s = float(np.max(self.model.wavespeed(U, n[:, :, None])))
         if mode == "edge_gauss":
             return s
 
-        # endpoint traces from both sides, (2, 2, ne, d)
-        d = coeffs.shape[2]
-        V = self._at_nodes(self.vertex_basis, self._modes_first(coeffs), d)
-        UE = np.take(V.reshape(-1, d), self.endpoint_sides, axis=0)
+        # endpoint traces from both sides, (d, 2, 2, ne)
+        V = self._at_nodes(self.vertex_basis, component_major(coeffs))
+        UE = np.take(V, self._endpoint_take).transpose(2, 0, 1, 3)
         self.endpoint_ghosts(UE, t)
-        return max(s, float(np.max(self.model.wavespeed(UE,
-                                                        self.edge_normal))))
+        return max(s, float(np.max(self.model.wavespeed(UE, n))))

@@ -16,7 +16,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .dg import ModalState
+from .dg import ModalState, component_major, modal_view
 from .errors import ConfigError, UnsupportedOperationError
 
 EPS_DEVIATION = 1e-12
@@ -58,7 +58,7 @@ class OEFilter:
         for j, rows in enumerate(op.deriv_rows):
             w[j, rows] = [0.5 * comb(j, a) for a in range(j + 1)]
         self.weights = np.repeat(w, 2, axis=1)
-        # boundary edges read their own cell on side 1 of op.endpoint_sides,
+        # boundary edges read their own cell on side 1 of op._endpoint_take,
         # so their jumps start at zero: 'copy' boundary edges keep zero jumps
         # of every order; 'state' edges jump against a degree-0 ghost
         bi = op.boundary_ids
@@ -75,17 +75,19 @@ class OEFilter:
         Maxima are taken over the interior quadrature nodes of all cells; the
         last value is None unless the model carries momentum components.
         """
-        mesh = self.op.mesh
-        ubar = mesh.area @ coeffs[:, 0, :] / mesh.area.sum()
+        op = self.op
+        mesh = op.mesh
+        # the averages read with a row stride, as from a C-ordered state,
+        # whatever the layout: BLAS sums a strided product in another order
+        # than a contiguous one
+        means = np.ascontiguousarray(coeffs[:, :2, :])[:, 0, :]
+        ubar = mesh.area @ means / mesh.area.sum()
         # interior values component-major, (N, d, nc), so that every
         # reduction runs along the cells
-        nc, nm, d = coeffs.shape
-        vals = (self.op.basis_int
-                @ coeffs.transpose(1, 2, 0).reshape(nm, d * nc))
-        vals = vals.reshape(-1, d, nc)
+        vals = op._at_nodes(op.basis_int, component_major(coeffs))
         vals -= ubar[:, None]
         mdev = None
-        mom = self.op.model.momentum_components
+        mom = op.model.momentum_components
         if mom:
             m1, m2 = vals[:, mom[0]], vals[:, mom[1]]
             mdev = float(np.sqrt((m1 * m1 + m2 * m2).max()))
@@ -97,103 +99,110 @@ class OEFilter:
     def _endpoint_pass(self, coeffs, t):
         """Jumps of every derivative order and the states at edge endpoints.
 
-        Returns J (n_derivs, 2, ne, d) indexed by (stacked alpha, endpoint,
-        edge, component), and the two-sided point values u (2, 2, ne, d)
-        indexed by (side, endpoint, edge, component): side 0 the left
+        Returns J (n_derivs, 2, d, ne) indexed by (stacked alpha, endpoint,
+        component, edge), and the two-sided point values u (d, 2, 2, ne)
+        indexed by (component, side, endpoint, edge): side 0 the left
         cell's, side 1 the right cell's or the ghost. 'copy' boundary edges
-        have zero jumps.
+        have zero jumps. Side 0 is gathered into J and side 1 subtracted one
+        order at a time; only the order-0 values are gathered for both sides.
         """
         op = self.op
-        nc, d = len(coeffs), coeffs.shape[2]
-        V = op.vertex_jets(coeffs).reshape(op.n_derivs, 3 * nc, d)
-        W = np.take(V, op.endpoint_sides, axis=1)                # (R,2,2,ne,d)
-        J = W[:, 0] - W[:, 1]
-        u = W[0]
+        V = op.vertex_jets(coeffs).reshape(op.n_derivs, -1)      # (R,3*d*nc)
+        side0, side1 = op._endpoint_take                         # (2,d,ne)
+        J = np.take(V, side0, axis=1)                            # (R,2,d,ne)
+        u = np.take(V[0], op._endpoint_take).transpose(2, 0, 1, 3)
+        sid = self.state_ids
+        start = J[..., sid]
+        for a in range(op.n_derivs):
+            J[a] -= np.take(V[a], side1)
         if len(op.boundary_ids):
             op.endpoint_ghosts(u, t)
-            sid = self.state_ids
-            J[:, :, sid] = W[:, 0][:, :, sid]
-            J[0][:, sid] -= u[1][:, sid]
+            J[..., sid] = start
+            J[0][..., sid] -= u[:, 1][..., sid].transpose(1, 0, 2)
         return J, u
 
     def _edge_measures(self, coeffs, J, rotated):
-        """sqrt(S^j) over the global deviation, per edge: (k+1, ne, d).
+        """sqrt(S^j) over the global deviation, per edge: (k+1, d, ne).
 
         S^j is the trapezoidal endpoint sum of the binom-weighted squared
         order-j jumps. rotated: the momentum entries become the larger of the
         normal and tangential momentum measures over the momentum-magnitude
-        deviation. J (n_derivs, 2, ne, d) is overwritten.
+        deviation. J (n_derivs, 2, d, ne) is overwritten.
         """
-        R, _, ne, d = J.shape
+        R, _, d, ne = J.shape
         if rotated:
-            # the momentum columns carry the normal and tangential jumps;
-            # their component-wise measures would be overwritten by dhat below
-            m1, m2 = J[..., self.mom[0]], J[..., self.mom[1]]    # (R,2,ne)
-            n1, n2 = self.op.edge_normal[:, 0], self.op.edge_normal[:, 1]
+            # the momentum rows carry the normal and tangential jumps; their
+            # component-wise measures would be overwritten by dhat below
+            m1, m2 = J[:, :, self.mom[0]], J[:, :, self.mom[1]]  # (R,2,ne)
+            n1, n2 = self.op.edge_normal_cf
             jn = n1 * m1 + n2 * m2
-            J[..., self.mom[1]] = -n2 * m1 + n1 * m2
-            J[..., self.mom[0]] = jn
-        # squared jumps: rows (alpha, endpoint), columns (edge, component)
+            J[:, :, self.mom[1]] = -n2 * m1 + n1 * m2
+            J[:, :, self.mom[0]] = jn
+        # squared jumps: rows (alpha, endpoint), columns (component, edge)
         np.square(J, out=J)
-        S = self.weights @ J.reshape(2 * R, ne * d)
-        root = np.sqrt(S).reshape(self.k + 1, ne, d)
+        S = self.weights @ J.reshape(2 * R, d * ne)
+        root = np.sqrt(S).reshape(self.k + 1, d, ne)
 
         ubar, dev, mdev = self.global_deviation(coeffs)
         # component guard: quiescent components are not damped
         active = dev > EPS_DEVIATION * np.maximum(1.0, np.abs(ubar))
         inv_dev = np.where(active, 1.0 / np.where(active, dev, 1.0), 0.0)
-        G = root * inv_dev
+        G = root * inv_dev[:, None]
         if rotated:
             mom = self.mom
             dhat = 0.0
             if mdev > EPS_DEVIATION * max(
                     1.0, float(np.hypot(ubar[mom[0]], ubar[mom[1]]))):
-                dhat = (np.maximum(root[..., mom[0]], root[..., mom[1]])
-                        / mdev)[..., None]
-            G[..., mom] = dhat
+                dhat = (np.maximum(root[:, mom[0]], root[:, mom[1]])
+                        / mdev)[:, None]
+            G[:, mom] = dhat
         return G
 
     def _beta(self, u):
         """Max wavespeed per edge of the two-sided endpoint values u."""
         speed = (self.op.model.wavespeed_clamped if self.guard_wavespeed
                  else self.op.model.wavespeed)
-        s = speed(u, self.op.edge_normal)                        # (2, 2, ne)
+        s = speed(u, self.op.edge_normal_cf)                     # (2, 2, ne)
         s = np.maximum(s[0], s[1])
         return np.maximum(s[0], s[1])
 
     # -- damping ------------------------------------------------------------
 
-    def damping_exponents(self, coeffs, dt, t=0.0):
-        """Exponents X[c, m-1, d] = dt * sum_{j<=m} sigma_K^j for m = 1..k.
-
-        sigma_K^j = sum over the cell's edges of beta / h * delta^j, with
-        delta^j = A^{k,j} h^j sqrt(S^j) / deviation.
-        """
+    def _exponents(self, coeffs, dt, t):
+        """damping_exponents component-major: (k, d, nc)."""
         J, u = self._endpoint_pass(coeffs, t)
         G = self._edge_measures(coeffs, J, rotated=bool(self.mom))
         ce = self.op.mesh.cell_edges.T                           # (3, nc)
         w = self._beta(u)[ce] * self.A_h                         # (k+1,3,nc)
-        GG = np.take(G, ce, axis=1)                              # (k+1,3,nc,d)
-        GG *= w[..., None]
-        sigma = GG[:, 0] + GG[:, 1] + GG[:, 2]
+        GG = np.take(G, ce, axis=2)                              # (k+1,d,3,nc)
+        GG *= w[:, None]
+        sigma = GG[:, :, 0] + GG[:, :, 1] + GG[:, :, 2]
         # running sum over the orders, the additions of np.cumsum in order
-        X = np.empty((len(coeffs), self.k, coeffs.shape[2]))
+        X = np.empty((self.k,) + sigma.shape[1:])
         acc = sigma[0]
         for m in range(1, self.k + 1):
             acc = acc + sigma[m]
-            X[:, m - 1] = acc
+            X[m - 1] = acc
         return dt * X
+
+    def damping_exponents(self, coeffs, dt, t=0.0):
+        """Exponents X[c, m-1, d] = dt * sum_{j<=m} sigma_K^j for m = 1..k.
+
+        sigma_K^j = sum over the cell's edges of beta / h * delta^j, with
+        delta^j = A^{k,j} h^j sqrt(S^j) / deviation. A (nc, k, d) view.
+        """
+        return self._exponents(coeffs, dt, t).transpose(2, 0, 1)
 
     def apply(self, state, dt, t=None):
         """Damp high-order modal blocks; the cell averages are untouched."""
         if dt < 0:
             raise ConfigError("dt must be non-negative")
         t = state.t if t is None else t
-        X = self.damping_exponents(state.coeffs, dt, t)
+        X = self._exponents(state.coeffs, dt, t)                 # (k, d, nc)
         # one factor per degree, 1.0 for the cell average, spread to modes
-        nc, _, d = state.coeffs.shape
-        scale = np.empty((nc, self.k + 1, d))
-        scale[:, 0] = 1.0
-        np.exp(-X, out=scale[:, 1:])
-        coeffs = state.coeffs * np.take(scale, self.mode_degree, axis=1)
-        return ModalState(state.k, coeffs, state.t)
+        scale = np.empty((self.k + 1,) + X.shape[1:])
+        scale[0] = 1.0
+        np.exp(-X, out=scale[1:])
+        coeffs = (component_major(state.coeffs)
+                  * np.take(scale, self.mode_degree, axis=0))
+        return ModalState(state.k, modal_view(coeffs), state.t)

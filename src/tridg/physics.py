@@ -1,9 +1,16 @@
 """Conservation-law models: linear advection, Burgers, compressible Euler.
 
-All state arguments are arrays whose last axis holds the d components; flux
-returns shape (..., 2, d) and normal_flux the projection F(u) . n, shape
-(..., d). Directional wavespeeds bound the spectral radius of the flux
-Jacobian projected on a unit normal.
+Component axis convention. The solver's kernel methods take states
+component-first, u (d, ...) with u[c] the c-th conserved variable, and normals
+n (2, ...) broadcasting against u's trailing axes: admissible, flux,
+normal_flux, normal_flux_unchecked, lf_flux, wavespeed and wavespeed_clamped.
+flux returns (d, 2, ...) and normal_flux the projection F(u) . n, (d, ...).
+The state helpers that serve problem setup, boundary rules and
+post-processing take and return states with the components last, (..., d),
+the layout of ModalState.coeffs and of problem callables: internal_energy,
+pressure, from_primitive, to_primitive, rotate_state and reflect.
+Directional wavespeeds bound the spectral radius of the flux Jacobian
+projected on a unit normal.
 """
 
 import numpy as np
@@ -26,15 +33,19 @@ class Model:
         raise NotImplementedError
 
     def normal_flux(self, u, n):
-        """F(u) . n = F_x n1 + F_y n2 for normals n (..., 2): (..., d)."""
+        """F(u) . n = F_x n1 + F_y n2 for normals n (2, ...): (d, ...)."""
         f = self.flux(u)
         n = np.asarray(n, dtype=float)
-        return f[..., 0, :] * n[..., 0, None] + f[..., 1, :] * n[..., 1, None]
+        return f[:, 0] * n[0] + f[:, 1] * n[1]
 
-    def normal_flux_unchecked(self, u, n):
-        # volume-quadrature path: no admissibility checks; n need not be a
-        # unit vector
-        return self.normal_flux(u, n)
+    def normal_flux_unchecked(self, u, n, out=None):
+        """Volume-quadrature path: no admissibility checks; n need not be a
+        unit vector. out: an array of the result's shape to write into."""
+        f = self.normal_flux(u, n)
+        if out is None:
+            return f
+        out[...] = f
+        return out
 
     def wavespeed(self, u, n):
         """Bound on |eigenvalues of F'(u) . n| for unit normal n."""
@@ -49,24 +60,24 @@ class Model:
         return self.wavespeed(u, n)
 
     def admissible(self, u):
-        return np.ones(np.asarray(u).shape[:-1], dtype=bool)
+        return np.ones(np.asarray(u).shape[1:], dtype=bool)
 
     def rotate_state(self, u, phi):
         raise UnsupportedOperationError(f"{self.name} has no rotation action")
 
     def reflect(self, u, n):
-        """Mirror ghost state at a wall with outward unit normal n."""
+        """Mirror ghost state at a wall with outward unit normal n; (..., d)."""
         return np.array(u, copy=True)
 
     def lf_flux(self, u, n, alpha):
         """Lax-Friedrichs flux 0.5 (F(ui).n + F(ue).n - alpha (ue - ui)).
 
-        u is two-sided, (2, ..., d): u[0] the interior and u[1] the exterior
-        states; the normal flux is evaluated once over both sides.
+        u is two-sided, (d, 2, ...): u[:, 0] the interior and u[:, 1] the
+        exterior states; the normal flux is evaluated once over both sides.
         """
         u = np.asarray(u, dtype=float)
         f = self.normal_flux(u, np.asarray(n, dtype=float))
-        return 0.5 * (f[0] + f[1] - alpha * (u[1] - u[0]))
+        return 0.5 * (f[:, 0] + f[:, 1] - alpha * (u[:, 1] - u[:, 0]))
 
 
 def rotate_vector(v, phi):
@@ -78,10 +89,10 @@ def rotate_vector(v, phi):
 
 
 def _both_directions(f):
-    """The flux (..., 2, d) of a law whose x and y fluxes are both f."""
-    out = np.empty(f.shape[:-1] + (2,) + f.shape[-1:])
-    out[..., 0, :] = f
-    out[..., 1, :] = f
+    """The flux (d, 2, ...) of a law whose x and y fluxes are both f."""
+    out = np.empty(f.shape[:1] + (2,) + f.shape[1:])
+    out[:, 0] = f
+    out[:, 1] = f
     return out
 
 
@@ -95,15 +106,20 @@ class Advection(Model):
         return _both_directions(np.asarray(u, dtype=float))
 
     def normal_flux(self, u, n):
+        return self.normal_flux_unchecked(u, n)
+
+    def normal_flux_unchecked(self, u, n, out=None):
         u = np.asarray(u, dtype=float)
         n = np.asarray(n, dtype=float)
-        return u * n[..., 0, None] + u * n[..., 1, None]
+        f = np.multiply(u, n[0], out=out)
+        f += u * n[1]
+        return f
 
     def wavespeed(self, u, n):
         n = np.asarray(n, dtype=float)
-        speed = np.abs(n[..., 0] + n[..., 1])
+        speed = np.abs(n[0] + n[1])
         return np.broadcast_to(speed, np.broadcast_shapes(
-            np.asarray(u).shape[:-1], speed.shape)).copy()
+            np.asarray(u).shape[1:], speed.shape)).copy()
 
 
 class Burgers(Model):
@@ -119,7 +135,12 @@ class Burgers(Model):
     def wavespeed(self, u, n):
         u = np.asarray(u, dtype=float)
         n = np.asarray(n, dtype=float)
-        return np.abs(u[..., 0] * (n[..., 0] + n[..., 1]))
+        return np.abs(u[0] * (n[0] + n[1]))
+
+
+def _energy(rho, m1, m2, E):
+    """rho * specific internal energy from the conserved variables."""
+    return E - (m1 * m1 + m2 * m2) / (2.0 * rho)
 
 
 class Euler(Model):
@@ -134,91 +155,90 @@ class Euler(Model):
         self.gamma = float(gamma)
 
     def internal_energy(self, u):
-        """rho * specific internal energy: E - (m1^2 + m2^2) / (2 rho)."""
+        """rho * specific internal energy: E - (m1^2 + m2^2) / (2 rho).
+
+        u: (..., 4), components last.
+        """
         u = np.asarray(u, dtype=float)
-        rho, m1, m2, E = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
-        return E - (m1 * m1 + m2 * m2) / (2.0 * rho)
+        return _energy(u[..., 0], u[..., 1], u[..., 2], u[..., 3])
 
     def pressure(self, u):
         return (self.gamma - 1.0) * self.internal_energy(u)
 
     def admissible(self, u):
         u = np.asarray(u, dtype=float)
-        rho = u[..., 0]
+        rho = u[0]
         ok = rho > 0
-        e = np.where(ok, u[..., 3] - (u[..., 1] ** 2 + u[..., 2] ** 2)
+        e = np.where(ok, u[3] - (u[1] ** 2 + u[2] ** 2)
                      / (2.0 * np.where(ok, rho, 1.0)), -1.0)
         return ok & (e > 0)
 
-    def flux(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u[..., 0] <= 0):
-            raise AdmissibilityError("non-positive density in flux evaluation")
-        return self.flux_unchecked(u)
-
     def _velocity_pressure(self, u):
-        rho, m1, m2, E = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
+        rho, m1, m2, E = u
         v1, v2 = m1 / rho, m2 / rho
         p = (self.gamma - 1.0) * (E - 0.5 * (m1 * v1 + m2 * v2))
         return m1, m2, v1, v2, p, E + p
 
-    def flux_unchecked(self, u):
+    def flux(self, u):
         u = np.asarray(u, dtype=float)
+        if np.any(u[0] <= 0):
+            raise AdmissibilityError("non-positive density in flux evaluation")
         m1, m2, v1, v2, p, Ep = self._velocity_pressure(u)
-        f = np.empty(u.shape[:-1] + (2, 4))
-        f[..., 0, 0] = m1
-        f[..., 0, 1] = m1 * v1 + p
-        f[..., 0, 2] = m2 * v1
-        f[..., 0, 3] = Ep * v1
-        f[..., 1, 0] = m2
-        f[..., 1, 1] = m1 * v2
-        f[..., 1, 2] = m2 * v2 + p
-        f[..., 1, 3] = Ep * v2
+        f = np.empty((4, 2) + u.shape[1:])
+        f[0, 0] = m1
+        f[1, 0] = m1 * v1 + p
+        f[2, 0] = m2 * v1
+        f[3, 0] = Ep * v1
+        f[0, 1] = m2
+        f[1, 1] = m1 * v2
+        f[2, 1] = m2 * v2 + p
+        f[3, 1] = Ep * v2
         return f
 
     def normal_flux(self, u, n):
         u = np.asarray(u, dtype=float)
-        if np.any(u[..., 0] <= 0):
+        if np.any(u[0] <= 0):
             raise AdmissibilityError("non-positive density in flux evaluation")
         return self.normal_flux_unchecked(u, n)
 
-    def normal_flux_unchecked(self, u, n):
-        """F_x n1 + F_y n2 from the terms of flux_unchecked, without F."""
+    def normal_flux_unchecked(self, u, n, out=None):
+        """F_x n1 + F_y n2 from the terms of flux, without F."""
         u = np.asarray(u, dtype=float)
         m1, m2, v1, v2, p, Ep = self._velocity_pressure(u)
         n = np.asarray(n, dtype=float)
-        n1, n2 = n[..., 0], n[..., 1]
-        f = np.empty(np.broadcast_shapes(u.shape[:-1], n.shape[:-1]) + (4,))
-        f[..., 0] = m1 * n1 + m2 * n2
-        f[..., 1] = (m1 * v1 + p) * n1 + (m1 * v2) * n2
-        f[..., 2] = (m2 * v1) * n1 + (m2 * v2 + p) * n2
-        f[..., 3] = (Ep * v1) * n1 + (Ep * v2) * n2
+        n1, n2 = n[0], n[1]
+        f = out
+        if f is None:
+            f = np.empty((4,) + np.broadcast_shapes(u.shape[1:], n.shape[1:]))
+        f[0] = m1 * n1 + m2 * n2
+        f[1] = (m1 * v1 + p) * n1 + (m1 * v2) * n2
+        f[2] = (m2 * v1) * n1 + (m2 * v2 + p) * n2
+        f[3] = (Ep * v1) * n1 + (Ep * v2) * n2
         return f
 
     def wavespeed(self, u, n):
         """|v . n| + sound speed; errors on inadmissible states."""
         u = np.asarray(u, dtype=float)
-        rho = u[..., 0]
+        rho = u[0]
         # admissible() without a second pass for the pressure: rho > 0 first,
         # so e is only formed where it is defined
         if not np.all(rho > 0):
             raise AdmissibilityError("inadmissible state in wavespeed evaluation")
-        e = self.internal_energy(u)
+        e = _energy(*u)
         if not np.all(e > 0):
             raise AdmissibilityError("inadmissible state in wavespeed evaluation")
         n = np.asarray(n, dtype=float)
-        vn = (u[..., 1] * n[..., 0] + u[..., 2] * n[..., 1]) / rho
+        vn = (u[1] * n[0] + u[2] * n[1]) / rho
         c = np.sqrt(self.gamma * ((self.gamma - 1.0) * e) / rho)
         return np.abs(vn) + c
 
     def wavespeed_clamped(self, u, n):
         u = np.asarray(u, dtype=float)
         n = np.asarray(n, dtype=float)
-        rho = np.maximum(u[..., 0], 1e-12)
-        vn = (u[..., 1] * n[..., 0] + u[..., 2] * n[..., 1]) / rho
+        rho = np.maximum(u[0], 1e-12)
+        vn = (u[1] * n[0] + u[2] * n[1]) / rho
         p = np.maximum((self.gamma - 1.0)
-                       * (u[..., 3] - (u[..., 1] ** 2 + u[..., 2] ** 2)
-                          / (2.0 * rho)), 0.0)
+                       * (u[3] - (u[1] ** 2 + u[2] ** 2) / (2.0 * rho)), 0.0)
         return np.abs(vn) + np.sqrt(self.gamma * p / rho)
 
     def rotate_state(self, u, phi):
@@ -238,7 +258,7 @@ class Euler(Model):
         return out
 
     def from_primitive(self, rho, v1, v2, p):
-        """Conservative state from (rho, v1, v2, p); broadcasts over arrays."""
+        """Conservative state (..., 4) from (rho, v1, v2, p); broadcasts."""
         rho, v1, v2, p = np.broadcast_arrays(
             *[np.asarray(a, dtype=float) for a in (rho, v1, v2, p)])
         E = 0.5 * rho * (v1 * v1 + v2 * v2) + p / (self.gamma - 1.0)
@@ -265,8 +285,10 @@ class ScaledModel(Model):
     def flux(self, u):
         return self.lam * self.base.flux(u)
 
-    def normal_flux_unchecked(self, u, n):
-        return self.lam * self.base.normal_flux_unchecked(u, n)
+    def normal_flux_unchecked(self, u, n, out=None):
+        f = self.base.normal_flux_unchecked(u, n, out=out)
+        f *= self.lam
+        return f
 
     def wavespeed(self, u, n):
         return self.lam * self.base.wavespeed(u, n)

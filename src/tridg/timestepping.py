@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bp as bp_mod
-from .dg import ModalState
+from .dg import ModalState, component_major, modal_view
 from .errors import ConfigError, NumericsError
 
 
@@ -88,7 +88,9 @@ def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
     """One full RK step from state.t to state.t + dt with per-stage hooks.
 
     The residual of each stage value is evaluated once, on first use, at
-    the stage's time t + c_j dt; the filter sees the new stage's time.
+    the stage's time t + c_j dt; the filter sees the new stage's time. The
+    stage combinations run on component-major buffers, so every stage state
+    is the modal view of one.
     """
     c = scheme.abscissae
     stages = [state]
@@ -100,7 +102,7 @@ def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
                 continue
             term = 0.0
             if a != 0.0:
-                term = a * stages[j].coeffs
+                term = a * component_major(stages[j].coeffs)
             if b != 0.0:
                 if residuals[j] is None:
                     try:
@@ -109,9 +111,9 @@ def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
                     except Exception as exc:
                         exc.rk_stage = s
                         raise
-                term = term + dt * b * residuals[j]
+                term = term + dt * b * component_major(residuals[j])
             acc = term if acc is None else acc + term
-        new = ModalState(state.k, acc, state.t + c[s + 1] * dt)
+        new = ModalState(state.k, modal_view(acc), state.t + c[s + 1] * dt)
         if oe is not None:
             new = oe.apply(new, dt, t=new.t)
         if bp is not None:

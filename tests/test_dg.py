@@ -16,6 +16,16 @@ from tridg.physics import Advection, Burgers, Euler, ScaledModel
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def cf(a):
+    """Components first, (..., d) -> (d, ...): the models' kernel layout."""
+    return np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+
+
+def flux_last(model, u):
+    """The flux of states u (..., d) as (..., 2, d), components last."""
+    return np.moveaxis(model.flux(cf(u)), (0, 1), (-1, -2))
+
+
 def single_ref_cell():
     return build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)],
                       [(0, 1, "OUT"), (1, 2, "OUT"), (2, 0, "OUT")])
@@ -127,13 +137,13 @@ def test_mode0_residual_is_edge_flux_sum(unit_square_2x2):
     R = op.residual(coeffs, alpha)
     # reconstruct mode-0 residual from the edge fluxes directly
     u = op._edge_states(coeffs, 0.0)
-    fhat = op.model.lf_flux(u, op.edge_normal[:, None, :], alpha)
+    fhat = op.model.lf_flux(u, op.edge_normal_cf[:, :, None], alpha)
     for c in range(m.n_cells):
         total = 0.0
         for i in range(3):
             eid = m.cell_edges[c, i]
             sgn = 1.0 if m.cell_edge_forward[c, i] else -1.0
-            total -= sgn * m.edge_len[c, i] * np.sum(op.edge_w * fhat[eid, :, 0])
+            total -= sgn * m.edge_len[c, i] * np.sum(op.edge_w * fhat[0, eid])
         assert R[c, 0, 0] == pytest.approx(total / m.area[c], rel=1e-12)
 
 
@@ -221,7 +231,7 @@ def vertex_derivatives(op, coeffs, j):
 
     Returns (nc, 3, j+1, d); axis 2 indexes alpha = (j - aidx, aidx).
     """
-    return op.vertex_jets(coeffs)[op.deriv_rows[j]].transpose(2, 1, 0, 3)
+    return op.vertex_jets(coeffs)[op.deriv_rows[j]].transpose(3, 1, 0, 2)
 
 
 def test_vertex_derivatives_match_polynomial():
@@ -295,17 +305,27 @@ def stacked_flux(model, u):
 
 
 def with_stacked_fluxes(model):
-    """A copy of `model` whose residual path uses stacked F and einsum F.n."""
+    """A copy of `model` whose residual path uses stacked F and einsum F.n,
+    components last."""
     ref = copy.copy(model)
 
     def lf_flux(u, n, alpha):
+        u, n = np.moveaxis(u, 0, -1), np.moveaxis(n, 0, -1)
         fi = np.einsum("...kd,...k->...d", stacked_flux(model, u[0]), n)
         fe = np.einsum("...kd,...k->...d", stacked_flux(model, u[1]), n)
-        return 0.5 * (fi + fe - alpha * (u[1] - u[0]))
+        return cf(0.5 * (fi + fe - alpha * (u[1] - u[0])))
+
+    def normal_flux_unchecked(u, n, out=None):
+        f = cf(np.einsum("...kd,...k->...d",
+                         stacked_flux(model, np.moveaxis(u, 0, -1)),
+                         np.moveaxis(n, 0, -1)))
+        if out is None:
+            return f
+        out[...] = f
+        return out
 
     ref.lf_flux = lf_flux
-    ref.normal_flux_unchecked = lambda u, n: np.einsum(
-        "...kd,...k->...d", stacked_flux(model, u), n)
+    ref.normal_flux_unchecked = normal_flux_unchecked
     return ref
 
 
@@ -355,7 +375,7 @@ def test_shared_edge_states_match_unshared_calls(k, model):
     coeffs = 0.02 * rng.standard_normal((mesh.n_cells, op.nm, op.d))
     coeffs[:, 0, :] += mean
     states = op._edge_states(coeffs, 0.3)
-    assert states.shape == (2, mesh.n_edges, op.Q, op.d)
+    assert states.shape == (op.d, 2, mesh.n_edges, op.Q)
     assert np.array_equal(op.residual(coeffs, 2.5, t=0.3, states=states),
                           op.residual(coeffs, 2.5, t=0.3))
     for mode in ("edge_gauss", "sup"):
@@ -416,7 +436,8 @@ class PerCellEdgeOperators:
         op = self.op
         nc, _, d = coeffs.shape
         U = self.edge_states(coeffs, t)
-        fhat = op.model.lf_flux(U, op.edge_normal[:, None, :], alpha)
+        fhat = np.moveaxis(op.model.lf_flux(
+            cf(U), op.edge_normal_cf[:, :, None], alpha), 0, -1)
         F_ce = fhat[op.mesh.cell_edges].reshape(nc, 3 * op.Q, d)
         R = -np.matmul(self.scatter_op, F_ce)
         R += PerCellVolumeAndJets(op).volume(coeffs)
@@ -460,14 +481,14 @@ class PerCellVolumeAndJets:
         """area * sum_q w_q F(u) . grad Psi per cell: (nc, nm, d)."""
         op = self.op
         nc, _, d = coeffs.shape
-        Fv = op.model.flux(op.interior_values(coeffs))               # (nc,N,2,d)
+        Fv = flux_last(op.model, op.interior_values(coeffs))         # (nc,N,2,d)
         return np.matmul(self.vol_op, Fv.reshape(nc, 2 * op.n_int, d))
 
     def vertex_jets(self, coeffs):
-        """(n_derivs, 3, nc, d), the layout of SpatialOperator.vertex_jets."""
+        """(n_derivs, 3, d, nc), the layout of SpatialOperator.vertex_jets."""
         nc, _, d = coeffs.shape
         out = np.matmul(self.jet_op, coeffs)
-        return out.reshape(nc, 3, self.op.n_derivs, d).transpose(2, 1, 0, 3)
+        return out.reshape(nc, 3, self.op.n_derivs, d).transpose(2, 1, 3, 0)
 
 
 def assert_close_to_max(got, want, rtol=1e-13):
@@ -523,7 +544,7 @@ def test_edge_operators_match_per_cell_reference(mesh_name, k, model):
     want = ref.traces(coeffs)
     want = np.where(fwd[:, :, None, None], want, want[:, :, ::-1])
     assert_close_to_max(op.traces(coeffs), want)
-    assert_close_to_max(op._edge_states(coeffs, 0.3),
+    assert_close_to_max(np.moveaxis(op._edge_states(coeffs, 0.3), 0, -1),
                         ref.edge_states(coeffs, 0.3))
     assert_close_to_max(op.vertex_values(coeffs), ref.vertex_values(coeffs))
     assert_close_to_max(op.residual(coeffs, 2.5, t=0.3),
@@ -590,9 +611,9 @@ def test_volume_operator_and_points_match_einsum_formulas(k):
     assert np.array_equal(PerCellVolumeAndJets(op).vol_op, want)
     # the shared form: the reference matrix, its rows scaled back by the
     # reference norms, against the contravariant vectors |K| (row a of J^-1)
-    shared = np.einsum("laq,acb->clqb",
+    shared = np.einsum("laq,bac->clqb",
                        op._vol_ref.reshape(op.nm, 2, op.n_int),
-                       op._contravariant[:, 0])
+                       op._contravariant[:, :, 0])
     shared *= basis.REF_NORMS[: op.nm, None, None]
     assert_close_to_max(shared.reshape(mesh.n_cells, op.nm, -1), want)
     X = (mesh.vertices[mesh.cells[:, 0]][:, None, :]
@@ -623,7 +644,7 @@ def test_no_per_cell_trace_or_scatter_matrix(k):
                                        periodic=("x", "y")), 0.3, seed=2)
     op = SpatialOperator(mesh, Euler(), k)
     nc, nm, Q = mesh.n_cells, op.nm, op.Q
-    known = {"_flux_rows": (3 * Q, nc), "_flux_weights": (3 * Q, nc, 1),
+    known = {"_flux_take": (3 * Q, op.d, nc), "_flux_weights": (3 * Q, 1, nc),
              "int_points_phys": (nc, op.n_int, 2), "A_h": (k + 1, 3, nc)}
     arrays = [*named_arrays(op), *named_arrays(OEFilter(op, mode="rioe"))]
     assert arrays

@@ -73,7 +73,7 @@ def test_initial_projections_admissible_after_limiting():
         out = lim.apply(st)
         if model.name == "euler":
             tr = op.traces(out.coeffs)
-            assert np.all(model.admissible(tr))
+            assert np.all(model.admissible(np.moveaxis(tr, -1, 0)))
 
 
 def test_cfl_scan_seeded_reproducible():

@@ -30,8 +30,8 @@ def edge_jumps(f, coeffs, t=0.0):
     Element j has shape (ne, 2, j+1, d) indexed by (edge, endpoint, alpha,
     component). 'copy' boundary edges are zero.
     """
-    J = f._endpoint_pass(coeffs, t)[0]                       # (R,2,ne,d)
-    return [J[rows].transpose(2, 1, 0, 3) for rows in f.op.deriv_rows]
+    J = f._endpoint_pass(coeffs, t)[0]                       # (R,2,d,ne)
+    return [J[rows].transpose(3, 1, 0, 2) for rows in f.op.deriv_rows]
 
 
 def edge_wavespeeds(f, coeffs, t=0.0):
@@ -42,11 +42,11 @@ def edge_wavespeeds(f, coeffs, t=0.0):
 def jump_measures(f, coeffs, t=0.0):
     """Component-wise jump measures delta[cell, edge, j, component]."""
     J = f._endpoint_pass(coeffs, t)[0]
-    G = f._edge_measures(coeffs, J, rotated=False)           # (k+1,ne,d)
+    G = f._edge_measures(coeffs, J, rotated=False)           # (k+1,d,ne)
     mesh = f.op.mesh
     Ah = mesh.height.T[None] * f.A_h                         # (k+1,3,nc)
-    delta = Ah[..., None] * np.take(G, mesh.cell_edges.T, axis=1)
-    return delta.transpose(2, 1, 0, 3)
+    delta = Ah[:, None] * np.take(G, mesh.cell_edges.T, axis=2)
+    return delta.transpose(3, 2, 0, 1)
 
 
 def vertex_derivatives(op, coeffs, j):
@@ -54,7 +54,7 @@ def vertex_derivatives(op, coeffs, j):
 
     Returns (nc, 3, j+1, d); axis 2 indexes alpha = (j - aidx, aidx).
     """
-    return op.vertex_jets(coeffs)[op.deriv_rows[j]].transpose(2, 1, 0, 3)
+    return op.vertex_jets(coeffs)[op.deriv_rows[j]].transpose(3, 1, 0, 2)
 
 
 def test_damping_prefactor():
@@ -228,8 +228,8 @@ def test_beta_euler_matches_wavespeed(rng):
     VV = op.vertex_values(st.coeffs)
     lc = mesh.edge_cells[:, 0]
     u_end = VV[lc[:, None], endpoint_vertices(mesh)[0]]
-    n = op.edge_normal[:, None, :]
-    direct = model.wavespeed(u_end, n).max(axis=1)
+    n = op.edge_normal_cf[:, :, None]
+    direct = model.wavespeed(np.moveaxis(u_end, -1, 0), n).max(axis=1)
     assert np.all(beta >= direct - 1e-13)
 
 
@@ -352,10 +352,11 @@ def reference_damping_exponents(f, coeffs, dt, t=0.0):
     u_ext = u_int.copy()
     u_ext[ii] = VV[rc[ii, None], rv_end[ii]]
     u_ext[state_ids] = u_bghost
-    n = op.edge_normal[:, None, :]
+    n = op.edge_normal_cf[:, :, None]
     speed = (op.model.wavespeed_clamped if f.guard_wavespeed
              else op.model.wavespeed)
-    beta = np.maximum(speed(u_int, n), speed(u_ext, n)).max(axis=1)
+    beta = np.maximum(speed(np.moveaxis(u_int, -1, 0), n),
+                      speed(np.moveaxis(u_ext, -1, 0), n)).max(axis=1)
 
     ubar, dev, mdev = reference_deviation(f.op, coeffs)
     active = dev > EPS_DEVIATION * np.maximum(1.0, np.abs(ubar))
@@ -419,26 +420,26 @@ def test_damping_exponents_match_per_order_reference(k, model, mode, guard):
 def concatenated_edge_measures(f, coeffs, J, rotated):
     """The fused pass's measures with the rotated jumps as two extra columns."""
     d = coeffs.shape[2]
-    sq = J * J
+    sq = J * J                                               # (R,2,d,ne)
     if rotated:
-        m1, m2 = J[..., f.mom[0]], J[..., f.mom[1]]
+        m1, m2 = J[:, :, f.mom[0]], J[:, :, f.mom[1]]
         n1, n2 = f.op.edge_normal[:, 0], f.op.edge_normal[:, 1]
         jn = n1 * m1 + n2 * m2
         jt = -n2 * m1 + n1 * m2
-        sq = np.concatenate([sq, (jn * jn)[..., None],
-                             (jt * jt)[..., None]], axis=3)
-    R, _, ne, dd = sq.shape
-    S = f.weights @ sq.reshape(2 * R, ne * dd)
-    root = np.sqrt(S).reshape(f.k + 1, ne, dd)
+        sq = np.concatenate([sq, (jn * jn)[:, :, None],
+                             (jt * jt)[:, :, None]], axis=2)
+    R, _, dd, ne = sq.shape
+    S = f.weights @ sq.reshape(2 * R, dd * ne)
+    root = np.sqrt(S).reshape(f.k + 1, dd, ne)
     ubar, dev, mdev = reference_deviation(f.op, coeffs)
     active = dev > EPS_DEVIATION * np.maximum(1.0, np.abs(ubar))
     inv_dev = np.where(active, 1.0 / np.where(active, dev, 1.0), 0.0)
-    G = root[..., :d] * inv_dev
+    G = root[:, :d] * inv_dev[:, None]
     if rotated:
         dhat = 0.0
         if mdev > EPS_DEVIATION * max(1.0, float(np.hypot(*ubar[f.mom]))):
-            dhat = (np.maximum(root[..., d], root[..., d + 1]) / mdev)[..., None]
-        G[..., f.mom] = dhat
+            dhat = (np.maximum(root[:, d], root[:, d + 1]) / mdev)[:, None]
+        G[:, f.mom] = dhat
     return G
 
 
@@ -447,8 +448,8 @@ def concatenated_damping_exponents(f, coeffs, dt, t=0.0):
     G = concatenated_edge_measures(f, coeffs, J, rotated=bool(f.mom))
     ce = f.op.mesh.cell_edges.T
     w = f._beta(u)[ce] * f.A_h
-    sigma = np.einsum("jec,jecd->jcd", w, np.take(G, ce, axis=1))
-    return dt * np.cumsum(sigma, axis=0)[1:].transpose(1, 0, 2)
+    sigma = np.einsum("jec,jdec->jdc", w, np.take(G, ce, axis=2))
+    return dt * np.cumsum(sigma, axis=0)[1:].transpose(2, 0, 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -8,6 +8,16 @@ from tridg.physics import (Advection, Burgers, Euler, ScaledModel, make_model,
                            rotate_vector)
 
 
+def cf(a):
+    """Components first, (..., d) -> (d, ...): the models' kernel layout."""
+    return np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+
+
+def flux_last(model, u):
+    """The flux of states u (..., d) as (..., 2, d), components last."""
+    return np.moveaxis(model.flux(cf(u)), (0, 1), (-1, -2))
+
+
 def random_admissible(rng, n):
     rho = rng.uniform(0.1, 3.0, n)
     v1 = rng.uniform(-2, 2, n)
@@ -30,7 +40,8 @@ def test_euler_flux_hand_value():
     # rho=1.4, v=(3,0), p=1 gives f1 = (4.2, 13.6, 0, 29.4)
     u = np.array([1.4, 4.2, 0.0, 8.8])
     f = Euler().flux(u)
-    assert np.allclose(f[0], [4.2, 13.6, 0.0, 29.4])
+    assert f.shape == (4, 2)
+    assert np.allclose(f[:, 0], [4.2, 13.6, 0.0, 29.4])
     assert Euler().pressure(u) == pytest.approx(1.0)
 
 
@@ -54,7 +65,7 @@ def test_euler_wavespeed_matches_eigenvalues(rng):
     phi = rng.uniform(0, 2 * np.pi, 200)
     n = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     model = Euler()
-    got = model.wavespeed(u, n)
+    got = model.wavespeed(cf(u), cf(n))
     rho, v1, v2, p = model.to_primitive(u)
     vn = v1 * n[:, 0] + v2 * n[:, 1]
     c = np.sqrt(model.gamma * p / rho)
@@ -71,17 +82,17 @@ def test_lf_flux_consistency_and_antisymmetry(rng):
     n = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     alpha = 5.0
     # consistency
-    f_same = model.lf_flux(np.stack([u, u]), n, alpha)
-    fn = np.einsum("nkd,nk->nd", model.flux(u), n)
+    f_same = model.lf_flux(cf(np.stack([u, u])), cf(n), alpha)
+    fn = np.einsum("nkd,nk->dn", flux_last(model, u), n)
     assert np.allclose(f_same, fn, atol=1e-13)
     # conservation across the edge
-    f_ab = model.lf_flux(np.stack([u, v]), n, alpha)
-    f_ba = model.lf_flux(np.stack([v, u]), -n, alpha)
+    f_ab = model.lf_flux(cf(np.stack([u, v])), cf(n), alpha)
+    f_ba = model.lf_flux(cf(np.stack([v, u])), cf(-n), alpha)
     assert np.allclose(f_ab, -f_ba, atol=1e-12)
 
 
 def test_lf_flux_hand_value():
-    f = Advection().lf_flux(np.array([[1.0], [0.0]]), np.array([1.0, 0.0]),
+    f = Advection().lf_flux(np.array([[1.0, 0.0]]), np.array([1.0, 0.0]),
                             1.0)
     assert f == pytest.approx(1.0)
 
@@ -113,9 +124,9 @@ def test_rotational_invariance_of_flux_pair(rng):
     model = Euler()
     u = random_admissible(rng, 1000)
     phi = rng.uniform(0, 2 * np.pi, 1000)
-    f = model.flux(u)
+    f = flux_last(model, u)
     ru = np.stack([model.rotate_state(u[i], phi[i]) for i in range(1000)])
-    fr = model.flux(ru)
+    fr = flux_last(model, ru)
     c, s = np.cos(phi), np.sin(phi)
     # T^-1 f1(T u) = cos f1(u) + sin f2(u);  T^-1 f2(T u) = -sin f1 + cos f2
     finv1 = np.stack([model.rotate_state(fr[i, 0], -phi[i]) for i in range(1000)])
@@ -155,9 +166,10 @@ def test_scaled_model():
     rng = np.random.default_rng(2)
     u = random_admissible(rng, 10)
     m = ScaledModel(Euler(), 2.5)
-    assert np.allclose(m.flux(u), 2.5 * Euler().flux(u))
+    assert np.allclose(m.flux(cf(u)), 2.5 * Euler().flux(cf(u)))
     n = np.array([0.6, 0.8])
-    assert np.allclose(m.wavespeed(u, n), 2.5 * Euler().wavespeed(u, n))
+    assert np.allclose(m.wavespeed(cf(u), n),
+                       2.5 * Euler().wavespeed(cf(u), n))
 
 
 def test_wavespeed_clamped_matches_inside_and_is_finite_outside():
@@ -194,8 +206,9 @@ def random_states(rng, model, n, q):
 
 
 def einsum_normal_flux(model, u, n):
-    # the contraction lf_flux used before models had their own normal flux
-    return np.einsum("...kd,...k->...d", model.flux(u), n)
+    # the contraction lf_flux used before models had their own normal flux,
+    # components last
+    return np.einsum("...kd,...k->...d", flux_last(model, u), n)
 
 
 @pytest.mark.parametrize("model", [Advection(), Burgers(), Euler(),
@@ -209,11 +222,13 @@ def test_normal_flux_matches_einsum_reference(rng, model):
     point_n = np.broadcast_to(edge_n, (60, 3, 2)) * rng.choice([-1.0, 1.0],
                                                                (60, 3, 1))
     for n in (edge_n, point_n):
-        assert np.array_equal(model.normal_flux(u, n),
-                              einsum_normal_flux(model, u, n))
+        assert np.array_equal(model.normal_flux(cf(u), cf(n)),
+                              cf(einsum_normal_flux(model, u, n)))
         want = 0.5 * (einsum_normal_flux(model, u, n)
                       + einsum_normal_flux(model, v, n) - 3.5 * (v - u))
-        assert np.array_equal(model.lf_flux(np.stack([u, v]), n, 3.5), want)
+        assert np.array_equal(
+            model.lf_flux(cf(np.stack([u, v])), cf(n), 3.5),
+            cf(want))
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.5])
@@ -225,7 +240,7 @@ def test_lf_flux_rejects_nonpositive_density_on_either_side(rng, rho):
     n = np.tile([0.6, 0.8], (8, 1))
     for a, b in ((bad, good), (good, bad)):
         with pytest.raises(AdmissibilityError, match="non-positive density"):
-            model.lf_flux(np.stack([a, b]), n, 1.0)
+            model.lf_flux(cf(np.stack([a, b])), cf(n), 1.0)
 
 
 def test_euler_wavespeed_matches_pressure_form(rng):
@@ -236,7 +251,7 @@ def test_euler_wavespeed_matches_pressure_form(rng):
     rho = u[:, 0]
     vn = (u[:, 1] * n[:, 0] + u[:, 2] * n[:, 1]) / rho
     want = np.abs(vn) + np.sqrt(model.gamma * model.pressure(u) / rho)
-    assert np.array_equal(model.wavespeed(u, n), want)
+    assert np.array_equal(model.wavespeed(cf(u), cf(n)), want)
     # zero or negative density, non-positive internal energy and NaN all fail
     for row, col, value in ((5, 0, 0.0), (5, 0, -1.0), (7, 3, 0.0),
                             (9, 1, np.nan)):
@@ -244,4 +259,4 @@ def test_euler_wavespeed_matches_pressure_form(rng):
         bad[row, col] = value
         with pytest.raises(AdmissibilityError,
                            match="inadmissible state in wavespeed"):
-            model.wavespeed(bad, n)
+            model.wavespeed(cf(bad), cf(n))

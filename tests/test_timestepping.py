@@ -334,3 +334,49 @@ def test_bp_positivity_at_unit_cfl_on_perturbed_meshes(monkeypatch, problem,
     assert res.bp_violations > 0 or problem == "euler_implosion_mild"
     rho_min, e_min = np.min(lows, axis=0)
     assert rho_min > 0 and e_min > 0
+
+
+# -- the component-major buffer through the stage pipeline --------------------
+
+def is_component_major_view(coeffs):
+    """True when coeffs (nc, nm, d) is laid out as the modal view of a
+    C-contiguous (nm, d, nc) buffer."""
+    return coeffs.transpose(1, 2, 0).flags.c_contiguous
+
+
+@pytest.mark.parametrize("problem,k,oe_mode,bp_scheme", [
+    ("euler_implosion_mild", 2, "rioe", "dcw"),
+    ("advection_smooth", 3, "componentwise", None)])
+def test_run_keeps_every_state_component_major(problem, k, oe_mode,
+                                               bp_scheme):
+    from tridg.harness import solve_problem
+    prob = get_problem(problem)
+    if bp_scheme:
+        # the walled implosion: Reflective ghosts on every side
+        assert set(prob.boundary(prob.make_model())) == {"WALL"}
+    op, res = solve_problem(problem, k, oe_mode=oe_mode, bp_scheme=bp_scheme,
+                            t_end=0.004, output_times=(0.002,))
+    assert res.steps >= 2 and len(res.snapshots) == 2
+    for state in [res.state] + [s for _, s in res.snapshots]:
+        assert is_component_major_view(state.coeffs)
+
+    # a state built from a C-ordered array reads the same numbers
+    c_ordered = np.array(res.state.coeffs, order="C")
+    assert c_ordered.flags.c_contiguous
+    assert not is_component_major_view(c_ordered)
+    state = ModalState(k, c_ordered, res.state.t)
+    alpha = op.max_wavespeed(res.state.coeffs, mode="sup")
+    want = op.residual(res.state.coeffs, alpha, t=res.state.t)
+    got = op.residual(state.coeffs, alpha, t=state.t)
+    assert is_component_major_view(got)
+    assert np.array_equal(got, want)
+    # and one filtered (and limited) step from it keeps the layout and bits
+    oe = OEFilter(op, mode=oe_mode, guard_wavespeed=bp_scheme is not None)
+    bp = BPLimiter(op, bp_scheme) if bp_scheme else None
+    scheme = default_scheme_for(k)
+    step = [advance(s, 1e-4, lambda c, t: op.residual(c, alpha, t), scheme,
+                    oe=oe, bp=bp) for s in (res.state, state)]
+    assert all(is_component_major_view(s.coeffs) for s in step)
+    assert np.array_equal(step[0].coeffs, step[1].coeffs)
+    assert is_component_major_view(state.copy().coeffs) is False
+    assert is_component_major_view(res.state.copy().coeffs)
