@@ -128,16 +128,6 @@ class CustomBC(BoundaryRule):
 DEFAULT_RULES = {"OUT": Outflow, "WALL": Reflective}
 
 
-def ghost_state(spec, model, u_int, x, n, t, tag):
-    """Exterior state for one boundary sample under the rule for `tag`."""
-    if tag not in spec:
-        raise ConfigError(f"boundary tag {tag!r} has no rule")
-    u = np.asarray(u_int, dtype=float)[None, :]
-    xx = np.asarray(x, dtype=float)[None, :]
-    nn = np.asarray(n, dtype=float)[None, :]
-    return spec[tag].ghost(model, u, xx, nn, t)[0]
-
-
 # ---------------------------------------------------------------------------
 # spatial operator
 # ---------------------------------------------------------------------------
@@ -423,34 +413,42 @@ class SpatialOperator:
         states: the two-sided edge states of coeffs at t, when the caller
         already built them with _edge_states.
         """
-        nc, d, N = coeffs.shape[0], self.d, self.n_int
         buf = component_major(coeffs)
-        U = self._edge_states(coeffs, t, buf) if states is None else states
+        # each term's temporaries are freed before the next term's
+        R = self._edge_term(coeffs, alpha, t, buf, states)
+        R += self._volume_term(buf)
+        R = R.reshape(buf.shape)
+        R *= self._inv_det
+        return modal_view(R)
 
-        if self.model.positivity_constrained:
+    def _edge_term(self, coeffs, alpha, t, buf, states):
+        """-sign * l * sum_nu w_nu fhat Psi, in each cell's traversal order,
+        through the shared reference matrix: (nm, d * nc)."""
+        U = self._edge_states(coeffs, t, buf) if states is None else states
+        try:
+            fhat = self.model.lf_flux(U, self.edge_normal_cf[:, :, None],
+                                      alpha)
+        except AdmissibilityError:
+            # the flux tests admissibility in its own pass; name the cell
+            # and edge only on this failure path
             ok = self.model.admissible(U)
             if not ok.all():
                 self._reject_inadmissible(ok)
+            raise
+        F = np.take(fhat, self._flux_take)                           # (3Q,d,nc)
+        F *= self._flux_weights
+        return self._scatter_ref @ F.reshape(3 * self.Q, -1)
 
-        fhat = self.model.lf_flux(U, self.edge_normal_cf[:, :, None], alpha)
-
-        # volume term: sum_a sum_q w_q dPsi/dxi_a F(u) . (|K| row a of J^-1),
-        # the flux written node-major (a, q, d, nc) for the GEMM
+    def _volume_term(self, buf):
+        """sum_a sum_q w_q dPsi/dxi_a F(u) . (|K| row a of J^-1), with the
+        flux written node-major (a, q, d, nc) for the GEMM: (nm, d * nc)."""
+        _, d, nc = buf.shape
         Ui = self._at_nodes(self.basis_int, buf)                     # (N,d,nc)
-        Fc = np.empty((2, N, d, nc))
+        Fc = np.empty((2, self.n_int, d, nc))
         self.model.normal_flux_unchecked(Ui.transpose(1, 0, 2)[:, None],
                                          self._contravariant,
                                          out=Fc.transpose(2, 0, 1, 3))
-        R = self._vol_ref @ Fc.reshape(2 * N, d * nc)                # (nm,d*nc)
-
-        # edge contributions: -sign * l * sum_nu w_nu fhat Psi, in each
-        # cell's traversal order, through the shared reference matrix
-        F = np.take(fhat, self._flux_take)                           # (3Q,d,nc)
-        F *= self._flux_weights
-        R += self._scatter_ref @ F.reshape(3 * self.Q, d * nc)
-        R = R.reshape(self.nm, d, nc)
-        R *= self._inv_det
-        return modal_view(R)
+        return self._vol_ref @ Fc.reshape(2 * self.n_int, d * nc)
 
     # -- projection ---------------------------------------------------------
 

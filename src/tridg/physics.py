@@ -74,8 +74,12 @@ class Model:
 
         u is two-sided, (d, 2, ...): u[:, 0] the interior and u[:, 1] the
         exterior states; the normal flux is evaluated once over both sides.
+        Positivity-constrained models raise AdmissibilityError for an
+        inadmissible state on either side.
         """
         u = np.asarray(u, dtype=float)
+        if self.positivity_constrained and not self.admissible(u).all():
+            raise AdmissibilityError("inadmissible state in flux evaluation")
         f = self.normal_flux(u, np.asarray(n, dtype=float))
         return 0.5 * (f[:, 0] + f[:, 1] - alpha * (u[:, 1] - u[:, 0]))
 
@@ -173,26 +177,57 @@ class Euler(Model):
                      / (2.0 * np.where(ok, rho, 1.0)), -1.0)
         return ok & (e > 0)
 
-    def _velocity_pressure(self, u):
+    def _pressure(self, u, check):
+        """p of component-first states u, from rho e as admissible forms it.
+
+        check: raise AdmissibilityError unless rho > 0 and e > 0 everywhere,
+        the test of admissible, on the same numbers.
+        """
         rho, m1, m2, E = u
-        v1, v2 = m1 / rho, m2 / rho
-        p = (self.gamma - 1.0) * (E - 0.5 * (m1 * v1 + m2 * v2))
-        return m1, m2, v1, v2, p, E + p
+        if check and not np.all(rho > 0):
+            raise AdmissibilityError("non-positive density in flux evaluation")
+        p = m1 * m1
+        p += m2 * m2
+        p /= 2.0 * rho
+        np.subtract(E, p, out=p)
+        if check and not np.all(p > 0):
+            raise AdmissibilityError(
+                "non-positive internal energy in flux evaluation")
+        p *= self.gamma - 1.0
+        return p
+
+    @staticmethod
+    def _write_normal_flux(u, p, n, out):
+        """F(u) . n in the rho v.n form into out (4, ...):
+        (m.n, m1 v.n + p n1, m2 v.n + p n2, (E + p) v.n)."""
+        rho, m1, m2, E = u
+        mn = np.multiply(m1, n[0], out=out[0])
+        mn += m2 * n[1]
+        vn = mn / rho
+        np.multiply(m1, vn, out=out[1])
+        out[1] += p * n[0]
+        np.multiply(m2, vn, out=out[2])
+        out[2] += p * n[1]
+        np.add(E, p, out=out[3])
+        out[3] *= vn
+        return out
 
     def flux(self, u):
         u = np.asarray(u, dtype=float)
         if np.any(u[0] <= 0):
             raise AdmissibilityError("non-positive density in flux evaluation")
-        m1, m2, v1, v2, p, Ep = self._velocity_pressure(u)
+        rho, m1, m2, E = u
+        v1, v2 = m1 / rho, m2 / rho
+        p = (self.gamma - 1.0) * (E - 0.5 * (m1 * v1 + m2 * v2))
         f = np.empty((4, 2) + u.shape[1:])
         f[0, 0] = m1
         f[1, 0] = m1 * v1 + p
         f[2, 0] = m2 * v1
-        f[3, 0] = Ep * v1
+        f[3, 0] = (E + p) * v1
         f[0, 1] = m2
         f[1, 1] = m1 * v2
         f[2, 1] = m2 * v2 + p
-        f[3, 1] = Ep * v2
+        f[3, 1] = (E + p) * v2
         return f
 
     def normal_flux(self, u, n):
@@ -202,19 +237,37 @@ class Euler(Model):
         return self.normal_flux_unchecked(u, n)
 
     def normal_flux_unchecked(self, u, n, out=None):
-        """F_x n1 + F_y n2 from the terms of flux, without F."""
         u = np.asarray(u, dtype=float)
-        m1, m2, v1, v2, p, Ep = self._velocity_pressure(u)
         n = np.asarray(n, dtype=float)
-        n1, n2 = n[0], n[1]
-        f = out
-        if f is None:
-            f = np.empty((4,) + np.broadcast_shapes(u.shape[1:], n.shape[1:]))
-        f[0] = m1 * n1 + m2 * n2
-        f[1] = (m1 * v1 + p) * n1 + (m1 * v2) * n2
-        f[2] = (m2 * v1) * n1 + (m2 * v2 + p) * n2
-        f[3] = (Ep * v1) * n1 + (Ep * v2) * n2
-        return f
+        if out is None:
+            out = np.empty((4,) + np.broadcast_shapes(u.shape[1:],
+                                                      n.shape[1:]))
+        return self._write_normal_flux(u, self._pressure(u, check=False), n,
+                                       out)
+
+    def lf_flux(self, u, n, alpha):
+        """The Lax-Friedrichs flux in one pointwise pass over both sides.
+
+        rho, p and v.n are formed once: the density and internal-energy
+        test of admissible runs on them (AdmissibilityError on failure), the
+        normal flux takes the rho v.n form and the LF combination is written
+        in place over side 0's flux.
+        """
+        u = np.asarray(u, dtype=float)
+        n = np.asarray(n, dtype=float)
+        p = self._pressure(u, check=True)
+        # side-major storage, so that side 0's flux, the result, is one
+        # contiguous block
+        buf = np.empty((2,) + u.shape[:1] + u.shape[2:])
+        self._write_normal_flux(u, p, n,
+                                buf.transpose(1, 0, *range(2, buf.ndim)))
+        out = buf[0]
+        out += buf[1]
+        jump = u[:, 1] - u[:, 0]
+        jump *= alpha
+        out -= jump
+        out *= 0.5
+        return out
 
     def wavespeed(self, u, n):
         """|v . n| + sound speed; errors on inadmissible states."""
@@ -224,7 +277,7 @@ class Euler(Model):
         # so e is only formed where it is defined
         if not np.all(rho > 0):
             raise AdmissibilityError("inadmissible state in wavespeed evaluation")
-        e = _energy(*u)
+        e = _energy(rho, u[1], u[2], u[3])
         if not np.all(e > 0):
             raise AdmissibilityError("inadmissible state in wavespeed evaluation")
         n = np.asarray(n, dtype=float)
@@ -284,6 +337,9 @@ class ScaledModel(Model):
 
     def flux(self, u):
         return self.lam * self.base.flux(u)
+
+    def normal_flux(self, u, n):
+        return self.lam * self.base.normal_flux(u, n)
 
     def normal_flux_unchecked(self, u, n, out=None):
         f = self.base.normal_flux_unchecked(u, n, out=out)

@@ -521,9 +521,13 @@ def test_run_calls_the_traced_entry_points_once(tmp_path, monkeypatch):
     import tridg.dg as dg
     import tridg.physics as physics
     for owner, name in ((dg.SpatialOperator, "residual"),
-                        (physics.Model, "lf_flux"),
                         (dg.SpatialOperator, "max_wavespeed")):
         counted(owner, name)
+    # every model class that defines its own LF flux, as the tracer wraps
+    # them; an override that called the base one would count twice
+    for owner in vars(physics).values():
+        if isinstance(owner, type) and "lf_flux" in vars(owner):
+            counted(owner, "lf_flux")
     save_mesh(perturb(get_problem("euler_double_rarefaction")
                       .make_rect_mesh(8), seed=0), mesh_path)
     calls.clear()

@@ -205,6 +205,11 @@ def random_states(rng, model, n, q):
     return rng.standard_normal((n, q, 1))
 
 
+def assert_close_to_max(got, want, rtol):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
 def einsum_normal_flux(model, u, n):
     # the contraction lf_flux used before models had their own normal flux,
     # components last
@@ -221,14 +226,16 @@ def test_normal_flux_matches_einsum_reference(rng, model):
     edge_n = np.stack([np.cos(phi), np.sin(phi)], axis=-1)[:, None, :]
     point_n = np.broadcast_to(edge_n, (60, 3, 2)) * rng.choice([-1.0, 1.0],
                                                                (60, 3, 1))
+    # Euler's normal flux takes the rho v.n form, which rounds differently
+    # from the contraction of F(u); the scalar laws' fluxes are exact
+    rtol = 1e-14 if model.positivity_constrained else 0.0
     for n in (edge_n, point_n):
-        assert np.array_equal(model.normal_flux(cf(u), cf(n)),
-                              cf(einsum_normal_flux(model, u, n)))
+        assert_close_to_max(model.normal_flux(cf(u), cf(n)),
+                            cf(einsum_normal_flux(model, u, n)), rtol)
         want = 0.5 * (einsum_normal_flux(model, u, n)
                       + einsum_normal_flux(model, v, n) - 3.5 * (v - u))
-        assert np.array_equal(
-            model.lf_flux(cf(np.stack([u, v])), cf(n), 3.5),
-            cf(want))
+        assert_close_to_max(
+            model.lf_flux(cf(np.stack([u, v])), cf(n), 3.5), cf(want), rtol)
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.5])
