@@ -111,13 +111,14 @@ class OEFilter:
         side0, side1 = op._endpoint_take                         # (2,d,ne)
         J = np.take(V, side0, axis=1)                            # (R,2,d,ne)
         u = np.take(V[0], op._endpoint_take).transpose(2, 0, 1, 3)
+        # 'state' boundary edges jump from side 0 to the ghost
         sid = self.state_ids
-        start = J[..., sid]
+        side0_state = J[..., sid]
         for a in range(op.n_derivs):
             J[a] -= np.take(V[a], side1)
         if len(op.boundary_ids):
             op.endpoint_ghosts(u, t)
-            J[..., sid] = start
+            J[..., sid] = side0_state
             J[0][..., sid] -= u[:, 1][..., sid].transpose(1, 0, 2)
         return J, u
 

@@ -219,15 +219,16 @@ class Euler(Model):
         rho, m1, m2, E = u
         v1, v2 = m1 / rho, m2 / rho
         p = (self.gamma - 1.0) * (E - 0.5 * (m1 * v1 + m2 * v2))
+        Ep = E + p
         f = np.empty((4, 2) + u.shape[1:])
         f[0, 0] = m1
         f[1, 0] = m1 * v1 + p
         f[2, 0] = m2 * v1
-        f[3, 0] = (E + p) * v1
+        f[3, 0] = Ep * v1
         f[0, 1] = m2
         f[1, 1] = m1 * v2
         f[2, 1] = m2 * v2 + p
-        f[3, 1] = (E + p) * v2
+        f[3, 1] = Ep * v2
         return f
 
     def normal_flux(self, u, n):
