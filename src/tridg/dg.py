@@ -274,7 +274,7 @@ class SpatialOperator:
         left = (il[:, None] * Q + q) * (d * nc) + lc[:, None]
         right = (ir[:, None] * Q + (Q - 1 - q)) * (d * nc) + rc[:, None]
         sides = np.stack([left, np.where(rc[:, None] >= 0, right, left)])
-        self._trace_take = comp[:, None, None, None] * nc + sides
+        self.trace_take = comp[:, None, None, None] * nc + sides
         fwd = mesh.cell_edge_forward
         gq = np.where(fwd[:, :, None], q, Q - 1 - q)                 # (nc,3,Q)
         rows = (mesh.cell_edges[:, :, None] * Q + gq).reshape(nc, 3 * Q).T
@@ -290,11 +290,11 @@ class SpatialOperator:
         left = lv_end.T * (d * nc) + lc
         sides = np.stack([
             left, np.where(rc >= 0, rv_end.T * (d * nc) + rc, left)])
-        self._endpoint_take = sides[:, :, None, :] + comp[:, None] * nc
+        self.endpoint_take = sides[:, :, None, :] + comp[:, None] * nc
 
     # -- evaluation helpers -------------------------------------------------
 
-    def _at_nodes(self, ref, buf):
+    def at_nodes(self, ref, buf):
         """Values at reference nodes of the buffer buf (nm, d, nc): one GEMM,
         node-major and component-first per node, (n_nodes, d, nc)."""
         return (ref @ buf.reshape(self.nm, -1)).reshape(len(ref), self.d, -1)
@@ -306,17 +306,17 @@ class SpatialOperator:
         local vertex (i+1)%3 to (i+2)%3: global edge-point order for the
         left cell of an edge, reversed for the right cell.
         """
-        TR = self._at_nodes(self.ref_trace, component_major(coeffs))
+        TR = self.at_nodes(self.ref_trace, component_major(coeffs))
         return TR.reshape(3, self.Q, self.d, -1).transpose(3, 0, 1, 2)
 
     def interior_values(self, coeffs):
         """Solution values at interior quadrature nodes: (nc, N, d), a view."""
-        return self._at_nodes(self.basis_int,
+        return self.at_nodes(self.basis_int,
                               component_major(coeffs)).transpose(2, 0, 1)
 
     def vertex_values(self, coeffs):
         """Solution values at the 3 cell vertices: (nc, 3, d), a view."""
-        return self._at_nodes(self.vertex_basis,
+        return self.at_nodes(self.vertex_basis,
                               component_major(coeffs)).transpose(2, 0, 1)
 
     def vertex_jets(self, coeffs):
@@ -326,7 +326,7 @@ class SpatialOperator:
         deriv_rows[j] selects order j on axis 0, whose entries are
         alpha = (j - aidx, aidx).
         """
-        ref = self._at_nodes(self._jet_ref, component_major(coeffs)).reshape(
+        ref = self.at_nodes(self._jet_ref, component_major(coeffs)).reshape(
             self.n_derivs, 3, self.d, -1)
         out = np.empty_like(ref)
         out[0] = ref[0]
@@ -381,7 +381,7 @@ class SpatialOperator:
         """
         if buf is None:
             buf = component_major(coeffs)
-        U = np.take(self._at_nodes(self.ref_trace, buf), self._trace_take)
+        U = np.take(self.at_nodes(self.ref_trace, buf), self.trace_take)
         bi = self.boundary_ids
         if len(bi):
             U[:, 1, bi] = self.boundary_ghost_values(
@@ -443,7 +443,7 @@ class SpatialOperator:
         """sum_a sum_q w_q dPsi/dxi_a F(u) . (|K| row a of J^-1), with the
         flux written node-major (a, q, d, nc) for the GEMM: (nm, d * nc)."""
         _, d, nc = buf.shape
-        Ui = self._at_nodes(self.basis_int, buf)                     # (N,d,nc)
+        Ui = self.at_nodes(self.basis_int, buf)                     # (N,d,nc)
         Fc = np.empty((2, self.n_int, d, nc))
         self.model.normal_flux_unchecked(Ui.transpose(1, 0, 2)[:, None],
                                          self._contravariant,
@@ -490,7 +490,7 @@ class SpatialOperator:
             return s
 
         # endpoint traces from both sides, (d, 2, 2, ne)
-        V = self._at_nodes(self.vertex_basis, component_major(coeffs))
-        UE = np.take(V, self._endpoint_take).transpose(2, 0, 1, 3)
+        V = self.at_nodes(self.vertex_basis, component_major(coeffs))
+        UE = np.take(V, self.endpoint_take).transpose(2, 0, 1, 3)
         self.endpoint_ghosts(UE, t)
         return max(s, float(np.max(self.model.wavespeed(UE, n))))

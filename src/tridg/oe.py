@@ -58,7 +58,7 @@ class OEFilter:
         for j, rows in enumerate(op.deriv_rows):
             w[j, rows] = [0.5 * comb(j, a) for a in range(j + 1)]
         self.weights = np.repeat(w, 2, axis=1)
-        # boundary edges read their own cell on side 1 of op._endpoint_take,
+        # boundary edges read their own cell on side 1 of op.endpoint_take,
         # so their jumps start at zero: 'copy' boundary edges keep zero jumps
         # of every order; 'state' edges jump against a degree-0 ghost
         bi = op.boundary_ids
@@ -84,7 +84,7 @@ class OEFilter:
         ubar = mesh.area @ means / mesh.area.sum()
         # interior values component-major, (N, d, nc), so that every
         # reduction runs along the cells
-        vals = op._at_nodes(op.basis_int, component_major(coeffs))
+        vals = op.at_nodes(op.basis_int, component_major(coeffs))
         vals -= ubar[:, None]
         mdev = None
         mom = op.model.momentum_components
@@ -108,9 +108,9 @@ class OEFilter:
         """
         op = self.op
         V = op.vertex_jets(coeffs).reshape(op.n_derivs, -1)      # (R,3*d*nc)
-        side0, side1 = op._endpoint_take                         # (2,d,ne)
+        side0, side1 = op.endpoint_take                         # (2,d,ne)
         J = np.take(V, side0, axis=1)                            # (R,2,d,ne)
-        u = np.take(V[0], op._endpoint_take).transpose(2, 0, 1, 3)
+        u = np.take(V[0], op.endpoint_take).transpose(2, 0, 1, 3)
         # 'state' boundary edges jump from side 0 to the ghost
         sid = self.state_ids
         side0_state = J[..., sid]
