@@ -20,6 +20,11 @@ def cf(a):
     return np.moveaxis(np.asarray(a, dtype=float), -1, 0)
 
 
+def flux_last(model, u):
+    """The flux of states u (..., d) as (..., 2, d), components last."""
+    return np.moveaxis(model.flux(cf(u)), (0, 1), (-1, -2))
+
+
 def normal_flux(model, u, n):
     """F(u) . n for states u (..., d) and normals n (..., 2): (..., d)."""
     if isinstance(model, ScaledModel):

@@ -13,17 +13,10 @@ from tridg.mesh import build_mesh, generate_structured, perturb, refine_uniform
 from tridg.oe import OEFilter
 from tridg.physics import Advection, Burgers, Euler, ScaledModel
 
+import components_last as cl
+from components_last import cf, flux_last
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def cf(a):
-    """Components first, (..., d) -> (d, ...): the models' kernel layout."""
-    return np.moveaxis(np.asarray(a, dtype=float), -1, 0)
-
-
-def flux_last(model, u):
-    """The flux of states u (..., d) as (..., 2, d), components last."""
-    return np.moveaxis(model.flux(cf(u)), (0, 1), (-1, -2))
 
 
 def single_ref_cell():
@@ -702,7 +695,6 @@ def test_retained_operator_bytes_per_cell_at_p3(monkeypatch):
                                    ScaledModel(Euler(), 2.5)],
                          ids=lambda m: m.name)
 def test_pipeline_matches_components_last_reference(mesh_name, k, model):
-    import components_last as cl
     from tridg.bp import BPLimiter
     from tridg.dg import component_major, modal_view
     mesh = MESHES[mesh_name]

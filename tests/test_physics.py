@@ -7,15 +7,7 @@ from tridg.errors import AdmissibilityError, UnsupportedOperationError
 from tridg.physics import (Advection, Burgers, Euler, ScaledModel, make_model,
                            rotate_vector)
 
-
-def cf(a):
-    """Components first, (..., d) -> (d, ...): the models' kernel layout."""
-    return np.moveaxis(np.asarray(a, dtype=float), -1, 0)
-
-
-def flux_last(model, u):
-    """The flux of states u (..., d) as (..., 2, d), components last."""
-    return np.moveaxis(model.flux(cf(u)), (0, 1), (-1, -2))
+from components_last import cf, flux_last
 
 
 def random_admissible(rng, n):
