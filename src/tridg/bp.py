@@ -274,16 +274,8 @@ def step_factor(mesh, k, scheme=None):
 
 
 def bp_timestep(mesh, alpha, c_ssp, scheme, k):
-    """dt = (C_SSP / alpha) * min_K C_K |K| for the chosen decomposition."""
+    """dt = (C_SSP / alpha) * step_factor(mesh, k, scheme)."""
     factor = step_factor(mesh, k, scheme)
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
-    return c_ssp / alpha * factor
-
-
-def generic_timestep(mesh, alpha, c_ssp, k):
-    """Non-BP CFL bound dt = (C_SSP / alpha) * min_K |K| / ((2k+1) sum_i l_i)."""
-    factor = step_factor(mesh, k)
     if alpha <= 0:
         raise ConfigError("alpha must be positive")
     return c_ssp / alpha * factor

@@ -18,11 +18,9 @@ import numpy as np
 from . import basis
 from . import bp as bp_mod
 from .config import BP_MODES, OE_MODES, RunConfig, load_config
-from .dg import SpatialOperator
 from .errors import AdmissibilityError, ConfigError, NumericsError, TriDGError
-from .harness import cfl_ratio_scan, convergence_study
+from .harness import build_solver, cfl_ratio_scan, convergence_study
 from .mesh import load_mesh
-from .oe import OEFilter
 from .problems import get_problem
 from .timestepping import SCHEMES, run, scheme_by_name
 
@@ -77,8 +75,7 @@ def _config_from_args(args):
 
 def _build_run(cfg):
     prob = get_problem(cfg.problem)
-    model = prob.make_model()
-    cfg.validate(model)
+    cfg.validate(prob.make_model())
     if cfg.mesh:
         mesh = load_mesh(cfg.mesh)
     elif cfg.gen:
@@ -86,13 +83,8 @@ def _build_run(cfg):
         mesh = prob.make_rect_mesh(nx, ny)
     else:
         mesh = prob.make_mesh(cfg.level)
-    op = SpatialOperator(mesh, model, cfg.k, boundary=prob.boundary(model))
-    state = op.project(prob.ic)
-    oe = None
-    if cfg.oe != "off":
-        oe = OEFilter(op, mode=cfg.oe_mode,
-                      guard_wavespeed=cfg.bp_scheme is not None)
-    return prob, op, state, oe
+    return (prob, *build_solver(prob, mesh, cfg.k, cfg.oe_mode,
+                                cfg.bp_scheme))
 
 
 # rows per `%` template in _write_snapshot: its temporaries stay below what
@@ -234,7 +226,7 @@ def cmd_convergence(args):
                 and getattr(cfg, f.name) != getattr(default, f.name)):
             raise ConfigError(f"field {f.name!r}: not used by 'convergence'")
     rows = convergence_study(cfg.problem, cfg.k, args.levels,
-                             oe_mode=cfg.oe_mode if cfg.oe != "off" else "off",
+                             oe_mode=cfg.oe_mode,
                              t_end=cfg.tend,
                              scheme=cfg.rk and scheme_by_name(cfg.rk))
     path = cfg.out

@@ -48,6 +48,13 @@ class RunConfig:
         if not (math.isfinite(self.cfl) and self.cfl > 0):
             raise ConfigError(f"field 'cfl': {self.cfl!r} is not a finite "
                               "number > 0")
+        # tend = 0 is a zero-duration run: the initial state and metadata
+        if self.tend is not None and not (math.isfinite(self.tend)
+                                          and self.tend >= 0):
+            raise ConfigError(f"field 'tend': {self.tend!r} is not a finite "
+                              "number >= 0")
+        if self.max_steps < 1:
+            raise ConfigError(f"field 'max_steps': {self.max_steps} < 1")
         if self.sample_grid < 0:
             raise ConfigError(f"field 'sample_grid': {self.sample_grid} < 0")
         if self.gen is not None:

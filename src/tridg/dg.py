@@ -464,33 +464,22 @@ class SpatialOperator:
 
     # -- wavespeed bound ----------------------------------------------------
 
-    def max_wavespeed(self, coeffs, t=0.0, mode="sup", states=None):
+    def max_wavespeed(self, coeffs, t=0.0, mode="edge_gauss", states=None):
         """Global LF viscosity parameter.
 
         mode 'cell_average': max over cells/edges of the wavespeed of the cell
         average. mode 'edge_gauss': max over the edge quadrature traces of
         both sides (the states entering the cell-average update; this is what
-        limited runs control). mode 'sup': 'edge_gauss' plus the edge endpoint
-        traces. states: the two-sided edge states of coeffs at t, when the
-        caller already built them with _edge_states.
+        limited runs control). states: the two-sided edge states of coeffs at
+        t, when the caller already built them with _edge_states.
         """
-        mesh = self.mesh
         if mode == "cell_average":
             ubar = coeffs[:, 0, :].T                                 # (d, nc)
             s = self.model.wavespeed(ubar[:, :, None],
-                                     mesh.normal.transpose(2, 0, 1))
+                                     self.mesh.normal.transpose(2, 0, 1))
             return float(np.max(s))
-        if mode not in ("sup", "edge_gauss"):
+        if mode != "edge_gauss":
             raise ConfigError(f"unknown wavespeed mode {mode!r}")
-
         U = self._edge_states(coeffs, t) if states is None else states
-        n = self.edge_normal_cf
-        s = float(np.max(self.model.wavespeed(U, n[:, :, None])))
-        if mode == "edge_gauss":
-            return s
-
-        # endpoint traces from both sides, (d, 2, 2, ne)
-        V = self.at_nodes(self.vertex_basis, component_major(coeffs))
-        UE = np.take(V, self.endpoint_take).transpose(2, 0, 1, 3)
-        self.endpoint_ghosts(UE, t)
-        return max(s, float(np.max(self.model.wavespeed(UE, n))))
+        return float(np.max(self.model.wavespeed(
+            U, self.edge_normal_cf[:, :, None])))

@@ -5,6 +5,7 @@ BP CFL-number ratio ensembles over random triangles, and the rotational
 (in)variance experiment comparing a run against its rotated twin.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from .mesh import build_mesh
 from .oe import OEFilter
 from .physics import rotate_vector
 from .problems import get_problem
-from .timestepping import advance, default_scheme_for, run
+from .timestepping import run
 
 MAX_AUTO_CELLS = 20_000
 
@@ -49,23 +50,32 @@ class ConvergenceRow:
     orderinf: float
 
 
+def build_solver(prob, mesh, k, oe_mode, bp_scheme=None, ic=None):
+    """Operator, projected initial state and OE filter of prob on mesh.
+
+    ic: the initial condition, prob.ic by default. oe_mode 'off' gives no
+    filter; the filter guards its wavespeed exactly when the run is limited.
+    """
+    model = prob.make_model()
+    op = SpatialOperator(mesh, model, k, boundary=prob.boundary(model))
+    state = op.project(prob.ic if ic is None else ic)
+    oe = None
+    if oe_mode != "off":
+        oe = OEFilter(op, mode=oe_mode, guard_wavespeed=bp_scheme is not None)
+    return op, state, oe
+
+
 def solve_problem(name, k, level=0, oe_mode="componentwise", bp_scheme=None,
                   t_end=None, scheme=None, output_times=(), cfl_scale=1.0,
                   max_steps=1_000_000):
     """Build mesh/operator/state for a library problem and run it."""
     prob = get_problem(name)
-    model = prob.make_model()
-    mesh = prob.make_mesh(level)
-    op = SpatialOperator(mesh, model, k, boundary=prob.boundary(model))
-    state = op.project(prob.ic)
-    oe = None
-    if oe_mode and oe_mode != "off":
-        oe = OEFilter(op, mode=oe_mode, guard_wavespeed=bp_scheme is not None)
-    bounds = prob.bp_bounds
+    op, state, oe = build_solver(prob, prob.make_mesh(level), k, oe_mode,
+                                 bp_scheme)
     result = run(op, state, t_end if t_end is not None else prob.t_end,
-                 scheme=scheme, oe=oe, bp_scheme=bp_scheme, bounds=bounds,
-                 output_times=output_times, cfl_scale=cfl_scale,
-                 max_steps=max_steps)
+                 scheme=scheme, oe=oe, bp_scheme=bp_scheme,
+                 bounds=prob.bp_bounds, output_times=output_times,
+                 cfl_scale=cfl_scale, max_steps=max_steps)
     return op, result
 
 
@@ -81,12 +91,9 @@ def convergence_study(name, k, levels, oe_mode="componentwise", t_end=None,
         mesh = prob.make_mesh(level)
         if mesh.n_cells > max_cells:
             break
-        model = prob.make_model()
-        op = SpatialOperator(mesh, model, k, boundary=prob.boundary(model))
-        state = op.project(prob.ic)
-        oe = OEFilter(op, mode=oe_mode) if oe_mode != "off" else None
+        op, state, oe = build_solver(prob, mesh, k, oe_mode)
         result = run(op, state, t_end if t_end is not None else prob.t_end,
-                     scheme=scheme or default_scheme_for(k), oe=oe)
+                     scheme=scheme, oe=oe)
         e = error_norms(op, result.state, prob.exact)
         if prev is None or any(v <= 0 for v in e) or any(v <= 0 for v in prev):
             orders = (float("nan"),) * 3
@@ -159,46 +166,32 @@ def _rotate_mesh(mesh, phi):
 
 
 def run_fixed_steps(op, state, steps, oe=None, scheme=None, cfl_scale=1.0):
-    """Advance a fixed number of steps with the generic CFL rule."""
-    scheme = scheme or default_scheme_for(op.k)
-    for _ in range(steps):
-        alpha = op.max_wavespeed(state.coeffs, t=state.t, mode="sup")
-        dt = bp_mod.generic_timestep(op.mesh, alpha, scheme.c_ssp, op.k)
-        state = advance(state, dt * cfl_scale,
-                        lambda c, t: op.residual(c, alpha, t), scheme, oe=oe)
-    return state
+    """Advance exactly `steps` unlimited steps; returns the final state."""
+    return run(op, state, math.inf, scheme=scheme, oe=oe,
+               cfl_scale=cfl_scale, max_steps=steps).state
 
 
-def rotation_experiment(mode="rioe", k=1, n=16, steps=50, phi=np.pi / 4,
-                        problem="euler_implosion_mild"):
-    """Run a problem and its rotated twin; report cell-average discrepancies.
+def rotated_twin_discrepancy(prob, mesh, mode, k, steps, phi):
+    """Run prob on mesh and its twin on the mesh rotated by phi.
 
     Returns max absolute differences of (rho, v1, v2, p) cell averages after
-    rotating the twin's velocity back. A rotation-equivariant filter keeps
-    these at round-off; the component-wise filter does not.
+    rotating the twin's velocity back, and their maximum as 'max'. A
+    rotation-equivariant filter keeps these at round-off; the component-wise
+    filter does not.
     """
-    prob = get_problem(problem)
     model = prob.make_model()
-    mesh = prob.make_rect_mesh(n)
-    op = SpatialOperator(mesh, model, k, boundary=prob.boundary(model))
-    state = op.project(prob.ic)
-    oe = OEFilter(op, mode=mode)
-    state = run_fixed_steps(op, state, steps, oe=oe)
-
-    mesh_r = _rotate_mesh(mesh, phi)
-    op_r = SpatialOperator(mesh_r, model, k, boundary=prob.boundary(model))
 
     def ic_rotated(x, y):
         back = rotate_vector(np.stack([x, y], axis=-1), -phi)
         u0 = np.asarray(prob.ic(back[..., 0], back[..., 1]), dtype=float)
         return model.rotate_state(u0, phi)
 
-    state_r = op_r.project(ic_rotated)
-    oe_r = OEFilter(op_r, mode=mode)
-    state_r = run_fixed_steps(op_r, state_r, steps, oe=oe_r)
-
-    ubar = state.cell_averages()
-    ubar_r = state_r.cell_averages()
+    averages = []
+    for m, ic in ((mesh, prob.ic), (_rotate_mesh(mesh, phi), ic_rotated)):
+        op, state, oe = build_solver(prob, m, k, mode, ic=ic)
+        averages.append(run_fixed_steps(op, state, steps, oe=oe)
+                        .cell_averages())
+    ubar, ubar_r = averages
     rho, rho_r = ubar[:, 0], ubar_r[:, 0]
     v = ubar[:, 1:3] / rho[:, None]
     v_r = rotate_vector(ubar_r[:, 1:3] / rho_r[:, None], -phi)
@@ -212,3 +205,11 @@ def rotation_experiment(mode="rioe", k=1, n=16, steps=50, phi=np.pi / 4,
     }
     eps["max"] = max(eps.values())
     return eps
+
+
+def rotation_experiment(mode="rioe", k=1, n=16, steps=50, phi=np.pi / 4,
+                        problem="euler_implosion_mild"):
+    """rotated_twin_discrepancy of a library problem on its n x n mesh."""
+    prob = get_problem(problem)
+    return rotated_twin_discrepancy(prob, prob.make_rect_mesh(n), mode, k,
+                                    steps, phi)

@@ -72,9 +72,6 @@ class Mesh:
     def interior_edge_ids(self):
         return np.nonzero(self.edge_cells[:, 1] >= 0)[0]
 
-    def cell_vertices(self, c):
-        return self.vertices[self.cells[c]]
-
     def physical_to_reference(self, c, xy):
         """Map physical points (..., 2) in cell c to reference coordinates."""
         v0 = self.vertices[self.cells[c, 0]]

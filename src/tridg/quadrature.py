@@ -80,9 +80,6 @@ def _collapsed_rule(n):
 
 _RULE_COLLAPSED_5 = _collapsed_rule(5)
 
-_PRECISION = {1: 2, 2: 4, 3: 6, 4: 8}
-
-
 def interior_rule(k):
     """(barycentric nodes (N,3), weights (N,)) with precision >= 2k for degree k."""
     if k == 1:
@@ -94,10 +91,6 @@ def interior_rule(k):
     if k == 4:
         return _RULE_COLLAPSED_5
     raise ValueError(f"no interior rule for degree {k}")
-
-
-def interior_precision(k):
-    return _PRECISION[k]
 
 
 def interior_points_ref(k):

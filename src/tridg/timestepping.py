@@ -6,6 +6,7 @@ Euler step survives. Hooks run after every stage in the order: OE filter,
 then BP limiter.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -147,12 +148,12 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
     the limiter controls, and build those edge states once per step for the
     bound and the first stage's residual; unlimited runs use the cheap
     cell-average bound.
+    A finite t_end not reached within max_steps steps raises NumericsError;
+    with t_end = math.inf the run ends normally after exactly max_steps.
     The initial state is always recorded; further snapshots are recorded at
     each requested output time (the step is clipped to land on it exactly).
     """
     scheme = scheme or default_scheme_for(op.k)
-    if isinstance(scheme, str):
-        scheme = scheme_by_name(scheme)
     if not np.all(np.isfinite(state.coeffs)):
         raise NumericsError("non-finite initial state", last_state=state,
                             step=0)
@@ -169,6 +170,8 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
     t0 = time.perf_counter()
     while state.t < t_end - 1e-14:
         if result.steps >= max_steps:
+            if t_end == math.inf:
+                break
             raise NumericsError("max_steps exceeded", last_state=state,
                                 step=result.steps)
         states = None

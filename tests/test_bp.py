@@ -160,7 +160,7 @@ def test_bp_timestep():
 
 def test_generic_timestep():
     m = generate_structured((0, 0, 1, 1), 2, 2, diagonal="uniform")
-    dt = bp.generic_timestep(m, alpha=2.0, c_ssp=1.0, k=1)
+    dt = bp.bp_timestep(m, alpha=2.0, c_ssp=1.0, scheme=None, k=1)
     want = 0.5 * np.min(m.area / (3 * m.edge_len.sum(axis=1)))
     assert dt == pytest.approx(want, rel=1e-14)
 
@@ -187,7 +187,7 @@ def test_step_factor_gives_the_timestep_bytes():
                     assert c_ssp / alpha * bp.step_factor(
                         mesh, k, scheme) == want
                 want = generic_dt(mesh, alpha, c_ssp, k)
-                assert bp.generic_timestep(mesh, alpha, c_ssp, k) == want
+                assert bp.bp_timestep(mesh, alpha, c_ssp, None, k) == want
                 assert c_ssp / alpha * bp.step_factor(mesh, k) == want
 
 

@@ -125,6 +125,37 @@ def test_cfl_must_be_finite_and_positive(tmp_path, capsys, cfl, source):
         ["run.cfg"] if source == "file" else [])
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("tend", ["-1", "-inf", "nan", "inf"])
+def test_tend_must_be_finite_and_not_negative(tmp_path, capsys, tend,
+                                              source):
+    # nan and -1 ran 0 steps and wrote the initial state as _final.csv;
+    # inf stepped on toward max_steps
+    argv = ["run", "--problem", "advection_smooth", "--k", "1",
+            "--gen", "3,3", "--out", str(tmp_path / "p")]
+    if source == "flag":
+        argv.append(f"--tend={tend}")
+    else:
+        (tmp_path / "run.cfg").write_text(f"tend = {tend}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 2
+    assert "'tend'" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == (
+        ["run.cfg"] if source == "file" else [])
+
+
+@pytest.mark.parametrize("max_steps", ["0", "-1"])
+def test_max_steps_must_be_positive(tmp_path, capsys, max_steps):
+    # 0 aborted as a numeric error (exit 4) before the first step
+    (tmp_path / "run.cfg").write_text(f"max_steps = {max_steps}\n")
+    rc = main(["run", "--problem", "advection_smooth", "--k", "1",
+               "--gen", "3,3", "--tend", "0.1", "--config",
+               str(tmp_path / "run.cfg"), "--out", str(tmp_path / "p")])
+    assert rc == 2
+    assert "'max_steps'" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_negative_sample_grid_is_a_config_error(tmp_path, capsys):
     # it used to run the whole simulation, then fail in np.linspace
     rc = main(["run", "--problem", "advection_smooth", "--k", "1",

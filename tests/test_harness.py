@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from tridg.dg import SpatialOperator
+from tridg.bp import step_factor
+from tridg.dg import SpatialOperator, component_major
 from tridg.errors import ConfigError
-from tridg.harness import (_rotate_mesh, cfl_ratio_scan, convergence_study,
-                           error_norms, random_triangle_lengths,
-                           rotation_experiment, run_fixed_steps, solve_problem)
+from tridg.harness import (cfl_ratio_scan, convergence_study, error_norms,
+                           random_triangle_lengths, rotated_twin_discrepancy,
+                           rotation_experiment, run_fixed_steps,
+                           solve_problem)
 from tridg.mesh import generate_structured, perturb
 from tridg.oe import OEFilter
-from tridg.physics import Advection, rotate_vector
+from tridg.physics import Advection
 from tridg.problems import PROBLEMS, get_problem
+from tridg.timestepping import advance, default_scheme_for
 
 
 def test_problem_registry():
@@ -109,36 +112,44 @@ def test_rotation_experiment_small():
     assert eps_cw["max"] > eps["max"]
 
 
-def rotated_twin_discrepancy(prob, mesh, mode, phi, steps):
-    """Largest cell-average difference of rho, velocity and p between a run
-    and its twin on the mesh rotated by phi, rotated back."""
-    model = prob.make_model()
-
-    def ic_rotated(x, y):
-        back = rotate_vector(np.stack([x, y], axis=-1), -phi)
-        return model.rotate_state(
-            np.asarray(prob.ic(back[..., 0], back[..., 1]), dtype=float), phi)
-
-    averages = []
-    for m, ic in ((mesh, prob.ic), (_rotate_mesh(mesh, phi), ic_rotated)):
-        op = SpatialOperator(m, model, 1, boundary=prob.boundary(model))
-        state = run_fixed_steps(op, op.project(ic), steps,
-                                oe=OEFilter(op, mode=mode))
-        averages.append(state.cell_averages())
-    u, u_r = averages
-    v = u[:, 1:3] / u[:, :1]
-    v_r = rotate_vector(u_r[:, 1:3] / u_r[:, :1], -phi)
-    return max(np.abs(u[:, 0] - u_r[:, 0]).max(), np.abs(v - v_r).max(),
-               np.abs(model.pressure(u) - model.pressure(u_r)).max())
-
-
 def test_rioe_equivariant_at_random_angles_on_perturbed_mesh():
     prob = get_problem("euler_implosion_mild")
     mesh = perturb(prob.make_rect_mesh(8), seed=3)
     for phi in np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 3):
-        assert rotated_twin_discrepancy(prob, mesh, "rioe", phi, 10) <= 1e-12
-        assert rotated_twin_discrepancy(prob, mesh, "componentwise", phi,
-                                        10) >= 1e-6
+        assert rotated_twin_discrepancy(prob, mesh, "rioe", 1, 10,
+                                        phi)["max"] <= 1e-12
+        assert rotated_twin_discrepancy(prob, mesh, "componentwise", 1, 10,
+                                        phi)["max"] >= 1e-6
+
+
+def sup_wavespeed(op, coeffs, t):
+    """The bound fixed-step runs once took: the edge Gauss traces and the
+    edge endpoint traces of both sides, ghosts included."""
+    V = op.at_nodes(op.vertex_basis, component_major(coeffs))
+    UE = np.take(V, op.endpoint_take).transpose(2, 0, 1, 3)
+    op.endpoint_ghosts(UE, t)
+    return max(op.max_wavespeed(coeffs, t=t, mode="edge_gauss"),
+               float(np.max(op.model.wavespeed(UE, op.edge_normal_cf))))
+
+
+def test_run_fixed_steps_matches_its_own_loop_on_advection():
+    # the loop run_fixed_steps ran before it went through timestepping.run,
+    # with the sup bound and the non-BP step; advection's wavespeed does not
+    # depend on the state, so run's cell-average bound gives the same alpha
+    mesh = perturb(generate_structured((0, 0, 1, 1), 5, 5,
+                                       periodic=("x", "y")), 0.3, seed=2)
+    op = SpatialOperator(mesh, Advection(), 2)
+    state = op.project(lambda x, y: 1.0 + 0.5 * np.sin(2 * np.pi * (x + y)))
+    oe = OEFilter(op)
+    scheme = default_scheme_for(op.k)
+    want = state
+    for _ in range(20):
+        alpha = sup_wavespeed(op, want.coeffs, want.t)
+        dt = scheme.c_ssp / alpha * step_factor(mesh, op.k)
+        want = advance(want, dt, lambda c, t: op.residual(c, alpha, t),
+                       scheme, oe=oe)
+    got = run_fixed_steps(op, state, 20, oe=oe)
+    assert np.array_equal(got.coeffs, want.coeffs) and got.t == want.t
 
 
 def test_solve_problem_smoke():
