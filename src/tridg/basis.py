@@ -7,9 +7,11 @@ exact reference integrals and arbitrary mixed derivatives cheap.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import numpy as np
+
+from .quadrature import ref_monomial_integral
 
 DEGREE_MAX = 4
 
@@ -56,16 +58,6 @@ def n_modes(k):
     return (k + 1) * (k + 2) // 2
 
 
-def last_mode(k):
-    """Index of the last mode of degree k: k(k+3)/2."""
-    return k * (k + 3) // 2
-
-
-def degree_block(m):
-    """Slice of mode indices with total degree exactly m (m >= 1)."""
-    return slice(last_mode(m - 1) + 1, last_mode(m) + 1)
-
-
 def _dense(coeffs):
     c = np.zeros((DEGREE_MAX + 1, DEGREE_MAX + 1))
     for (p, q), v in coeffs.items():
@@ -75,16 +67,12 @@ def _dense(coeffs):
 _DENSE = np.stack([_dense(c) for c in _COEFFS])  # (15, 5, 5)
 
 
-def _ref_mono_integral(p, q):
-    # integral of xi^p eta^q over the reference triangle, exact
-    return Fraction(factorial(p) * factorial(q), factorial(p + q + 2))
-
-
 def _ref_norm_sq(l):
     s = Fraction(0)
     for (p1, q1), c1 in _COEFFS[l].items():
         for (p2, q2), c2 in _COEFFS[l].items():
-            s += Fraction(c1 * c2) * _ref_mono_integral(p1 + p2, q1 + q2)
+            s += Fraction(c1 * c2) * ref_monomial_integral(p1 + p2, q1 + q2,
+                                                          exact=True)
     return s
 
 # exact reference L2 norms ||Psi_l||^2_T, evaluated once at import
@@ -114,35 +102,11 @@ def eval_modes(k, points, r=0, s=0):
     return np.einsum("lpq,np,nq->nl", c, px, py)
 
 
-def eval_basis(k, l, xi, eta):
-    """Value of mode l at (xi, eta); raises IndexError for l out of range."""
-    if not 0 <= l <= last_mode(k):
-        raise IndexError(f"mode {l} out of range for degree {k}")
-    return eval_modes(k, np.column_stack([np.atleast_1d(xi), np.atleast_1d(eta)]))[..., l].squeeze()
-
-
 def eval_grad(k, points):
     """Reference gradients (d/dxi, d/deta) of all modes: (npts, n_modes, 2)."""
     gx = eval_modes(k, points, r=1, s=0)
     gy = eval_modes(k, points, r=0, s=1)
     return np.stack([gx, gy], axis=-1)
-
-
-def eval_basis_grad(k, l, xi, eta):
-    if not 0 <= l <= last_mode(k):
-        raise IndexError(f"mode {l} out of range for degree {k}")
-    g = eval_grad(k, np.column_stack([np.atleast_1d(xi), np.atleast_1d(eta)]))
-    return g[..., l, 0].squeeze(), g[..., l, 1].squeeze()
-
-
-def cell_mass(area, k):
-    """Modal mass coefficients a^(l) = integral of Psi_l^2 over a physical cell.
-
-    The affine map has |det J| = 2|K|, so a^(l) = 2|K| * ||Psi_l||^2_T.
-    `area` may be a scalar or an array of cell areas.
-    """
-    a = np.asarray(area, dtype=float)
-    return 2.0 * a[..., None] * REF_NORMS[: n_modes(k)]
 
 
 def physical_derivative_transform(jac_inv, j):

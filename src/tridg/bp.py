@@ -313,7 +313,6 @@ class BPLimiter:
         if op.k not in (1, 2):
             raise ConfigError("the BP limiter supports k = 1 and 2 only")
         self.op = op
-        self.scheme = scheme
         self.k = op.k
         mesh = op.mesh
         self.positivity = op.model.positivity_constrained

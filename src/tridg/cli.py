@@ -10,7 +10,6 @@ import ctypes
 import math
 import sys
 import time
-import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -91,33 +90,21 @@ def _build_run(cfg):
 # a list of every value would take, at the same speed
 SNAPSHOT_CHUNK_ROWS = 1024
 
-# row prefixes "cell_id,centroid_x,centroid_y," of the last operator written;
-# a run writes several snapshots of one operator through the same
-# (path, op, state) call, and the weak reference neither keeps an operator
-# alive nor matches a new one made where a freed one was
-_prefix_cache = (lambda: None, ())
-
-
 def _cell_prefixes(op):
-    """One formatted row prefix per cell of op's mesh, cached for op."""
-    global _prefix_cache
-    ref, prefixes = _prefix_cache
-    if ref() is not op:
-        centroid = op.mesh.centroid
-        text = ("%.17g,%.17g,\n" * len(centroid)
-                % tuple(centroid.ravel().tolist()))
-        prefixes = [f"{c},{xy}" for c, xy in enumerate(text.split("\n")[:-1])]
-        _prefix_cache = (weakref.ref(op), prefixes)
-    return prefixes
+    """One row prefix "cell_id,centroid_x,centroid_y," per cell of op's mesh."""
+    centroid = op.mesh.centroid
+    text = ("%.17g,%.17g,\n" * len(centroid)
+            % tuple(centroid.ravel().tolist()))
+    return [f"{c},{xy}" for c, xy in enumerate(text.split("\n")[:-1])]
 
 
-def _write_snapshot(path, op, state):
+def _write_snapshot(path, prefixes, state):
     """One row per (cell, mode, component); the bytes _write_csv would write.
 
+    prefixes: _cell_prefixes of the state's operator, formatted once per run.
     Each chunk of whole cells is one row template filled by a single `%`.
     """
     nc, nm, d = state.coeffs.shape
-    prefixes = _cell_prefixes(op)
     # prefix.join(parts) is the cell's nm * d rows, prefix repeated per row
     parts = ["", *(f"{l},{comp},%.17g\r\n"
                    for l in range(nm) for comp in range(d))]
@@ -196,9 +183,10 @@ def cmd_run(args):
                  max_steps=cfg.max_steps)
     wall = time.perf_counter() - t0
     prefix = cfg.out or f"{cfg.problem}_k{cfg.k}"
+    row_prefixes = _cell_prefixes(op)
     for i, (t, snap) in enumerate(result.snapshots):
-        _write_snapshot(f"{prefix}_t{i}.csv", op, snap)
-    _write_snapshot(f"{prefix}_final.csv", op, result.state)
+        _write_snapshot(f"{prefix}_t{i}.csv", row_prefixes, snap)
+    _write_snapshot(f"{prefix}_final.csv", row_prefixes, result.state)
     if cfg.sample_grid:
         _write_samples(f"{prefix}_samples.csv", op, result.state,
                        cfg.sample_grid)
@@ -242,7 +230,6 @@ def cmd_decomp(args):
         raise ConfigError("field 'vertices': expected x1,y1,x2,y2,x3,y3")
     v = np.array(verts).reshape(3, 2)
     rows = []
-    lengths, _ = bp_mod.sorted_cell(v)
     for k in ([args.k] if args.k else [1, 2]):
         dec = bp_mod.decomposition(v, k, "dcw")
         nodes = dec.node_points()
@@ -253,9 +240,9 @@ def cmd_decomp(args):
         raw_str = ";".join(f"{p[0]:.12g}|{p[1]:.12g}" for p in raw_pts)
         rows.append(("dcw", k, wts_str, node_str, nwts_str, raw_str, dec.cfl))
         rows.append(("zxs", k, "", "", "", "",
-                     float(bp_mod.classical_cfl(lengths, k))))
+                     float(bp_mod.classical_cfl(dec.lengths, k))))
         rows.append(("cs", k, "", "", "", "",
-                     float(bp_mod.chen_shu_cfl(lengths, k))))
+                     float(bp_mod.chen_shu_cfl(dec.lengths, k))))
     _write_csv(args.out, ("scheme", "k", "edge_weights", "nodes",
                           "node_weights", "raw_nodes", "cfl"), rows)
     return EXIT_OK

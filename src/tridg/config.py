@@ -53,6 +53,8 @@ class RunConfig:
                                           and self.tend >= 0):
             raise ConfigError(f"field 'tend': {self.tend!r} is not a finite "
                               "number >= 0")
+        if self.level < 0:
+            raise ConfigError(f"field 'level': {self.level} < 0")
         if self.max_steps < 1:
             raise ConfigError(f"field 'max_steps': {self.max_steps} < 1")
         if self.sample_grid < 0:

@@ -103,13 +103,6 @@ class Inflow(BoundaryRule):
         return out
 
 
-class ExactBC(Inflow):
-    """Exterior trace from an exact solution (x, y, t) -> state."""
-
-    def __init__(self, fn):
-        super().__init__(fn)
-
-
 class Reflective(BoundaryRule):
     def ghost(self, model, u_int, x, n, t):
         return model.reflect(u_int, n)
@@ -185,7 +178,6 @@ class SpatialOperator:
         self.edge_normal = mesh.normal[lc, ll]                       # (ne, 2)
         # component-first, the models' normal layout: (2, ne)
         self.edge_normal_cf = np.ascontiguousarray(self.edge_normal.T)
-        self.edge_length = mesh.edge_len[lc, ll]                     # (ne,)
         pa = mesh.vertices[mesh.edge_vertices[:, 0]]
         pb = mesh.vertices[mesh.edge_vertices[:, 1]]
         self.edge_points = pa[:, None, :] + tq[None, :, None] * (pb - pa)[:, None, :]
@@ -445,9 +437,9 @@ class SpatialOperator:
         _, d, nc = buf.shape
         Ui = self.at_nodes(self.basis_int, buf)                     # (N,d,nc)
         Fc = np.empty((2, self.n_int, d, nc))
-        self.model.normal_flux_unchecked(Ui.transpose(1, 0, 2)[:, None],
-                                         self._contravariant,
-                                         out=Fc.transpose(2, 0, 1, 3))
+        self.model.normal_flux(Ui.transpose(1, 0, 2)[:, None],
+                               self._contravariant,
+                               out=Fc.transpose(2, 0, 1, 3))
         return self._vol_ref @ Fc.reshape(2 * self.n_int, d * nc)
 
     # -- projection ---------------------------------------------------------

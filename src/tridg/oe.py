@@ -16,6 +16,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from .basis import MODE_DEGREE
 from .dg import ModalState, component_major, modal_view
 from .errors import ConfigError, UnsupportedOperationError
 
@@ -45,8 +46,6 @@ class OEFilter:
         self.mode = mode
         self.guard_wavespeed = guard_wavespeed
         self.k = k = op.k
-        # total degree of every mode: degree m owns m + 1 modes
-        self.mode_degree = np.repeat(np.arange(k + 1), np.arange(1, k + 2))
         self.mom = list(op.model.momentum_components) if mode == "rioe" else []
         # A^{k,j} h^(j-1) per order j and cell edge: (k+1, 3, nc)
         h = op.mesh.height.T
@@ -205,5 +204,5 @@ class OEFilter:
         scale[0] = 1.0
         np.exp(-X, out=scale[1:])
         coeffs = (component_major(state.coeffs)
-                  * np.take(scale, self.mode_degree, axis=0))
+                  * np.take(scale, MODE_DEGREE[:self.op.nm], axis=0))
         return ModalState(state.k, modal_view(coeffs), state.t)

@@ -2,9 +2,10 @@
 
 Component axis convention. The solver's kernel methods take states
 component-first, u (d, ...) with u[c] the c-th conserved variable, and normals
-n (2, ...) broadcasting against u's trailing axes: admissible, flux,
-normal_flux, normal_flux_unchecked, lf_flux, wavespeed and wavespeed_clamped.
-flux returns (d, 2, ...) and normal_flux the projection F(u) . n, (d, ...).
+n (2, ...) broadcasting against u's trailing axes: admissible, normal_flux,
+lf_flux, wavespeed and wavespeed_clamped. normal_flux is the one flux kernel
+of a model, the projection F(u) . n as (d, ...) for unit or non-unit normals,
+with no admissibility check; lf_flux is the entry point that checks.
 The state helpers that serve problem setup, boundary rules and
 post-processing take and return states with the components last, (..., d),
 the layout of ModalState.coeffs and of problem callables: internal_energy,
@@ -29,23 +30,13 @@ class Model:
     # otherwise BP limiting enforces a scalar interval
     positivity_constrained = False
 
-    def flux(self, u):
+    def normal_flux(self, u, n, out=None):
+        """F(u) . n = F_x n1 + F_y n2 for normals n (2, ...): (d, ...).
+
+        No admissibility check; n need not be a unit vector. out: an array
+        of the result's shape to write into.
+        """
         raise NotImplementedError
-
-    def normal_flux(self, u, n):
-        """F(u) . n = F_x n1 + F_y n2 for normals n (2, ...): (d, ...)."""
-        f = self.flux(u)
-        n = np.asarray(n, dtype=float)
-        return f[:, 0] * n[0] + f[:, 1] * n[1]
-
-    def normal_flux_unchecked(self, u, n, out=None):
-        """Volume-quadrature path: no admissibility checks; n need not be a
-        unit vector. out: an array of the result's shape to write into."""
-        f = self.normal_flux(u, n)
-        if out is None:
-            return f
-        out[...] = f
-        return out
 
     def wavespeed(self, u, n):
         """Bound on |eigenvalues of F'(u) . n| for unit normal n."""
@@ -92,27 +83,13 @@ def rotate_vector(v, phi):
                      -s * v[..., 0] + c * v[..., 1]], axis=-1)
 
 
-def _both_directions(f):
-    """The flux (d, 2, ...) of a law whose x and y fluxes are both f."""
-    out = np.empty(f.shape[:1] + (2,) + f.shape[1:])
-    out[:, 0] = f
-    out[:, 1] = f
-    return out
-
-
 class Advection(Model):
     """u_t + u_x + u_y = 0 (velocity field (1, 1))."""
 
     name = "advection"
     n_components = 1
 
-    def flux(self, u):
-        return _both_directions(np.asarray(u, dtype=float))
-
-    def normal_flux(self, u, n):
-        return self.normal_flux_unchecked(u, n)
-
-    def normal_flux_unchecked(self, u, n, out=None):
+    def normal_flux(self, u, n, out=None):
         u = np.asarray(u, dtype=float)
         n = np.asarray(n, dtype=float)
         f = np.multiply(u, n[0], out=out)
@@ -132,9 +109,13 @@ class Burgers(Model):
     name = "burgers"
     n_components = 1
 
-    def flux(self, u):
+    def normal_flux(self, u, n, out=None):
         u = np.asarray(u, dtype=float)
-        return _both_directions(0.5 * u * u)
+        n = np.asarray(n, dtype=float)
+        f = 0.5 * u * u
+        out = np.multiply(f, n[0], out=out)
+        out += f * n[1]
+        return out
 
     def wavespeed(self, u, n):
         u = np.asarray(u, dtype=float)
@@ -212,32 +193,7 @@ class Euler(Model):
         out[3] *= vn
         return out
 
-    def flux(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u[0] <= 0):
-            raise AdmissibilityError("non-positive density in flux evaluation")
-        rho, m1, m2, E = u
-        v1, v2 = m1 / rho, m2 / rho
-        p = (self.gamma - 1.0) * (E - 0.5 * (m1 * v1 + m2 * v2))
-        Ep = E + p
-        f = np.empty((4, 2) + u.shape[1:])
-        f[0, 0] = m1
-        f[1, 0] = m1 * v1 + p
-        f[2, 0] = m2 * v1
-        f[3, 0] = Ep * v1
-        f[0, 1] = m2
-        f[1, 1] = m1 * v2
-        f[2, 1] = m2 * v2 + p
-        f[3, 1] = Ep * v2
-        return f
-
-    def normal_flux(self, u, n):
-        u = np.asarray(u, dtype=float)
-        if np.any(u[0] <= 0):
-            raise AdmissibilityError("non-positive density in flux evaluation")
-        return self.normal_flux_unchecked(u, n)
-
-    def normal_flux_unchecked(self, u, n, out=None):
+    def normal_flux(self, u, n, out=None):
         u = np.asarray(u, dtype=float)
         n = np.asarray(n, dtype=float)
         if out is None:
@@ -336,14 +292,8 @@ class ScaledModel(Model):
         self.momentum_components = base.momentum_components
         self.positivity_constrained = base.positivity_constrained
 
-    def flux(self, u):
-        return self.lam * self.base.flux(u)
-
-    def normal_flux(self, u, n):
-        return self.lam * self.base.normal_flux(u, n)
-
-    def normal_flux_unchecked(self, u, n, out=None):
-        f = self.base.normal_flux_unchecked(u, n, out=out)
+    def normal_flux(self, u, n, out=None):
+        f = self.base.normal_flux(u, n, out=out)
         f *= self.lam
         return f
 

@@ -7,7 +7,6 @@ then BP limiter.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -131,7 +130,6 @@ class RunResult:
     snapshots: list = field(default_factory=list)   # (t, ModalState)
     dt_history: list = field(default_factory=list)
     steps: int = 0
-    wall_time: float = 0.0
     bp_violations: int = 0
 
     @property
@@ -167,7 +165,6 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
     result = RunResult(state=state, snapshots=[(state.t, state.copy())])
     outputs = sorted(t for t in set(map(float, output_times)) if t > state.t)
 
-    t0 = time.perf_counter()
     while state.t < t_end - 1e-14:
         if result.steps >= max_steps:
             if t_end == math.inf:
@@ -212,7 +209,6 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
             result.snapshots.append((outputs.pop(0), state.copy()))
 
     result.state = state
-    result.wall_time = time.perf_counter() - t0
     if limiter is not None:
         result.bp_violations = limiter.violations
     return result

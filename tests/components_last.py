@@ -12,7 +12,7 @@ import numpy as np
 
 from tridg.dg import ModalState
 from tridg.oe import EPS_DEVIATION
-from tridg.physics import Euler, ScaledModel
+from tridg.physics import Burgers, Euler, ScaledModel
 
 
 def cf(a):
@@ -21,29 +21,38 @@ def cf(a):
 
 
 def flux_last(model, u):
-    """The flux of states u (..., d) as (..., 2, d), components last."""
-    return np.moveaxis(model.flux(cf(u)), (0, 1), (-1, -2))
+    """The flux of states u (..., d) as (..., 2, d), components last,
+    assembled with np.stack as the models once did."""
+    if isinstance(model, ScaledModel):
+        return model.lam * flux_last(model.base, u)
+    if isinstance(model, Euler):
+        rho, m1, m2, E = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
+        v1, v2 = m1 / rho, m2 / rho
+        p = (model.gamma - 1.0) * (E - 0.5 * (m1 * v1 + m2 * v2))
+        f1 = np.stack([m1, m1 * v1 + p, m2 * v1, (E + p) * v1], axis=-1)
+        f2 = np.stack([m2, m1 * v2, m2 * v2 + p, (E + p) * v2], axis=-1)
+        return np.stack([f1, f2], axis=-2)
+    f = 0.5 * u * u if isinstance(model, Burgers) else u
+    return np.stack([f, f], axis=-2)
 
 
 def normal_flux(model, u, n):
-    """F(u) . n for states u (..., d) and normals n (..., 2): (..., d)."""
-    if isinstance(model, ScaledModel):
-        return model.lam * normal_flux(model.base, u, n)
-    if not isinstance(model, Euler):
-        # the models want as many state axes on u as on n
-        u = u.reshape((1,) * max(0, n.ndim - u.ndim) + u.shape)
-        return np.moveaxis(model.normal_flux(cf(u), cf(n)), 0, -1)
-    rho, m1, m2, E = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
-    v1, v2 = m1 / rho, m2 / rho
-    p = (model.gamma - 1.0) * (E - 0.5 * (m1 * v1 + m2 * v2))
-    Ep = E + p
-    n1, n2 = n[..., 0], n[..., 1]
-    f = np.empty(np.broadcast_shapes(u.shape[:-1], n.shape[:-1]) + (4,))
-    f[..., 0] = m1 * n1 + m2 * n2
-    f[..., 1] = (m1 * v1 + p) * n1 + (m1 * v2) * n2
-    f[..., 2] = (m2 * v1) * n1 + (m2 * v2 + p) * n2
-    f[..., 3] = (Ep * v1) * n1 + (Ep * v2) * n2
-    return f
+    """F_x n1 + F_y n2 for states u (..., d) and normals n (..., 2): (..., d)."""
+    f = flux_last(model, u)
+    return f[..., 0, :] * n[..., 0, None] + f[..., 1, :] * n[..., 1, None]
+
+
+def vertex_derivatives(op, coeffs, j):
+    """Order-j mixed physical derivatives at the cell vertices.
+
+    Returns (nc, 3, j+1, d); axis 2 indexes alpha = (j - aidx, aidx).
+    """
+    return op.vertex_jets(coeffs)[op.deriv_rows[j]].transpose(3, 1, 0, 2)
+
+
+def assert_close_to_max(got, want, rtol=1e-13):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 def modes_first(coeffs):

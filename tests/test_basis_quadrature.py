@@ -24,17 +24,16 @@ def coeff_dict(l):
 
 def test_mode_counts():
     assert [basis.n_modes(k) for k in range(1, 5)] == [3, 6, 10, 15]
-    assert [basis.last_mode(k) for k in range(1, 5)] == [2, 5, 9, 14]
     assert list(basis.MODE_DEGREE) == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3,
                                        4, 4, 4, 4, 4]
 
 
 def test_degree_blocks_cover_modes():
-    covered = [0]
-    for m in range(1, 5):
-        s = basis.degree_block(m)
-        covered.extend(range(s.start, s.stop))
-    assert covered == list(range(15))
+    # P^k holds the modes of degree <= k, degree m owning m + 1 of them in a
+    # row: the table the OE filter spreads its per-degree factors with
+    for k in range(1, 5):
+        assert list(basis.MODE_DEGREE[:basis.n_modes(k)]) == list(
+            np.repeat(np.arange(k + 1), np.arange(1, k + 2)))
 
 
 def test_mode_zero_is_one():
@@ -45,17 +44,10 @@ def test_mode_zero_is_one():
 
 def test_printed_values():
     # Psi1 = 4 xi + 2 eta - 2 at the origin
-    assert basis.eval_basis(1, 1, 0.0, 0.0) == pytest.approx(-2.0)
+    assert basis.eval_modes(1, [0.0, 0.0])[0, 1] == pytest.approx(-2.0)
     # gradient of Psi2 = 3 eta - 1 is (0, 3) everywhere
-    gx, gy = basis.eval_basis_grad(2, 2, 0.37, 0.11)
+    gx, gy = basis.eval_grad(2, [0.37, 0.11])[0, 2]
     assert (gx, gy) == (pytest.approx(0.0, abs=1e-14), pytest.approx(3.0))
-
-
-def test_mode_out_of_range():
-    with pytest.raises(IndexError):
-        basis.eval_basis(1, 3, 0.1, 0.1)
-    with pytest.raises(IndexError):
-        basis.eval_basis_grad(2, 6, 0.1, 0.1)
 
 
 def test_orthogonality_against_oracle():
@@ -157,7 +149,9 @@ def test_edge_nodes_on_physical_edge():
 def test_cell_mass():
     tri = build_mesh([(0, 0), (2, 0), (0, 3)], [(0, 1, 2)],
                      [(0, 1, "OUT"), (1, 2, "OUT"), (2, 0, "OUT")])
-    a = basis.cell_mass(tri.area[0], 2)
+    # integral of Psi_l^2 over the cell: |det J| = 2|K| times the reference
+    # norm, the mass the residual divides by
+    a = 2.0 * tri.area[0] * basis.REF_NORMS[:basis.n_modes(2)]
     assert a[0] == pytest.approx(tri.area[0], rel=1e-14)      # Psi0 = 1
     assert a[2] == pytest.approx(tri.area[0] / 2, rel=1e-14)  # (3 eta - 1)^2
     assert np.all(a > 0)

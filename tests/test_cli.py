@@ -88,11 +88,16 @@ def test_run_deterministic_output(tmp_path):
         (tmp_path / "b_final.csv").read_bytes()
 
 
-def test_config_error_codes(tmp_path):
+def test_config_error_codes(tmp_path, capsys):
     assert main(["run", "--problem", "advection_smooth", "--k", "7"]) == 2
     assert main(["run", "--problem", "no_such_problem"]) == 2
     assert main(["run", "--problem", "advection_smooth", "--k", "1",
                  "--oe", "ri"]) == 2  # rioe needs Euler
+    # a negative level died in np.linspace with a TypeError (exit 1)
+    capsys.readouterr()
+    assert main(["run", "--problem", "advection_smooth", "--k", "1",
+                 "--level", "-1", "--tend", "0.001"]) == 2
+    assert "'level'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("times", ["0.5", "0.02,nan", "inf", "-0.5"])
@@ -320,7 +325,7 @@ def test_nan_state_exit_code(tmp_path, monkeypatch, argv):
 
 
 def test_snapshot_bytes_match_csv_writer(tmp_path):
-    from tridg.cli import _write_csv, _write_snapshot
+    from tridg.cli import _cell_prefixes, _write_csv, _write_snapshot
     from tridg.dg import SpatialOperator
     from tridg.mesh import generate_structured, perturb
     from tridg.physics import Euler
@@ -335,7 +340,7 @@ def test_snapshot_bytes_match_csv_writer(tmp_path):
             for comp in range(state.d)]
     _write_csv(tmp_path / "rows.csv", ("cell_id", "centroid_x", "centroid_y",
                                        "mode", "component", "value"), rows)
-    _write_snapshot(tmp_path / "snap.csv", op, state)
+    _write_snapshot(tmp_path / "snap.csv", _cell_prefixes(op), state)
     want = (tmp_path / "rows.csv").read_bytes()
     assert all(v in want for v in (b",-0\r\n", b",1e-300\r\n", b",-1e-300\r\n",
                                    b",-1.0000000000000001e+300\r\n"))
@@ -374,7 +379,7 @@ def snapshot_case(model_name, k, nx, ny, seed):
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("model", ["advection", "euler"])
 def test_snapshot_bytes_match_per_row_writer(tmp_path, model, k):
-    from tridg.cli import SNAPSHOT_CHUNK_ROWS, _write_snapshot
+    from tridg.cli import SNAPSHOT_CHUNK_ROWS, _cell_prefixes, _write_snapshot
     op, state = snapshot_case(model, k, 21, 20, seed=3)
     # 840 cells: several full chunks and a partial last one
     step = SNAPSHOT_CHUNK_ROWS // (op.nm * state.d)
@@ -385,7 +390,7 @@ def test_snapshot_bytes_match_per_row_writer(tmp_path, model, k):
     state.coeffs.flat[-6:] = special[6:]
     # the last cell of the first chunk and the first of the second
     state.coeffs[step - 1:step + 1, -1, -1] = [1 / 3, -0.0]
-    _write_snapshot(tmp_path / "snap.csv", op, state)
+    _write_snapshot(tmp_path / "snap.csv", _cell_prefixes(op), state)
     per_row_snapshot(tmp_path / "ref.csv", op, state)
     want = (tmp_path / "ref.csv").read_bytes()
     assert all(v in want for v in (b",-0\r\n", b",1e-300\r\n", b",nan\r\n",
@@ -396,26 +401,16 @@ def test_snapshot_bytes_match_per_row_writer(tmp_path, model, k):
 
 
 def test_snapshot_prefixes_follow_the_operator(tmp_path):
-    # two operators on different meshes, written alternately in one process,
-    # then one made after the first is freed: each file has its own centroids
-    import gc
-
-    from tridg.cli import _write_snapshot
+    # operators on different meshes, written alternately in one process:
+    # each file has its own centroids
+    from tridg.cli import _cell_prefixes, _write_snapshot
     cases = [snapshot_case("advection", 1, 5, 4, seed=1),
              snapshot_case("euler", 2, 4, 5, seed=2)]
-    for i in range(4):
-        op, state = cases[i % 2]
-        _write_snapshot(tmp_path / "snap.csv", op, state)
+    for op, state in cases * 2:
+        _write_snapshot(tmp_path / "snap.csv", _cell_prefixes(op), state)
         per_row_snapshot(tmp_path / "ref.csv", op, state)
         assert (tmp_path / "snap.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
-    del cases[0], op, state
-    gc.collect()
-    op, state = snapshot_case("advection", 1, 4, 5, seed=4)
-    _write_snapshot(tmp_path / "snap.csv", op, state)
-    per_row_snapshot(tmp_path / "ref.csv", op, state)
-    assert (tmp_path / "snap.csv").read_bytes() == \
-        (tmp_path / "ref.csv").read_bytes()
 
 
 def test_decomp_records_raw_nodes(tmp_path):

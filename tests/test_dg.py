@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tridg import basis
-from tridg.dg import (REF_VERTICES, ExactBC, Inflow, ModalState, Outflow,
+from tridg.dg import (REF_VERTICES, Inflow, ModalState, Outflow,
                       Reflective, SpatialOperator)
 from tridg.errors import AdmissibilityError, ConfigError
 from tridg.mesh import build_mesh, generate_structured, perturb, refine_uniform
@@ -14,7 +14,8 @@ from tridg.oe import OEFilter
 from tridg.physics import Advection, Burgers, Euler, ScaledModel
 
 import components_last as cl
-from components_last import cf, flux_last
+from components_last import (assert_close_to_max, cf, flux_last,
+                             vertex_derivatives)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -90,7 +91,7 @@ def test_ghost_state_rules():
     x = np.array([0.0, 0.5])
     spec = {"OUT": Outflow(), "WALL": Reflective(),
             "IN": Inflow(np.array([1.4, 4.2, 0.0, 8.8])),
-            "EXACT": ExactBC(lambda xx, yy, t: np.stack(
+            "EXACT": Inflow(lambda xx, yy, t: np.stack(
                 [np.ones_like(xx), xx, yy, np.full_like(xx, 3.0)], axis=-1))}
     assert np.allclose(ghost_state(spec, model, u, x, n, 0.0, "OUT"), u)
     assert np.allclose(ghost_state(spec, model, u, x, n, 0.0, "WALL"),
@@ -236,14 +237,6 @@ def test_max_wavespeed_modes(periodic_square):
             op.max_wavespeed(st.coeffs, mode=mode)
 
 
-def vertex_derivatives(op, coeffs, j):
-    """Order-j mixed physical derivatives at the cell vertices.
-
-    Returns (nc, 3, j+1, d); axis 2 indexes alpha = (j - aidx, aidx).
-    """
-    return op.vertex_jets(coeffs)[op.deriv_rows[j]].transpose(3, 1, 0, 2)
-
-
 def test_vertex_derivatives_match_polynomial():
     # quadratic with known mixed derivatives
     m = perturb(generate_structured((0, 0, 1, 1), 3, 3), 0.2, seed=4)
@@ -268,7 +261,7 @@ def test_exact_bc_run():
                                   ("left", "right", "bottom", "top")})
     exact = lambda x, y, t: np.sin(2 * np.pi * (x + y - 2 * t))
     op = SpatialOperator(m, Advection(), 2, boundary={
-        "EXACT": ExactBC(lambda x, y, t: exact(x, y, t)[..., None])})
+        "EXACT": Inflow(lambda x, y, t: exact(x, y, t)[..., None])})
     st = op.project(lambda x, y: exact(x, y, 0.0))
     from tridg.timestepping import run
     res = run(op, st, t_end=0.05)
@@ -301,41 +294,26 @@ def test_p4_pipeline():
 
 # -- the residual against the stack-and-einsum flux code it replaced --------
 
-def stacked_flux(model, u):
-    """F(u) as (..., 2, d), assembled with np.stack as the models once did."""
-    if isinstance(model, Euler):
-        rho, m1, m2, E = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
-        v1, v2 = m1 / rho, m2 / rho
-        p = (model.gamma - 1.0) * (E - 0.5 * (m1 * v1 + m2 * v2))
-        f1 = np.stack([m1, m1 * v1 + p, m2 * v1, (E + p) * v1], axis=-1)
-        f2 = np.stack([m2, m1 * v2, m2 * v2 + p, (E + p) * v2], axis=-1)
-        return np.stack([f1, f2], axis=-2)
-    f = 0.5 * u * u if isinstance(model, Burgers) else u
-    return np.stack([f, f], axis=-2)
-
-
 def with_stacked_fluxes(model):
     """A copy of `model` whose residual path uses stacked F and einsum F.n,
     components last."""
     ref = copy.copy(model)
 
-    def lf_flux(u, n, alpha):
-        u, n = np.moveaxis(u, 0, -1), np.moveaxis(n, 0, -1)
-        fi = np.einsum("...kd,...k->...d", stacked_flux(model, u[0]), n)
-        fe = np.einsum("...kd,...k->...d", stacked_flux(model, u[1]), n)
-        return cf(0.5 * (fi + fe - alpha * (u[1] - u[0])))
-
-    def normal_flux_unchecked(u, n, out=None):
+    def normal_flux(u, n, out=None):
         f = cf(np.einsum("...kd,...k->...d",
-                         stacked_flux(model, np.moveaxis(u, 0, -1)),
+                         flux_last(model, np.moveaxis(u, 0, -1)),
                          np.moveaxis(n, 0, -1)))
         if out is None:
             return f
         out[...] = f
         return out
 
+    def lf_flux(u, n, alpha):
+        f = normal_flux(u, n)
+        return 0.5 * (f[:, 0] + f[:, 1] - alpha * (u[:, 1] - u[:, 0]))
+
     ref.lf_flux = lf_flux
-    ref.normal_flux_unchecked = normal_flux_unchecked
+    ref.normal_flux = normal_flux
     return ref
 
 
@@ -455,7 +433,8 @@ class PerCellEdgeOperators:
         F_ce = fhat[op.mesh.cell_edges].reshape(nc, 3 * op.Q, d)
         R = -np.matmul(self.scatter_op, F_ce)
         R += PerCellVolumeAndJets(op).volume(coeffs)
-        return R / basis.cell_mass(op.mesh.area, op.k)[:, :, None]
+        mass = 2.0 * op.mesh.area[:, None] * basis.REF_NORMS[:op.nm]
+        return R / mass[:, :, None]
 
     def vertex_values(self, coeffs):
         return np.matmul(self.op.vertex_basis, coeffs)
@@ -503,11 +482,6 @@ class PerCellVolumeAndJets:
         nc, _, d = coeffs.shape
         out = np.matmul(self.jet_op, coeffs)
         return out.reshape(nc, 3, self.op.n_derivs, d).transpose(2, 1, 3, 0)
-
-
-def assert_close_to_max(got, want, rtol=1e-13):
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 def orientation_meshes():

@@ -10,6 +10,8 @@ from tridg.oe import EPS_DEVIATION, OEFilter, damping_prefactor
 from tridg.physics import Advection, Burgers, Euler, ScaledModel
 from tridg.problems import get_problem
 
+from components_last import vertex_derivatives
+
 
 def make_op(k=2, n=5, model=None):
     mesh = generate_structured((0, 0, 1, 1), n, n, periodic=("x", "y"))
@@ -47,14 +49,6 @@ def jump_measures(f, coeffs, t=0.0):
     Ah = mesh.height.T[None] * f.A_h                         # (k+1,3,nc)
     delta = Ah[:, None] * np.take(G, mesh.cell_edges.T, axis=2)
     return delta.transpose(3, 2, 0, 1)
-
-
-def vertex_derivatives(op, coeffs, j):
-    """Order-j mixed physical derivatives at the cell vertices.
-
-    Returns (nc, 3, j+1, d); axis 2 indexes alpha = (j - aidx, aidx).
-    """
-    return op.vertex_jets(coeffs)[op.deriv_rows[j]].transpose(3, 1, 0, 2)
 
 
 def test_damping_prefactor():
@@ -481,11 +475,12 @@ def test_damping_exponents_match_concatenated_reference(k, model, mode,
 # -- reference: the per-degree block scaling of a full state copy ------------
 
 def block_loop_apply(f, state, dt):
-    from tridg import basis
     X = f.damping_exponents(state.coeffs, dt, state.t)
     out = state.copy()
     for m in range(1, f.k + 1):
-        out.coeffs[:, basis.degree_block(m), :] *= np.exp(-X[:, m - 1, None, :])
+        # the m + 1 modes of degree m
+        block = slice(m * (m + 1) // 2, (m + 1) * (m + 2) // 2)
+        out.coeffs[:, block, :] *= np.exp(-X[:, m - 1, None, :])
     return out
 
 

@@ -7,7 +7,7 @@ from tridg.errors import AdmissibilityError, UnsupportedOperationError
 from tridg.physics import (Advection, Burgers, Euler, ScaledModel, make_model,
                            rotate_vector)
 
-from components_last import cf, flux_last
+from components_last import assert_close_to_max, cf, flux_last
 
 
 def random_admissible(rng, n):
@@ -19,29 +19,27 @@ def random_admissible(rng, n):
 
 
 def test_advection_flux():
-    f = Advection().flux(np.array([2.0]))
-    assert np.allclose(f, [[2.0], [2.0]])
+    # F(u) = (u, u): F . n = u (n1 + n2)
+    f = Advection().normal_flux(np.array([2.0]), np.array([0.6, -0.8]))
+    assert np.allclose(f, [-0.4])
 
 
 def test_burgers_flux():
-    f = Burgers().flux(np.array([2.0]))
-    assert np.allclose(f, [[2.0], [2.0]])
+    # F(u) = (u^2/2, u^2/2)
+    f = Burgers().normal_flux(np.array([2.0]), np.array([0.6, 0.8]))
+    assert np.allclose(f, [2.8])
 
 
 def test_euler_flux_hand_value():
-    # rho=1.4, v=(3,0), p=1 gives f1 = (4.2, 13.6, 0, 29.4)
+    # rho=1.4, v=(3,0), p=1 gives f1 = (4.2, 13.6, 0, 29.4), f2 = (0, 0, 1, 0)
     u = np.array([1.4, 4.2, 0.0, 8.8])
-    f = Euler().flux(u)
-    assert f.shape == (4, 2)
+    f = Euler().normal_flux(u[:, None], np.array([[1.0], [0.0]]))
+    assert f.shape == (4, 1)
     assert np.allclose(f[:, 0], [4.2, 13.6, 0.0, 29.4])
+    # a non-unit normal scales the flux
+    assert np.allclose(Euler().normal_flux(u[:, None], np.array([0.0, 2.0])),
+                       [[0.0], [0.0], [2.0], [0.0]])
     assert Euler().pressure(u) == pytest.approx(1.0)
-
-
-def test_euler_flux_rejects_nonpositive_density():
-    with pytest.raises(AdmissibilityError):
-        Euler().flux(np.array([-1.0, 0, 0, 1.0]))
-    with pytest.raises(AdmissibilityError):
-        Euler().flux(np.array([0.0, 0, 0, 1.0]))
 
 
 def test_wavespeeds():
@@ -158,8 +156,9 @@ def test_scaled_model():
     rng = np.random.default_rng(2)
     u = random_admissible(rng, 10)
     m = ScaledModel(Euler(), 2.5)
-    assert np.allclose(m.flux(cf(u)), 2.5 * Euler().flux(cf(u)))
     n = np.array([0.6, 0.8])
+    assert np.allclose(m.normal_flux(cf(u), n),
+                       2.5 * Euler().normal_flux(cf(u), n))
     assert np.allclose(m.wavespeed(cf(u), n),
                        2.5 * Euler().wavespeed(cf(u), n))
 
@@ -195,11 +194,6 @@ def random_states(rng, model, n, q):
     if model.n_components == 4:
         return random_admissible(rng, n * q).reshape(n, q, 4)
     return rng.standard_normal((n, q, 1))
-
-
-def assert_close_to_max(got, want, rtol):
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 def einsum_normal_flux(model, u, n):

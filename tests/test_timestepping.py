@@ -160,9 +160,19 @@ def test_run_to_infinity_takes_exactly_max_steps():
         res = run(op, st, math.inf, max_steps=n)
         assert res.steps == len(res.dt_history) == n
         assert res.state.t == pytest.approx(sum(res.dt_history), abs=1e-15)
-    # a finite t_end not reached within max_steps is a numeric abort
-    with pytest.raises(NumericsError):
-        run(op, st, 10.0, max_steps=2)
+
+
+def test_max_steps_abort_names_the_step():
+    # a finite t_end not reached within max_steps is a numeric abort; it
+    # names the step reached and keeps the state after it
+    mesh = generate_structured((0, 0, 1, 1), 3, 3, periodic=("x", "y"))
+    op = SpatialOperator(mesh, Advection(), 1)
+    st = op.project(lambda x, y: np.sin(2 * np.pi * x))
+    with pytest.raises(NumericsError) as e:
+        run(op, st, 10.0, max_steps=7)
+    assert e.value.step == 7 and "(step 7)" in str(e.value)
+    assert np.array_equal(e.value.last_state.coeffs,
+                          run(op, st, math.inf, max_steps=7).state.coeffs)
 
 
 def test_average_dt_ratio_matches_cfl_numbers():
