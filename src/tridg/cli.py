@@ -19,7 +19,7 @@ from . import bp as bp_mod
 from .config import BP_MODES, OE_MODES, RunConfig, load_config
 from .errors import AdmissibilityError, ConfigError, NumericsError, TriDGError
 from .harness import build_solver, cfl_ratio_scan, convergence_study
-from .mesh import load_mesh
+from .mesh import load_mesh, min_cell_area
 from .problems import get_problem
 from .timestepping import SCHEMES, run, scheme_by_name
 
@@ -225,10 +225,17 @@ def cmd_convergence(args):
 
 
 def cmd_decomp(args):
-    verts = [float(v) for v in args.vertices.split(",")]
-    if len(verts) != 6:
-        raise ConfigError("field 'vertices': expected x1,y1,x2,y2,x3,y3")
-    v = np.array(verts).reshape(3, 2)
+    try:
+        v = np.array([float(x) for x in args.vertices.split(",")]).reshape(3, 2)
+    except ValueError:
+        raise ConfigError(
+            "field 'vertices': expected x1,y1,x2,y2,x3,y3") from None
+    # either orientation, held to the area floor of a mesh cell
+    d = v[1:] - v[0]
+    area = 0.5 * abs(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
+    if not (np.isfinite(v).all() and area > 0 and area >= min_cell_area(v)):
+        raise ConfigError("field 'vertices': a coordinate is not finite or "
+                          "the triangle is degenerate")
     rows = []
     for k in ([args.k] if args.k else [1, 2]):
         dec = bp_mod.decomposition(v, k, "dcw")
@@ -249,6 +256,8 @@ def cmd_decomp(args):
 
 
 def cmd_cflscan(args):
+    if args.count < 1:
+        raise ConfigError(f"field 'count': must be >= 1, got {args.count}")
     ks = [args.k] if args.k else [1, 2]
     rows = []
     for k in ks:

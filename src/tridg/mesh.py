@@ -68,19 +68,11 @@ class Mesh:
     def boundary_edge_ids(self):
         return np.nonzero(self.edge_cells[:, 1] < 0)[0]
 
-    @property
-    def interior_edge_ids(self):
-        return np.nonzero(self.edge_cells[:, 1] >= 0)[0]
-
     def physical_to_reference(self, c, xy):
         """Map physical points (..., 2) in cell c to reference coordinates."""
         v0 = self.vertices[self.cells[c, 0]]
         d = np.asarray(xy, dtype=float) - v0
         return d @ self.jac_inv[c].T
-
-    def reference_to_physical(self, c, ref):
-        v0 = self.vertices[self.cells[c, 0]]
-        return v0 + np.asarray(ref, dtype=float) @ self.jac[c].T
 
 
 def _compute_geometry(mesh):
@@ -94,13 +86,12 @@ def _compute_geometry(mesh):
     to_vert = v - v[:, [1, 2, 0]]                       # v[i] - edge start
     mesh.height = np.abs(_cross2(e, to_vert)) / mesh.edge_len
     mesh.jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-    det = area2
     inv = np.empty_like(mesh.jac)
     inv[:, 0, 0] = mesh.jac[:, 1, 1]
     inv[:, 0, 1] = -mesh.jac[:, 0, 1]
     inv[:, 1, 0] = -mesh.jac[:, 1, 0]
     inv[:, 1, 1] = mesh.jac[:, 0, 0]
-    mesh.jac_inv = inv / det[:, None, None]
+    mesh.jac_inv = inv / area2[:, None, None]
     mesh.sort_order = np.argsort(-mesh.edge_len, axis=1, kind="stable")
     mesh.centroid = v.mean(axis=1)
 
@@ -119,11 +110,16 @@ def _validate_cells(vertices, cells):
         bad = int(np.argmax(area2 <= 0))
         raise GeometryError(
             f"cell {bad} has non-positive area (vertices must be CCW)")
+    small = 0.5 * area2 < min_cell_area(vertices)
+    if np.any(small):
+        raise GeometryError(
+            f"cell {int(np.argmax(small))} is degenerate (area below tolerance)")
+
+
+def min_cell_area(vertices):
+    """Least area of a non-degenerate cell with corners among `vertices`."""
     bbox = np.ptp(vertices, axis=0)
-    bbox_area = max(bbox[0] * bbox[1], bbox.max() ** 2)
-    if np.any(0.5 * area2 < DEGENERACY_REL_TOL * bbox_area):
-        bad = int(np.argmax(0.5 * area2 < DEGENERACY_REL_TOL * bbox_area))
-        raise GeometryError(f"cell {bad} is degenerate (area below tolerance)")
+    return DEGENERACY_REL_TOL * max(bbox[0] * bbox[1], bbox.max() ** 2)
 
 
 def build_mesh(vertices, cells, boundary_tags=None):
@@ -253,14 +249,10 @@ def _glue_periodic(mesh):
     mesh.edge_periodic[ea] = True
     for eid in ea:
         mesh.edge_tag[eid] = None
-    keep = np.ones(mesh.n_edges, dtype=bool)
-    keep[eb] = False
-    idx = np.nonzero(keep)[0]
-    mesh.edge_vertices = mesh.edge_vertices[idx]
-    mesh.edge_cells = mesh.edge_cells[idx]
-    mesh.edge_local = mesh.edge_local[idx]
-    mesh.edge_offset = mesh.edge_offset[idx]
-    mesh.edge_periodic = mesh.edge_periodic[idx]
+    idx = np.delete(np.arange(mesh.n_edges), eb)
+    for name in ("edge_vertices", "edge_cells", "edge_local", "edge_offset",
+                 "edge_periodic"):
+        setattr(mesh, name, getattr(mesh, name)[idx])
     mesh.edge_tag = [mesh.edge_tag[i] for i in idx]
 
 
@@ -439,24 +431,18 @@ def generate_structured(bounds, nx, ny, diagonal="alternating",
     if diagonal not in ("alternating", "uniform"):
         raise ValueError("diagonal must be 'alternating' or 'uniform'")
     x0, y0, x1, y1 = bounds
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
     vid = lambda i, j: j * (nx + 1) + i
-    verts = np.array([[xs[i], ys[j]] for j in range(ny + 1) for i in range(nx + 1)])
+    xs, ys = np.meshgrid(np.linspace(x0, x1, nx + 1), np.linspace(y0, y1, ny + 1))
+    verts = np.stack([xs.ravel(), ys.ravel()], axis=1)
 
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            flip = diagonal == "alternating" and (i + j) % 2 == 1
-            if not flip:   # diagonal a-c
-                cells.append((a, b, c))
-                cells.append((a, c, d))
-            else:          # diagonal b-d
-                cells.append((a, b, d))
-                cells.append((b, c, d))
-    cells = np.array(cells, dtype=np.int64)
+    # square (i, j) has corners a, b, c, d counterclockwise from (i, j); it
+    # is split along a-c, or along b-d where flipped
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny))
+    a, b = vid(i, j), vid(i + 1, j)
+    c, d = vid(i + 1, j + 1), vid(i, j + 1)
+    flip = (diagonal == "alternating") & ((i + j) % 2 == 1)
+    cells = np.stack([a, b, np.where(flip, d, c),
+                      np.where(flip, b, a), c, d], axis=-1).reshape(-1, 3)
 
     tags = dict(tags or {})
     side_tag = {s: tags.get(s, "OUT") for s in ("left", "right", "bottom", "top")}
@@ -485,86 +471,75 @@ def generate_structured(bounds, nx, ny, diagonal="alternating",
     return build_mesh(verts, cells, btags)
 
 
-def _boundary_tag_records(mesh):
-    """Recover (iv0, iv1, tag) records, re-expanding periodic pairs.
+def _boundary_records(mesh):
+    """Boundary records as arrays: endpoints (nr, 2), side ids (nr,), tags.
 
     Records follow the edge order; a periodic edge gives two records, its own
     endpoints and then its partner's, both tagged P{pid} with pid counting the
-    periodic edges.
+    periodic edges. A record's side id is its edge id, plus n_edges for a
+    partner's record.
     """
+    ne = mesh.n_edges
     per = np.asarray(mesh.edge_periodic, dtype=bool)
-    tagged = np.array([t is not None for t in mesh.edge_tag], dtype=bool)
-    eids = np.flatnonzero(per | tagged)
-    p = per[eids]
-    # row of each selected edge's first record; a periodic edge takes two
-    first = np.arange(len(eids)) + np.cumsum(p) - p
-    second = first[p] + 1
-    pe = eids[p]
-    cr, ir = mesh.edge_cells[pe, 1], mesh.edge_local[pe, 1]
-    rows = np.empty((len(eids) + len(pe), 2), dtype=np.int64)
-    rows[first] = mesh.edge_vertices[eids]
-    rows[second, 0] = mesh.cells[cr, (ir + 1) % 3]
-    rows[second, 1] = mesh.cells[cr, (ir + 2) % 3]
-    tags = np.empty(len(rows), dtype=object)
-    tags[first] = [mesh.edge_tag[e] for e in eids.tolist()]
-    names = [f"P{pid}" for pid in range(len(pe))]
-    tags[first[p]] = names
-    tags[second] = names
+    listed = per | np.array([t is not None for t in mesh.edge_tag], dtype=bool)
+    side = np.repeat(np.flatnonzero(listed), 1 + per[listed])
+    side[1:] += ne * (side[1:] == side[:-1])      # a repeat is the partner
+    # a side runs as its cell traverses it: the left cell for the edge's own
+    # side, the right cell for a partner's
+    e, k = side % ne, side // ne
+    c, i = mesh.edge_cells[e, k], mesh.edge_local[e, k]
+    rows = np.stack([mesh.cells[c, (i + 1) % 3], mesh.cells[c, (i + 2) % 3]],
+                    axis=1)
+    tags = np.array(mesh.edge_tag, dtype=object)[e]
+    pr = np.flatnonzero(per[e])
+    tags[pr] = [f"P{j // 2}" for j in range(len(pr))]
+    return rows, side, tags
+
+
+def _boundary_tag_records(mesh):
+    """(iv0, iv1, tag) records of _boundary_records, as build_mesh takes them."""
+    rows, _, tags = _boundary_records(mesh)
     return list(zip(*rows.T.tolist(), tags.tolist()))
 
 
 def refine_uniform(mesh):
-    """Split every cell into four similar children via edge midpoints."""
-    verts = list(map(tuple, mesh.vertices))
-    mid_index = {}
+    """Split every cell into four similar children via edge midpoints.
 
-    def midpoint(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in mid_index:
-            mid_index[key] = len(verts)
-            verts.append(tuple(0.5 * (mesh.vertices[a] + mesh.vertices[b])))
-        return mid_index[key]
+    Midpoints follow the parent's vertices, numbered by first use over the
+    sides a-b, b-c, c-a of each cell (a, b, c). A side's id is its edge id,
+    plus n_edges where a cell traverses a periodic edge's partner side.
+    """
+    nv, ne = mesh.n_vertices, mesh.n_edges
+    side = mesh.cell_edges + ne * (mesh.edge_periodic[mesh.cell_edges]
+                                   & ~mesh.cell_edge_forward)
+    used, first = np.unique(side[:, [2, 0, 1]], return_index=True)
+    mid_of = np.empty(2 * ne, dtype=np.int64)
+    mid_of[used[np.argsort(first)]] = nv + np.arange(len(used))
+    mid = mid_of[side]                    # (nc, 3), midpoint of local side i
+    verts = np.concatenate([mesh.vertices, np.empty((len(used), 2))])
+    # side i runs from local vertex i+1 to i+2; x + y == y + x, so every
+    # use of a side writes the same midpoint
+    verts[mid] = 0.5 * (mesh.vertices[mesh.cells[:, [1, 2, 0]]]
+                        + mesh.vertices[mesh.cells[:, [2, 0, 1]]])
+    (a, b, c), (mbc, mca, mab) = mesh.cells.T, mid.T
+    cells = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
+                     axis=1).reshape(-1, 3)
 
-    cells = []
-    for (a, b, c) in mesh.cells:
-        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        cells.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
-
-    # child boundary edges: split each tagged parent edge at its midpoint
-    btags = []
-    pid = 0
-    parent_records = _boundary_tag_records(mesh)
-    periodic_children = {}
-    for iv0, iv1, tag in parent_records:
-        m = midpoint(iv0, iv1)
-        halves = [(iv0, m), (m, iv1)]
-        if tag.startswith("P"):
-            periodic_children.setdefault(tag, []).append(halves)
-        else:
-            btags.extend([(h[0], h[1], tag) for h in halves])
-    varr = np.array(verts)
-    for tag, sides in sorted(periodic_children.items()):
-        ha, hb = sides  # halves of the two parent edges of this pair
-        # translation of the parent pair, from parent endpoints
-        t_parent = (varr[list(hb[0] + hb[1])].mean(axis=0)
-                    - varr[list(ha[0] + ha[1])].mean(axis=0))
-        scale = max(np.ptp(varr, axis=0).max(), 1.0)
-        remaining = list(hb)
-        for half_a in ha:
-            ma = varr[list(half_a)].mean(axis=0)
-            matched = None
-            for half_b in remaining:
-                mb = varr[list(half_b)].mean(axis=0)
-                if np.allclose(ma + t_parent, mb, atol=1e-9 * scale):
-                    matched = half_b
-                    break
-            if matched is None:
-                raise TopologyError(f"cannot re-pair refined periodic edges of {tag}")
-            btags.append((half_a[0], half_a[1], f"P{pid}"))
-            btags.append((matched[0], matched[1], f"P{pid}"))
-            pid += 1
-            remaining.remove(matched)
-    return build_mesh(varr, np.array(cells, dtype=np.int64), btags)
+    # split each boundary record at its midpoint. The two sides of a
+    # periodic pair run in opposite directions, so with the partner's halves
+    # listed in reverse, half h of one side glues to half h of the other
+    rows, rside, tags = _boundary_records(mesh)
+    m = mid_of[rside]
+    halves = np.stack([rows[:, 0], m, m, rows[:, 1]], axis=1).reshape(-1, 2, 2)
+    partner = rside >= ne
+    halves[partner] = halves[partner, ::-1]
+    htags = np.stack([tags, tags], axis=1)
+    # the two records of parent pair pid give child pairs 2 pid and 2 pid + 1
+    pr = np.flatnonzero(mesh.edge_periodic[rside % ne])
+    names = np.array([f"P{q}" for q in range(len(pr))], dtype=object)
+    htags[pr] = names.reshape(-1, 2).repeat(2, axis=0)
+    btags = list(zip(*halves.reshape(-1, 2).T.tolist(), htags.ravel().tolist()))
+    return build_mesh(verts, cells, btags)
 
 
 def perturb(mesh, amplitude=0.2, seed=0):

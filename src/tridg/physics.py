@@ -152,10 +152,9 @@ class Euler(Model):
 
     def admissible(self, u):
         u = np.asarray(u, dtype=float)
-        rho = u[0]
-        ok = rho > 0
-        e = np.where(ok, u[3] - (u[1] ** 2 + u[2] ** 2)
-                     / (2.0 * np.where(ok, rho, 1.0)), -1.0)
+        ok = u[0] > 0
+        e = np.where(ok, _energy(np.where(ok, u[0], 1.0), u[1], u[2], u[3]),
+                     -1.0)
         return ok & (e > 0)
 
     def _pressure(self, u, check):
@@ -196,6 +195,14 @@ class Euler(Model):
     def normal_flux(self, u, n, out=None):
         u = np.asarray(u, dtype=float)
         n = np.asarray(n, dtype=float)
+        if u.ndim == 1:
+            # one state: the kernels write in place through each component's
+            # row, so evaluate the (4, 1) column; with one normal, the result
+            # is that column
+            if n.ndim > 1:
+                return self.normal_flux(u[:, None], n, out)
+            return self.normal_flux(u[:, None], n[:, None], None if out is None
+                                    else out[:, None])[:, 0]
         if out is None:
             out = np.empty((4,) + np.broadcast_shapes(u.shape[1:],
                                                       n.shape[1:]))
@@ -247,8 +254,8 @@ class Euler(Model):
         n = np.asarray(n, dtype=float)
         rho = np.maximum(u[0], 1e-12)
         vn = (u[1] * n[0] + u[2] * n[1]) / rho
-        p = np.maximum((self.gamma - 1.0)
-                       * (u[3] - (u[1] ** 2 + u[2] ** 2) / (2.0 * rho)), 0.0)
+        p = np.maximum((self.gamma - 1.0) * _energy(rho, u[1], u[2], u[3]),
+                       0.0)
         return np.abs(vn) + np.sqrt(self.gamma * p / rho)
 
     def rotate_state(self, u, phi):

@@ -36,8 +36,23 @@ def test_decomp_equilateral(tmp_path, capsys):
     assert by[("zxs", "2")] == pytest.approx(1 / 27, abs=1e-4)
 
 
-def test_decomp_bad_vertices(tmp_path):
-    assert main(["decomp", "--vertices", "1,2,3"]) == 2
+def test_decomp_bad_vertices(tmp_path, capsys):
+    # too few, collinear, all equal, non-finite, below the area floor
+    for verts in ("1,2,3", "0,0,1,0,2,0", "0,0,0,0,0,0", "nan,0,1,0,0,1",
+                  "0,0,inf,0,0,1", "0,0,1,0,0,1e-20", "x,0,1,0,0,1"):
+        assert main(["decomp", f"--vertices={verts}",
+                     "--out", str(tmp_path / "d.csv")]) == 2, verts
+        assert "'vertices'" in capsys.readouterr().err
+    # clockwise input is a triangle too
+    assert main(["decomp", "--vertices", "0,0,0,1,1,0",
+                 "--out", str(tmp_path / "d.csv")]) == 0
+
+
+def test_cflscan_bad_count(tmp_path, capsys):
+    for count in ("0", "-3"):
+        assert main(["cflscan", "--count", count,
+                     "--out", str(tmp_path / "c.csv")]) == 2
+        assert "'count'" in capsys.readouterr().err
 
 
 def test_cflscan(tmp_path):

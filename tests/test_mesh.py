@@ -36,7 +36,7 @@ def test_two_triangles_unit_square():
     m = build_mesh([(0, 0), (1, 0), (1, 1), (0, 1)],
                    [(0, 1, 2), (0, 2, 3)],
                    [(0, 1, "OUT"), (1, 2, "OUT"), (2, 3, "OUT"), (3, 0, "OUT")])
-    assert len(m.interior_edge_ids) == 1
+    assert np.count_nonzero(m.edge_cells[:, 1] >= 0) == 1
     assert len(m.boundary_edge_ids) == 4
 
 
@@ -239,7 +239,7 @@ def test_reference_map_roundtrip(irregular_mesh):
         b = rng.dirichlet(np.ones(3))
         x = b @ m.vertices[m.cells[c]]
         ref = m.physical_to_reference(c, x)
-        back = m.reference_to_physical(c, ref)
+        back = m.vertices[m.cells[c, 0]] + ref @ m.jac[c].T
         assert np.allclose(back, x, atol=1e-13)
     # vertices map to the reference corners
     ref = m.physical_to_reference(0, m.vertices[m.cells[0]])
@@ -386,32 +386,31 @@ def loop_glue_periodic(mesh):
     mesh.edge_tag = [mesh.edge_tag[i] for i in idx]
 
 
-EDGE_TABLES = ("edge_vertices", "edge_cells", "edge_local", "edge_offset",
-               "edge_periodic", "cell_edges", "cell_edge_forward")
+MESH_TABLES = ("vertices", "cells", "edge_vertices", "edge_cells", "edge_local",
+               "edge_offset", "edge_periodic", "cell_edges", "cell_edge_forward")
 
 
 def assert_same_tables(new, ref):
-    for name in EDGE_TABLES:
+    for name in MESH_TABLES:
         a, b = getattr(new, name), getattr(ref, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert new.edge_tag == ref.edge_tag
 
 
-def builder_cases():
+def builder_cases(generate=generate_structured, refine=refine_uniform):
     sq = (0.0, 0.0, 1.0, 1.0)
     mixed = {"left": "IN", "right": "OUT", "bottom": "WALL", "top": "WALL"}
     return {
-        "uniform": generate_structured(sq, 4, 3, diagonal="uniform"),
-        "alternating": generate_structured(sq, 5, 4),
-        "periodic-x": generate_structured(sq, 4, 5, periodic=("x",)),
-        "periodic-y": generate_structured((0, 0, 2, 1), 6, 3, periodic=("y",)),
-        "periodic-xy": generate_structured(sq, 6, 6, periodic=("x", "y")),
-        "perturbed": perturb(generate_structured(sq, 7, 5, periodic=("x", "y")),
+        "uniform": generate(sq, 4, 3, diagonal="uniform"),
+        "alternating": generate(sq, 5, 4),
+        "periodic-x": generate(sq, 4, 5, periodic=("x",)),
+        "periodic-y": generate((0, 0, 2, 1), 6, 3, periodic=("y",)),
+        "periodic-xy": generate(sq, 6, 6, periodic=("x", "y")),
+        "perturbed": perturb(generate(sq, 7, 5, periodic=("x", "y")),
                              0.3, seed=4),
-        "refined": refine_uniform(generate_structured(sq, 3, 2,
-                                                      periodic=("x",))),
-        "mixed-tags": perturb(generate_structured((0, 0, 3, 1), 6, 2,
-                                                  tags=mixed), 0.25, seed=2),
+        "refined": refine(generate(sq, 3, 2, periodic=("x",))),
+        "mixed-tags": perturb(generate((0, 0, 3, 1), 6, 2, tags=mixed),
+                              0.25, seed=2),
     }
 
 
@@ -434,7 +433,8 @@ def bad_builds():
     pv, pc, pt = per.vertices, per.cells, _boundary_tag_records(per)
     p_tags = [r for r in pt if r[2].startswith("P")]
     other = [r for r in pt if not r[2].startswith("P")]
-    interior = tuple(int(x) for x in sq.edge_vertices[sq.interior_edge_ids[1]])
+    inner = np.flatnonzero(sq.edge_cells[:, 1] >= 0)
+    interior = tuple(int(x) for x in sq.edge_vertices[inner[1]])
     stretched = pv.copy()
     stretched[[2, 8], 0] = 1.1                    # right side, moved out
     tilted = pv.copy()
@@ -556,6 +556,155 @@ def test_boundary_tag_records_match_loop_version(tmp_path, monkeypatch, name):
     save_mesh(m, tmp_path / "ref.txt")
     assert (tmp_path / "new.txt").read_bytes() == \
         (tmp_path / "ref.txt").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# array generators against the loop versions they replaced
+# ---------------------------------------------------------------------------
+
+def loop_generate_structured(bounds, nx, ny, diagonal="alternating",
+                             periodic=(), tags=None):
+    """The per-cell loop version of `generate_structured`, the reference."""
+    if nx < 1 or ny < 1:
+        raise ValueError("nx, ny must be >= 1")
+    if diagonal not in ("alternating", "uniform"):
+        raise ValueError("diagonal must be 'alternating' or 'uniform'")
+    x0, y0, x1, y1 = bounds
+    xs = np.linspace(x0, x1, nx + 1)
+    ys = np.linspace(y0, y1, ny + 1)
+    vid = lambda i, j: j * (nx + 1) + i
+    verts = np.array([[xs[i], ys[j]] for j in range(ny + 1)
+                      for i in range(nx + 1)])
+    cells = []
+    for j in range(ny):
+        for i in range(nx):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            flip = diagonal == "alternating" and (i + j) % 2 == 1
+            if not flip:   # diagonal a-c
+                cells.append((a, b, c))
+                cells.append((a, c, d))
+            else:          # diagonal b-d
+                cells.append((a, b, d))
+                cells.append((b, c, d))
+    cells = np.array(cells, dtype=np.int64)
+    tags = dict(tags or {})
+    side_tag = {s: tags.get(s, "OUT") for s in ("left", "right", "bottom", "top")}
+    btags = []
+    pid = 0
+    for j in range(ny):  # left/right sides
+        lpair = (vid(0, j), vid(0, j + 1))
+        rpair = (vid(nx, j), vid(nx, j + 1))
+        if "x" in periodic:
+            btags.append((*lpair, f"P{pid}"))
+            btags.append((*rpair, f"P{pid}"))
+            pid += 1
+        else:
+            btags.append((*lpair, side_tag["left"]))
+            btags.append((*rpair, side_tag["right"]))
+    for i in range(nx):  # bottom/top sides
+        bpair = (vid(i, 0), vid(i + 1, 0))
+        tpair = (vid(i, ny), vid(i + 1, ny))
+        if "y" in periodic:
+            btags.append((*bpair, f"P{pid}"))
+            btags.append((*tpair, f"P{pid}"))
+            pid += 1
+        else:
+            btags.append((*bpair, side_tag["bottom"]))
+            btags.append((*tpair, side_tag["top"]))
+    return build_mesh(verts, cells, btags)
+
+
+def loop_refine_uniform(mesh):
+    """The midpoint-dict version of `refine_uniform`, which re-pairs
+    periodic halves by a geometric search; the reference."""
+    verts = list(map(tuple, mesh.vertices))
+    mid_index = {}
+
+    def midpoint(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in mid_index:
+            mid_index[key] = len(verts)
+            verts.append(tuple(0.5 * (mesh.vertices[a] + mesh.vertices[b])))
+        return mid_index[key]
+
+    cells = []
+    for (a, b, c) in mesh.cells:
+        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        cells.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
+    btags = []
+    pid = 0
+    periodic_children = {}
+    for iv0, iv1, tag in _boundary_tag_records(mesh):
+        m = midpoint(iv0, iv1)
+        halves = [(iv0, m), (m, iv1)]
+        if tag.startswith("P"):
+            periodic_children.setdefault(tag, []).append(halves)
+        else:
+            btags.extend([(h[0], h[1], tag) for h in halves])
+    varr = np.array(verts)
+    for tag, sides in sorted(periodic_children.items()):
+        ha, hb = sides
+        t_parent = (varr[list(hb[0] + hb[1])].mean(axis=0)
+                    - varr[list(ha[0] + ha[1])].mean(axis=0))
+        scale = max(np.ptp(varr, axis=0).max(), 1.0)
+        remaining = list(hb)
+        for half_a in ha:
+            ma = varr[list(half_a)].mean(axis=0)
+            matched = None
+            for half_b in remaining:
+                mb = varr[list(half_b)].mean(axis=0)
+                if np.allclose(ma + t_parent, mb, atol=1e-9 * scale):
+                    matched = half_b
+                    break
+            if matched is None:
+                raise TopologyError(f"cannot re-pair refined periodic edges of {tag}")
+            btags.append((half_a[0], half_a[1], f"P{pid}"))
+            btags.append((matched[0], matched[1], f"P{pid}"))
+            pid += 1
+            remaining.remove(matched)
+    return build_mesh(varr, np.array(cells, dtype=np.int64), btags)
+
+
+@pytest.mark.parametrize("name", sorted(builder_cases()))
+def test_generators_match_loop_versions(name):
+    m = builder_cases()[name]
+    assert_same_tables(
+        m, builder_cases(loop_generate_structured, loop_refine_uniform)[name])
+    once = refine_uniform(m)
+    assert_same_tables(once, loop_refine_uniform(m))
+    assert_same_tables(refine_uniform(once), loop_refine_uniform(once))
+
+
+@pytest.mark.parametrize("periodic", [(), ("x",), ("y",), ("x", "y")])
+def test_one_square_matches_loop_versions(periodic):
+    tags = {"left": "IN", "bottom": "WALL", "top": "EXACT"}
+    for diagonal in ("alternating", "uniform"):
+        m = generate_structured((0, 0, 1, 1), 1, 1, diagonal, periodic, tags)
+        assert_same_tables(m, loop_generate_structured(
+            (0, 0, 1, 1), 1, 1, diagonal, periodic, tags))
+        assert_same_tables(refine_uniform(m), loop_refine_uniform(m))
+
+
+# the benchmark's rect meshes: problem and nx of adv-p3, vacuum-p1, cold-start
+@pytest.mark.parametrize("problem,nx", [("advection_smooth", 32),
+                                        ("euler_double_rarefaction", 64),
+                                        ("advection_smooth", 64)])
+def test_rect_mesh_saved_bytes_match_loop_generator(tmp_path, monkeypatch,
+                                                    problem, nx):
+    import tridg.problems as problems_module
+
+    prob = get_problem(problem)
+    mesh = prob.make_rect_mesh(nx)
+    monkeypatch.setattr(problems_module, "generate_structured",
+                        loop_generate_structured)
+    ref = prob.make_rect_mesh(nx)
+    assert_same_tables(mesh, ref)
+    for seed in range(3):
+        save_mesh(perturb(mesh, seed=seed), tmp_path / "new.txt")
+        save_mesh(perturb(ref, seed=seed), tmp_path / "ref.txt")
+        assert (tmp_path / "new.txt").read_bytes() == \
+            (tmp_path / "ref.txt").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,24 @@ def test_euler_flux_hand_value():
     assert Euler().pressure(u) == pytest.approx(1.0)
 
 
+def test_euler_normal_flux_single_state():
+    # a (4,) state with a (2,) normal gives the column of the (4, 1) result
+    u = np.array([1.4, 4.2, 0.0, 8.8])
+    for n in (np.array([1.0, 0.0]), np.array([0.6, -1.7])):
+        f = Euler().normal_flux(u, n)
+        assert f.shape == (4,)
+        assert np.array_equal(f, Euler().normal_flux(u[:, None], n[:, None])[:, 0])
+    assert np.allclose(Euler().normal_flux(u, np.array([1.0, 0.0])),
+                       [4.2, 13.6, 0.0, 29.4])
+    out = np.empty(4)
+    Euler().normal_flux(u, np.array([0.0, 2.0]), out=out)
+    assert np.allclose(out, [0.0, 0.0, 2.0, 0.0])
+    # one state against several normals
+    n = np.array([[1.0, 0.0, 0.6], [0.0, 2.0, -1.7]])
+    assert np.array_equal(Euler().normal_flux(u, n),
+                          Euler().normal_flux(u[:, None], n))
+
+
 def test_wavespeeds():
     u = np.array([1.4, 4.2, 0.0, 8.8])  # sound speed 1 by construction
     assert Euler().wavespeed(u, np.array([1.0, 0.0])) == pytest.approx(4.0)
