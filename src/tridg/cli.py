@@ -73,7 +73,9 @@ def _config_from_args(args):
 
 
 def _build_run(cfg):
-    prob = get_problem(cfg.problem)
+    # validated before get_problem, which would report a missing problem as
+    # unknown problem None; again with the model for its own checks
+    prob = get_problem(cfg.validate().problem)
     cfg.validate(prob.make_model())
     if cfg.mesh:
         mesh = load_mesh(cfg.mesh)
@@ -206,6 +208,8 @@ CONVERGENCE_FIELDS = {"problem", "k", "rk", "oe", "tend", "out"}
 
 
 def cmd_convergence(args):
+    if args.levels < 1:
+        raise ConfigError(f"field 'levels': must be >= 1, got {args.levels}")
     cfg = _config_from_args(args)
     cfg.validate()
     default = RunConfig()

@@ -30,8 +30,8 @@ class RunConfig:
     sample_grid: int = 0      # optional uniform point sampling resolution
 
     def validate(self, model=None):
-        if self.problem is None and self.mesh is None:
-            raise ConfigError("field 'problem': no problem or mesh given")
+        if self.problem is None:
+            raise ConfigError("field 'problem': no problem given")
         if not 1 <= self.k <= 4:
             raise ConfigError(f"field 'k': {self.k} outside 1..4")
         if self.oe not in OE_MODES:

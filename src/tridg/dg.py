@@ -74,19 +74,15 @@ class ModalState:
 # ---------------------------------------------------------------------------
 
 class BoundaryRule:
-    # 'copy' rules reuse the interior polynomial (zero jump in the OE filter);
-    # 'state' rules prescribe a pointwise exterior state (degree-0 ghost).
-    kind = "state"
+    """The exterior state of a boundary edge at its nodes."""
 
     def ghost(self, model, u_int, x, n, t):
         raise NotImplementedError
 
 
 class Outflow(BoundaryRule):
-    kind = "copy"
-
-    def ghost(self, model, u_int, x, n, t):
-        return np.array(u_int, copy=True)
+    """The exterior state is the interior one. Side 1 of a boundary edge
+    already holds its own cell's values, so the operator writes no ghost."""
 
 
 class Inflow(BoundaryRule):
@@ -140,8 +136,9 @@ class SpatialOperator:
 
         # boundary rules
         boundary = dict(boundary or {})
-        tags = {t for t in mesh.edge_tag if t is not None}
-        for tag in tags:
+        bi = mesh.boundary_edge_ids
+        bnd_tags = [mesh.edge_tag[eid] for eid in bi.tolist()]
+        for tag in set(bnd_tags):
             if tag not in boundary:
                 if tag in DEFAULT_RULES:
                     boundary[tag] = DEFAULT_RULES[tag]()
@@ -178,25 +175,30 @@ class SpatialOperator:
         self.edge_normal = mesh.normal[lc, ll]                       # (ne, 2)
         # component-first, the models' normal layout: (2, ne)
         self.edge_normal_cf = np.ascontiguousarray(self.edge_normal.T)
-        pa = mesh.vertices[mesh.edge_vertices[:, 0]]
-        pb = mesh.vertices[mesh.edge_vertices[:, 1]]
-        self.edge_points = pa[:, None, :] + tq[None, :, None] * (pb - pa)[:, None, :]
-        self.edge_endpoints = np.stack([pa, pb], axis=1)             # (ne, 2, 2)
 
-        self.boundary_ids = bi = mesh.boundary_edge_ids
-        # boundary geometry at the edge Gauss points and the edge endpoints
-        self.bnd_points = self.edge_points[bi]                       # (nb,Q,2)
-        self.bnd_normals = np.broadcast_to(
-            self.edge_normal[bi][:, None, :], (len(bi), self.Q, 2))
-        self.bnd_endpoints = self.edge_endpoints[bi]                 # (nb,2,2)
-        self.bnd_endpoint_normals = np.broadcast_to(
-            self.edge_normal[bi][:, None, :], (len(bi), 2, 2))
+        # ghost edges: the boundary edges whose rule writes a state, grouped
+        # by tag as (rule, edge ids, their slice of ghost_ids). Outflow
+        # edges are in no group: the gather is their ghost.
         groups = {}
-        for pos, eid in enumerate(self.boundary_ids):
-            groups.setdefault(mesh.edge_tag[eid], []).append(pos)
-        # (rule, positions of its edges within boundary_ids)
-        self.groups = [(self.boundary[tag], np.array(pos))
-                       for tag, pos in sorted(groups.items())]
+        for eid, tag in zip(bi.tolist(), bnd_tags):
+            if not isinstance(self.boundary[tag], Outflow):
+                groups.setdefault(tag, []).append(eid)
+        self.groups, gi = [], []
+        for tag, eids in sorted(groups.items()):
+            pos = slice(len(gi), len(gi) + len(eids))
+            self.groups.append((self.boundary[tag], np.array(eids), pos))
+            gi += eids
+        self.ghost_ids = gi = np.array(gi, dtype=int)
+        # (points, normals) of the ghost edges at the edge Gauss points and
+        # at the edge endpoints, the exact vertices
+        pa = mesh.vertices[mesh.edge_vertices[gi, 0]]
+        pb = mesh.vertices[mesh.edge_vertices[gi, 1]]
+        n = self.edge_normal[gi][:, None, :]
+        self.ghost_gauss = (
+            pa[:, None, :] + tq[None, :, None] * (pb - pa)[:, None, :],
+            np.broadcast_to(n, (len(gi), self.Q, 2)))
+        self.ghost_endpoints = (np.stack([pa, pb], axis=1),
+                                np.broadcast_to(n, (len(gi), 2, 2)))
 
         # physical interior quadrature points, x = v0 + J xi term by term
         v0 = mesh.vertices[mesh.cells[:, 0]]
@@ -248,11 +250,11 @@ class SpatialOperator:
         edge Gauss points of both sides in global edge-point order;
         endpoint_take (2, 2, d, ne) reads node-major vertex arrays for (side,
         endpoint, component, edge). A boundary edge reads its own cell on
-        side 1, where the ghost is written afterwards. The edge scatter
-        gathers the flux (d, ne, Q) at every (local edge, point, component,
-        cell) through _flux_take (3Q, d, nc) and weighs it by _flux_weights
-        (3Q, 1, nc), -sign * length * w_q, the minus of the edge term folded
-        in.
+        side 1: the outflow state, which write_ghosts overwrites on ghost
+        edges. The edge scatter gathers the flux (d, ne, Q) at every (local
+        edge, point, component, cell) through _flux_take (3Q, d, nc) and
+        weighs it by _flux_weights (3Q, 1, nc), -sign * length * w_q, the
+        minus of the edge term folded in.
         """
         mesh = self.mesh
         nc, Q, d = mesh.n_cells, self.Q, self.d
@@ -338,31 +340,20 @@ class SpatialOperator:
 
     # -- ghosts -------------------------------------------------------------
 
-    def boundary_ghost_values(self, u_int_b, X_b, n_b, t):
-        """Exterior states for all boundary edges, components last.
+    def write_ghosts(self, U, nodes, t):
+        """Write the ghosts into side 1 of two-sided values U (d, 2, ne, P).
 
-        The arrays are indexed by position within self.boundary_ids; the
-        boundary rules see and return (..., d) states.
+        U is component-first, (component, side, edge, node); side 1 of a
+        boundary edge holds its own cell's values until this call, which
+        stays the outflow state. nodes: ghost_gauss or ghost_endpoints, the
+        (points, normals) of the ghost edges at U's P nodes. The rules see
+        and return (..., d) states.
         """
-        u_ext = np.empty_like(u_int_b)
-        for rule, pos in self.groups:
-            u_ext[pos] = rule.ghost(self.model, u_int_b[pos], X_b[pos],
-                                    n_b[pos], t)
-        return u_ext
-
-    def endpoint_ghosts(self, UE, t):
-        """Write the ghosts into side 1 of endpoint values UE (d, 2, 2, ne).
-
-        Axes are (component, side, endpoint, edge); side 1 of a boundary
-        edge holds its own cell's value until this call. Only the boundary
-        edges are transposed for the rules.
-        """
-        bi = self.boundary_ids
-        if len(bi):
-            u_int = UE[:, 0][:, :, bi].transpose(2, 1, 0)            # (nb,2,d)
-            UE[:, 1][:, :, bi] = self.boundary_ghost_values(
-                u_int, self.bnd_endpoints, self.bnd_endpoint_normals,
-                t).transpose(2, 1, 0)
+        X, n = nodes
+        for rule, eids, pos in self.groups:
+            U[:, 1, eids] = rule.ghost(
+                self.model, U[:, 0, eids].transpose(1, 2, 0), X[pos], n[pos],
+                t).transpose(2, 0, 1)
 
     def _edge_states(self, coeffs, t, buf=None):
         """Two-sided states at the edge Gauss points: (d, 2, ne, Q).
@@ -374,11 +365,7 @@ class SpatialOperator:
         if buf is None:
             buf = component_major(coeffs)
         U = np.take(self.at_nodes(self.ref_trace, buf), self.trace_take)
-        bi = self.boundary_ids
-        if len(bi):
-            U[:, 1, bi] = self.boundary_ghost_values(
-                U[:, 0, bi].transpose(1, 2, 0), self.bnd_points,
-                self.bnd_normals, t).transpose(2, 0, 1)
+        self.write_ghosts(U, self.ghost_gauss, t)
         return U
 
     def _reject_inadmissible(self, ok):

@@ -13,7 +13,7 @@ import numpy as np
 from . import bp as bp_mod
 from .dg import SpatialOperator
 from .errors import ConfigError
-from .mesh import build_mesh
+from .mesh import _boundary_tag_records, build_mesh
 from .oe import OEFilter
 from .physics import rotate_vector
 from .problems import get_problem
@@ -154,15 +154,10 @@ def cfl_ratio_scan(n=10_000, k=1, seed=0, lengths=None, mesh=None):
 # ---------------------------------------------------------------------------
 
 def _rotate_mesh(mesh, phi):
-    verts = rotate_vector(mesh.vertices, phi)
-    tags = []
-    for eid in range(mesh.n_edges):
-        if mesh.edge_tag[eid] is not None:
-            a, b = mesh.edge_vertices[eid]
-            tags.append((int(a), int(b), mesh.edge_tag[eid]))
     if np.any(mesh.edge_periodic):
         raise ConfigError("rotation experiment expects non-periodic meshes")
-    return build_mesh(verts, mesh.cells.copy(), tags)
+    return build_mesh(rotate_vector(mesh.vertices, phi), mesh.cells.copy(),
+                      _boundary_tag_records(mesh))
 
 
 def run_fixed_steps(op, state, steps, oe=None, scheme=None, cfl_scale=1.0):

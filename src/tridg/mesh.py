@@ -207,9 +207,11 @@ def build_mesh(vertices, cells, boundary_tags=None):
 
 
 def _glue_periodic(mesh):
+    # only boundary edges carry tags; build_mesh has tagged every one
     groups = {}
-    for eid, tag in enumerate(mesh.edge_tag):
-        if tag is not None and tag.startswith("P"):
+    for eid in np.flatnonzero(mesh.edge_cells[:, 1] < 0).tolist():
+        tag = mesh.edge_tag[eid]
+        if tag.startswith("P"):
             groups.setdefault(tag, []).append(eid)
     if not groups:
         return
@@ -481,7 +483,7 @@ def _boundary_records(mesh):
     """
     ne = mesh.n_edges
     per = np.asarray(mesh.edge_periodic, dtype=bool)
-    listed = per | np.array([t is not None for t in mesh.edge_tag], dtype=bool)
+    listed = per | (mesh.edge_cells[:, 1] < 0)
     side = np.repeat(np.flatnonzero(listed), 1 + per[listed])
     side[1:] += ne * (side[1:] == side[:-1])      # a repeat is the partner
     # a side runs as its cell traverses it: the left cell for the edge's own
@@ -490,7 +492,7 @@ def _boundary_records(mesh):
     c, i = mesh.edge_cells[e, k], mesh.edge_local[e, k]
     rows = np.stack([mesh.cells[c, (i + 1) % 3], mesh.cells[c, (i + 2) % 3]],
                     axis=1)
-    tags = np.array(mesh.edge_tag, dtype=object)[e]
+    tags = np.array([mesh.edge_tag[eid] for eid in e.tolist()], dtype=object)
     pr = np.flatnonzero(per[e])
     tags[pr] = [f"P{j // 2}" for j in range(len(pr))]
     return rows, side, tags

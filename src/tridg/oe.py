@@ -57,13 +57,6 @@ class OEFilter:
         for j, rows in enumerate(op.deriv_rows):
             w[j, rows] = [0.5 * comb(j, a) for a in range(j + 1)]
         self.weights = np.repeat(w, 2, axis=1)
-        # boundary edges read their own cell on side 1 of op.endpoint_take,
-        # so their jumps start at zero: 'copy' boundary edges keep zero jumps
-        # of every order; 'state' edges jump against a degree-0 ghost
-        bi = op.boundary_ids
-        state = [bi[pos] for rule, pos in op.groups if rule.kind != "copy"]
-        self.state_ids = (np.concatenate(state) if state
-                          else np.array([], dtype=int))
 
     # -- deviations ---------------------------------------------------------
 
@@ -101,24 +94,25 @@ class OEFilter:
         Returns J (n_derivs, 2, d, ne) indexed by (stacked alpha, endpoint,
         component, edge), and the two-sided point values u (d, 2, 2, ne)
         indexed by (component, side, endpoint, edge): side 0 the left
-        cell's, side 1 the right cell's or the ghost. 'copy' boundary edges
-        have zero jumps. Side 0 is gathered into J and side 1 subtracted one
-        order at a time; only the order-0 values are gathered for both sides.
+        cell's, side 1 the right cell's or the ghost. Side 0 is gathered
+        into J and side 1 subtracted one order at a time; only the order-0
+        values are gathered for both sides. Side 1 of a boundary edge is its
+        own cell, so outflow edges have zero jumps of every order, and ghost
+        edges jump from side 0 to a degree-0 ghost.
         """
         op = self.op
         V = op.vertex_jets(coeffs).reshape(op.n_derivs, -1)      # (R,3*d*nc)
         side0, side1 = op.endpoint_take                         # (2,d,ne)
         J = np.take(V, side0, axis=1)                            # (R,2,d,ne)
         u = np.take(V[0], op.endpoint_take).transpose(2, 0, 1, 3)
-        # 'state' boundary edges jump from side 0 to the ghost
-        sid = self.state_ids
-        side0_state = J[..., sid]
+        gi = op.ghost_ids
+        ghost_jumps = J[..., gi]
         for a in range(op.n_derivs):
             J[a] -= np.take(V[a], side1)
-        if len(op.boundary_ids):
-            op.endpoint_ghosts(u, t)
-            J[..., sid] = side0_state
-            J[0][..., sid] -= u[:, 1][..., sid].transpose(1, 0, 2)
+        # (d, 2, ne, 2) view: write_ghosts writes through to u
+        op.write_ghosts(u.transpose(0, 1, 3, 2), op.ghost_endpoints, t)
+        ghost_jumps[0] -= u[:, 1][..., gi].transpose(1, 0, 2)
+        J[..., gi] = ghost_jumps
         return J, u
 
     def _edge_measures(self, coeffs, J, rotated):

@@ -5,12 +5,13 @@ Coefficients are C-ordered (nc, nm, d); the GEMMs read them mode-major as
 (nm, nc * d), edge states are (2, ne, Q, d), endpoint values (2, 2, ne, d) and
 jets (n_derivs, 3, nc, d). Euler's normal flux is the F_x n1 + F_y n2 form
 with v1, v2 and p, not the rho v.n form. The reference-element matrices and
-the boundary rules come from the operator under test.
+the boundary rules come from the operator under test; the ghosts come from
+boundary_ghosts below, not from the operator's ghost writer.
 """
 
 import numpy as np
 
-from tridg.dg import ModalState
+from tridg.dg import ModalState, Outflow
 from tridg.oe import EPS_DEVIATION
 from tridg.physics import Burgers, Euler, ScaledModel
 
@@ -84,15 +85,43 @@ def endpoint_sides(op):
     return np.stack([left, np.where(rc >= 0, rv_end.T * nc + rc, left)])
 
 
+def outflow_edges(op):
+    """Mask over mesh.boundary_edge_ids: the edges whose rule is outflow,
+    whose exterior is the interior polynomial itself."""
+    mesh = op.mesh
+    return np.array([isinstance(op.boundary[mesh.edge_tag[eid]], Outflow)
+                     for eid in mesh.boundary_edge_ids], dtype=bool)
+
+
+def boundary_ghosts(op, u_int, t, endpoints=False):
+    """Ghosts (nb, P, d) of interior states u_int (nb, P, d) on the edges
+    mesh.boundary_edge_ids, at the edge Gauss points or, with endpoints, at
+    the edge vertices: each edge by its tag's rule, outflow as a copy."""
+    mesh = op.mesh
+    bi = mesh.boundary_edge_ids
+    pa = mesh.vertices[mesh.edge_vertices[bi, 0]]
+    pb = mesh.vertices[mesh.edge_vertices[bi, 1]]
+    X = (np.stack([pa, pb], axis=1) if endpoints
+         else pa[:, None] + op.edge_t[None, :, None] * (pb - pa)[:, None])
+    normal = mesh.normal[mesh.edge_cells[bi, 0], mesh.edge_local[bi, 0]]
+    n = np.broadcast_to(normal[:, None], X.shape)
+    ghost = np.array(u_int, dtype=float)
+    tags = [mesh.edge_tag[eid] for eid in bi]
+    for tag in set(tags):
+        rule = op.boundary[tag]
+        if not isinstance(rule, Outflow):
+            sel = np.array([tg == tag for tg in tags])
+            ghost[sel] = rule.ghost(op.model, u_int[sel], X[sel], n[sel], t)
+    return ghost
+
+
 def edge_states(op, coeffs, t):
     """Two-sided edge states (2, ne, Q, d)."""
     d = coeffs.shape[2]
     TR = (op.ref_trace @ modes_first(coeffs)).reshape(-1, d)
     U = np.take(TR, trace_sides(op), axis=0)
-    bi = op.boundary_ids
-    if len(bi):
-        U[1, bi] = op.boundary_ghost_values(U[0, bi], op.bnd_points,
-                                            op.bnd_normals, t)
+    bi = op.mesh.boundary_edge_ids
+    U[1, bi] = boundary_ghosts(op, U[0, bi], t)
     return U
 
 
@@ -141,15 +170,13 @@ def damping_exponents(f, coeffs, dt, t):
     W = np.take(V, endpoint_sides(op), axis=1)               # (R,2,2,ne,d)
     J = W[:, 0] - W[:, 1]
     u = W[0]
-    bi = op.boundary_ids
-    if len(bi):
-        ghost = op.boundary_ghost_values(
-            u[0][:, bi].transpose(1, 0, 2), op.bnd_endpoints,
-            op.bnd_endpoint_normals, t)
-        u[1][:, bi] = ghost.transpose(1, 0, 2)
-        sid = f.state_ids
-        J[:, :, sid] = W[:, 0][:, :, sid]
-        J[0][:, sid] -= u[1][:, sid]
+    # the ghost of a non-outflow rule is a degree-0 state
+    bi = op.mesh.boundary_edge_ids
+    u[1][:, bi] = boundary_ghosts(op, u[0][:, bi].transpose(1, 0, 2), t,
+                                  endpoints=True).transpose(1, 0, 2)
+    sid = bi[~outflow_edges(op)]
+    J[:, :, sid] = W[:, 0][:, :, sid]
+    J[0][:, sid] -= u[1][:, sid]
     R, _, ne, _ = J.shape
     if f.mom:
         m1, m2 = J[..., f.mom[0]], J[..., f.mom[1]]

@@ -113,6 +113,9 @@ def test_config_error_codes(tmp_path, capsys):
     assert main(["run", "--problem", "advection_smooth", "--k", "1",
                  "--level", "-1", "--tend", "0.001"]) == 2
     assert "'level'" in capsys.readouterr().err
+    # a mesh without a problem reported "unknown problem None"
+    assert main(["run", "--mesh", str(tmp_path / "m.txt")]) == 2
+    assert "field 'problem': no problem given" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("times", ["0.5", "0.02,nan", "inf", "-0.5"])
@@ -223,11 +226,12 @@ def test_convergence_command(tmp_path):
 @pytest.mark.parametrize("flag,value", [
     ("--cfl", "0.5"), ("--bp", "dcw"), ("--mesh", "m.txt"), ("--gen", "4,4"),
     ("--level", "1"), ("--output-times", "0.1"),
-    ("--sample-grid", "4")])
+    ("--sample-grid", "4"), ("--levels", "0"), ("--levels", "-1")])
 def test_convergence_rejects_run_flags_it_ignores(tmp_path, capsys, flag,
                                                   value):
     # convergence_study builds its own meshes and time steps: these flags
-    # used to be dropped without a word
+    # used to be dropped without a word; fewer than one level wrote a
+    # header-only table
     out = tmp_path / "conv.csv"
     rc = main(["convergence", "--problem", "advection_smooth", "--k", "1",
                "--levels", "2", flag, value, "--out", str(out)])
@@ -689,3 +693,39 @@ def test_run_steps_reuse_freed_memory(tmp_path):
     assert record["rc"] == 0 and len(faults) >= 8
     # a count, not a time: the steady state takes no new pages
     assert statistics.median(faults[len(faults) // 2:]) <= 10, faults
+
+
+# modules a fresh `tridg run` imports, checked in the process itself
+IMPORT_PROBE = """
+import json, sys
+import tridg.cli
+rc = tridg.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("problem,args", [
+    ("euler_implosion", ["--k", "1", "--oe", "ri", "--bp", "dcw"]),
+    ("advection_smooth", ["--k", "2", "--output-times", "0.001",
+                          "--sample-grid", "4"])],
+    ids=["walled", "periodic"])
+def test_run_leaves_numpy_ma_unimported(tmp_path, problem, args):
+    # np.unique without return_index, np.setdiff1d and their kin import
+    # numpy.ma on first use: 12-45 ms against a cold start of ~0.08 s
+    from tridg.mesh import perturb, save_mesh
+    from tridg.problems import get_problem
+    mesh_path = tmp_path / "m.txt"
+    save_mesh(perturb(get_problem(problem).make_rect_mesh(6), seed=0),
+              mesh_path)
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, "run", "--problem", problem,
+         *args, "--mesh", str(mesh_path), "--tend", "0.002",
+         "--out", str(tmp_path / "p")],
+        capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert record == {"rc": 0, "numpy.ma": False}

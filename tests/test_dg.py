@@ -14,8 +14,8 @@ from tridg.oe import OEFilter
 from tridg.physics import Advection, Burgers, Euler, ScaledModel
 
 import components_last as cl
-from components_last import (assert_close_to_max, cf, flux_last,
-                             vertex_derivatives)
+from components_last import (assert_close_to_max, boundary_ghosts, cf,
+                             flux_last, vertex_derivatives)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -89,11 +89,10 @@ def test_ghost_state_rules():
     u = np.array([1.0, 1.0, 0.0, 3.0])
     n = np.array([1.0, 0.0])
     x = np.array([0.0, 0.5])
-    spec = {"OUT": Outflow(), "WALL": Reflective(),
+    spec = {"WALL": Reflective(),
             "IN": Inflow(np.array([1.4, 4.2, 0.0, 8.8])),
             "EXACT": Inflow(lambda xx, yy, t: np.stack(
                 [np.ones_like(xx), xx, yy, np.full_like(xx, 3.0)], axis=-1))}
-    assert np.allclose(ghost_state(spec, model, u, x, n, 0.0, "OUT"), u)
     assert np.allclose(ghost_state(spec, model, u, x, n, 0.0, "WALL"),
                        [1.0, -1.0, 0.0, 3.0])
     assert np.allclose(ghost_state(spec, model, u, x, n, 0.0, "IN"),
@@ -102,6 +101,27 @@ def test_ghost_state_rules():
                        [1.0, 0.0, 0.5, 3.0])
     with pytest.raises(ConfigError):
         ghost_state(spec, model, u, x, n, 0.0, "P0")
+    # outflow is the gather: side 1 of its edges is the edge's own cell at
+    # the Gauss points, and the filter sees zero jumps of every order there
+    mesh = perturb(generate_structured((0, 0, 1, 1), 4, 3, tags={
+        "left": "IN", "right": "OUT", "bottom": "WALL", "top": "OUT"}),
+        0.25, seed=1)
+    op = SpatialOperator(mesh, model, 2, boundary={
+        "IN": Inflow(model.from_primitive(1.2, 0.5, 0.1, 0.9))})
+    coeffs = 0.02 * np.random.default_rng(0).standard_normal(
+        (mesh.n_cells, op.nm, op.d))
+    coeffs[:, 0, :] += model.from_primitive(1.0, 0.3, -0.2, 1.0)
+    bi = mesh.boundary_edge_ids
+    out = bi[[mesh.edge_tag[eid] == "OUT" for eid in bi]]
+    assert len(out) and len(out) < len(bi)
+    U = op._edge_states(coeffs, 0.3)
+    assert np.array_equal(U[:, 1, out], U[:, 0, out])
+    assert not np.array_equal(U[:, 1, bi], U[:, 0, bi])
+    J, _ = OEFilter(op)._endpoint_pass(coeffs, 0.3)
+    assert np.all(J[..., out] == 0.0) and np.any(J[..., bi] != 0.0)
+    # an all-outflow mesh writes no ghost
+    op = SpatialOperator(generate_structured((0, 0, 1, 1), 3, 3), model, 1)
+    assert op.groups == [] and len(op.ghost_ids) == 0
 
 
 def test_missing_boundary_rule_is_config_error():
@@ -418,10 +438,8 @@ class PerCellEdgeOperators:
         left = 3 * lc + il
         U = np.take(TR, np.stack([left, np.where(rc >= 0, 3 * rc + ir, left)]),
                     axis=0)
-        bi = op.boundary_ids
-        if len(bi):
-            U[1, bi] = op.boundary_ghost_values(U[0, bi], op.bnd_points,
-                                                op.bnd_normals, t)
+        bi = mesh.boundary_edge_ids
+        U[1, bi] = boundary_ghosts(op, U[0, bi], t)
         return U
 
     def residual(self, coeffs, alpha, t):

@@ -10,7 +10,7 @@ from tridg.oe import EPS_DEVIATION, OEFilter, damping_prefactor
 from tridg.physics import Advection, Burgers, Euler, ScaledModel
 from tridg.problems import get_problem
 
-from components_last import vertex_derivatives
+from components_last import boundary_ghosts, outflow_edges, vertex_derivatives
 
 
 def make_op(k=2, n=5, model=None):
@@ -313,23 +313,15 @@ def reference_damping_exponents(f, coeffs, dt, t=0.0):
     lc, rc = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
     ii = np.flatnonzero(rc >= 0)
     lv_end, rv_end = endpoint_vertices(mesh)
-    groups = [(rule, op.boundary_ids[pos]) for rule, pos in op.groups]
-    state_ids = [eids for rule, eids in groups if rule.kind != "copy"]
-    state_ids = (np.concatenate(state_ids) if state_ids
-                 else np.array([], dtype=int))
+    bi = mesh.boundary_edge_ids
+    state = ~outflow_edges(op)
+    state_ids = bi[state]
 
-    # degree-0 ghosts at the endpoints of 'state' boundary edges
+    # degree-0 ghosts at the endpoints of non-outflow boundary edges
     VV = op.vertex_values(coeffs)
     u_bint = VV[lc[state_ids, None], lv_end[state_ids]]
-    u_bghost = np.empty_like(u_bint)
-    nb = np.broadcast_to(op.edge_normal[state_ids][:, None, :],
-                         u_bint.shape[:2] + (2,))
-    for rule, eids in groups:
-        sel = np.isin(state_ids, eids)
-        if rule.kind != "copy" and np.any(sel):
-            u_bghost[sel] = rule.ghost(op.model, u_bint[sel],
-                                       op.edge_endpoints[state_ids][sel],
-                                       nb[sel], t)
+    u_bghost = boundary_ghosts(op, VV[lc[bi, None], lv_end[bi]], t,
+                               endpoints=True)[state]
 
     jumps = []
     for j in range(k + 1):
