@@ -8,6 +8,7 @@ import argparse
 import csv
 import ctypes
 import math
+import os
 import sys
 import time
 from dataclasses import fields
@@ -19,7 +20,7 @@ from . import bp as bp_mod
 from .config import BP_MODES, OE_MODES, RunConfig, load_config
 from .errors import AdmissibilityError, ConfigError, NumericsError, TriDGError
 from .harness import build_solver, cfl_ratio_scan, convergence_study
-from .mesh import load_mesh, min_cell_area
+from .mesh import load_mesh, min_cell_area, nonfinite_vertex
 from .problems import get_problem
 from .timestepping import SCHEMES, run, scheme_by_name
 
@@ -72,13 +73,34 @@ def _config_from_args(args):
     return cfg
 
 
+def _read_mesh(path):
+    """load_mesh(path); a missing or unreadable file is a ConfigError."""
+    try:
+        return load_mesh(path)
+    except OSError as exc:
+        raise ConfigError(f"field 'mesh': cannot read {path!r} "
+                          f"({exc.strerror})") from None
+
+
+def _check_out_dir(prefix):
+    """Reject an output prefix whose directory is missing or not writable,
+    before a run whose results it would lose."""
+    directory = os.path.dirname(prefix) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"field 'out': directory {directory!r} does not "
+                          "exist")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise ConfigError(f"field 'out': directory {directory!r} is not "
+                          "writable")
+
+
 def _build_run(cfg):
     # validated before get_problem, which would report a missing problem as
     # unknown problem None; again with the model for its own checks
     prob = get_problem(cfg.validate().problem)
     cfg.validate(prob.make_model())
     if cfg.mesh:
-        mesh = load_mesh(cfg.mesh)
+        mesh = _read_mesh(cfg.mesh)
     elif cfg.gen:
         nx, ny = (int(v) for v in cfg.gen.split(","))
         mesh = prob.make_rect_mesh(nx, ny)
@@ -170,6 +192,8 @@ def _write_samples(path, op, state, n):
 
 def cmd_run(args):
     cfg = _config_from_args(args)
+    prefix = cfg.out or f"{cfg.problem}_k{cfg.k}"
+    _check_out_dir(prefix)
     prob, op, state, oe = _build_run(cfg)
     t_end = cfg.tend if cfg.tend is not None else prob.t_end
     # run records no time before the initial state or past t_end, so such a
@@ -184,7 +208,6 @@ def cmd_run(args):
                  output_times=cfg.times, cfl_scale=cfg.cfl,
                  max_steps=cfg.max_steps)
     wall = time.perf_counter() - t0
-    prefix = cfg.out or f"{cfg.problem}_k{cfg.k}"
     row_prefixes = _cell_prefixes(op)
     for i, (t, snap) in enumerate(result.snapshots):
         _write_snapshot(f"{prefix}_t{i}.csv", row_prefixes, snap)
@@ -217,6 +240,8 @@ def cmd_convergence(args):
         if (f.name not in CONVERGENCE_FIELDS
                 and getattr(cfg, f.name) != getattr(default, f.name)):
             raise ConfigError(f"field {f.name!r}: not used by 'convergence'")
+    if cfg.out:
+        _check_out_dir(cfg.out)
     rows = convergence_study(cfg.problem, cfg.k, args.levels,
                              oe_mode=cfg.oe_mode,
                              t_end=cfg.tend,
@@ -237,7 +262,8 @@ def cmd_decomp(args):
     # either orientation, held to the area floor of a mesh cell
     d = v[1:] - v[0]
     area = 0.5 * abs(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
-    if not (np.isfinite(v).all() and area > 0 and area >= min_cell_area(v)):
+    if not (nonfinite_vertex(v) is None and area > 0
+            and area >= min_cell_area(v)):
         raise ConfigError("field 'vertices': a coordinate is not finite or "
                           "the triangle is degenerate")
     rows = []
@@ -266,7 +292,7 @@ def cmd_cflscan(args):
     rows = []
     for k in ks:
         if args.mesh:
-            res = cfl_ratio_scan(k=k, mesh=load_mesh(args.mesh))
+            res = cfl_ratio_scan(k=k, mesh=_read_mesh(args.mesh))
         else:
             res = cfl_ratio_scan(n=args.count, k=k, seed=args.seed)
         rows.append((k, res["n"], res["dcw_zxs_min"], res["dcw_zxs_max"],

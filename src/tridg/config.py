@@ -95,7 +95,12 @@ _TYPES = {f.name: _CASTS.get(f.type, str) for f in fields(RunConfig)}
 def load_config(path):
     """Parse a flat key=value file into a RunConfig (no validation)."""
     cfg = RunConfig()
-    with open(path) as f:
+    try:
+        f = open(path)
+    except OSError as exc:
+        raise ConfigError(f"field 'config': cannot read {path!r} "
+                          f"({exc.strerror})") from None
+    with f:
         for ln, raw in enumerate(f, start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:

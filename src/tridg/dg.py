@@ -9,9 +9,8 @@ shared by all cells, applied as one GEMM to that buffer read as (nm, d * nc),
 times a few per-cell Jacobian factors: edge orientation lives in precomputed
 gather indices that also carry the component offset, so one take gives the
 component-first edge states (d, 2, ne, Q) the models work on; the volume term
-weighs the flux by each cell's contravariant vectors and the vertex
-derivatives go through per-cell transforms of order j, both along the cell
-axis. No table couples a cell to the modes. Interior edge fluxes are computed
+weighs the flux by each cell's contravariant vectors along the cell axis. No
+table couples a cell to the modes. Interior edge fluxes are computed
 once per edge and scattered with opposite signs, which makes the scheme
 discretely conservative.
 """
@@ -164,11 +163,6 @@ class SpatialOperator:
         self.ref_trace = basis.eval_modes(k, ref_edge.reshape(3 * self.Q, 2))
 
         self.vertex_basis = basis.eval_modes(k, REF_VERTICES)        # (3, nm)
-        # rows of the order-j mixed derivatives within the stacked vertex
-        # derivative axis: one row per alpha = (j - aidx, aidx), j = 0..k
-        self.deriv_rows = [slice(j * (j + 1) // 2, (j + 1) * (j + 2) // 2)
-                           for j in range(k + 1)]
-        self.n_derivs = self.deriv_rows[-1].stop
 
         # geometry gathered per edge (left-cell view)
         lc, ll = mesh.edge_cells[:, 0], mesh.edge_local[:, 0]
@@ -189,16 +183,13 @@ class SpatialOperator:
             self.groups.append((self.boundary[tag], np.array(eids), pos))
             gi += eids
         self.ghost_ids = gi = np.array(gi, dtype=int)
-        # (points, normals) of the ghost edges at the edge Gauss points and
-        # at the edge endpoints, the exact vertices
+        # (points, normals) of the ghost edges at the edge Gauss points
         pa = mesh.vertices[mesh.edge_vertices[gi, 0]]
         pb = mesh.vertices[mesh.edge_vertices[gi, 1]]
-        n = self.edge_normal[gi][:, None, :]
         self.ghost_gauss = (
             pa[:, None, :] + tq[None, :, None] * (pb - pa)[:, None, :],
-            np.broadcast_to(n, (len(gi), self.Q, 2)))
-        self.ghost_endpoints = (np.stack([pa, pb], axis=1),
-                                np.broadcast_to(n, (len(gi), 2, 2)))
+            np.broadcast_to(self.edge_normal[gi][:, None, :],
+                            (len(gi), self.Q, 2)))
 
         # physical interior quadrature points, x = v0 + J xi term by term
         v0 = mesh.vertices[mesh.cells[:, 0]]
@@ -231,15 +222,6 @@ class SpatialOperator:
             (mesh.area[:, None, None] * mesh.jac_inv).transpose(2, 1, 0)
         )[:, :, None]
         self._inv_det = 0.5 / mesh.area
-        # vertex jets: reference mixed derivatives d^(j-ridx)_xi d^ridx_eta,
-        # rows (stacked alpha, vertex), and per order j >= 1 the transform
-        # to physical derivatives as (j+1, j+1, nc)
-        self._jet_ref = np.concatenate([
-            basis.eval_modes(k, REF_VERTICES, r=j - ridx, s=ridx)
-            for j in range(k + 1) for ridx in range(j + 1)])         # (3R, nm)
-        self._jet_transforms = [np.ascontiguousarray(
-            basis.physical_derivative_transform(mesh.jac_inv, j)
-            .transpose(1, 2, 0)) for j in range(1, k + 1)]
 
     def _gather_tables(self):
         """Flat gather indices between cell-local and global edge orders.
@@ -247,14 +229,12 @@ class SpatialOperator:
         Node-major GEMM results (n_nodes, d, nc) are read flat, at index
         (node * d + component) * nc + cell, so one take returns its values
         component-first. trace_take (d, 2, ne, Q) reads the trace GEMM at the
-        edge Gauss points of both sides in global edge-point order;
-        endpoint_take (2, 2, d, ne) reads node-major vertex arrays for (side,
-        endpoint, component, edge). A boundary edge reads its own cell on
-        side 1: the outflow state, which write_ghosts overwrites on ghost
-        edges. The edge scatter gathers the flux (d, ne, Q) at every (local
-        edge, point, component, cell) through _flux_take (3Q, d, nc) and
-        weighs it by _flux_weights (3Q, 1, nc), -sign * length * w_q, the
-        minus of the edge term folded in.
+        edge Gauss points of both sides in global edge-point order. A
+        boundary edge reads its own cell on side 1: the outflow state, which
+        write_ghosts overwrites on ghost edges. The edge scatter gathers the
+        flux (d, ne, Q) at every (local edge, point, component, cell) through
+        _flux_take (3Q, d, nc) and weighs it by _flux_weights (3Q, 1, nc),
+        -sign * length * w_q, the minus of the edge term folded in.
         """
         mesh = self.mesh
         nc, Q, d = mesh.n_cells, self.Q, self.d
@@ -277,14 +257,6 @@ class SpatialOperator:
         wgt = (sign * mesh.edge_len)[:, :, None] * self.edge_w[gq]
         self._flux_weights = np.ascontiguousarray(
             wgt.reshape(nc, 3 * Q).T)[:, None, :]
-        # left cell traverses (il+1)%3 -> (il+2)%3 in global order; the
-        # right cell traverses its local edge reversed
-        lv_end = np.stack([(il + 1) % 3, (il + 2) % 3], axis=1)
-        rv_end = np.stack([(ir + 2) % 3, (ir + 1) % 3], axis=1)
-        left = lv_end.T * (d * nc) + lc
-        sides = np.stack([
-            left, np.where(rc >= 0, rv_end.T * (d * nc) + rc, left)])
-        self.endpoint_take = sides[:, :, None, :] + comp[:, None] * nc
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -313,23 +285,6 @@ class SpatialOperator:
         return self.at_nodes(self.vertex_basis,
                               component_major(coeffs)).transpose(2, 0, 1)
 
-    def vertex_jets(self, coeffs):
-        """Mixed physical derivatives of every order j <= k at cell vertices.
-
-        Returns (n_derivs, 3, d, nc), derivative-major and component-first:
-        deriv_rows[j] selects order j on axis 0, whose entries are
-        alpha = (j - aidx, aidx).
-        """
-        ref = self.at_nodes(self._jet_ref, component_major(coeffs)).reshape(
-            self.n_derivs, 3, self.d, -1)
-        out = np.empty_like(ref)
-        out[0] = ref[0]
-        # d^alpha u = sum_ridx T[aidx, ridx] * reference derivative ridx,
-        # along the cells
-        for T, rows in zip(self._jet_transforms, self.deriv_rows[1:]):
-            np.einsum("arc,rvdc->avdc", T, ref[rows], out=out[rows])
-        return out
-
     def evaluate(self, state, cell, points):
         """Evaluate the per-cell polynomial at physical points (…, 2)."""
         ref = self.mesh.physical_to_reference(cell, points)
@@ -345,9 +300,9 @@ class SpatialOperator:
 
         U is component-first, (component, side, edge, node); side 1 of a
         boundary edge holds its own cell's values until this call, which
-        stays the outflow state. nodes: ghost_gauss or ghost_endpoints, the
-        (points, normals) of the ghost edges at U's P nodes. The rules see
-        and return (..., d) states.
+        stays the outflow state. nodes: the (points, normals) of the ghost
+        edges at U's P nodes, ghost_gauss or the filter's ghost_endpoints.
+        The rules see and return (..., d) states.
         """
         X, n = nodes
         for rule, eids, pos in self.groups:

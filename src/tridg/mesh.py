@@ -116,6 +116,12 @@ def _validate_cells(vertices, cells):
             f"cell {int(np.argmax(small))} is degenerate (area below tolerance)")
 
 
+def nonfinite_vertex(vertices):
+    """Index of the first vertex with a nan or infinite coordinate, or None."""
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    return int(bad[0]) if len(bad) else None
+
+
 def min_cell_area(vertices):
     """Least area of a non-degenerate cell with corners among `vertices`."""
     bbox = np.ptp(vertices, axis=0)
@@ -333,7 +339,8 @@ def _parse_blocks(text):
         cells = block(data[1 + nv:1 + nv + nc], np.int64, 3)
     except ValueError:
         return None
-    if cells.min(initial=0) < 0 or cells.max(initial=-1) >= nv:
+    if (cells.min(initial=0) < 0 or cells.max(initial=-1) >= nv
+            or nonfinite_vertex(verts) is not None):
         return None
     btags = []
     for row in data[1 + nv + nc:]:
@@ -383,6 +390,10 @@ def _parse_lines(lines):
     for i in range(nv):
         n, f = tokens[1 + i]
         verts[i] = parse(f, n, (float, float), "vertex `x y`")
+    bad = nonfinite_vertex(verts)
+    if bad is not None:
+        raise MeshFormatError("vertex coordinate is not finite",
+                              line=tokens[1 + bad][0])
     cells = np.empty((nc, 3), dtype=np.int64)
     for i in range(nc):
         n, f = tokens[1 + nv + i]

@@ -16,8 +16,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from .basis import MODE_DEGREE
-from .dg import ModalState, component_major, modal_view
+from . import basis
+from .dg import REF_VERTICES, ModalState, component_major, modal_view
 from .errors import ConfigError, UnsupportedOperationError
 
 EPS_DEVIATION = 1e-12
@@ -31,7 +31,11 @@ def damping_prefactor(k, j):
 
 
 class OEFilter:
-    """Bound to a SpatialOperator; stateless apart from precomputed tables."""
+    """Bound to a SpatialOperator; stateless apart from precomputed tables.
+
+    The filter owns its jet and endpoint tables; the operator keeps only what
+    the residual, the limiter and the wavespeed bound read.
+    """
 
     def __init__(self, op, mode="componentwise", guard_wavespeed=False):
         # guard_wavespeed: use a clamped wavespeed estimate at edge endpoints;
@@ -47,16 +51,72 @@ class OEFilter:
         self.guard_wavespeed = guard_wavespeed
         self.k = k = op.k
         self.mom = list(op.model.momentum_components) if mode == "rioe" else []
+        mesh = op.mesh
         # A^{k,j} h^(j-1) per order j and cell edge: (k+1, 3, nc)
-        h = op.mesh.height.T
+        h = mesh.height.T
         self.A_h = np.stack([damping_prefactor(k, j) * h ** (j - 1)
                              for j in range(k + 1)])
+        # jets: the mixed derivatives d^(j-ridx)_xi d^ridx_eta of the orders
+        # j < k at the three vertices, rows (stacked alpha, vertex), then
+        # those of order k once: a degree-k polynomial's order-k derivatives
+        # are constant on an affine cell. deriv_rows[j] selects order j < k
+        # on the stacked alpha axis, alpha = (j - aidx, aidx).
+        self.deriv_rows = [slice(j * (j + 1) // 2, (j + 1) * (j + 2) // 2)
+                           for j in range(k)]
+        self.n_derivs = k * (k + 1) // 2
+        self._jet_ref = np.concatenate(
+            [basis.eval_modes(k, REF_VERTICES, r=j - ridx, s=ridx)
+             for j in range(k) for ridx in range(j + 1)]
+            + [basis.eval_modes(k, REF_VERTICES[:1], r=k - ridx, s=ridx)
+               for ridx in range(k + 1)])             # (3 n_derivs + k+1, nm)
+        # per order j >= 1 the transform to physical derivatives, (j+1, j+1,
+        # nc) along the cells
+        self._jet_transforms = [np.ascontiguousarray(
+            basis.physical_derivative_transform(mesh.jac_inv, j)
+            .transpose(1, 2, 0)) for j in range(1, k + 1)]
+        self._gather_tables()
         # trapezoidal weights 0.5 binom(j, aidx) on the rows (stacked alpha,
-        # endpoint) of the squared jumps: (k+1, 2 n_derivs)
-        w = np.zeros((k + 1, op.n_derivs))
-        for j, rows in enumerate(op.deriv_rows):
-            w[j, rows] = [0.5 * comb(j, a) for a in range(j + 1)]
-        self.weights = np.repeat(w, 2, axis=1)
+        # endpoint) of the squared jumps of order j < k, and binom(k, aidx)
+        # on the one row per alpha of order k, whose jump is the same at
+        # both endpoints: (k+1, 2 n_derivs + k+1)
+        w = np.zeros((k + 1, 2 * self.n_derivs + k + 1))
+        for j, rows in enumerate(self.deriv_rows):
+            w[j, 2 * rows.start:2 * rows.stop] = np.repeat(
+                [0.5 * comb(j, a) for a in range(j + 1)], 2)
+        w[k, 2 * self.n_derivs:] = [comb(k, a) for a in range(k + 1)]
+        self.weights = w
+
+    def _gather_tables(self):
+        """Flat gather indices from the jets to the two sides of each edge.
+
+        The jets are read flat, the orders below k at index (vertex * d +
+        component) * nc + cell, so that endpoint_take (2, 2, d, ne) returns
+        them for (side, endpoint, component, edge), and those of order k at
+        component * nc + cell, through cell_take (2, d, ne) for (side,
+        component, edge). A boundary edge reads its own cell on side 1: the
+        outflow state, zero jumps of every order. ghost_endpoints holds the
+        (points, normals) of the ghost edges at their endpoints, the exact
+        vertices, for write_ghosts.
+        """
+        op = self.op
+        mesh, d = op.mesh, op.d
+        nc = mesh.n_cells
+        comp = np.arange(d)[:, None]
+        il, ir = mesh.edge_local[:, 0], mesh.edge_local[:, 1]
+        lc, rc = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+        cells = np.stack([lc, np.where(rc >= 0, rc, lc)])
+        self.cell_take = cells[:, None, :] + comp * nc
+        # the left cell traverses (il+1)%3 -> (il+2)%3 in global order; the
+        # right cell traverses its local edge reversed
+        lv_end = np.stack([(il + 1) % 3, (il + 2) % 3])
+        rv_end = np.stack([(ir + 2) % 3, (ir + 1) % 3])
+        vert = np.stack([lv_end, np.where(rc >= 0, rv_end, lv_end)])
+        self.endpoint_take = (vert * (d * nc) + cells[:, None])[:, :, None] \
+            + comp * nc
+        gi = op.ghost_ids
+        ends = mesh.vertices[mesh.edge_vertices[gi]]
+        self.ghost_endpoints = (ends, np.broadcast_to(
+            op.edge_normal[gi][:, None, :], (len(gi), 2, 2)))
 
     # -- deviations ---------------------------------------------------------
 
@@ -88,31 +148,62 @@ class OEFilter:
 
     # -- jump assembly ------------------------------------------------------
 
+    def vertex_jets(self, coeffs):
+        """Mixed physical derivatives of every order j <= k: (3 n_derivs +
+        k+1, d, nc), component-first.
+
+        The first 3 n_derivs rows are the orders j < k at the cell vertices,
+        (stacked alpha, vertex), deriv_rows[j] selecting order j on the alpha
+        axis; the last k+1 rows are the order-k derivatives, the same at
+        every point of the cell.
+        """
+        nd = self.n_derivs
+        ref = self.op.at_nodes(self._jet_ref, component_major(coeffs))
+        out = np.empty_like(ref)
+        shape = (nd, 3) + ref.shape[1:]
+        ref_lo = ref[:3 * nd].reshape(shape)
+        out_lo = out[:3 * nd].reshape(shape)
+        out_lo[0] = ref_lo[0]
+        # d^alpha u = sum_ridx T[aidx, ridx] * reference derivative ridx,
+        # along the cells
+        for T, rows in zip(self._jet_transforms, self.deriv_rows[1:]):
+            np.einsum("arc,rvdc->avdc", T, ref_lo[rows], out=out_lo[rows])
+        np.einsum("arc,rdc->adc", self._jet_transforms[-1], ref[3 * nd:],
+                  out=out[3 * nd:])
+        return out
+
     def _endpoint_pass(self, coeffs, t):
         """Jumps of every derivative order and the states at edge endpoints.
 
-        Returns J (n_derivs, 2, d, ne) indexed by (stacked alpha, endpoint,
-        component, edge), and the two-sided point values u (d, 2, 2, ne)
-        indexed by (component, side, endpoint, edge): side 0 the left
-        cell's, side 1 the right cell's or the ghost. Side 0 is gathered
-        into J and side 1 subtracted one order at a time; only the order-0
-        values are gathered for both sides. Side 1 of a boundary edge is its
-        own cell, so outflow edges have zero jumps of every order, and ghost
-        edges jump from side 0 to a degree-0 ghost.
+        Returns J (2 n_derivs + k+1, d, ne), rows (stacked alpha, endpoint)
+        for the orders j < k and one row per alpha for order k, whose jump
+        is the same at both endpoints; and the two-sided point values u (d,
+        2, 2, ne) indexed by (component, side, endpoint, edge): side 0 the
+        left cell's, side 1 the right cell's or the ghost. Each block takes
+        both sides in one gather. Side 1 of a boundary edge is its own cell,
+        so outflow edges have zero jumps of every order, and ghost edges
+        jump from side 0 to a degree-0 ghost.
         """
-        op = self.op
-        V = op.vertex_jets(coeffs).reshape(op.n_derivs, -1)      # (R,3*d*nc)
-        side0, side1 = op.endpoint_take                         # (2,d,ne)
-        J = np.take(V, side0, axis=1)                            # (R,2,d,ne)
-        u = np.take(V[0], op.endpoint_take).transpose(2, 0, 1, 3)
+        op, nd = self.op, self.n_derivs
+        V = self.vertex_jets(coeffs)
+        d, nc = V.shape[1:]
+        W = np.take(V[:3 * nd].reshape(nd, 3 * d * nc), self.endpoint_take,
+                    axis=1)                                # (nd,2,2,d,ne)
+        C = np.take(V[3 * nd:].reshape(self.k + 1, d * nc), self.cell_take,
+                    axis=1)                                # (k+1,2,d,ne)
+        ne = C.shape[-1]
+        J = np.empty((2 * nd + self.k + 1, d, ne))
+        J_lo = J[:2 * nd].reshape(nd, 2, d, ne)
+        np.subtract(W[:, 0], W[:, 1], out=J_lo)
+        np.subtract(C[:, 0], C[:, 1], out=J[2 * nd:])
+        # the order-0 values component-first; the wavespeeds run faster on a
+        # contiguous copy than on the strided view
+        u = np.ascontiguousarray(W[0].transpose(2, 0, 1, 3))
+        op.write_ghosts(u.transpose(0, 1, 3, 2), self.ghost_endpoints, t)
         gi = op.ghost_ids
-        ghost_jumps = J[..., gi]
-        for a in range(op.n_derivs):
-            J[a] -= np.take(V[a], side1)
-        # (d, 2, ne, 2) view: write_ghosts writes through to u
-        op.write_ghosts(u.transpose(0, 1, 3, 2), op.ghost_endpoints, t)
-        ghost_jumps[0] -= u[:, 1][..., gi].transpose(1, 0, 2)
-        J[..., gi] = ghost_jumps
+        J_lo[..., gi] = W[:, 0][..., gi]
+        J_lo[0][..., gi] -= u[:, 1][..., gi].transpose(1, 0, 2)
+        J[2 * nd:, :, gi] = C[:, 0][..., gi]
         return J, u
 
     def _edge_measures(self, coeffs, J, rotated):
@@ -121,20 +212,23 @@ class OEFilter:
         S^j is the trapezoidal endpoint sum of the binom-weighted squared
         order-j jumps. rotated: the momentum entries become the larger of the
         normal and tangential momentum measures over the momentum-magnitude
-        deviation. J (n_derivs, 2, d, ne) is overwritten.
+        deviation. J (rows, d, ne) is overwritten.
         """
-        R, _, d, ne = J.shape
+        R, d, ne = J.shape
         if rotated:
             # the momentum rows carry the normal and tangential jumps; their
             # component-wise measures would be overwritten by dhat below
-            m1, m2 = J[:, :, self.mom[0]], J[:, :, self.mom[1]]  # (R,2,ne)
+            m1, m2 = J[:, self.mom[0]], J[:, self.mom[1]]        # (R, ne)
             n1, n2 = self.op.edge_normal_cf
-            jn = n1 * m1 + n2 * m2
-            J[:, :, self.mom[1]] = -n2 * m1 + n1 * m2
-            J[:, :, self.mom[0]] = jn
+            jn = n1 * m1
+            jn += n2 * m2
+            jt = n1 * m2
+            jt -= n2 * m1
+            m1[...] = jn
+            m2[...] = jt
         # squared jumps: rows (alpha, endpoint), columns (component, edge)
         np.square(J, out=J)
-        S = self.weights @ J.reshape(2 * R, d * ne)
+        S = self.weights @ J.reshape(R, d * ne)
         root = np.sqrt(S).reshape(self.k + 1, d, ne)
 
         ubar, dev, mdev = self.global_deviation(coeffs)
@@ -166,10 +260,9 @@ class OEFilter:
         """damping_exponents component-major: (k, d, nc)."""
         J, u = self._endpoint_pass(coeffs, t)
         G = self._edge_measures(coeffs, J, rotated=bool(self.mom))
-        ce = self.op.mesh.cell_edges.T                           # (3, nc)
-        w = self._beta(u)[ce] * self.A_h                         # (k+1,3,nc)
-        GG = np.take(G, ce, axis=2)                              # (k+1,d,3,nc)
-        GG *= w[:, None]
+        G *= self._beta(u)
+        GG = np.take(G, self.op.mesh.cell_edges.T, axis=2)       # (k+1,d,3,nc)
+        GG *= self.A_h[:, None]
         sigma = GG[:, :, 0] + GG[:, :, 1] + GG[:, :, 2]
         # running sum over the orders, the additions of np.cumsum in order
         X = np.empty((self.k,) + sigma.shape[1:])
@@ -193,10 +286,10 @@ class OEFilter:
             raise ConfigError("dt must be non-negative")
         t = state.t if t is None else t
         X = self._exponents(state.coeffs, dt, t)                 # (k, d, nc)
-        # one factor per degree, 1.0 for the cell average, spread to modes
-        scale = np.empty((self.k + 1,) + X.shape[1:])
-        scale[0] = 1.0
-        np.exp(-X, out=scale[1:])
-        coeffs = (component_major(state.coeffs)
-                  * np.take(scale, MODE_DEGREE[:self.op.nm], axis=0))
+        np.negative(X, out=X)
+        np.exp(X, out=X)
+        # one factor per degree, over the m + 1 modes of degree m
+        coeffs = component_major(state.coeffs, copy=True)
+        for m in range(1, self.k + 1):
+            coeffs[m * (m + 1) // 2:(m + 1) * (m + 2) // 2] *= X[m - 1]
         return ModalState(state.k, modal_view(coeffs), state.t)

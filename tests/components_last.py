@@ -7,12 +7,19 @@ jets (n_derivs, 3, nc, d). Euler's normal flux is the F_x n1 + F_y n2 form
 with v1, v2 and p, not the rho v.n form. The reference-element matrices and
 the boundary rules come from the operator under test; the ghosts come from
 boundary_ghosts below, not from the operator's ghost writer.
+
+VertexJetFilter is the OE filter as it ran before the order-k jets became
+cell constants; vertex_derivatives, vertex_jets and damping_exponents read
+its tables.
 """
+
+from math import comb
 
 import numpy as np
 
-from tridg.dg import ModalState, Outflow
-from tridg.oe import EPS_DEVIATION
+from tridg import basis
+from tridg.dg import REF_VERTICES, ModalState, Outflow, component_major
+from tridg.oe import EPS_DEVIATION, OEFilter
 from tridg.physics import Burgers, Euler, ScaledModel
 
 
@@ -43,12 +50,83 @@ def normal_flux(model, u, n):
     return f[..., 0, :] * n[..., 0, None] + f[..., 1, :] * n[..., 1, None]
 
 
+class VertexJetFilter(OEFilter):
+    """The OE filter with the jets of every order j <= k at the three cell
+    vertices: side 0 gathered and side 1 subtracted one order at a time,
+    the trapezoid over both endpoints for every order, and the wavespeed
+    and A_h multiplied per cell edge before they weigh the edge measures.
+    """
+
+    def __init__(self, op, mode="componentwise", guard_wavespeed=False):
+        super().__init__(op, mode, guard_wavespeed)
+        k = self.k
+        # rows of the order-j mixed derivatives within the stacked vertex
+        # derivative axis: one row per alpha = (j - aidx, aidx), j = 0..k
+        self.deriv_rows = [slice(j * (j + 1) // 2, (j + 1) * (j + 2) // 2)
+                           for j in range(k + 1)]
+        self.n_derivs = self.deriv_rows[-1].stop
+        self._jet_ref = np.concatenate([
+            basis.eval_modes(k, REF_VERTICES, r=j - ridx, s=ridx)
+            for j in range(k + 1) for ridx in range(j + 1)])         # (3R, nm)
+        # trapezoidal weights 0.5 binom(j, aidx) on the rows (stacked alpha,
+        # endpoint) of the squared jumps: (k+1, 2 n_derivs)
+        w = np.zeros((k + 1, self.n_derivs))
+        for j, rows in enumerate(self.deriv_rows):
+            w[j, rows] = [0.5 * comb(j, a) for a in range(j + 1)]
+        self.weights = np.repeat(w, 2, axis=1)
+
+    def vertex_jets(self, coeffs):
+        """(n_derivs, 3, d, nc): deriv_rows[j] selects order j on axis 0."""
+        ref = self.op.at_nodes(self._jet_ref, component_major(coeffs))
+        ref = ref.reshape(self.n_derivs, 3, *ref.shape[1:])
+        out = np.empty_like(ref)
+        out[0] = ref[0]
+        for T, rows in zip(self._jet_transforms, self.deriv_rows[1:]):
+            np.einsum("arc,rvdc->avdc", T, ref[rows], out=out[rows])
+        return out
+
+    def _endpoint_pass(self, coeffs, t):
+        """J (n_derivs, 2, d, ne) for (stacked alpha, endpoint, component,
+        edge), and the two-sided point values u (d, 2, 2, ne)."""
+        op = self.op
+        V = self.vertex_jets(coeffs).reshape(self.n_derivs, -1)
+        side0, side1 = self.endpoint_take                       # (2,d,ne)
+        J = np.take(V, side0, axis=1)                            # (R,2,d,ne)
+        u = np.take(V[0], self.endpoint_take).transpose(2, 0, 1, 3)
+        gi = op.ghost_ids
+        ghost_jumps = J[..., gi]
+        for a in range(self.n_derivs):
+            J[a] -= np.take(V[a], side1)
+        op.write_ghosts(u.transpose(0, 1, 3, 2), self.ghost_endpoints, t)
+        ghost_jumps[0] -= u[:, 1][..., gi].transpose(1, 0, 2)
+        J[..., gi] = ghost_jumps
+        return J, u
+
+    def _exponents(self, coeffs, dt, t):
+        J, u = self._endpoint_pass(coeffs, t)
+        G = self._edge_measures(coeffs, J.reshape(-1, *J.shape[2:]),
+                                rotated=bool(self.mom))
+        ce = self.op.mesh.cell_edges.T                           # (3, nc)
+        w = self._beta(u)[ce] * self.A_h                         # (k+1,3,nc)
+        GG = np.take(G, ce, axis=2)                              # (k+1,d,3,nc)
+        GG *= w[:, None]
+        sigma = GG[:, :, 0] + GG[:, :, 1] + GG[:, :, 2]
+        X = np.empty((self.k,) + sigma.shape[1:])
+        acc = sigma[0]
+        for m in range(1, self.k + 1):
+            acc = acc + sigma[m]
+            X[m - 1] = acc
+        return dt * X
+
+
 def vertex_derivatives(op, coeffs, j):
-    """Order-j mixed physical derivatives at the cell vertices.
+    """Order-j mixed physical derivatives at the cell vertices, from
+    VertexJetFilter's jets.
 
     Returns (nc, 3, j+1, d); axis 2 indexes alpha = (j - aidx, aidx).
     """
-    return op.vertex_jets(coeffs)[op.deriv_rows[j]].transpose(3, 1, 0, 2)
+    f = VertexJetFilter(op)
+    return f.vertex_jets(coeffs)[f.deriv_rows[j]].transpose(3, 1, 0, 2)
 
 
 def assert_close_to_max(got, want, rtol=1e-13):
@@ -150,23 +228,25 @@ def residual(op, coeffs, alpha, t):
         0.5 / mesh.area[:, None, None])
 
 
-def vertex_jets(op, coeffs):
-    """(n_derivs, 3, nc, d)."""
+def vertex_jets(f, coeffs):
+    """(n_derivs, 3, nc, d) from the tables of a VertexJetFilter f."""
     nc, _, d = coeffs.shape
-    ref = (op._jet_ref @ modes_first(coeffs)).reshape(op.n_derivs, 3, nc, d)
+    ref = (f._jet_ref @ modes_first(coeffs)).reshape(f.n_derivs, 3, nc, d)
     out = np.empty_like(ref)
     out[0] = ref[0]
-    for T, rows in zip(op._jet_transforms, op.deriv_rows[1:]):
+    for T, rows in zip(f._jet_transforms, f.deriv_rows[1:]):
         np.einsum("arc,rvcd->avcd", T, ref[rows], out=out[rows])
     return out
 
 
 def damping_exponents(f, coeffs, dt, t):
-    """OEFilter.damping_exponents: (nc, k, d)."""
+    """OEFilter.damping_exponents: (nc, k, d), on the jets and trapezoid
+    weights of VertexJetFilter."""
     op, k = f.op, f.k
     mesh = op.mesh
     nc, _, d = coeffs.shape
-    V = vertex_jets(op, coeffs).reshape(op.n_derivs, 3 * nc, d)
+    f = VertexJetFilter(op, f.mode, f.guard_wavespeed)
+    V = vertex_jets(f, coeffs).reshape(f.n_derivs, 3 * nc, d)
     W = np.take(V, endpoint_sides(op), axis=1)               # (R,2,2,ne,d)
     J = W[:, 0] - W[:, 1]
     u = W[0]

@@ -116,6 +116,19 @@ def test_config_error_codes(tmp_path, capsys):
     # a mesh without a problem reported "unknown problem None"
     assert main(["run", "--mesh", str(tmp_path / "m.txt")]) == 2
     assert "field 'problem': no problem given" in capsys.readouterr().err
+    # a missing mesh or config file ended in a FileNotFoundError (exit 1),
+    # and an output directory that does not exist did so after the run, at
+    # the first snapshot
+    assert main(["run", "--problem", "advection_smooth",
+                 "--mesh", str(tmp_path / "m.txt")]) == 2
+    assert "field 'mesh'" in capsys.readouterr().err
+    assert main(["run", "--config", str(tmp_path / "run.cfg")]) == 2
+    assert "field 'config'" in capsys.readouterr().err
+    assert main(["run", "--problem", "advection_smooth", "--k", "1",
+                 "--gen", "3,3", "--tend", "0.001",
+                 "--out", str(tmp_path / "missing" / "p")]) == 2
+    assert "field 'out'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("times", ["0.5", "0.02,nan", "inf", "-0.5"])

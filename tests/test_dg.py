@@ -272,6 +272,9 @@ def test_vertex_derivatives_match_polynomial():
     assert np.allclose(d2[..., 0], 2.0, atol=1e-10)
     assert np.allclose(d2[..., 1], 3.0, atol=1e-10)
     assert np.allclose(d2[..., 2], -4.0, atol=1e-10)
+    # the filter's order-k jets, one value per cell
+    top = OEFilter(op).vertex_jets(st.coeffs)[-3:, 0]  # (3, nc)
+    assert np.allclose(top, [[2.0], [3.0], [-4.0]], atol=1e-10)
 
 
 def test_exact_bc_run():
@@ -477,9 +480,10 @@ class PerCellVolumeAndJets:
                * G)
         self.vol_op = np.ascontiguousarray(
             vol.transpose(0, 2, 1, 3).reshape(nc, nm, N * 2))
-        R = op.n_derivs
+        R = (k + 1) * (k + 2) // 2
         D = np.empty((nc, 3, R, nm))
-        for j, rows in enumerate(op.deriv_rows):
+        for j in range(k + 1):
+            rows = slice(j * (j + 1) // 2, (j + 1) * (j + 2) // 2)
             ref = np.stack([basis.eval_modes(k, REF_VERTICES,
                                              r=j - ridx, s=ridx)
                             for ridx in range(j + 1)], axis=1)       # (3,j+1,nm)
@@ -496,10 +500,10 @@ class PerCellVolumeAndJets:
         return np.matmul(self.vol_op, Fv.reshape(nc, 2 * op.n_int, d))
 
     def vertex_jets(self, coeffs):
-        """(n_derivs, 3, d, nc), the layout of SpatialOperator.vertex_jets."""
+        """(n_derivs, 3, d, nc), the layout of VertexJetFilter.vertex_jets."""
         nc, _, d = coeffs.shape
         out = np.matmul(self.jet_op, coeffs)
-        return out.reshape(nc, 3, self.op.n_derivs, d).transpose(2, 1, 3, 0)
+        return out.reshape(nc, 3, -1, d).transpose(2, 1, 3, 0)
 
 
 def orientation_meshes():
@@ -591,17 +595,17 @@ def test_volume_and_jets_match_per_cell_reference(mesh_name, k, model, mode):
     coeffs = 0.02 * rng.standard_normal((mesh.n_cells, op.nm, op.d))
     coeffs[:, 0, :] += mean
 
-    assert_close_to_max(op.vertex_jets(coeffs), ref.vertex_jets(coeffs))
+    ref_f = cl.VertexJetFilter(op, mode=mode, guard_wavespeed=True)
+    assert_close_to_max(ref_f.vertex_jets(coeffs), ref.vertex_jets(coeffs))
     assert_close_to_max(op.residual(coeffs, 2.5, t=0.3),
                         PerCellEdgeOperators(op).residual(coeffs, 2.5, 0.3))
-    # the filter on an operator whose jets come from the per-cell matrices;
-    # the clamped wavespeed keeps rough P4 vertex values usable
-    ref_op = copy.copy(op)
-    ref_op.vertex_jets = ref.vertex_jets
+    # the filter against its vertex-jet twin whose jets come from the
+    # per-cell matrices; the clamped wavespeed keeps rough P4 vertex values
+    # usable
+    ref_f.vertex_jets = ref.vertex_jets
     X = OEFilter(op, mode=mode, guard_wavespeed=True).damping_exponents(
         coeffs, 0.01, t=0.3)
-    want = OEFilter(ref_op, mode=mode, guard_wavespeed=True) \
-        .damping_exponents(coeffs, 0.01, t=0.3)
+    want = ref_f.damping_exponents(coeffs, 0.01, t=0.3)
     assert np.abs(want).min() > 0
     assert_close_to_max(X, want)
 
@@ -700,8 +704,9 @@ def test_pipeline_matches_components_last_reference(mesh_name, k, model):
 
     assert_close_to_max(op.residual(state, 2.5, t=0.3),
                         cl.residual(op, coeffs, 2.5, 0.3))
-    assert_close_to_max(op.vertex_jets(state).transpose(0, 1, 3, 2),
-                        cl.vertex_jets(op, coeffs))
+    ref_f = cl.VertexJetFilter(op)
+    assert_close_to_max(ref_f.vertex_jets(state).transpose(0, 1, 3, 2),
+                        cl.vertex_jets(ref_f, coeffs))
     modes = ["componentwise"] + (["rioe"] if model.momentum_components
                                  else [])
     for mode in modes:

@@ -739,6 +739,8 @@ def test_block_parser_matches_line_parser(tmp_path):
     (("2 3 WALL", "2 3"), 11),
     (("4 2 4", "4 2 x"), 2),
     (("4 2 4", "4 2 5"), 12),
+    (("1 1\n", "1 nan\n"), 5),
+    (("1 0\n", "-inf 0\n"), 4),
 ])
 def test_malformed_blocks_go_to_line_parser(edit, line):
     text = MESH_TEXT.replace(*edit)

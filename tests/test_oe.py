@@ -10,7 +10,9 @@ from tridg.oe import EPS_DEVIATION, OEFilter, damping_prefactor
 from tridg.physics import Advection, Burgers, Euler, ScaledModel
 from tridg.problems import get_problem
 
-from components_last import boundary_ghosts, outflow_edges, vertex_derivatives
+from components_last import (VertexJetFilter, assert_close_to_max,
+                             boundary_ghosts, outflow_edges,
+                             vertex_derivatives)
 
 
 def make_op(k=2, n=5, model=None):
@@ -27,13 +29,15 @@ def random_state(op, rng, d=None, scale=1.0):
 # -- the filter's intermediate quantities, read through its private passes ---
 
 def edge_jumps(f, coeffs, t=0.0):
-    """Derivative jumps at edge endpoints for j = 0..k.
+    """Derivative jumps at edge endpoints for j = 0..k, from the filter's
+    VertexJetFilter twin.
 
     Element j has shape (ne, 2, j+1, d) indexed by (edge, endpoint, alpha,
     component). 'copy' boundary edges are zero.
     """
+    f = VertexJetFilter(f.op, f.mode, f.guard_wavespeed)
     J = f._endpoint_pass(coeffs, t)[0]                       # (R,2,d,ne)
-    return [J[rows].transpose(3, 1, 0, 2) for rows in f.op.deriv_rows]
+    return [J[rows].transpose(3, 1, 0, 2) for rows in f.deriv_rows]
 
 
 def edge_wavespeeds(f, coeffs, t=0.0):
@@ -455,13 +459,64 @@ def test_damping_exponents_match_concatenated_reference(k, model, mode,
         mean = 0.5
     op = SpatialOperator(mesh, model, k, boundary={
         "IN": inflow, "OUT": Outflow(), "WALL": Reflective()})
-    f = OEFilter(op, mode=mode, guard_wavespeed=guard)
+    f = VertexJetFilter(op, mode=mode, guard_wavespeed=guard)
     coeffs = 1e-2 * rng.standard_normal((mesh.n_cells, op.nm, op.d))
     coeffs[:, 0, :] += mean
     X = f.damping_exponents(coeffs, 0.01, t=0.2)
     want = concatenated_damping_exponents(f, coeffs, 0.01, t=0.2)
     assert np.abs(want).min() > 0
     assert np.array_equal(X, want)
+
+
+# -- reference: every order's jets at the three vertices ---------------------
+
+def mixed_boundary_operator(model, k, seed):
+    """An operator on a perturbed mesh with IN, OUT and WALL edges."""
+    if model.name == "euler":
+        inflow = Inflow(model.from_primitive(1.0, 0.5, 0.2, 1.0))
+    else:
+        inflow = Inflow(lambda x, y, t: np.sin(3 * x + y + t)[..., None])
+    return SpatialOperator(tagged_perturbed_mesh(seed=seed), model, k,
+                           boundary={"IN": inflow, "OUT": Outflow(),
+                                     "WALL": Reflective()})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("model,mode,guard", [
+    (Advection(), "componentwise", False), (Euler(), "rioe", False),
+    (Euler(), "rioe", True)], ids=["advection-cw", "euler-rioe",
+                                   "euler-rioe-guard"])
+def test_damping_exponents_match_vertex_jet_reference(k, model, mode, guard):
+    # the order-k jets once per cell and one jump per edge give the
+    # exponents of every order's jets at both endpoints of every edge
+    op = mixed_boundary_operator(model, k, seed=k + 10)
+    bi = op.mesh.boundary_edge_ids
+    assert {op.mesh.edge_tag[e] for e in bi} == {"IN", "OUT", "WALL"}
+    rng = np.random.default_rng(90 + k)
+    coeffs = 1e-2 * rng.standard_normal((op.mesh.n_cells, op.nm, op.d))
+    coeffs[:, 0, :] += (model.from_primitive(1.0, 0.3, -0.2, 1.0)
+                        if model.name == "euler" else 0.5)
+    X = OEFilter(op, mode=mode, guard_wavespeed=guard).damping_exponents(
+        coeffs, 0.01, t=0.2)
+    want = VertexJetFilter(op, mode=mode, guard_wavespeed=guard) \
+        .damping_exponents(coeffs, 0.01, t=0.2)
+    assert np.abs(want).min() > 0
+    assert_close_to_max(X, want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_top_order_jets_are_cell_constants(k):
+    # the reference's order-k jets are the same at the three vertices of
+    # every cell, and the filter's one value per cell
+    op = mixed_boundary_operator(Euler(), k, seed=k)
+    rng = np.random.default_rng(95 + k)
+    coeffs = rng.standard_normal((op.mesh.n_cells, op.nm, op.d))
+    ref = VertexJetFilter(op)
+    top = ref.vertex_jets(coeffs)[ref.deriv_rows[k]]         # (k+1,3,d,nc)
+    for v in (1, 2):
+        assert_close_to_max(top[:, v], top[:, 0])
+    cell = OEFilter(op).vertex_jets(coeffs)[-(k + 1):]       # (k+1,d,nc)
+    assert_close_to_max(cell, top[:, 0])
 
 
 # -- reference: the per-degree block scaling of a full state copy ------------
