@@ -144,7 +144,6 @@ class ConvexDecomposition:
     inspection.
     """
 
-    scheme: str
     k: int
     lengths: np.ndarray            # sorted descending
     vertices: np.ndarray           # (3, 2), vertex i opposite sorted edge i
@@ -161,30 +160,33 @@ class ConvexDecomposition:
 def sorted_cell(vertices):
     """Sort a single triangle: returns (lengths desc, vertices opposite them)."""
     v = np.asarray(vertices, dtype=float)
-    lens = np.array([np.linalg.norm(v[(i + 2) % 3] - v[(i + 1) % 3])
+    lens = np.array([np.hypot(*(v[(i + 2) % 3] - v[(i + 1) % 3]))
                      for i in range(3)])
     order = np.argsort(-lens, kind="stable")
     return lens[order], v[order]
 
 
-def decomposition(vertices, k, scheme="dcw"):
-    """Build the ConvexDecomposition of one triangle given by its vertices."""
-    if scheme != "dcw":
-        raise ConfigError(
-            "explicit internal nodes are only constructed for the optimal "
-            "decomposition; classical/Chen-Shu enter through their CFL numbers")
+def decomposition(vertices, k):
+    """Build the optimal ConvexDecomposition of one triangle given by its
+    vertices.
+
+    Weights and nodes depend on the shape alone: they are evaluated on the
+    lengths over the longest one, l / l1, the node merge tolerance is
+    relative to l1 and C_BP scales as 1 / l1, so any size whose vertices
+    are finite gives the same decomposition.
+    """
     l, v = sorted_cell(vertices)
+    shape = l / l[0]
     if k == 1:
-        w, omega, bary = optimal_p1_weights(l)
+        w, omega, bary = optimal_p1_weights(shape)
         raw = [(bary, float(omega))]
         # near-equilateral cells produce a node of vanishing weight; drop it
         nodes = [] if omega <= 1e-14 else [(bary, float(omega))]
         zero = omega <= 1e-14
     elif k == 2:
-        w, omega, bary = optimal_p2_weights(l)
+        w, omega, bary = optimal_p2_weights(shape)
         raw = [(bary[0], float(omega)), (bary[1], float(omega))]
-        scale = max(1.0, float(l[0]))
-        if np.linalg.norm((bary[0] - bary[1]) @ v) <= NODE_MERGE_TOL * scale:
+        if np.hypot(*((bary[0] - bary[1]) @ v)) <= NODE_MERGE_TOL * l[0]:
             nodes = [(0.5 * (bary[0] + bary[1]), 2.0 * float(omega))]
         else:
             nodes = [(bary[0], float(omega)), (bary[1], float(omega))]
@@ -192,8 +194,8 @@ def decomposition(vertices, k, scheme="dcw"):
     else:
         raise ConfigError(f"optimal decomposition is defined for k in (1, 2), got {k}")
     return ConvexDecomposition(
-        scheme="dcw", k=k, lengths=l, vertices=v, edge_weights=w, nodes=nodes,
-        cfl=float(optimal_cfl(l, k)), zero_internal_mass=bool(zero),
+        k=k, lengths=l, vertices=v, edge_weights=w, nodes=nodes,
+        cfl=float(optimal_cfl(shape, k) / l[0]), zero_internal_mass=bool(zero),
         raw_nodes=raw)
 
 
@@ -336,8 +338,8 @@ class BPLimiter:
         np.put_along_axis(self.w_local, mesh.sort_order, w, axis=1)
         self.sum_w = self.w_local.sum(axis=1)
         # local indices of the vertices opposite the two longest edges, for
-        # k=1 dcw only: (2, 1, nc) against node-major (3, d, nc) values
-        self.vert_ids = (np.ascontiguousarray(mesh.sort_order[:, :2].T)[:, None]
+        # k=1 dcw only: (1, 2, nc) against vertex values (d, 3, nc)
+        self.vert_ids = (np.ascontiguousarray(mesh.sort_order[:, :2].T)[None]
                          if self.k == 1 and scheme == "dcw" else None)
 
         self.violations = 0                      # cells scaled so far
@@ -349,30 +351,27 @@ class BPLimiter:
         SpatialOperator.traces gives them), then the two vertices (k=1 dcw) or
         the remainder u* = (mean - sum_i w_i avg_i) / (1 - sum w) (k=2).
         """
-        return self._node_values(component_major(coeffs)).transpose(2, 0, 1)
+        return modal_view(self._node_values(component_major(coeffs)))
 
     def _node_values(self, buf):
-        """check_values of the buffer buf (nm, d, nc), node-major:
-        (n_nodes, d, nc)."""
-        op, coeffs = self.op, modal_view(buf)
-        # the component-major arrays behind the views traces and
-        # vertex_values return
-        tr = op.traces(coeffs).transpose(1, 2, 3, 0).reshape(
-            3 * op.Q, *buf.shape[1:])                            # (3Q,d,nc)
+        """check_values of the buffer buf (d, nm, nc): (d, n_nodes, nc)."""
+        op = self.op
+        d, _, nc = buf.shape
+        tr = op.at_nodes(op.ref_trace, buf)                     # (d,3Q,nc)
         vals = [tr]
         if self.vert_ids is not None:
-            vv = op.vertex_values(coeffs).transpose(1, 2, 0)     # (3,d,nc)
-            vals.append(np.take_along_axis(vv, self.vert_ids, axis=0))
+            vv = op.at_nodes(op.vertex_basis, buf)               # (d,3,nc)
+            vals.append(np.take_along_axis(vv, self.vert_ids, axis=1))
         if self.k == 2:
-            avg = np.einsum("q,iqdc->idc", op.edge_w,
-                            tr.reshape(3, op.Q, *tr.shape[1:]))
-            num = buf[0] - (self.w_local.T[:, None] * avg).sum(axis=0)
-            vals.append((num / (1.0 - self.sum_w))[None])
-        return np.concatenate(vals, axis=0)
+            avg = np.einsum("q,diqc->dic", op.edge_w,
+                            tr.reshape(d, 3, op.Q, nc))
+            num = buf[:, 0] - (self.w_local.T * avg).sum(axis=1)
+            vals.append((num / (1.0 - self.sum_w))[:, None])
+        return np.concatenate(vals, axis=1)
 
     def apply(self, state):
-        buf = component_major(state.coeffs, copy=True)           # (nm,d,nc)
-        mean = buf[0]
+        buf = component_major(state.coeffs, copy=True)           # (d,nm,nc)
+        mean = buf[:, 0]
         model = self.op.model
         if self.positivity:
             rho_bar, e_bar = mean[0], model.internal_energy(mean.T)
@@ -384,32 +383,33 @@ class BPLimiter:
             msg = "cell average outside the invariant interval"
         if np.any(bad):
             raise AdmissibilityError(msg, cell=int(np.argmax(bad)))
-        vals = self._node_values(buf)                            # (n,d,nc)
+        vals = self._node_values(buf)                            # (d,n,nc)
 
         if not self.positivity:
-            u = vals[:, 0]
+            u = vals[0]
             # the upper bound is the lower bound of -u
             theta = np.minimum(_theta(mean[0], u.min(axis=0), lo),
                                _theta(-mean[0], -u.max(axis=0), -hi))
-            buf[1:, 0] *= theta
+            buf[0, 1:] *= theta
             self.violations += int(np.sum(theta < 1.0))
             return ModalState(state.k, modal_view(buf), state.t)
 
         # step 1: density positivity
-        theta1 = _theta(rho_bar, vals[:, 0].min(axis=0),
+        theta1 = _theta(rho_bar, vals[0].min(axis=0),
                         np.minimum(rho_bar, self.EPS))
-        buf[1:, 0] *= theta1
+        buf[0, 1:] *= theta1
         # node values are linear in the modes: the density-fixed state has
         # rho_bar + theta1 (rho - rho_bar) at every node, u* included; only
         # scaled cells are rewritten, so the others keep their exact values
         cut = theta1 < 1.0
         rb = rho_bar[cut]
-        vals[:, 0, cut] = rb + theta1[cut] * (vals[:, 0, cut] - rb)
+        rho = vals[0]
+        rho[:, cut] = rb + theta1[cut] * (rho[:, cut] - rb)
 
         # step 2: internal energy positivity on the density-fixed state
-        e_nodes = model.internal_energy(vals.transpose(0, 2, 1))  # (n, nc)
+        e_nodes = model.internal_energy(vals.transpose(1, 2, 0))  # (n, nc)
         theta2 = _theta(e_bar, e_nodes.min(axis=0),
                         np.minimum(e_bar, self.EPS))
-        buf[1:] *= theta2
+        buf[:, 1:] *= theta2
         self.violations += int(np.sum(cut | (theta2 < 1.0)))
         return ModalState(state.k, modal_view(buf), state.t)

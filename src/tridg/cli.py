@@ -185,7 +185,8 @@ def _write_samples(path, op, state, n):
     rel = (xy - verts[cells, 0, :])[:, None, :]
     ref = np.matmul(rel, mesh.jac_inv[cells].transpose(0, 2, 1))[:, 0]
     vals = basis.eval_modes(op.k, ref)[:, None, :]
-    u = np.matmul(vals, state.coeffs[cells])[:, 0]
+    # each cell's (nm, d) block C-ordered, as evaluate reads it
+    u = np.matmul(vals, np.ascontiguousarray(state.coeffs[cells]))[:, 0]
     _write_csv(path, ("x", "y", *[f"u{i}" for i in range(state.d)]),
                np.column_stack([xy, u]).tolist())
 
@@ -268,7 +269,7 @@ def cmd_decomp(args):
                           "the triangle is degenerate")
     rows = []
     for k in ([args.k] if args.k else [1, 2]):
-        dec = bp_mod.decomposition(v, k, "dcw")
+        dec = bp_mod.decomposition(v, k)
         nodes = dec.node_points()
         node_str = ";".join(f"{p[0]:.12g}|{p[1]:.12g}" for p in nodes)
         wts_str = ";".join(f"{w:.12g}" for w in dec.edge_weights)

@@ -3,16 +3,16 @@
 The operator precomputes all basis/quadrature tables for a fixed (mesh, degree,
 model, boundary rules) so that residual evaluation is a few matrix products
 over cell and edge arrays. The working coefficients are component-major: a
-C-contiguous (nm, d, nc) buffer, of which ModalState.coeffs is the (nc, nm, d)
+C-contiguous (d, nm, nc) buffer, of which ModalState.coeffs is the (nc, nm, d)
 view. On affine triangles every modal operator is a reference-element matrix
-shared by all cells, applied as one GEMM to that buffer read as (nm, d * nc),
-times a few per-cell Jacobian factors: edge orientation lives in precomputed
-gather indices that also carry the component offset, so one take gives the
-component-first edge states (d, 2, ne, Q) the models work on; the volume term
-weighs the flux by each cell's contravariant vectors along the cell axis. No
-table couples a cell to the modes. Interior edge fluxes are computed
-once per edge and scattered with opposite signs, which makes the scheme
-discretely conservative.
+shared by all cells, applied to that buffer as one stacked product over the
+components, times a few per-cell Jacobian factors: edge orientation lives in
+precomputed gather indices over the flattened (node, cell) axis, so one take
+gives the component-first edge states (d, 2, ne, Q) the models work on; the
+volume term weighs the flux by each cell's contravariant vectors along the
+cell axis. No table couples a cell to the modes or to a component. Interior
+edge fluxes are computed once per edge and scattered with opposite signs,
+which makes the scheme discretely conservative.
 """
 
 from dataclasses import dataclass
@@ -25,19 +25,20 @@ from .errors import AdmissibilityError, ConfigError
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
+def modal_view(buf):
+    """The (nc, nm, d) view of a component-major buffer (d, nm, nc), and
+    back: the transpose is its own inverse."""
+    return buf.transpose(2, 1, 0)
+
+
 def component_major(coeffs, copy=False):
-    """The (nm, d, nc) buffer behind coefficients coeffs (nc, nm, d).
+    """The (d, nm, nc) buffer behind coefficients coeffs (nc, nm, d).
 
     A view when coeffs is already the modal view of such a buffer; otherwise,
     or with copy=True, a new C-contiguous buffer.
     """
-    buf = coeffs.transpose(1, 2, 0)
+    buf = modal_view(coeffs)
     return np.array(buf, order="C") if copy else np.ascontiguousarray(buf)
-
-
-def modal_view(buf):
-    """The (nc, nm, d) view of a component-major buffer (nm, d, nc)."""
-    return buf.transpose(2, 0, 1)
 
 
 @dataclass
@@ -46,7 +47,7 @@ class ModalState:
 
     k: int
     # (n_cells, n_modes, d). The solver's states are modal views of a
-    # component-major (n_modes, d, n_cells) buffer and keep that layout;
+    # component-major (d, n_modes, n_cells) buffer and keep that layout;
     # any other layout is accepted and read through a copy.
     coeffs: np.ndarray
     t: float = 0.0
@@ -226,44 +227,42 @@ class SpatialOperator:
     def _gather_tables(self):
         """Flat gather indices between cell-local and global edge orders.
 
-        Node-major GEMM results (n_nodes, d, nc) are read flat, at index
-        (node * d + component) * nc + cell, so one take returns its values
-        component-first. trace_take (d, 2, ne, Q) reads the trace GEMM at the
+        The values (d, n_nodes, nc) of at_nodes are read along their
+        flattened (node, cell) axis, at index node * nc + cell, one take for
+        all components. trace_take (2, ne, Q) reads the trace product at the
         edge Gauss points of both sides in global edge-point order. A
         boundary edge reads its own cell on side 1: the outflow state, which
         write_ghosts overwrites on ghost edges. The edge scatter gathers the
-        flux (d, ne, Q) at every (local edge, point, component, cell) through
-        _flux_take (3Q, d, nc) and weighs it by _flux_weights (3Q, 1, nc),
-        -sign * length * w_q, the minus of the edge term folded in.
+        flux (d, ne, Q) at every (local edge, point, cell) through _flux_take
+        (3Q, nc) and weighs it by _flux_weights (3Q, nc), -sign * length *
+        w_q, the minus of the edge term folded in.
         """
         mesh = self.mesh
-        nc, Q, d = mesh.n_cells, self.Q, self.d
-        ne = mesh.n_edges
-        comp = np.arange(d)
+        nc, Q = mesh.n_cells, self.Q
         il, ir = mesh.edge_local[:, 0], mesh.edge_local[:, 1]
         lc, rc = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
         # the left cell traverses its local edge in global order, the right
         # cell reversed: global point q is its reference point Q-1-q
         q = np.arange(Q)
-        left = (il[:, None] * Q + q) * (d * nc) + lc[:, None]
-        right = (ir[:, None] * Q + (Q - 1 - q)) * (d * nc) + rc[:, None]
-        sides = np.stack([left, np.where(rc[:, None] >= 0, right, left)])
-        self.trace_take = comp[:, None, None, None] * nc + sides
+        left = (il[:, None] * Q + q) * nc + lc[:, None]
+        right = (ir[:, None] * Q + (Q - 1 - q)) * nc + rc[:, None]
+        self.trace_take = np.stack(
+            [left, np.where(rc[:, None] >= 0, right, left)])
         fwd = mesh.cell_edge_forward
         gq = np.where(fwd[:, :, None], q, Q - 1 - q)                 # (nc,3,Q)
-        rows = (mesh.cell_edges[:, :, None] * Q + gq).reshape(nc, 3 * Q).T
-        self._flux_take = comp[:, None] * (ne * Q) + rows[:, None, :]
+        self._flux_take = np.ascontiguousarray(
+            (mesh.cell_edges[:, :, None] * Q + gq).reshape(nc, 3 * Q).T)
         sign = np.where(fwd, -1.0, 1.0)
         wgt = (sign * mesh.edge_len)[:, :, None] * self.edge_w[gq]
-        self._flux_weights = np.ascontiguousarray(
-            wgt.reshape(nc, 3 * Q).T)[:, None, :]
+        self._flux_weights = np.ascontiguousarray(wgt.reshape(nc, 3 * Q).T)
 
     # -- evaluation helpers -------------------------------------------------
 
-    def at_nodes(self, ref, buf):
-        """Values at reference nodes of the buffer buf (nm, d, nc): one GEMM,
-        node-major and component-first per node, (n_nodes, d, nc)."""
-        return (ref @ buf.reshape(self.nm, -1)).reshape(len(ref), self.d, -1)
+    @staticmethod
+    def at_nodes(ref, buf):
+        """Values at reference nodes, ref (n_nodes, nm), of the buffer buf
+        (d, nm, nc): (d, n_nodes, nc), one product per component."""
+        return ref @ buf
 
     def traces(self, coeffs):
         """Solution values at edge Gauss points: (nc, 3, Q, d), a view.
@@ -273,17 +272,17 @@ class SpatialOperator:
         left cell of an edge, reversed for the right cell.
         """
         TR = self.at_nodes(self.ref_trace, component_major(coeffs))
-        return TR.reshape(3, self.Q, self.d, -1).transpose(3, 0, 1, 2)
+        return TR.reshape(self.d, 3, self.Q, -1).transpose(3, 1, 2, 0)
 
     def interior_values(self, coeffs):
         """Solution values at interior quadrature nodes: (nc, N, d), a view."""
-        return self.at_nodes(self.basis_int,
-                              component_major(coeffs)).transpose(2, 0, 1)
+        return modal_view(self.at_nodes(self.basis_int,
+                                        component_major(coeffs)))
 
     def vertex_values(self, coeffs):
         """Solution values at the 3 cell vertices: (nc, 3, d), a view."""
-        return self.at_nodes(self.vertex_basis,
-                              component_major(coeffs)).transpose(2, 0, 1)
+        return modal_view(self.at_nodes(self.vertex_basis,
+                                        component_major(coeffs)))
 
     def evaluate(self, state, cell, points):
         """Evaluate the per-cell polynomial at physical points (…, 2)."""
@@ -319,7 +318,8 @@ class SpatialOperator:
         """
         if buf is None:
             buf = component_major(coeffs)
-        U = np.take(self.at_nodes(self.ref_trace, buf), self.trace_take)
+        TR = self.at_nodes(self.ref_trace, buf)
+        U = np.take(TR.reshape(self.d, -1), self.trace_take, axis=-1)
         self.write_ghosts(U, self.ghost_gauss, t)
         return U
 
@@ -351,13 +351,12 @@ class SpatialOperator:
         # each term's temporaries are freed before the next term's
         R = self._edge_term(coeffs, alpha, t, buf, states)
         R += self._volume_term(buf)
-        R = R.reshape(buf.shape)
         R *= self._inv_det
         return modal_view(R)
 
     def _edge_term(self, coeffs, alpha, t, buf, states):
         """-sign * l * sum_nu w_nu fhat Psi, in each cell's traversal order,
-        through the shared reference matrix: (nm, d * nc)."""
+        through the shared reference matrix: (d, nm, nc)."""
         U = self._edge_states(coeffs, t, buf) if states is None else states
         try:
             fhat = self.model.lf_flux(U, self.edge_normal_cf[:, :, None],
@@ -369,32 +368,29 @@ class SpatialOperator:
             if not ok.all():
                 self._reject_inadmissible(ok)
             raise
-        F = np.take(fhat, self._flux_take)                           # (3Q,d,nc)
-        F *= self._flux_weights
-        return self._scatter_ref @ F.reshape(3 * self.Q, -1)
+        F = np.take(fhat.reshape(self.d, -1), self._flux_take, axis=-1)
+        F *= self._flux_weights                                  # (d,3Q,nc)
+        return self._scatter_ref @ F
 
     def _volume_term(self, buf):
-        """sum_a sum_q w_q dPsi/dxi_a F(u) . (|K| row a of J^-1), with the
-        flux written node-major (a, q, d, nc) for the GEMM: (nm, d * nc)."""
-        _, d, nc = buf.shape
-        Ui = self.at_nodes(self.basis_int, buf)                     # (N,d,nc)
-        Fc = np.empty((2, self.n_int, d, nc))
-        self.model.normal_flux(Ui.transpose(1, 0, 2)[:, None],
-                               self._contravariant,
-                               out=Fc.transpose(2, 0, 1, 3))
-        return self._vol_ref @ Fc.reshape(2 * self.n_int, d * nc)
+        """sum_a sum_q w_q dPsi/dxi_a F(u) . (|K| row a of J^-1), the flux
+        (d, a, q, nc) against the reference matrix: (d, nm, nc)."""
+        Ui = self.at_nodes(self.basis_int, buf)                     # (d,N,nc)
+        Fc = self.model.normal_flux(Ui[:, None], self._contravariant)
+        return self._vol_ref @ Fc.reshape(self.d, 2 * self.n_int, -1)
 
     # -- projection ---------------------------------------------------------
 
-    def project(self, fn, t=0.0):
-        """L2 projection of u0(x, y) onto the modal space; returns ModalState."""
+    def project(self, fn):
+        """L2 projection of u0(x, y) onto the modal space: a ModalState at
+        t = 0."""
         X = self.int_points_phys
         vals = np.asarray(fn(X[..., 0], X[..., 1]), dtype=float)
         if vals.ndim == 2:  # scalar models
             vals = vals[..., None]
         coeffs = np.einsum("q,cqd,ql->cld", self.int_w, vals, self.basis_int)
         coeffs /= (2.0 * basis.REF_NORMS[: self.nm])[None, :, None]
-        return ModalState(self.k, modal_view(component_major(coeffs)), t)
+        return ModalState(self.k, modal_view(component_major(coeffs)))
 
     # -- wavespeed bound ----------------------------------------------------
 

@@ -66,16 +66,15 @@ def build_solver(prob, mesh, k, oe_mode, bp_scheme=None, ic=None):
 
 
 def solve_problem(name, k, level=0, oe_mode="componentwise", bp_scheme=None,
-                  t_end=None, scheme=None, output_times=(), cfl_scale=1.0,
-                  max_steps=1_000_000):
-    """Build mesh/operator/state for a library problem and run it."""
+                  t_end=None, output_times=()):
+    """Build mesh/operator/state for a library problem and run it with the
+    degree's default RK scheme."""
     prob = get_problem(name)
     op, state, oe = build_solver(prob, prob.make_mesh(level), k, oe_mode,
                                  bp_scheme)
     result = run(op, state, t_end if t_end is not None else prob.t_end,
-                 scheme=scheme, oe=oe, bp_scheme=bp_scheme,
-                 bounds=prob.bp_bounds, output_times=output_times,
-                 cfl_scale=cfl_scale, max_steps=max_steps)
+                 oe=oe, bp_scheme=bp_scheme, bounds=prob.bp_bounds,
+                 output_times=output_times)
     return op, result
 
 
@@ -109,8 +108,9 @@ def convergence_study(name, k, levels, oe_mode="componentwise", t_end=None,
 # CFL ratio scan
 # ---------------------------------------------------------------------------
 
-def random_triangle_lengths(n, seed=0, min_area=1e-8):
-    """Sorted edge lengths of n random triangles with vertices in [0,1]^2."""
+def random_triangle_lengths(n, seed=0):
+    """Sorted edge lengths of n random triangles with vertices in [0,1]^2
+    and area above 1e-8."""
     rng = np.random.default_rng(seed)
     out = np.empty((n, 3))
     filled = 0
@@ -119,7 +119,7 @@ def random_triangle_lengths(n, seed=0, min_area=1e-8):
         area = 0.5 * np.abs(
             (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
             - (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0]))
-        v = v[area > min_area]
+        v = v[area > 1e-8]
         if not len(v):
             continue
         l = np.stack([np.linalg.norm(v[:, 2] - v[:, 1], axis=1),
@@ -132,11 +132,12 @@ def random_triangle_lengths(n, seed=0, min_area=1e-8):
     return out
 
 
-def cfl_ratio_scan(n=10_000, k=1, seed=0, lengths=None, mesh=None):
-    """Extrema of C_optimal / C_classical and C_optimal / C_ChenShu ratios."""
+def cfl_ratio_scan(n=10_000, k=1, seed=0, mesh=None):
+    """Extrema of C_optimal / C_classical and C_optimal / C_ChenShu ratios
+    over the cells of mesh, or else over n random triangles."""
     if mesh is not None:
         lengths = np.take_along_axis(mesh.edge_len, mesh.sort_order, axis=1)
-    if lengths is None:
+    else:
         lengths = random_triangle_lengths(n, seed=seed)
     opt = bp_mod.optimal_cfl(lengths, k)
     r_zxs = opt / bp_mod.classical_cfl(lengths, k)
@@ -160,10 +161,10 @@ def _rotate_mesh(mesh, phi):
                       _boundary_tag_records(mesh))
 
 
-def run_fixed_steps(op, state, steps, oe=None, scheme=None, cfl_scale=1.0):
-    """Advance exactly `steps` unlimited steps; returns the final state."""
-    return run(op, state, math.inf, scheme=scheme, oe=oe,
-               cfl_scale=cfl_scale, max_steps=steps).state
+def run_fixed_steps(op, state, steps, oe=None):
+    """Advance exactly `steps` unlimited steps of the degree's default RK
+    scheme; returns the final state."""
+    return run(op, state, math.inf, oe=oe, max_steps=steps).state
 
 
 def rotated_twin_discrepancy(prob, mesh, mode, k, steps, phi):
@@ -202,9 +203,8 @@ def rotated_twin_discrepancy(prob, mesh, mode, k, steps, phi):
     return eps
 
 
-def rotation_experiment(mode="rioe", k=1, n=16, steps=50, phi=np.pi / 4,
-                        problem="euler_implosion_mild"):
-    """rotated_twin_discrepancy of a library problem on its n x n mesh."""
-    prob = get_problem(problem)
+def rotation_experiment(mode="rioe", k=1, n=16, steps=50, phi=np.pi / 4):
+    """rotated_twin_discrepancy of the mild implosion on its n x n mesh."""
+    prob = get_problem("euler_implosion_mild")
     return rotated_twin_discrepancy(prob, prob.make_rect_mesh(n), mode, k,
                                     steps, phi)

@@ -89,30 +89,26 @@ class OEFilter:
     def _gather_tables(self):
         """Flat gather indices from the jets to the two sides of each edge.
 
-        The jets are read flat, the orders below k at index (vertex * d +
-        component) * nc + cell, so that endpoint_take (2, 2, d, ne) returns
-        them for (side, endpoint, component, edge), and those of order k at
-        component * nc + cell, through cell_take (2, d, ne) for (side,
-        component, edge). A boundary edge reads its own cell on side 1: the
-        outflow state, zero jumps of every order. ghost_endpoints holds the
-        (points, normals) of the ghost edges at their endpoints, the exact
-        vertices, for write_ghosts.
+        The jets are read along their cell axis, the orders below k
+        flattened with the vertex axis at index vertex * nc + cell, so that
+        endpoint_take (2, 2, ne) returns them for (side, endpoint, edge), and
+        those of order k through cell_take (2, ne) for (side, edge). A
+        boundary edge reads its own cell on side 1: the outflow state, zero
+        jumps of every order. ghost_endpoints holds the (points, normals) of
+        the ghost edges at their endpoints, the exact vertices, for
+        write_ghosts.
         """
         op = self.op
-        mesh, d = op.mesh, op.d
-        nc = mesh.n_cells
-        comp = np.arange(d)[:, None]
+        mesh = op.mesh
         il, ir = mesh.edge_local[:, 0], mesh.edge_local[:, 1]
         lc, rc = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
-        cells = np.stack([lc, np.where(rc >= 0, rc, lc)])
-        self.cell_take = cells[:, None, :] + comp * nc
+        self.cell_take = cells = np.stack([lc, np.where(rc >= 0, rc, lc)])
         # the left cell traverses (il+1)%3 -> (il+2)%3 in global order; the
         # right cell traverses its local edge reversed
         lv_end = np.stack([(il + 1) % 3, (il + 2) % 3])
         rv_end = np.stack([(ir + 2) % 3, (ir + 1) % 3])
         vert = np.stack([lv_end, np.where(rc >= 0, rv_end, lv_end)])
-        self.endpoint_take = (vert * (d * nc) + cells[:, None])[:, :, None] \
-            + comp * nc
+        self.endpoint_take = vert * mesh.n_cells + cells[:, None]
         gi = op.ghost_ids
         ends = mesh.vertices[mesh.edge_vertices[gi]]
         self.ghost_endpoints = (ends, np.broadcast_to(
@@ -134,48 +130,47 @@ class OEFilter:
         # than a contiguous one
         means = np.ascontiguousarray(coeffs[:, :2, :])[:, 0, :]
         ubar = mesh.area @ means / mesh.area.sum()
-        # interior values component-major, (N, d, nc), so that every
+        # interior values component-major, (d, N, nc), so that every
         # reduction runs along the cells
         vals = op.at_nodes(op.basis_int, component_major(coeffs))
-        vals -= ubar[:, None]
+        vals -= ubar[:, None, None]
         mdev = None
         mom = op.model.momentum_components
         if mom:
-            m1, m2 = vals[:, mom[0]], vals[:, mom[1]]
+            m1, m2 = vals[mom[0]], vals[mom[1]]
             mdev = float(np.sqrt((m1 * m1 + m2 * m2).max()))
-        dev = np.abs(vals, out=vals).max(axis=2).max(axis=0)
+        dev = np.abs(vals, out=vals).max(axis=2).max(axis=1)
         return ubar, dev, mdev
 
     # -- jump assembly ------------------------------------------------------
 
     def vertex_jets(self, coeffs):
-        """Mixed physical derivatives of every order j <= k: (3 n_derivs +
-        k+1, d, nc), component-first.
+        """Mixed physical derivatives of every order j <= k, component-first.
 
-        The first 3 n_derivs rows are the orders j < k at the cell vertices,
-        (stacked alpha, vertex), deriv_rows[j] selecting order j on the alpha
-        axis; the last k+1 rows are the order-k derivatives, the same at
-        every point of the cell.
+        Returns the orders j < k at the cell vertices, (d, n_derivs, 3, nc)
+        with deriv_rows[j] selecting order j on the stacked alpha axis, and
+        the order-k derivatives, the same at every point of the cell, (d,
+        k+1, nc): two C-contiguous arrays, which np.take reads without a
+        copy.
         """
         nd = self.n_derivs
         ref = self.op.at_nodes(self._jet_ref, component_major(coeffs))
-        out = np.empty_like(ref)
-        shape = (nd, 3) + ref.shape[1:]
-        ref_lo = ref[:3 * nd].reshape(shape)
-        out_lo = out[:3 * nd].reshape(shape)
-        out_lo[0] = ref_lo[0]
+        d, _, nc = ref.shape
+        ref_lo = ref[:, :3 * nd].reshape(d, nd, 3, nc)
+        lo = np.empty((d, nd, 3, nc))
+        lo[:, 0] = ref_lo[:, 0]
         # d^alpha u = sum_ridx T[aidx, ridx] * reference derivative ridx,
         # along the cells
         for T, rows in zip(self._jet_transforms, self.deriv_rows[1:]):
-            np.einsum("arc,rvdc->avdc", T, ref_lo[rows], out=out_lo[rows])
-        np.einsum("arc,rdc->adc", self._jet_transforms[-1], ref[3 * nd:],
-                  out=out[3 * nd:])
-        return out
+            np.einsum("arc,drvc->davc", T, ref_lo[:, rows], out=lo[:, rows])
+        top = np.einsum("arc,drc->dac", self._jet_transforms[-1],
+                        ref[:, 3 * nd:])
+        return lo, top
 
     def _endpoint_pass(self, coeffs, t):
         """Jumps of every derivative order and the states at edge endpoints.
 
-        Returns J (2 n_derivs + k+1, d, ne), rows (stacked alpha, endpoint)
+        Returns J (d, 2 n_derivs + k+1, ne), rows (stacked alpha, endpoint)
         for the orders j < k and one row per alpha for order k, whose jump
         is the same at both endpoints; and the two-sided point values u (d,
         2, 2, ne) indexed by (component, side, endpoint, edge): side 0 the
@@ -184,41 +179,39 @@ class OEFilter:
         so outflow edges have zero jumps of every order, and ghost edges
         jump from side 0 to a degree-0 ghost.
         """
-        op, nd = self.op, self.n_derivs
-        V = self.vertex_jets(coeffs)
-        d, nc = V.shape[1:]
-        W = np.take(V[:3 * nd].reshape(nd, 3 * d * nc), self.endpoint_take,
-                    axis=1)                                # (nd,2,2,d,ne)
-        C = np.take(V[3 * nd:].reshape(self.k + 1, d * nc), self.cell_take,
-                    axis=1)                                # (k+1,2,d,ne)
+        op = self.op
+        lo, top = self.vertex_jets(coeffs)
+        d, nd, _, nc = lo.shape
+        # (d, nd, 2, 2, ne) and (d, k+1, 2, ne)
+        W = np.take(lo.reshape(d, nd, 3 * nc), self.endpoint_take, axis=-1)
+        C = np.take(top, self.cell_take, axis=-1)
         ne = C.shape[-1]
-        J = np.empty((2 * nd + self.k + 1, d, ne))
-        J_lo = J[:2 * nd].reshape(nd, 2, d, ne)
-        np.subtract(W[:, 0], W[:, 1], out=J_lo)
-        np.subtract(C[:, 0], C[:, 1], out=J[2 * nd:])
-        # the order-0 values component-first; the wavespeeds run faster on a
-        # contiguous copy than on the strided view
-        u = np.ascontiguousarray(W[0].transpose(2, 0, 1, 3))
+        J = np.empty((d, 2 * nd + self.k + 1, ne))
+        J_lo = J[:, :2 * nd].reshape(d, nd, 2, ne)
+        np.subtract(W[:, :, 0], W[:, :, 1], out=J_lo)
+        np.subtract(C[:, :, 0], C[:, :, 1], out=J[:, 2 * nd:])
+        # the order-0 values, each component contiguous; the ghosts go into
+        # side 1, which the jumps above have already read
+        u = W[:, 0]
         op.write_ghosts(u.transpose(0, 1, 3, 2), self.ghost_endpoints, t)
         gi = op.ghost_ids
-        J_lo[..., gi] = W[:, 0][..., gi]
-        J_lo[0][..., gi] -= u[:, 1][..., gi].transpose(1, 0, 2)
-        J[2 * nd:, :, gi] = C[:, 0][..., gi]
+        J_lo[..., gi] = W[:, :, 0][..., gi]
+        J_lo[:, 0][..., gi] -= u[:, 1][..., gi]
+        J[:, 2 * nd:, gi] = C[:, :, 0][..., gi]
         return J, u
 
     def _edge_measures(self, coeffs, J, rotated):
-        """sqrt(S^j) over the global deviation, per edge: (k+1, d, ne).
+        """sqrt(S^j) over the global deviation, per edge: (d, k+1, ne).
 
         S^j is the trapezoidal endpoint sum of the binom-weighted squared
         order-j jumps. rotated: the momentum entries become the larger of the
         normal and tangential momentum measures over the momentum-magnitude
-        deviation. J (rows, d, ne) is overwritten.
+        deviation. J (d, rows, ne) is overwritten.
         """
-        R, d, ne = J.shape
         if rotated:
             # the momentum rows carry the normal and tangential jumps; their
             # component-wise measures would be overwritten by dhat below
-            m1, m2 = J[:, self.mom[0]], J[:, self.mom[1]]        # (R, ne)
+            m1, m2 = J[self.mom[0]], J[self.mom[1]]              # (R, ne)
             n1, n2 = self.op.edge_normal_cf
             jn = n1 * m1
             jn += n2 * m2
@@ -226,50 +219,51 @@ class OEFilter:
             jt -= n2 * m1
             m1[...] = jn
             m2[...] = jt
-        # squared jumps: rows (alpha, endpoint), columns (component, edge)
+        # squared jumps: rows (alpha, endpoint), columns the edges
         np.square(J, out=J)
-        S = self.weights @ J.reshape(R, d * ne)
-        root = np.sqrt(S).reshape(self.k + 1, d, ne)
+        root = np.sqrt(self.weights @ J)
 
         ubar, dev, mdev = self.global_deviation(coeffs)
         # component guard: quiescent components are not damped
         active = dev > EPS_DEVIATION * np.maximum(1.0, np.abs(ubar))
         inv_dev = np.where(active, 1.0 / np.where(active, dev, 1.0), 0.0)
-        G = root * inv_dev[:, None]
+        G = root * inv_dev[:, None, None]
         if rotated:
             mom = self.mom
             dhat = 0.0
             if mdev > EPS_DEVIATION * max(
                     1.0, float(np.hypot(ubar[mom[0]], ubar[mom[1]]))):
-                dhat = (np.maximum(root[:, mom[0]], root[:, mom[1]])
-                        / mdev)[:, None]
-            G[:, mom] = dhat
+                dhat = np.maximum(root[mom[0]], root[mom[1]]) / mdev
+            G[mom] = dhat
         return G
 
     def _beta(self, u):
         """Max wavespeed per edge of the two-sided endpoint values u."""
         speed = (self.op.model.wavespeed_clamped if self.guard_wavespeed
                  else self.op.model.wavespeed)
-        s = speed(u, self.op.edge_normal_cf)                     # (2, 2, ne)
-        s = np.maximum(s[0], s[1])
-        return np.maximum(s[0], s[1])
+        # (2, 2, ne) over (side, endpoint, edge), or (ne,) for a speed that
+        # does not depend on the state
+        s = speed(u, self.op.edge_normal_cf)
+        for _ in range(s.ndim - 1):
+            s = np.maximum(s[0], s[1])
+        return s
 
     # -- damping ------------------------------------------------------------
 
     def _exponents(self, coeffs, dt, t):
-        """damping_exponents component-major: (k, d, nc)."""
+        """damping_exponents component-major: (d, k, nc)."""
         J, u = self._endpoint_pass(coeffs, t)
         G = self._edge_measures(coeffs, J, rotated=bool(self.mom))
         G *= self._beta(u)
-        GG = np.take(G, self.op.mesh.cell_edges.T, axis=2)       # (k+1,d,3,nc)
-        GG *= self.A_h[:, None]
+        GG = np.take(G, self.op.mesh.cell_edges.T, axis=2)       # (d,k+1,3,nc)
+        GG *= self.A_h
         sigma = GG[:, :, 0] + GG[:, :, 1] + GG[:, :, 2]
         # running sum over the orders, the additions of np.cumsum in order
-        X = np.empty((self.k,) + sigma.shape[1:])
-        acc = sigma[0]
+        X = np.empty((sigma.shape[0], self.k, sigma.shape[2]))
+        acc = sigma[:, 0]
         for m in range(1, self.k + 1):
-            acc = acc + sigma[m]
-            X[m - 1] = acc
+            acc = acc + sigma[:, m]
+            X[:, m - 1] = acc
         return dt * X
 
     def damping_exponents(self, coeffs, dt, t=0.0):
@@ -278,18 +272,19 @@ class OEFilter:
         sigma_K^j = sum over the cell's edges of beta / h * delta^j, with
         delta^j = A^{k,j} h^j sqrt(S^j) / deviation. A (nc, k, d) view.
         """
-        return self._exponents(coeffs, dt, t).transpose(2, 0, 1)
+        return modal_view(self._exponents(coeffs, dt, t))
 
-    def apply(self, state, dt, t=None):
-        """Damp high-order modal blocks; the cell averages are untouched."""
+    def apply(self, state, dt):
+        """Damp high-order modal blocks at the state's time; the cell
+        averages are untouched."""
         if dt < 0:
             raise ConfigError("dt must be non-negative")
-        t = state.t if t is None else t
-        X = self._exponents(state.coeffs, dt, t)                 # (k, d, nc)
+        X = self._exponents(state.coeffs, dt, state.t)           # (d, k, nc)
         np.negative(X, out=X)
         np.exp(X, out=X)
         # one factor per degree, over the m + 1 modes of degree m
         coeffs = component_major(state.coeffs, copy=True)
         for m in range(1, self.k + 1):
-            coeffs[m * (m + 1) // 2:(m + 1) * (m + 2) // 2] *= X[m - 1]
+            coeffs[:, m * (m + 1) // 2:(m + 1) * (m + 2) // 2] *= \
+                X[:, m - 1, None]
         return ModalState(state.k, modal_view(coeffs), state.t)

@@ -30,11 +30,10 @@ class Model:
     # otherwise BP limiting enforces a scalar interval
     positivity_constrained = False
 
-    def normal_flux(self, u, n, out=None):
+    def normal_flux(self, u, n):
         """F(u) . n = F_x n1 + F_y n2 for normals n (2, ...): (d, ...).
 
-        No admissibility check; n need not be a unit vector. out: an array
-        of the result's shape to write into.
+        No admissibility check; n need not be a unit vector.
         """
         raise NotImplementedError
 
@@ -89,18 +88,18 @@ class Advection(Model):
     name = "advection"
     n_components = 1
 
-    def normal_flux(self, u, n, out=None):
+    def normal_flux(self, u, n):
         u = np.asarray(u, dtype=float)
         n = np.asarray(n, dtype=float)
-        f = np.multiply(u, n[0], out=out)
+        f = u * n[0]
         f += u * n[1]
         return f
 
     def wavespeed(self, u, n):
+        """|n1 + n2| in the shape of n's trailing axes: the speed does not
+        depend on the state."""
         n = np.asarray(n, dtype=float)
-        speed = np.abs(n[0] + n[1])
-        return np.broadcast_to(speed, np.broadcast_shapes(
-            np.asarray(u).shape[1:], speed.shape)).copy()
+        return np.abs(n[0] + n[1])
 
 
 class Burgers(Model):
@@ -109,11 +108,11 @@ class Burgers(Model):
     name = "burgers"
     n_components = 1
 
-    def normal_flux(self, u, n, out=None):
+    def normal_flux(self, u, n):
         u = np.asarray(u, dtype=float)
         n = np.asarray(n, dtype=float)
         f = 0.5 * u * u
-        out = np.multiply(f, n[0], out=out)
+        out = f * n[0]
         out += f * n[1]
         return out
 
@@ -192,7 +191,7 @@ class Euler(Model):
         out[3] *= vn
         return out
 
-    def normal_flux(self, u, n, out=None):
+    def normal_flux(self, u, n):
         u = np.asarray(u, dtype=float)
         n = np.asarray(n, dtype=float)
         if u.ndim == 1:
@@ -200,12 +199,9 @@ class Euler(Model):
             # row, so evaluate the (4, 1) column; with one normal, the result
             # is that column
             if n.ndim > 1:
-                return self.normal_flux(u[:, None], n, out)
-            return self.normal_flux(u[:, None], n[:, None], None if out is None
-                                    else out[:, None])[:, 0]
-        if out is None:
-            out = np.empty((4,) + np.broadcast_shapes(u.shape[1:],
-                                                      n.shape[1:]))
+                return self.normal_flux(u[:, None], n)
+            return self.normal_flux(u[:, None], n[:, None])[:, 0]
+        out = np.empty((4,) + np.broadcast_shapes(u.shape[1:], n.shape[1:]))
         return self._write_normal_flux(u, self._pressure(u, check=False), n,
                                        out)
 
@@ -299,8 +295,8 @@ class ScaledModel(Model):
         self.momentum_components = base.momentum_components
         self.positivity_constrained = base.positivity_constrained
 
-    def normal_flux(self, u, n, out=None):
-        f = self.base.normal_flux(u, n, out=out)
+    def normal_flux(self, u, n):
+        f = self.base.normal_flux(u, n)
         f *= self.lam
         return f
 

@@ -80,18 +80,18 @@ def _burgers_smooth_ic(x, y):
     return 0.5 * np.sin(2.0 * np.pi * (x + y))
 
 
-def _burgers_smooth_exact(x, y, t, tol=1e-14, max_iter=100):
+def _burgers_smooth_exact(x, y, t):
     """Solve u = 0.5 sin(2 pi (x + y - 2 u t)) by Newton (pre-shock times)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     u = _burgers_smooth_ic(x, y)
-    for _ in range(max_iter):
+    for _ in range(100):
         arg = 2.0 * np.pi * (x + y - 2.0 * u * t)
         g = u - 0.5 * np.sin(arg)
         dg = 1.0 + 2.0 * np.pi * t * np.cos(arg)
         du = g / dg
         u = u - du
-        if np.max(np.abs(du)) < tol:
+        if np.max(np.abs(du)) < 1e-14:
             break
     return u
 

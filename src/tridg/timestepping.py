@@ -115,7 +115,7 @@ def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
             acc = term if acc is None else acc + term
         new = ModalState(state.k, modal_view(acc), state.t + c[s + 1] * dt)
         if oe is not None:
-            new = oe.apply(new, dt, t=new.t)
+            new = oe.apply(new, dt)
         if bp is not None:
             new = bp.apply(new)
         stages.append(new)

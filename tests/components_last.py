@@ -76,46 +76,49 @@ class VertexJetFilter(OEFilter):
         self.weights = np.repeat(w, 2, axis=1)
 
     def vertex_jets(self, coeffs):
-        """(n_derivs, 3, d, nc): deriv_rows[j] selects order j on axis 0."""
+        """(d, n_derivs, 3, nc): deriv_rows[j] selects order j on axis 1."""
         ref = self.op.at_nodes(self._jet_ref, component_major(coeffs))
-        ref = ref.reshape(self.n_derivs, 3, *ref.shape[1:])
+        d, _, nc = ref.shape
+        ref = ref.reshape(d, self.n_derivs, 3, nc)
         out = np.empty_like(ref)
-        out[0] = ref[0]
+        out[:, 0] = ref[:, 0]
         for T, rows in zip(self._jet_transforms, self.deriv_rows[1:]):
-            np.einsum("arc,rvdc->avdc", T, ref[rows], out=out[rows])
+            np.einsum("arc,drvc->davc", T, ref[:, rows], out=out[:, rows])
         return out
 
     def _endpoint_pass(self, coeffs, t):
-        """J (n_derivs, 2, d, ne) for (stacked alpha, endpoint, component,
+        """J (d, n_derivs, 2, ne) for (component, stacked alpha, endpoint,
         edge), and the two-sided point values u (d, 2, 2, ne)."""
         op = self.op
-        V = self.vertex_jets(coeffs).reshape(self.n_derivs, -1)
-        side0, side1 = self.endpoint_take                       # (2,d,ne)
-        J = np.take(V, side0, axis=1)                            # (R,2,d,ne)
-        u = np.take(V[0], self.endpoint_take).transpose(2, 0, 1, 3)
+        V = self.vertex_jets(coeffs)
+        V = V.reshape(V.shape[0], self.n_derivs, -1)
+        side0, side1 = self.endpoint_take                       # (2,ne)
+        J = np.take(V, side0, axis=-1)                           # (d,R,2,ne)
+        u = np.take(V[:, 0], self.endpoint_take, axis=-1)        # (d,2,2,ne)
         gi = op.ghost_ids
         ghost_jumps = J[..., gi]
         for a in range(self.n_derivs):
-            J[a] -= np.take(V[a], side1)
+            J[:, a] -= np.take(V[:, a], side1, axis=-1)
         op.write_ghosts(u.transpose(0, 1, 3, 2), self.ghost_endpoints, t)
-        ghost_jumps[0] -= u[:, 1][..., gi].transpose(1, 0, 2)
+        ghost_jumps[:, 0] -= u[:, 1][..., gi]
         J[..., gi] = ghost_jumps
         return J, u
 
     def _exponents(self, coeffs, dt, t):
         J, u = self._endpoint_pass(coeffs, t)
-        G = self._edge_measures(coeffs, J.reshape(-1, *J.shape[2:]),
+        d, R, _, ne = J.shape
+        G = self._edge_measures(coeffs, J.reshape(d, 2 * R, ne),
                                 rotated=bool(self.mom))
         ce = self.op.mesh.cell_edges.T                           # (3, nc)
         w = self._beta(u)[ce] * self.A_h                         # (k+1,3,nc)
-        GG = np.take(G, ce, axis=2)                              # (k+1,d,3,nc)
-        GG *= w[:, None]
+        GG = np.take(G, ce, axis=2)                              # (d,k+1,3,nc)
+        GG *= w
         sigma = GG[:, :, 0] + GG[:, :, 1] + GG[:, :, 2]
-        X = np.empty((self.k,) + sigma.shape[1:])
-        acc = sigma[0]
+        X = np.empty((d, self.k, sigma.shape[2]))
+        acc = sigma[:, 0]
         for m in range(1, self.k + 1):
-            acc = acc + sigma[m]
-            X[m - 1] = acc
+            acc = acc + sigma[:, m]
+            X[:, m - 1] = acc
         return dt * X
 
 
@@ -126,7 +129,7 @@ def vertex_derivatives(op, coeffs, j):
     Returns (nc, 3, j+1, d); axis 2 indexes alpha = (j - aidx, aidx).
     """
     f = VertexJetFilter(op)
-    return f.vertex_jets(coeffs)[f.deriv_rows[j]].transpose(3, 1, 0, 2)
+    return f.vertex_jets(coeffs)[:, f.deriv_rows[j]].transpose(3, 2, 1, 0)
 
 
 def assert_close_to_max(got, want, rtol=1e-13):
@@ -285,7 +288,8 @@ def damping_exponents(f, coeffs, dt, t):
         G[..., mom] = dhat
     speed = (op.model.wavespeed_clamped if f.guard_wavespeed
              else op.model.wavespeed)
-    s = speed(cf(u), op.edge_normal.T)                       # (2, 2, ne)
+    # (2, 2, ne), the speed of advection given per edge
+    s = np.broadcast_to(speed(cf(u), op.edge_normal.T), u.shape[:-1])
     beta = np.maximum(s[0], s[1]).max(axis=0)
     ce = mesh.cell_edges.T
     GG = np.take(G, ce, axis=1) * (beta[ce] * f.A_h)[..., None]
@@ -303,7 +307,7 @@ def limit(lim, state):
     vals = [tr.reshape(nc, -1, d)]
     if lim.vert_ids is not None:
         vv = op.vertex_values(coeffs)
-        vals.append(np.take_along_axis(vv, lim.vert_ids[:, 0].T[:, :, None],
+        vals.append(np.take_along_axis(vv, lim.vert_ids[0].T[:, :, None],
                                        axis=1))
     if lim.k == 2:
         avg = np.einsum("q,ciqd->cid", op.edge_w, tr)

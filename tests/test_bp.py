@@ -117,6 +117,32 @@ def test_feasibility_property(bx, cx, cy):
         check_feasible(bp.decomposition(v, k), k)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_decomposition_is_scale_invariant(k):
+    # weights and node count are the shape's, node points scale with the
+    # triangle and C_BP with its inverse, down to 1e-150 and up to 1e200,
+    # where squared lengths would underflow the merge tolerance or overflow;
+    # the needle's short edge is a difference without cancellation, so
+    # scaling its vertices keeps its shape to round-off
+    shapes = [EQUILATERAL, RIGHT_ISO, TRI_345,
+              np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-3]]),
+              np.array([[0.2, -0.1], [1.3, 0.4], [-0.6, 0.9]])]
+    for v in shapes:
+        ref = bp.decomposition(v, k)
+        size = np.abs(v).max()
+        for s in (1e-150, 1e-100, 1e-30, 1e-3, 1e3, 1e100, 2e153, 1e200):
+            dec = bp.decomposition(s * v, k)
+            np.testing.assert_allclose(dec.edge_weights, ref.edge_weights,
+                                       rtol=1e-14, atol=0)
+            assert len(dec.nodes) == len(ref.nodes)
+            np.testing.assert_allclose([w for _, w in dec.nodes],
+                                       [w for _, w in ref.nodes],
+                                       rtol=1e-14, atol=0)
+            assert np.abs(dec.node_points() - s * ref.node_points()).max(
+                initial=0.0) <= 1e-14 * s * size
+            assert dec.cfl == pytest.approx(ref.cfl / s, rel=1e-14, abs=0)
+
+
 def test_p1_node_on_shortest_edge():
     rng = np.random.default_rng(5)
     for v in random_triangle_vertices(rng, 200):
@@ -529,12 +555,16 @@ def test_euler_p2_limiter_matches_parent_when_remainder_is_admissible(
                          ids=["scalar", "euler"])
 def test_limiter_evaluates_check_nodes_once(model, k, scheme, rng):
     op = perturbed_op(model, k, seed=0)
-    calls = {"traces": 0, "vertex_values": 0}
-    for name in calls:
-        def counted(coeffs, _f=getattr(op, name), _name=name):
-            calls[_name] += 1
-            return _f(coeffs)
-        setattr(op, name, counted)
+    # the limiter evaluates its check nodes straight from the buffer, one
+    # product per reference matrix
+    calls = {"ref_trace": 0, "vertex_basis": 0}
+    at_nodes = op.at_nodes
+
+    def counted(ref, buf):
+        for name in calls:
+            calls[name] += ref is getattr(op, name)
+        return at_nodes(ref, buf)
+    op.at_nodes = counted
     if model.positivity_constrained:
         coeffs = random_euler_state(op, rng, 0.5)
         lim = bp.BPLimiter(op, scheme)
@@ -545,8 +575,8 @@ def test_limiter_evaluates_check_nodes_once(model, k, scheme, rng):
         lim = bp.BPLimiter(op, scheme, bounds=(0.0, 1.0))
     lim.apply(ModalState(k, coeffs))
     assert lim.violations > 0
-    assert calls["traces"] == 1
-    assert calls["vertex_values"] == (k == 1 and scheme == "dcw")
+    assert calls["ref_trace"] == 1
+    assert calls["vertex_basis"] == (k == 1 and scheme == "dcw")
 
 
 @pytest.mark.parametrize("scheme", ["dcw", "zxs"])

@@ -346,8 +346,8 @@ def test_nan_state_exit_code(tmp_path, monkeypatch, argv):
     from tridg.dg import SpatialOperator
     project = SpatialOperator.project
 
-    def poisoned(op, fn, t=0.0):
-        state = project(op, fn, t)
+    def poisoned(op, fn):
+        state = project(op, fn)
         state.coeffs[0, 1, 0] = np.nan
         return state
 

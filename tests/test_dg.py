@@ -273,7 +273,7 @@ def test_vertex_derivatives_match_polynomial():
     assert np.allclose(d2[..., 1], 3.0, atol=1e-10)
     assert np.allclose(d2[..., 2], -4.0, atol=1e-10)
     # the filter's order-k jets, one value per cell
-    top = OEFilter(op).vertex_jets(st.coeffs)[-3:, 0]  # (3, nc)
+    top = OEFilter(op).vertex_jets(st.coeffs)[1][0]  # (3, nc)
     assert np.allclose(top, [[2.0], [3.0], [-4.0]], atol=1e-10)
 
 
@@ -322,14 +322,10 @@ def with_stacked_fluxes(model):
     components last."""
     ref = copy.copy(model)
 
-    def normal_flux(u, n, out=None):
-        f = cf(np.einsum("...kd,...k->...d",
-                         flux_last(model, np.moveaxis(u, 0, -1)),
-                         np.moveaxis(n, 0, -1)))
-        if out is None:
-            return f
-        out[...] = f
-        return out
+    def normal_flux(u, n):
+        return cf(np.einsum("...kd,...k->...d",
+                            flux_last(model, np.moveaxis(u, 0, -1)),
+                            np.moveaxis(n, 0, -1)))
 
     def lf_flux(u, n, alpha):
         f = normal_flux(u, n)
@@ -500,10 +496,10 @@ class PerCellVolumeAndJets:
         return np.matmul(self.vol_op, Fv.reshape(nc, 2 * op.n_int, d))
 
     def vertex_jets(self, coeffs):
-        """(n_derivs, 3, d, nc), the layout of VertexJetFilter.vertex_jets."""
+        """(d, n_derivs, 3, nc), the layout of VertexJetFilter.vertex_jets."""
         nc, _, d = coeffs.shape
         out = np.matmul(self.jet_op, coeffs)
-        return out.reshape(nc, 3, -1, d).transpose(2, 1, 3, 0)
+        return out.reshape(nc, 3, -1, d).transpose(3, 2, 1, 0)
 
 
 def orientation_meshes():
@@ -654,7 +650,7 @@ def test_no_per_cell_trace_or_scatter_matrix(k):
                                        periodic=("x", "y")), 0.3, seed=2)
     op = SpatialOperator(mesh, Euler(), k)
     nc, nm, Q = mesh.n_cells, op.nm, op.Q
-    known = {"_flux_take": (3 * Q, op.d, nc), "_flux_weights": (3 * Q, 1, nc),
+    known = {"_flux_take": (3 * Q, nc), "_flux_weights": (3 * Q, nc),
              "int_points_phys": (nc, op.n_int, 2), "A_h": (k + 1, 3, nc)}
     arrays = [*named_arrays(op), *named_arrays(OEFilter(op, mode="rioe"))]
     assert arrays
@@ -663,19 +659,61 @@ def test_no_per_cell_trace_or_scatter_matrix(k):
     assert all(known.get(name) == shape for name, shape in flagged)
 
 
-def test_retained_operator_bytes_per_cell_at_p3(monkeypatch):
-    # the numpy bytes a k = 3 operator keeps on the 64 x 64 periodic mesh,
-    # counted as the benchmark counts them; one matrix per cell on the modes
-    # took 5.2 KB per cell
+def perfbench_child(monkeypatch):
+    """perfbench/child.py, for its retained_bytes."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_child",
                                                   PERFBENCH / "child.py")
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
+    return child
+
+
+def test_retained_operator_bytes_per_cell_at_p3(monkeypatch):
+    # the numpy bytes a k = 3 operator keeps on the 64 x 64 periodic mesh,
+    # counted as the benchmark counts them; one matrix per cell on the modes
+    # took 5.2 KB per cell
+    child = perfbench_child(monkeypatch)
     mesh = generate_structured((0, 0, 1, 1), 64, 64, periodic=("x", "y"))
     op = SpatialOperator(mesh, Advection(), 3)
     per_cell = child.retained_bytes(vars(op), set()) / mesh.n_cells
     assert per_cell <= 1500
+
+
+def test_retained_operator_and_filter_bytes_per_cell_at_euler_p2(monkeypatch):
+    # the operator and rioe filter of P2 Euler on the 64 x 64 periodic mesh,
+    # one count for the arrays they share; gather tables with a component
+    # axis, four times the size, took 1.3 KB per cell
+    child = perfbench_child(monkeypatch)
+    mesh = generate_structured((0, 0, 1, 1), 64, 64, periodic=("x", "y"))
+    op = SpatialOperator(mesh, Euler(), 2)
+    f = OEFilter(op, mode="rioe")
+    seen = set()
+    retained = (child.retained_bytes(vars(op), seen)
+                + child.retained_bytes(vars(f), seen))
+    assert retained / mesh.n_cells <= 750
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_index_tables_do_not_depend_on_the_model(k):
+    # the gather tables index the (node, cell) axis alone: an Euler operator
+    # and rioe filter hold the tables of an advection operator and
+    # component-wise filter on the same mesh, ghost edges included
+    mesh = perturb(generate_structured((0, 0, 1, 1), 5, 4, tags={
+        "left": "IN", "right": "OUT", "bottom": "WALL", "top": "WALL"}),
+        0.25, seed=7)
+    tables = []
+    for model, mode, inflow in (
+            (Euler(), "rioe", Inflow(Euler().from_primitive(1, 0.5, 0, 1))),
+            (Advection(), "componentwise", Inflow(0.5))):
+        op = SpatialOperator(mesh, model, k, boundary={"IN": inflow})
+        f = OEFilter(op, mode=mode)
+        tables.append([op.trace_take, op._flux_take, op._flux_weights,
+                       op.ghost_ids, f.endpoint_take, f.cell_take])
+    assert len(tables[0][3]) > 0
+    for euler, advection in zip(*tables):
+        assert euler.shape == advection.shape
+        assert np.array_equal(euler, advection)
 
 
 # -- the component-major pipeline against the components-last one -----------
@@ -705,7 +743,7 @@ def test_pipeline_matches_components_last_reference(mesh_name, k, model):
     assert_close_to_max(op.residual(state, 2.5, t=0.3),
                         cl.residual(op, coeffs, 2.5, 0.3))
     ref_f = cl.VertexJetFilter(op)
-    assert_close_to_max(ref_f.vertex_jets(state).transpose(0, 1, 3, 2),
+    assert_close_to_max(ref_f.vertex_jets(state).transpose(1, 2, 3, 0),
                         cl.vertex_jets(ref_f, coeffs))
     modes = ["componentwise"] + (["rioe"] if model.momentum_components
                                  else [])

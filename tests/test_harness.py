@@ -127,8 +127,8 @@ def test_rioe_equivariant_at_random_angles_on_perturbed_mesh():
 def sup_wavespeed(op, coeffs, t):
     """The bound fixed-step runs once took: the edge Gauss traces and the
     edge endpoint traces of both sides, ghosts included."""
-    V = op.at_nodes(op.vertex_basis, component_major(coeffs))
-    UE = np.take(V, OEFilter(op).endpoint_take).transpose(2, 0, 1, 3)
+    V = op.at_nodes(op.vertex_basis, component_major(coeffs))   # (d,3,nc)
+    UE = np.take(V.reshape(op.d, -1), OEFilter(op).endpoint_take, axis=-1)
     bi = op.mesh.boundary_edge_ids
     UE[:, 1][:, :, bi] = boundary_ghosts(
         op, UE[:, 0][:, :, bi].transpose(2, 1, 0), t,

@@ -36,8 +36,8 @@ def edge_jumps(f, coeffs, t=0.0):
     component). 'copy' boundary edges are zero.
     """
     f = VertexJetFilter(f.op, f.mode, f.guard_wavespeed)
-    J = f._endpoint_pass(coeffs, t)[0]                       # (R,2,d,ne)
-    return [J[rows].transpose(3, 1, 0, 2) for rows in f.deriv_rows]
+    J = f._endpoint_pass(coeffs, t)[0]                       # (d,R,2,ne)
+    return [J[:, rows].transpose(3, 2, 1, 0) for rows in f.deriv_rows]
 
 
 def edge_wavespeeds(f, coeffs, t=0.0):
@@ -48,11 +48,11 @@ def edge_wavespeeds(f, coeffs, t=0.0):
 def jump_measures(f, coeffs, t=0.0):
     """Component-wise jump measures delta[cell, edge, j, component]."""
     J = f._endpoint_pass(coeffs, t)[0]
-    G = f._edge_measures(coeffs, J, rotated=False)           # (k+1,d,ne)
+    G = f._edge_measures(coeffs, J, rotated=False)           # (d,k+1,ne)
     mesh = f.op.mesh
     Ah = mesh.height.T[None] * f.A_h                         # (k+1,3,nc)
-    delta = Ah[:, None] * np.take(G, mesh.cell_edges.T, axis=2)
-    return delta.transpose(3, 2, 0, 1)
+    delta = Ah * np.take(G, mesh.cell_edges.T, axis=2)
+    return delta.transpose(3, 2, 1, 0)
 
 
 def test_damping_prefactor():
@@ -189,6 +189,18 @@ def test_beta_advection_independent_of_state(rng):
     beta = edge_wavespeeds(f, st.coeffs)
     n = op.edge_normal
     assert np.allclose(beta, np.abs(n[:, 0] + n[:, 1]), atol=1e-14)
+
+
+def test_beta_advection_is_the_edge_speed(rng):
+    # advection's speed is |n1 + n2| per edge whatever the state: _beta
+    # returns it as the model gives it, with nothing to reduce
+    op = SpatialOperator(tagged_perturbed_mesh(seed=2), Advection(), 2,
+                         boundary={"IN": Inflow(0.5)})
+    n1, n2 = op.edge_normal_cf
+    for guard in (False, True):
+        f = OEFilter(op, guard_wavespeed=guard)
+        u = f._endpoint_pass(random_state(op, rng).coeffs, 0.1)[1]
+        assert np.array_equal(f._beta(u), np.abs(n1 + n2))
 
 
 def test_beta_burgers_endpoint_max():
@@ -408,9 +420,11 @@ def test_damping_exponents_match_per_order_reference(k, model, mode, guard):
 # -- reference: the concatenate/einsum measures of the fused pass ------------
 
 def concatenated_edge_measures(f, coeffs, J, rotated):
-    """The fused pass's measures with the rotated jumps as two extra columns."""
+    """The fused pass's measures with the rotated jumps as two extra
+    columns: (k+1, d, ne) from the jumps J (d, R, 2, ne)."""
     d = coeffs.shape[2]
-    sq = J * J                                               # (R,2,d,ne)
+    J = np.moveaxis(J, 0, 2)                                 # (R,2,d,ne)
+    sq = J * J
     if rotated:
         m1, m2 = J[:, :, f.mom[0]], J[:, :, f.mom[1]]
         n1, n2 = f.op.edge_normal[:, 0], f.op.edge_normal[:, 1]
@@ -512,11 +526,11 @@ def test_top_order_jets_are_cell_constants(k):
     rng = np.random.default_rng(95 + k)
     coeffs = rng.standard_normal((op.mesh.n_cells, op.nm, op.d))
     ref = VertexJetFilter(op)
-    top = ref.vertex_jets(coeffs)[ref.deriv_rows[k]]         # (k+1,3,d,nc)
+    top = ref.vertex_jets(coeffs)[:, ref.deriv_rows[k]]      # (d,k+1,3,nc)
     for v in (1, 2):
-        assert_close_to_max(top[:, v], top[:, 0])
-    cell = OEFilter(op).vertex_jets(coeffs)[-(k + 1):]       # (k+1,d,nc)
-    assert_close_to_max(cell, top[:, 0])
+        assert_close_to_max(top[:, :, v], top[:, :, 0])
+    cell = OEFilter(op).vertex_jets(coeffs)[1]               # (d,k+1,nc)
+    assert_close_to_max(cell, top[:, :, 0])
 
 
 # -- reference: the per-degree block scaling of a full state copy ------------

@@ -51,9 +51,8 @@ def test_euler_normal_flux_single_state():
         assert np.array_equal(f, Euler().normal_flux(u[:, None], n[:, None])[:, 0])
     assert np.allclose(Euler().normal_flux(u, np.array([1.0, 0.0])),
                        [4.2, 13.6, 0.0, 29.4])
-    out = np.empty(4)
-    Euler().normal_flux(u, np.array([0.0, 2.0]), out=out)
-    assert np.allclose(out, [0.0, 0.0, 2.0, 0.0])
+    assert np.allclose(Euler().normal_flux(u, np.array([0.0, 2.0])),
+                       [0.0, 0.0, 2.0, 0.0])
     # one state against several normals
     n = np.array([[1.0, 0.0, 0.6], [0.0, 2.0, -1.7]])
     assert np.array_equal(Euler().normal_flux(u, n),

@@ -205,8 +205,8 @@ def test_stage_times_follow_the_abscissae(scheme, c):
     residual_times, filter_times = [], []
 
     class RecordingFilter:
-        def apply(self, state, dt, t=None):
-            filter_times.append(t)
+        def apply(self, state, dt):
+            filter_times.append(state.t)
             return state
 
     def residual(coeffs, t):
@@ -362,8 +362,8 @@ def test_bp_positivity_at_unit_cfl_on_perturbed_meshes(monkeypatch, problem,
 
 def is_component_major_view(coeffs):
     """True when coeffs (nc, nm, d) is laid out as the modal view of a
-    C-contiguous (nm, d, nc) buffer."""
-    return coeffs.transpose(1, 2, 0).flags.c_contiguous
+    C-contiguous (d, nm, nc) buffer."""
+    return coeffs.transpose(2, 1, 0).flags.c_contiguous
 
 
 @pytest.mark.parametrize("problem,k,oe_mode,bp_scheme", [
