@@ -6,12 +6,9 @@ as an integer monomial-coefficient table c[p, q] for xi^p eta^q, which makes
 exact reference integrals and arbitrary mixed derivatives cheap.
 """
 
-from fractions import Fraction
 from math import comb
 
 import numpy as np
-
-from .quadrature import ref_monomial_integral
 
 DEGREE_MAX = 4
 
@@ -47,8 +44,6 @@ _COEFFS = [
     {(0, 4): 126, (0, 3): -224, (0, 2): 126, (0, 1): -24, (0, 0): 1},
 ]
 
-N_MODES_MAX = len(_COEFFS)
-
 # degree of each mode
 MODE_DEGREE = np.array([0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4])
 
@@ -66,17 +61,12 @@ def _dense(coeffs):
 
 _DENSE = np.stack([_dense(c) for c in _COEFFS])  # (15, 5, 5)
 
-
-def _ref_norm_sq(l):
-    s = Fraction(0)
-    for (p1, q1), c1 in _COEFFS[l].items():
-        for (p2, q2), c2 in _COEFFS[l].items():
-            s += Fraction(c1 * c2) * ref_monomial_integral(p1 + p2, q1 + q2,
-                                                          exact=True)
-    return s
-
-# exact reference L2 norms ||Psi_l||^2_T, evaluated once at import
-REF_NORMS = np.array([float(_ref_norm_sq(l)) for l in range(N_MODES_MAX)])
+# exact reference L2 norms ||Psi_l||^2_T, the sums of c1 c2 p! q! / (p+q+2)!
+# over each mode's monomial pairs; an int quotient rounds as float(Fraction)
+REF_NORMS = np.array([
+    1 / 2, 1 / 3, 1 / 4, 8 / 15, 2 / 9, 1 / 6, 8 / 7, 2 / 5, 1 / 6, 1 / 8,
+    128 / 45, 32 / 35, 8 / 25, 2 / 15, 1 / 10,
+])
 
 
 def _deriv_coeffs(dense, r, s):

@@ -20,7 +20,7 @@ from . import bp as bp_mod
 from .config import BP_MODES, OE_MODES, RunConfig, load_config
 from .errors import AdmissibilityError, ConfigError, NumericsError, TriDGError
 from .harness import build_solver, cfl_ratio_scan, convergence_study
-from .mesh import load_mesh, min_cell_area, nonfinite_vertex
+from .mesh import load_mesh, nonfinite_vertex, scaled_cell_areas
 from .problems import get_problem
 from .timestepping import SCHEMES, run, scheme_by_name
 
@@ -261,10 +261,12 @@ def cmd_decomp(args):
         raise ConfigError(
             "field 'vertices': expected x1,y1,x2,y2,x3,y3") from None
     # either orientation, held to the area floor of a mesh cell
-    d = v[1:] - v[0]
-    area = 0.5 * abs(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
-    if not (nonfinite_vertex(v) is None and area > 0
-            and area >= min_cell_area(v)):
+    ok = nonfinite_vertex(v) is None
+    if ok:
+        area, floor = scaled_cell_areas(v, np.array([[0, 1, 2]]))
+        size = abs(area[0])
+        ok = size > 0 and size >= floor
+    if not ok:
         raise ConfigError("field 'vertices': a coordinate is not finite or "
                           "the triangle is degenerate")
     rows = []

@@ -104,13 +104,12 @@ def _validate_cells(vertices, cells):
     triples = triples[np.lexsort(triples.T[::-1])]
     if np.any(np.all(triples[1:] == triples[:-1], axis=1)):
         raise TopologyError("duplicate cell (same vertex triple appears twice)")
-    v = vertices[cells]
-    area2 = _cross2(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-    if np.any(area2 <= 0):
-        bad = int(np.argmax(area2 <= 0))
+    area, floor = scaled_cell_areas(vertices, cells)
+    if np.any(area <= 0):
+        bad = int(np.argmax(area <= 0))
         raise GeometryError(
             f"cell {bad} has non-positive area (vertices must be CCW)")
-    small = 0.5 * area2 < min_cell_area(vertices)
+    small = area < floor
     if np.any(small):
         raise GeometryError(
             f"cell {int(np.argmax(small))} is degenerate (area below tolerance)")
@@ -122,10 +121,20 @@ def nonfinite_vertex(vertices):
     return int(bad[0]) if len(bad) else None
 
 
-def min_cell_area(vertices):
-    """Least area of a non-degenerate cell with corners among `vertices`."""
-    bbox = np.ptp(vertices, axis=0)
-    return DEGENERACY_REL_TOL * max(bbox[0] * bbox[1], bbox.max() ** 2)
+def scaled_cell_areas(vertices, cells):
+    """Signed cell areas and the least area of a non-degenerate cell, both
+    taken on `vertices` divided by the power of two at their largest
+    magnitude (by one if a coordinate is not finite).
+
+    The division is exact, so the areas and the floor keep their ratio at
+    any size: a mesh scaled by 1e200 or 1e-150 is judged as at unit size,
+    where the raw products would overflow or underflow.
+    """
+    _, e = np.frexp(np.abs(vertices).max(initial=0.0))
+    w = np.ldexp(vertices, -e)
+    v = w[cells]
+    area = 0.5 * _cross2(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    return area, DEGENERACY_REL_TOL * np.ptp(w, axis=0).max() ** 2
 
 
 def build_mesh(vertices, cells, boundary_tags=None):

@@ -7,9 +7,6 @@ work uses a collapsed tensor Gauss rule that is exact through total degree 9.
 Edge rules are Gauss-Legendre nodes mapped to [0, 1], weights summing to one.
 """
 
-from fractions import Fraction
-from math import factorial
-
 import numpy as np
 
 # 3-point rule, algebraic precision 2
@@ -63,12 +60,38 @@ _RULE_12 = (
 )
 
 
+# Gauss-Legendre rules on [0, 1] for q = 1..5 points, (nodes, weights):
+# the reprs of 0.5 * (x + 1.0) and 0.5 * w for (x, w) = leggauss(q) of
+# numpy 2.4.6; the tests hold them to leggauss bit for bit
+_GAUSS_01 = {
+    1: ((0.5,), (1.0,)),
+    2: ((0.21132486540518713, 0.7886751345948129), (0.5, 0.5)),
+    3: ((0.1127016653792583, 0.5, 0.8872983346207417),
+        (0.27777777777777785, 0.4444444444444444, 0.27777777777777785)),
+    4: ((0.06943184420297371, 0.33000947820757187, 0.6699905217924281,
+         0.9305681557970262),
+        (0.17392742256872679, 0.3260725774312732, 0.3260725774312732,
+         0.17392742256872679)),
+    5: ((0.04691007703066802, 0.23076534494715845, 0.5, 0.7692346550528415,
+         0.9530899229693319),
+        (0.11846344252809464, 0.23931433524968315, 0.28444444444444433,
+         0.23931433524968315, 0.11846344252809464)),
+}
+
+
+def edge_rule(q):
+    """Gauss nodes/weights on [0, 1] for q = 1..5 nodes; weights sum to one,
+    nodes symmetric."""
+    if q not in _GAUSS_01:
+        raise ValueError(f"no edge rule with {q} nodes")
+    t, w = _GAUSS_01[q]
+    return np.array(t), np.array(w)
+
+
 def _collapsed_rule(n):
     # Tensor Gauss rule on the unit square mapped by (u, v) -> (u, v(1-u)),
     # Jacobian (1-u). Exact for total degree <= 2n-2 (and more in eta alone).
-    x, w = np.polynomial.legendre.leggauss(n)
-    t = 0.5 * (x + 1.0)
-    wt = 0.5 * w
+    t, wt = edge_rule(n)
     U, V = np.meshgrid(t, t, indexing="ij")
     WU, WV = np.meshgrid(wt, wt, indexing="ij")
     xi = U.ravel()
@@ -101,17 +124,3 @@ def interior_points_ref(k):
     """
     bary, w = interior_rule(k)
     return bary[:, 1:3].copy(), w
-
-
-def edge_rule(q):
-    """Gauss nodes/weights on [0, 1]; weights sum to one, nodes symmetric."""
-    if q < 1:
-        raise ValueError("need at least one edge node")
-    x, w = np.polynomial.legendre.leggauss(q)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def ref_monomial_integral(p, q, exact=False):
-    """Integral of xi^p eta^q over the reference triangle: p! q! / (p+q+2)!."""
-    v = Fraction(factorial(p) * factorial(q), factorial(p + q + 2))
-    return v if exact else float(v)

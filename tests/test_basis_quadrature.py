@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -7,12 +8,18 @@ from tridg import basis, quadrature
 from tridg.mesh import build_mesh
 
 
+def ref_monomial_integral(p, q, exact=False):
+    """Integral of xi^p eta^q over the reference triangle: p! q! / (p+q+2)!."""
+    v = Fraction(factorial(p) * factorial(q), factorial(p + q + 2))
+    return v if exact else float(v)
+
+
 def oracle_integral_of_product(ca, cb):
     """Exact reference-triangle integral of a product of coefficient tables."""
     total = Fraction(0)
     for (p1, q1), v1 in ca.items():
         for (p2, q2), v2 in cb.items():
-            total += Fraction(int(v1) * int(v2)) * quadrature.ref_monomial_integral(
+            total += Fraction(int(v1) * int(v2)) * ref_monomial_integral(
                 p1 + p2, q1 + q2, exact=True)
     return total
 
@@ -60,7 +67,7 @@ def test_orthogonality_against_oracle():
 def test_reference_norms_match_oracle():
     for l in range(15):
         v = oracle_integral_of_product(coeff_dict(l), coeff_dict(l))
-        assert basis.REF_NORMS[l] == pytest.approx(float(v), rel=1e-15)
+        assert basis.REF_NORMS[l] == float(v), l
 
 
 def test_gradients_match_finite_differences():
@@ -92,7 +99,7 @@ def test_interior_rules_exact(k, npts, precision):
     assert np.allclose(bary.sum(axis=1), 1.0, atol=1e-14)
     for p in range(precision + 1):
         for q in range(precision + 1 - p):
-            want = 2.0 * quadrature.ref_monomial_integral(p, q)  # mean value
+            want = 2.0 * ref_monomial_integral(p, q)  # mean value
             got = quad_monomial(bary, w, p, q)
             assert got == pytest.approx(want, abs=1e-12), (p, q)
 
@@ -111,7 +118,7 @@ def test_six_point_rule_weights():
 def test_twelve_point_rule_degree_six():
     bary, w = quadrature.interior_rule(3)
     got = quad_monomial(bary, w, 3, 3)
-    assert got == pytest.approx(2 * quadrature.ref_monomial_integral(3, 3),
+    assert got == pytest.approx(2 * ref_monomial_integral(3, 3),
                                 abs=1e-12)
 
 
@@ -122,6 +129,45 @@ def test_edge_rule_exactness(q):
     for deg in range(2 * q):
         exact = 1.0 / (deg + 1)  # mean of t^deg on [0,1]
         assert np.sum(w * t ** deg) == pytest.approx(exact, abs=1e-13)
+
+
+def leggauss_01(q):
+    x, w = np.polynomial.legendre.leggauss(q)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def collapsed_rule_leggauss(n):
+    # reference: the collapsed rule built on leggauss nodes and weights
+    t, wt = leggauss_01(n)
+    U, V = np.meshgrid(t, t, indexing="ij")
+    WU, WV = np.meshgrid(wt, wt, indexing="ij")
+    xi = U.ravel()
+    eta = (V * (1.0 - U)).ravel()
+    wts = (WU * WV * (1.0 - U)).ravel()
+    wts = wts / wts.sum()
+    bary = np.column_stack([1.0 - xi - eta, xi, eta])
+    return bary, wts
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_edge_rule_table_is_leggauss(q):
+    assert_same_bits(quadrature.edge_rule(q), leggauss_01(q))
+
+
+def test_collapsed_rule_table_is_leggauss():
+    assert_same_bits(quadrature.interior_rule(4), collapsed_rule_leggauss(5))
+
+
+@pytest.mark.parametrize("q", [0, 6])
+def test_edge_rule_outside_table_raises(q):
+    with pytest.raises(ValueError, match="no edge rule"):
+        quadrature.edge_rule(q)
 
 
 def test_edge_rule_small_cases():

@@ -48,6 +48,19 @@ def test_decomp_bad_vertices(tmp_path, capsys):
                  "--out", str(tmp_path / "d.csv")]) == 0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e200])
+def test_decomp_degeneracy_is_size_free(tmp_path, capsys, scale):
+    def verts(*xy):
+        return ",".join(repr(scale * c) for c in xy)
+    out = str(tmp_path / "d.csv")
+    assert main(["decomp", "--vertices", verts(0, 0, 1, 0, 1, 1e-20),
+                 "--out", out]) == 2
+    assert "'vertices'" in capsys.readouterr().err
+    assert main(["decomp", "--vertices", verts(0, 0, 1, 0, 0, 1),
+                 "--out", out]) == 0
+
+
 def test_cflscan_bad_count(tmp_path, capsys):
     for count in ("0", "-3"):
         assert main(["cflscan", "--count", count,
@@ -713,7 +726,8 @@ IMPORT_PROBE = """
 import json, sys
 import tridg.cli
 rc = tridg.cli.main(sys.argv[1:])
-print(json.dumps({"rc": rc, "numpy.ma": "numpy.ma" in sys.modules}))
+print(json.dumps({"rc": rc, **{name: name in sys.modules for name in (
+    "numpy.ma", "fractions", "decimal", "numpy.polynomial")}}))
 """
 
 
@@ -724,7 +738,9 @@ print(json.dumps({"rc": rc, "numpy.ma": "numpy.ma" in sys.modules}))
     ids=["walled", "periodic"])
 def test_run_leaves_numpy_ma_unimported(tmp_path, problem, args):
     # np.unique without return_index, np.setdiff1d and their kin import
-    # numpy.ma on first use: 12-45 ms against a cold start of ~0.08 s
+    # numpy.ma on first use: 12-45 ms against a cold start of ~0.08 s.
+    # fractions (with decimal) and numpy.polynomial would cost 5-7 ms: the
+    # reference norms and Gauss rules are literals
     from tridg.mesh import perturb, save_mesh
     from tridg.problems import get_problem
     mesh_path = tmp_path / "m.txt"
@@ -741,4 +757,5 @@ def test_run_leaves_numpy_ma_unimported(tmp_path, problem, args):
         capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert record == {"rc": 0, "numpy.ma": False}
+    assert record == {"rc": 0, "numpy.ma": False, "fractions": False,
+                      "decimal": False, "numpy.polynomial": False}

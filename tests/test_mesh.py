@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from tridg.errors import GeometryError, MeshFormatError, TopologyError
 from tridg.mesh import (Mesh, _boundary_tag_records, _compute_geometry,
-                        _parse_blocks, _parse_lines, build_mesh,
-                        generate_structured, load_mesh, perturb,
+                        _parse_blocks, _parse_lines, _validate_cells,
+                        build_mesh, generate_structured, load_mesh, perturb,
                         refine_uniform, save_mesh)
 from tridg.problems import get_problem
 
@@ -63,6 +63,22 @@ def test_negative_area_rejected():
 def test_degenerate_cell_rejected():
     with pytest.raises(GeometryError):
         build_mesh([(0, 0), (1, 0), (0.5, 1e-16)], [(0, 2, 1)], [])
+
+
+# a unit cell, and a second one that is a sliver of area 5e-21 against a
+# unit bounding box
+SLIVER_VERTS = np.array([(0, 0), (1, 0), (0, 1), (1, 1e-20)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e160, 1e200])
+def test_degeneracy_check_is_size_free(scale):
+    # the geometry tables of a mesh at 1e200 overflow, so the check is
+    # called alone; at 1e160 and 1e200 its raw products overflow
+    verts = scale * SLIVER_VERTS
+    _validate_cells(verts, np.array([(0, 1, 2)]))
+    with pytest.raises(GeometryError, match="cell 1 is degenerate"):
+        _validate_cells(verts, np.array([(0, 1, 2), (1, 3, 2)]))
 
 
 def test_generate_structured_counts():
