@@ -125,8 +125,6 @@ def cfl_number(l, k, scheme):
         return optimal_cfl(l, k)
     if scheme == "zxs":
         return classical_cfl(l, k)
-    if scheme == "cs":
-        return chen_shu_cfl(l, k)
     raise ConfigError(f"unknown decomposition scheme {scheme!r}")
 
 

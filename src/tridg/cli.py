@@ -65,21 +65,25 @@ def _add_run_flags(p):
 
 def _config_from_args(args):
     cfg = load_config(args.config) if args.config else RunConfig()
-    for name in ("problem", "k", "rk", "oe", "bp", "mesh", "gen", "level",
-                 "tend", "cfl", "out", "output_times", "sample_grid"):
-        v = getattr(args, name, None)
+    # every field but max_steps has a flag of the same name
+    for f in fields(RunConfig):
+        v = getattr(args, f.name, None)
         if v is not None:
-            setattr(cfg, name, v)
+            setattr(cfg, f.name, v)
     return cfg
 
 
 def _read_mesh(path):
-    """load_mesh(path); a missing or unreadable file is a ConfigError."""
+    """load_mesh(path); a missing, unreadable or undecodable file is a
+    ConfigError."""
     try:
         return load_mesh(path)
     except OSError as exc:
         raise ConfigError(f"field 'mesh': cannot read {path!r} "
                           f"({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"field 'mesh': cannot decode {path!r} "
+                          f"({exc.encoding}: {exc.reason})") from None
 
 
 def _check_out_dir(prefix):

@@ -96,23 +96,26 @@ def load_config(path):
     """Parse a flat key=value file into a RunConfig (no validation)."""
     cfg = RunConfig()
     try:
-        f = open(path)
+        with open(path) as f:
+            lines = f.read().split("\n")
     except OSError as exc:
         raise ConfigError(f"field 'config': cannot read {path!r} "
                           f"({exc.strerror})") from None
-    with f:
-        for ln, raw in enumerate(f, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"field line {ln}: expected key=value")
-            key, value = (s.strip() for s in text.split("=", 1))
-            if key not in _TYPES:
-                raise ConfigError(f"field {key!r}: unknown configuration key")
-            try:
-                setattr(cfg, key, _TYPES[key](value))
-            except ValueError:
-                raise ConfigError(
-                    f"field {key!r}: cannot parse {value!r}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"field 'config': cannot decode {path!r} "
+                          f"({exc.encoding}: {exc.reason})") from None
+    for ln, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"field line {ln}: expected key=value")
+        key, value = (s.strip() for s in text.split("=", 1))
+        if key not in _TYPES:
+            raise ConfigError(f"field {key!r}: unknown configuration key")
+        try:
+            setattr(cfg, key, _TYPES[key](value))
+        except ValueError:
+            raise ConfigError(
+                f"field {key!r}: cannot parse {value!r}") from None
     return cfg

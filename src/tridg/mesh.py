@@ -298,127 +298,98 @@ def load_mesh(source):
 
     Line 1: `NV NC NBE`; NV lines `x y`; NC lines `i0 i1 i2` (0-based, CCW);
     NBE lines `iv0 iv1 TAG` with TAG in {P<k>, IN, OUT, WALL, EXACT}.
-    `#` starts a comment.
+    `#` starts a comment. A malformed file is a MeshFormatError naming its
+    first bad line.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         with open(source) as f:
             text = f.read()
-    # the block parser accepts only what the line parser accepts; anything
-    # else goes to the line parser, which names the offending line
-    parsed = _parse_blocks(text)
-    if parsed is None:
-        parsed = _parse_lines(text.splitlines())
-    return build_mesh(*parsed)
+    lines = text.splitlines()
+    data = [raw.split("#", 1)[0] for raw in lines] if "#" in text else lines
+    data = list(filter(str.strip, data))            # drop blank lines
+    if not data:
+        raise MeshFormatError("empty mesh file")
+
+    def fail(message, i):
+        # file lines are counted only to name data line i
+        raise MeshFormatError(message, line=[
+            n for n, raw in enumerate(lines, start=1)
+            if raw.split("#", 1)[0].strip()][i])
+
+    def block(start, count, cast, width):
+        # the `count` data lines from `start` as rows of `width` numbers,
+        # read by one loadtxt. Where loadtxt rejects them, they are converted
+        # by `cast` line by line (float() and int() accept `1_0`) up to the
+        # first malformed line, whose index is returned with them
+        rows = data[start:start + count]
+        if rows:                        # loadtxt warns on no rows
+            try:
+                out = np.loadtxt(rows, dtype=cast, comments=None, ndmin=2)
+                if out.shape == (count, width):
+                    return out, None
+            except ValueError:
+                pass
+        out = []
+        for row in rows:
+            values = _convert(row.split(), (cast,) * width)
+            if values is None:
+                break
+            out.append(values)
+        bad = start + len(out) if len(out) < count else None
+        return np.array(out, dtype=object).reshape(-1, width), bad
+
+    header = _convert(data[0].split(), (int, int, int))
+    if header is None:
+        fail("expected header `NV NC NBE`", 0)
+    nv, nc, nbe = header
+    if len(data) != 1 + nv + nc + nbe:
+        fail(f"expected {1 + nv + nc + nbe} data lines, found {len(data)}",
+             len(data) - 1)
+    if min(header) < 0:
+        fail("negative count in header `NV NC NBE`", 0)
+    verts, bad = block(1, nv, float, 2)
+    if bad is not None:
+        fail("expected vertex `x y`", bad)
+    verts = verts.astype(float, copy=False)
+    bad = nonfinite_vertex(verts)
+    if bad is not None:
+        fail("vertex coordinate is not finite", 1 + bad)
+    # an index out of range is named before a malformed later line, and is
+    # found among Python ints before they are cast to int64
+    cells, bad = block(1 + nv, nc, int, 3)
+    outside = np.flatnonzero((cells < 0) | (cells >= nv))
+    if len(outside):
+        fail("cell vertex index out of range", 1 + nv + int(outside[0]) // 3)
+    if bad is not None:
+        fail("expected cell `i0 i1 i2`", bad)
+    btags = []
+    for i in range(1 + nv + nc, len(data)):
+        record = _convert(data[i].split(), (int, int, str))
+        if record is None:
+            fail("expected boundary edge `iv0 iv1 TAG`", i)
+        if not (0 <= record[0] < nv and 0 <= record[1] < nv):
+            fail("boundary vertex index out of range", i)
+        if not _valid_tag(record[2]):
+            fail(f"unknown boundary tag {record[2]!r}", i)
+        btags.append(tuple(record))
+    return build_mesh(verts, cells.astype(np.int64, copy=False), btags)
+
+
+def _convert(fields, casts):
+    """The fields converted by casts, or None if their count or a value is
+    wrong."""
+    if len(fields) == len(casts):
+        try:
+            return [cast(f) for cast, f in zip(casts, fields)]
+        except ValueError:
+            pass
+    return None
 
 
 def _valid_tag(tag):
     return tag in BOUNDARY_TAGS or (tag.startswith("P") and tag[1:].isdigit())
-
-
-def _parse_blocks(text):
-    """Parse each block of a well-formed mesh file as one array.
-
-    Returns (vertices, cells, boundary records), or None if any line is
-    malformed, an index is out of range or a tag is unknown.
-    """
-    data = text.splitlines()
-    if "#" in text:
-        data = [raw.split("#", 1)[0] for raw in data]
-    data = list(filter(str.strip, data))            # drop blank lines
-    try:
-        nv, nc, nbe = (int(v) for v in data[0].split()) if data else ()
-    except ValueError:
-        return None
-    if min(nv, nc, nbe) < 0 or len(data) != 1 + nv + nc + nbe:
-        return None
-
-    def block(rows, dtype, width):
-        if not rows:
-            return np.empty((0, width), dtype=dtype)
-        # whitespace-separated fields, parsed like float() / int()
-        out = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
-        if out.shape != (len(rows), width):
-            raise ValueError("wrong field count")
-        return out
-
-    try:
-        verts = block(data[1:1 + nv], float, 2)
-        cells = block(data[1 + nv:1 + nv + nc], np.int64, 3)
-    except ValueError:
-        return None
-    if (cells.min(initial=0) < 0 or cells.max(initial=-1) >= nv
-            or nonfinite_vertex(verts) is not None):
-        return None
-    btags = []
-    for row in data[1 + nv + nc:]:
-        fields = row.split()
-        if len(fields) != 3 or not _valid_tag(fields[2]):
-            return None
-        try:
-            iv0, iv1 = int(fields[0]), int(fields[1])
-        except ValueError:
-            return None
-        if not (0 <= iv0 < nv and 0 <= iv1 < nv):
-            return None
-        btags.append((iv0, iv1, fields[2]))
-    return verts, cells, btags
-
-
-def _parse_lines(lines):
-    """Line-by-line parser: raises MeshFormatError at the first bad line."""
-    tokens = []  # (line_number, fields)
-    for n, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if text:
-            tokens.append((n, text.split()))
-
-    if not tokens:
-        raise MeshFormatError("empty mesh file")
-
-    def parse(fields, line, types, what):
-        if len(fields) != len(types):
-            raise MeshFormatError(f"expected {what}", line=line)
-        out = []
-        for f, t in zip(fields, types):
-            try:
-                out.append(t(f))
-            except ValueError:
-                raise MeshFormatError(f"expected {what}", line=line) from None
-        return out
-
-    n0, f0 = tokens[0]
-    nv, nc, nbe = parse(f0, n0, (int, int, int), "header `NV NC NBE`")
-    if len(tokens) != 1 + nv + nc + nbe:
-        raise MeshFormatError(
-            f"expected {1 + nv + nc + nbe} data lines, found {len(tokens)}",
-            line=tokens[-1][0])
-
-    verts = np.empty((nv, 2))
-    for i in range(nv):
-        n, f = tokens[1 + i]
-        verts[i] = parse(f, n, (float, float), "vertex `x y`")
-    bad = nonfinite_vertex(verts)
-    if bad is not None:
-        raise MeshFormatError("vertex coordinate is not finite",
-                              line=tokens[1 + bad][0])
-    cells = np.empty((nc, 3), dtype=np.int64)
-    for i in range(nc):
-        n, f = tokens[1 + nv + i]
-        cells[i] = parse(f, n, (int, int, int), "cell `i0 i1 i2`")
-        if cells[i].min() < 0 or cells[i].max() >= nv:
-            raise MeshFormatError("cell vertex index out of range", line=n)
-    btags = []
-    for i in range(nbe):
-        n, f = tokens[1 + nv + nc + i]
-        iv0, iv1, tag = parse(f, n, (int, int, str), "boundary edge `iv0 iv1 TAG`")
-        if not (0 <= iv0 < nv and 0 <= iv1 < nv):
-            raise MeshFormatError("boundary vertex index out of range", line=n)
-        if not _valid_tag(tag):
-            raise MeshFormatError(f"unknown boundary tag {tag!r}", line=n)
-        btags.append((iv0, iv1, tag))
-    return verts, cells, btags
 
 
 def save_mesh(mesh, path):

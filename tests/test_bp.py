@@ -217,6 +217,13 @@ def test_step_factor_gives_the_timestep_bytes():
                 assert c_ssp / alpha * bp.step_factor(mesh, k) == want
 
 
+def test_step_factor_rejects_other_schemes():
+    # the Chen-Shu number is a comparison in decomp and cflscan, not a step
+    mesh = generate_structured((0, 0, 1, 1), 2, 2)
+    with pytest.raises(ConfigError, match="unknown decomposition scheme"):
+        bp.step_factor(mesh, 1, "cs")
+
+
 # --- limiter ----------------------------------------------------------------
 
 def euler_op(k=1, n=4):

@@ -142,6 +142,33 @@ def test_config_error_codes(tmp_path, capsys):
                  "--out", str(tmp_path / "missing" / "p")]) == 2
     assert "field 'out'" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+    # undecodable bytes in a mesh or config file ended in a
+    # UnicodeDecodeError (exit 1)
+    (tmp_path / "m.txt").write_bytes(b"4 2 4\n\xff\xfe 0\n")
+    (tmp_path / "run.cfg").write_bytes(b"problem = \xff\n")
+    for argv in (["run", "--problem", "advection_smooth",
+                  "--mesh", str(tmp_path / "m.txt")],
+                 ["cflscan", "--mesh", str(tmp_path / "m.txt")]):
+        assert main(argv) == 2
+        assert "field 'mesh': cannot decode" in capsys.readouterr().err
+    assert main(["run", "--config", str(tmp_path / "run.cfg")]) == 2
+    assert "field 'config': cannot decode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [("0 2 3", "0 2 99999999999999999999"),
+                                  ("4 2 4", "4 -2 8"), ("4 2 4", "-1 2 9")])
+def test_mesh_files_the_reader_crashed_on_exit_2(tmp_path, capsys, edit):
+    # a cell index beyond int64 (OverflowError) and negative header counts
+    # (ValueError) ended in a traceback, exit 1
+    text = "4 2 4\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n" \
+        "0 1 OUT\n1 2 OUT\n2 3 OUT\n3 0 OUT\n"
+    mesh_path = tmp_path / "m.txt"
+    mesh_path.write_text(text.replace(*edit))
+    for argv in (["run", "--problem", "advection_smooth", "--k", "1",
+                  "--mesh", str(mesh_path), "--tend", "0.001"],
+                 ["cflscan", "--k", "1", "--mesh", str(mesh_path)]):
+        assert main(argv) == 2
+        assert "error: line " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("times", ["0.5", "0.02,nan", "inf", "-0.5"])

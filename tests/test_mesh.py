@@ -1,16 +1,19 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tridg.errors import GeometryError, MeshFormatError, TopologyError
+import tridg.mesh as mesh_module
+from tridg.errors import (GeometryError, MeshFormatError, TopologyError,
+                          TriDGError)
 from tridg.mesh import (Mesh, _boundary_tag_records, _compute_geometry,
-                        _parse_blocks, _parse_lines, _validate_cells,
-                        build_mesh, generate_structured, load_mesh, perturb,
-                        refine_uniform, save_mesh)
+                        _valid_tag, _validate_cells, build_mesh,
+                        generate_structured, load_mesh, nonfinite_vertex,
+                        perturb, refine_uniform, save_mesh)
 from tridg.problems import get_problem
 
 
@@ -558,8 +561,6 @@ def tag_record_cases():
 
 @pytest.mark.parametrize("name", sorted(tag_record_cases()))
 def test_boundary_tag_records_match_loop_version(tmp_path, monkeypatch, name):
-    import tridg.mesh as mesh_module
-
     m = tag_record_cases()[name]
     records = _boundary_tag_records(m)
     want = loop_boundary_tag_records(m)
@@ -724,8 +725,83 @@ def test_rect_mesh_saved_bytes_match_loop_generator(tmp_path, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# block parser against the line parser
+# the mesh-file reader against the line-by-line parser it replaced
 # ---------------------------------------------------------------------------
+
+def _parse_lines(lines):
+    """Line-by-line parser: raises MeshFormatError at the first bad line.
+
+    load_mesh's former fallback, kept as the reference for its reader. It
+    crashes on a negative header count and on a cell index beyond int64.
+    """
+    tokens = []  # (line_number, fields)
+    for n, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            tokens.append((n, text.split()))
+
+    if not tokens:
+        raise MeshFormatError("empty mesh file")
+
+    def parse(fields, line, types, what):
+        if len(fields) != len(types):
+            raise MeshFormatError(f"expected {what}", line=line)
+        out = []
+        for f, t in zip(fields, types):
+            try:
+                out.append(t(f))
+            except ValueError:
+                raise MeshFormatError(f"expected {what}", line=line) from None
+        return out
+
+    n0, f0 = tokens[0]
+    nv, nc, nbe = parse(f0, n0, (int, int, int), "header `NV NC NBE`")
+    if len(tokens) != 1 + nv + nc + nbe:
+        raise MeshFormatError(
+            f"expected {1 + nv + nc + nbe} data lines, found {len(tokens)}",
+            line=tokens[-1][0])
+
+    verts = np.empty((nv, 2))
+    for i in range(nv):
+        n, f = tokens[1 + i]
+        verts[i] = parse(f, n, (float, float), "vertex `x y`")
+    bad = nonfinite_vertex(verts)
+    if bad is not None:
+        raise MeshFormatError("vertex coordinate is not finite",
+                              line=tokens[1 + bad][0])
+    cells = np.empty((nc, 3), dtype=np.int64)
+    for i in range(nc):
+        n, f = tokens[1 + nv + i]
+        cells[i] = parse(f, n, (int, int, int), "cell `i0 i1 i2`")
+        if cells[i].min() < 0 or cells[i].max() >= nv:
+            raise MeshFormatError("cell vertex index out of range", line=n)
+    btags = []
+    for i in range(nbe):
+        n, f = tokens[1 + nv + nc + i]
+        iv0, iv1, tag = parse(f, n, (int, int, str), "boundary edge `iv0 iv1 TAG`")
+        if not (0 <= iv0 < nv and 0 <= iv1 < nv):
+            raise MeshFormatError("boundary vertex index out of range", line=n)
+        if not _valid_tag(tag):
+            raise MeshFormatError(f"unknown boundary tag {tag!r}", line=n)
+        btags.append((iv0, iv1, tag))
+    return verts, cells, btags
+
+
+def read(text):
+    """The (vertices, cells, boundary records) load_mesh reads from text,
+    as it passes them to build_mesh."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "build_mesh", lambda *parsed: parsed)
+        return load_mesh(io.StringIO(text))
+
+
+def assert_same_parse(got, want):
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    assert got[2] == want[2]
+    assert all(type(a) is int and type(b) is int and type(t) is str
+               for a, b, t in got[2])
+
 
 def test_block_parser_matches_line_parser(tmp_path):
     m = perturb(generate_structured((0, 0, 1, 1), 5, 4,
@@ -733,12 +809,17 @@ def test_block_parser_matches_line_parser(tmp_path):
     save_mesh(m, tmp_path / "m.txt")
     text = (tmp_path / "m.txt").read_text()
     commented = "# header\n\n" + text.replace("\n", "   # note\n", 7) + "\n  \n"
-    for t in (text, commented, MESH_TEXT):
-        fast, slow = _parse_blocks(t), _parse_lines(t.splitlines())
-        assert fast is not None
-        for a, b in zip(fast[:2], slow[:2]):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert fast[2] == slow[2]
+    texts = [text, commented, MESH_TEXT]
+    # the benchmark workloads' meshes (adv-p3, vacuum-p1, cold-start)
+    for prob, nx in (("advection_smooth", 32),
+                     ("euler_double_rarefaction", 64),
+                     ("advection_smooth", 64)):
+        for seed in range(3):
+            save_mesh(perturb(get_problem(prob).make_rect_mesh(nx), seed=seed),
+                      tmp_path / "w.txt")
+            texts.append((tmp_path / "w.txt").read_text())
+    for t in texts:
+        assert_same_parse(read(t), _parse_lines(t.splitlines()))
     assert_same_tables(load_mesh(io.StringIO(commented)), m)
 
 
@@ -757,10 +838,11 @@ def test_block_parser_matches_line_parser(tmp_path):
     (("4 2 4", "4 2 5"), 12),
     (("1 1\n", "1 nan\n"), 5),
     (("1 0\n", "-inf 0\n"), 4),
+    # loadtxt rejects the cell block for line 8; line 7 is named first
+    (("0 1 2\n0 2 3\n", "0 1 4\n0 2 x\n"), 7),
 ])
 def test_malformed_blocks_go_to_line_parser(edit, line):
     text = MESH_TEXT.replace(*edit)
-    assert _parse_blocks(text) is None
     if line is None:
         # accepted by the line parser, so load_mesh accepts it too
         m = load_mesh(io.StringIO(text))
@@ -769,3 +851,92 @@ def test_malformed_blocks_go_to_line_parser(edit, line):
     with pytest.raises(MeshFormatError) as e:
         load_mesh(io.StringIO(text))
     assert e.value.line == line
+
+
+@pytest.mark.parametrize("edit,line", [
+    # a cell index beyond int64 raised an OverflowError
+    (("0 2 3\n", "0 2 99999999999999999999\n"), 8),
+    # negative counts whose total still matches the line count raised
+    # "ValueError: negative dimensions are not allowed"
+    (("4 2 4", "4 -2 8"), 2),
+    (("4 2 4", "-1 2 9"), 2),
+])
+def test_reference_crashes_are_format_errors(edit, line):
+    text = MESH_TEXT.replace(*edit)
+    with pytest.raises((ValueError, OverflowError)):
+        _parse_lines(text.splitlines())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshFormatError) as e:
+            load_mesh(io.StringIO(text))
+    assert e.value.line == line
+
+
+MUTATION_TOKENS = ("-1", "-2", "9", "x", "1_0", "nan", "1e400",
+                   "99999999999999999999", "IN", "P0", "#c", "")
+
+
+@st.composite
+def mutated_mesh_texts(draw):
+    """MESH_TEXT with 1-3 mutations of the lines after its comment: a field
+    replaced (the most often) or appended, a line replaced, deleted or
+    inserted, each with one token."""
+    lines = MESH_TEXT.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        token = draw(st.sampled_from(MUTATION_TOKENS))
+        kind = draw(st.sampled_from(("field",) * 4 + (
+            "append", "line", "delete", "insert")))
+        fields = lines[i].split()
+        if kind == "field" and fields:
+            fields[draw(st.integers(0, len(fields) - 1))] = token
+            lines[i] = " ".join(fields)
+        elif kind == "append":
+            lines[i] = f"{lines[i]} {token}"
+        elif kind == "delete":
+            del lines[i]
+        elif kind == "insert":
+            lines.insert(i, token)
+        else:
+            lines[i] = token
+    return "\n".join(lines) + "\n"
+
+
+def negative_header(text):
+    """Whether the first data line is three ints with a negative one."""
+    for raw in text.splitlines():
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            try:
+                return len(fields) == 3 and min(map(int, fields)) < 0
+            except ValueError:
+                return False
+    return False
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(mutated_mesh_texts())
+def test_reader_matches_line_parser_on_mutations(text):
+    try:
+        want = _parse_lines(text.splitlines())
+    except MeshFormatError as exc:
+        want = exc
+    except (ValueError, OverflowError):
+        want = None                     # the reference crashes
+    try:
+        got = read(text)
+    except MeshFormatError as exc:
+        got = exc
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple)
+        assert_same_parse(got, want)
+    else:
+        assert isinstance(got, MeshFormatError)
+        # a negative count is named on the header line, where the
+        # reference may have named a vertex line before it crashed
+        if want is not None and not negative_header(text):
+            assert got.line == want.line
+    try:
+        load_mesh(io.StringIO(text))
+    except TriDGError:
+        pass
