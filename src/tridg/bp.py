@@ -264,8 +264,6 @@ def step_factor(mesh, k, scheme=None):
     scheme 'dcw'/'zxs': min_K C_K |K| of that decomposition; None: the non-BP
     CFL bound min_K |K| / ((2k+1) sum_i l_i).
     """
-    if mesh.n_cells == 0:
-        raise ConfigError("empty mesh")
     if scheme is None:
         return float(
             np.min(mesh.area / ((2 * k + 1) * mesh.edge_len.sum(axis=1))))

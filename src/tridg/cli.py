@@ -35,7 +35,11 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    out = open(path, "w", newline="") if path else sys.stdout
+    try:
+        out = open(path, "w", newline="") if path else sys.stdout
+    except OSError as exc:
+        raise ConfigError(f"field 'out': cannot write {path!r} "
+                          f"({exc.strerror})") from None
     try:
         w = csv.writer(out)
         w.writerow(header)
@@ -295,6 +299,8 @@ def cmd_decomp(args):
 def cmd_cflscan(args):
     if args.count < 1:
         raise ConfigError(f"field 'count': must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise ConfigError(f"field 'seed': must be >= 0, got {args.seed}")
     ks = [args.k] if args.k else [1, 2]
     rows = []
     for k in ks:

@@ -183,14 +183,9 @@ class SpatialOperator:
             pos = slice(len(gi), len(gi) + len(eids))
             self.groups.append((self.boundary[tag], np.array(eids), pos))
             gi += eids
-        self.ghost_ids = gi = np.array(gi, dtype=int)
-        # (points, normals) of the ghost edges at the edge Gauss points
-        pa = mesh.vertices[mesh.edge_vertices[gi, 0]]
-        pb = mesh.vertices[mesh.edge_vertices[gi, 1]]
-        self.ghost_gauss = (
-            pa[:, None, :] + tq[None, :, None] * (pb - pa)[:, None, :],
-            np.broadcast_to(self.edge_normal[gi][:, None, :],
-                            (len(gi), self.Q, 2)))
+        self.ghost_ids = np.array(gi, dtype=int)
+        self.ghost_gauss = self.ghost_nodes(
+            lambda a, b: a[:, None] + tq[None, :, None] * (b - a)[:, None])
 
         # physical interior quadrature points, x = v0 + J xi term by term
         v0 = mesh.vertices[mesh.cells[:, 0]]
@@ -229,25 +224,19 @@ class SpatialOperator:
 
         The values (d, n_nodes, nc) of at_nodes are read along their
         flattened (node, cell) axis, at index node * nc + cell, one take for
-        all components. trace_take (2, ne, Q) reads the trace product at the
-        edge Gauss points of both sides in global edge-point order. A
-        boundary edge reads its own cell on side 1: the outflow state, which
-        write_ghosts overwrites on ghost edges. The edge scatter gathers the
-        flux (d, ne, Q) at every (local edge, point, cell) through _flux_take
-        (3Q, nc) and weighs it by _flux_weights (3Q, nc), -sign * length *
-        w_q, the minus of the edge term folded in.
+        all components. side_cells (2, ne), the table of a one-node set,
+        holds the cell each side reads. trace_take (2, ne, Q) reads the
+        trace product at the edge Gauss points of both sides in global
+        edge-point order. The edge scatter gathers the flux (d, ne, Q) at
+        every (local edge, point, cell) through _flux_take (3Q, nc) and
+        weighs it by _flux_weights (3Q, nc), -sign * length * w_q, the minus
+        of the edge term folded in.
         """
         mesh = self.mesh
         nc, Q = mesh.n_cells, self.Q
-        il, ir = mesh.edge_local[:, 0], mesh.edge_local[:, 1]
-        lc, rc = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
-        # the left cell traverses its local edge in global order, the right
-        # cell reversed: global point q is its reference point Q-1-q
+        self.side_cells = self.two_sided_take(np.zeros((3, 1), int))[..., 0]
         q = np.arange(Q)
-        left = (il[:, None] * Q + q) * nc + lc[:, None]
-        right = (ir[:, None] * Q + (Q - 1 - q)) * nc + rc[:, None]
-        self.trace_take = np.stack(
-            [left, np.where(rc[:, None] >= 0, right, left)])
+        self.trace_take = self.two_sided_take(q + Q * np.arange(3)[:, None])
         fwd = mesh.cell_edge_forward
         gq = np.where(fwd[:, :, None], q, Q - 1 - q)                 # (nc,3,Q)
         self._flux_take = np.ascontiguousarray(
@@ -255,6 +244,28 @@ class SpatialOperator:
         sign = np.where(fwd, -1.0, 1.0)
         wgt = (sign * mesh.edge_len)[:, :, None] * self.edge_w[gq]
         self._flux_weights = np.ascontiguousarray(wgt.reshape(nc, 3 * Q).T)
+
+    def two_sided_take(self, rows):
+        """Flat gather indices (2, ne, P), row * nc + cell, of a node set on
+        both sides of every edge in global edge-point order. rows (3, P):
+        the node row of point p of local edge i in the cell's traversal
+        order, which is global order for the left cell and reversed for the
+        right cell. Side 1 of a boundary edge reads the left cell: the
+        outflow state, which write_ghosts overwrites on ghost edges."""
+        mesh = self.mesh
+        ec, nc = mesh.edge_cells, mesh.n_cells
+        left = rows[mesh.edge_local[:, 0]] * nc + ec[:, :1]
+        right = rows[mesh.edge_local[:, 1], ::-1] * nc + ec[:, 1:]
+        return np.stack([left, np.where(ec[:, 1:] >= 0, right, left)])
+
+    def ghost_nodes(self, nodes):
+        """The (points, normals) of the ghost edges at a node set, for
+        write_ghosts: nodes(a, b) -> (ng, P, 2) places the P nodes on the
+        edges from a to b, (ng, 2) each, in global order."""
+        mesh, gi = self.mesh, self.ghost_ids
+        a, b = mesh.vertices[mesh.edge_vertices[gi]].transpose(1, 0, 2)
+        X = nodes(a, b)
+        return X, np.broadcast_to(self.edge_normal[gi][:, None, :], X.shape)
 
     # -- evaluation helpers -------------------------------------------------
 
@@ -331,12 +342,9 @@ class SpatialOperator:
         an interior edge, the boundary cell for a ghost.
         """
         eid, side = np.argwhere(~ok.all(axis=2).T)[0]
-        cell = self.mesh.edge_cells[eid, side]
-        if cell < 0:
-            cell = self.mesh.edge_cells[eid, 0]
         raise AdmissibilityError(
             "inadmissible trace at edge quadrature point",
-            cell=int(cell), edge=int(eid))
+            cell=int(self.side_cells[side, eid]), edge=int(eid))
 
     # -- residual -----------------------------------------------------------
 

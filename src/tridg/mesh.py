@@ -146,6 +146,8 @@ def build_mesh(vertices, cells, boundary_tags=None):
     """
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
+    if len(cells) == 0:
+        raise TopologyError("mesh has no cells")
     _validate_cells(vertices, cells)
     nv = len(vertices)
 
@@ -542,15 +544,9 @@ def perturb(mesh, amplitude=0.2, seed=0):
     Produces an irregular conforming mesh for robustness tests.
     """
     rng = np.random.default_rng(seed)
+    # the endpoints of every boundary side, both sides of a periodic pair
     on_boundary = np.zeros(mesh.n_vertices, dtype=bool)
-    outer = (mesh.edge_cells[:, 1] < 0) | mesh.edge_periodic
-    on_boundary[mesh.edge_vertices[outer]] = True
-    # a periodic edge's right-side copy runs between the vertices of its
-    # right cell's local edge
-    cr = mesh.edge_cells[mesh.edge_periodic, 1]
-    ir = mesh.edge_local[mesh.edge_periodic, 1]
-    on_boundary[mesh.cells[cr, (ir + 1) % 3]] = True
-    on_boundary[mesh.cells[cr, (ir + 2) % 3]] = True
+    on_boundary[_boundary_records(mesh)[0]] = True
     # local scale: shortest incident edge per vertex
     scale = np.full(mesh.n_vertices, np.inf)
     for shift in (1, 2):

@@ -92,27 +92,20 @@ class OEFilter:
         The jets are read along their cell axis, the orders below k
         flattened with the vertex axis at index vertex * nc + cell, so that
         endpoint_take (2, 2, ne) returns them for (side, endpoint, edge), and
-        those of order k through cell_take (2, ne) for (side, edge). A
-        boundary edge reads its own cell on side 1: the outflow state, zero
-        jumps of every order. ghost_endpoints holds the (points, normals) of
-        the ghost edges at their endpoints, the exact vertices, for
-        write_ghosts.
+        those of order k through cell_take (2, ne) for (side, edge): the
+        operator's two-sided tables, whose side 1 of a boundary edge is its
+        own cell. ghost_endpoints holds the (points, normals) of the ghost
+        edges at their endpoints, the exact vertices, for write_ghosts.
         """
         op = self.op
-        mesh = op.mesh
-        il, ir = mesh.edge_local[:, 0], mesh.edge_local[:, 1]
-        lc, rc = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
-        self.cell_take = cells = np.stack([lc, np.where(rc >= 0, rc, lc)])
-        # the left cell traverses (il+1)%3 -> (il+2)%3 in global order; the
-        # right cell traverses its local edge reversed
-        lv_end = np.stack([(il + 1) % 3, (il + 2) % 3])
-        rv_end = np.stack([(ir + 2) % 3, (ir + 1) % 3])
-        vert = np.stack([lv_end, np.where(rc >= 0, rv_end, lv_end)])
-        self.endpoint_take = vert * mesh.n_cells + cells[:, None]
-        gi = op.ghost_ids
-        ends = mesh.vertices[mesh.edge_vertices[gi]]
-        self.ghost_endpoints = (ends, np.broadcast_to(
-            op.edge_normal[gi][:, None, :], (len(gi), 2, 2)))
+        # endpoint p of local edge i is local vertex (i + 1 + p) % 3. The
+        # edges last for the weights GEMM, C-contiguous: np.take copies a
+        # strided index array on every call
+        ends = op.two_sided_take((np.arange(3)[:, None] + [1, 2]) % 3)
+        self.endpoint_take = np.ascontiguousarray(ends.transpose(0, 2, 1))
+        self.cell_take = op.side_cells
+        self.ghost_endpoints = op.ghost_nodes(
+            lambda a, b: np.stack([a, b], axis=1))
 
     # -- deviations ---------------------------------------------------------
 
@@ -176,8 +169,9 @@ class OEFilter:
         2, 2, ne) indexed by (component, side, endpoint, edge): side 0 the
         left cell's, side 1 the right cell's or the ghost. Each block takes
         both sides in one gather. Side 1 of a boundary edge is its own cell,
-        so outflow edges have zero jumps of every order, and ghost edges
-        jump from side 0 to a degree-0 ghost.
+        so outflow edges have zero jumps of every order. On a ghost edge,
+        side 1 becomes the degree-0 ghost jet, zero in every derivative,
+        before one subtraction per block forms the jumps of every edge.
         """
         op = self.op
         lo, top = self.vertex_jets(coeffs)
@@ -185,19 +179,16 @@ class OEFilter:
         # (d, nd, 2, 2, ne) and (d, k+1, 2, ne)
         W = np.take(lo.reshape(d, nd, 3 * nc), self.endpoint_take, axis=-1)
         C = np.take(top, self.cell_take, axis=-1)
-        ne = C.shape[-1]
-        J = np.empty((d, 2 * nd + self.k + 1, ne))
-        J_lo = J[:, :2 * nd].reshape(d, nd, 2, ne)
-        np.subtract(W[:, :, 0], W[:, :, 1], out=J_lo)
-        np.subtract(C[:, :, 0], C[:, :, 1], out=J[:, 2 * nd:])
-        # the order-0 values, each component contiguous; the ghosts go into
-        # side 1, which the jumps above have already read
+        gi = op.ghost_ids
+        W[:, 1:, 1][..., gi] = 0.0
+        C[:, :, 1][..., gi] = 0.0
+        # the order-0 values, each component contiguous
         u = W[:, 0]
         op.write_ghosts(u.transpose(0, 1, 3, 2), self.ghost_endpoints, t)
-        gi = op.ghost_ids
-        J_lo[..., gi] = W[:, :, 0][..., gi]
-        J_lo[:, 0][..., gi] -= u[:, 1][..., gi]
-        J[:, 2 * nd:, gi] = C[:, :, 0][..., gi]
+        J = np.empty((d, 2 * nd + self.k + 1, C.shape[-1]))
+        np.subtract(W[:, :, 0], W[:, :, 1],
+                    out=J[:, :2 * nd].reshape(d, nd, 2, -1))
+        np.subtract(C[:, :, 0], C[:, :, 1], out=J[:, 2 * nd:])
         return J, u
 
     def _edge_measures(self, coeffs, J, rotated):

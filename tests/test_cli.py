@@ -171,6 +171,35 @@ def test_mesh_files_the_reader_crashed_on_exit_2(tmp_path, capsys, edit):
         assert "error: line " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["0 0 0\n", "3 0 0\n0 0\n1 0\n0 1\n"])
+def test_mesh_file_without_cells_exits_2(tmp_path, capsys, text):
+    # a ValueError or an IndexError from build_mesh, exit 1
+    mesh_path = tmp_path / "m.txt"
+    mesh_path.write_text(text)
+    for argv in (["run", "--problem", "advection_smooth", "--k", "1",
+                  "--mesh", str(mesh_path), "--tend", "0.001"],
+                 ["cflscan", "--k", "1", "--mesh", str(mesh_path)]):
+        assert main(argv) == 2
+        assert "error: mesh has no cells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["cflscan", "--count", "1", "--seed", "-1"], "seed"),
+    (["cflscan", "--count", "1", "--out", "{missing}"], "out"),
+    (["cflscan", "--count", "1", "--out", "{dir}"], "out"),
+    (["decomp", "--vertices", "0,0,1,0,0,1", "--out", "{missing}"], "out"),
+    (["decomp", "--vertices", "0,0,1,0,0,1", "--out", "{dir}"], "out"),
+    (["convergence", "--problem", "advection_smooth", "--levels", "1",
+      "--tend", "0", "--out", "{dir}"], "out")])
+def test_fuzzed_inputs_that_escaped_exit_2(tmp_path, capsys, argv, field):
+    # a negative seed (ValueError in default_rng) and an output file in a
+    # missing directory or naming a directory (FileNotFoundError,
+    # IsADirectoryError) ended in a traceback, exit 1
+    paths = {"missing": str(tmp_path / "missing" / "p"), "dir": str(tmp_path)}
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("times", ["0.5", "0.02,nan", "inf", "-0.5"])
 def test_output_times_outside_the_run_are_config_errors(tmp_path, times,
                                                         capsys):

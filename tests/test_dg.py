@@ -716,6 +716,92 @@ def test_index_tables_do_not_depend_on_the_model(k):
         assert np.array_equal(euler, advection)
 
 
+def side_table_meshes():
+    """Perturbed meshes: periodic in x and y, periodic in x with walls,
+    IN/OUT/WALL, and a refined periodic mesh."""
+    box = (0, 0, 1, 1)
+    walls = {"bottom": "WALL", "top": "WALL"}
+    tags = {"left": "IN", "right": "OUT", **walls}
+    periodic = generate_structured(box, 4, 3, periodic=("x", "y"))
+    return {
+        "periodic": perturb(periodic, 0.3, seed=1),
+        "periodic-x-walls": perturb(generate_structured(
+            box, 4, 3, periodic=("x",), tags=walls), 0.3, seed=2),
+        "in-out-wall": perturb(generate_structured(box, 4, 3, tags=tags),
+                               0.25, seed=3),
+        "refined-periodic": perturb(refine_uniform(periodic), 0.3, seed=4),
+    }
+
+
+SIDE_TABLE_MESHES = side_table_meshes()
+
+
+def separate_side_tables(op):
+    """trace_take, endpoint_take, cell_take, ghost_gauss and ghost_endpoints
+    as the operator and the filter each derived them from the edge tables,
+    with the side-1 rule written out at every table."""
+    mesh, Q, tq = op.mesh, op.Q, op.edge_t
+    nc = mesh.n_cells
+    il, ir = mesh.edge_local[:, 0], mesh.edge_local[:, 1]
+    lc, rc = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+    q = np.arange(Q)
+    left = (il[:, None] * Q + q) * nc + lc[:, None]
+    right = (ir[:, None] * Q + (Q - 1 - q)) * nc + rc[:, None]
+    trace_take = np.stack([left, np.where(rc[:, None] >= 0, right, left)])
+    cells = np.stack([lc, np.where(rc >= 0, rc, lc)])
+    lv_end = np.stack([(il + 1) % 3, (il + 2) % 3])
+    rv_end = np.stack([(ir + 2) % 3, (ir + 1) % 3])
+    vert = np.stack([lv_end, np.where(rc >= 0, rv_end, lv_end)])
+    endpoint_take = vert * nc + cells[:, None]
+    gi = op.ghost_ids
+    pa = mesh.vertices[mesh.edge_vertices[gi, 0]]
+    pb = mesh.vertices[mesh.edge_vertices[gi, 1]]
+    ghost_gauss = (
+        pa[:, None, :] + tq[None, :, None] * (pb - pa)[:, None, :],
+        np.broadcast_to(op.edge_normal[gi][:, None, :], (len(gi), Q, 2)))
+    ends = mesh.vertices[mesh.edge_vertices[gi]]
+    ghost_endpoints = (ends, np.broadcast_to(
+        op.edge_normal[gi][:, None, :], (len(gi), 2, 2)))
+    return trace_take, endpoint_take, cells, ghost_gauss, ghost_endpoints
+
+
+def assert_same_array(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mesh_name", sorted(SIDE_TABLE_MESHES))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_two_sided_tables_match_separate_derivations(mesh_name, k):
+    # every two-sided table comes from the operator's one builder and its
+    # side-cell table, and holds what each consumer once derived itself
+    mesh = SIDE_TABLE_MESHES[mesh_name]
+    op = SpatialOperator(mesh, Advection(), k, boundary={"IN": Inflow(0.5)})
+    f = OEFilter(op)
+    trace, ends, cells, gauss, vertices = separate_side_tables(op)
+    assert_same_array(op.trace_take, trace)
+    assert_same_array(f.endpoint_take, ends)
+    assert f.endpoint_take.flags.c_contiguous
+    assert_same_array(op.side_cells, cells)
+    assert_same_array(f.cell_take, cells)
+    for got, want in zip(op.ghost_gauss + f.ghost_endpoints, gauss + vertices):
+        assert_same_array(got, want)
+    if "periodic" not in mesh_name or "walls" in mesh_name:
+        assert len(op.ghost_ids) > 0
+    # the cell _reject_inadmissible names for each (edge, side): the right
+    # cell on side 1 of an interior edge, the boundary cell for a ghost
+    for eid in range(mesh.n_edges):
+        for side in (0, 1):
+            ok = np.ones((2, mesh.n_edges, op.Q), dtype=bool)
+            ok[side, eid, op.Q - 1] = False
+            with pytest.raises(AdmissibilityError) as e:
+                op._reject_inadmissible(ok)
+            cell = mesh.edge_cells[eid, side]
+            if cell < 0:
+                cell = mesh.edge_cells[eid, 0]
+            assert (e.value.cell, e.value.edge) == (cell, eid)
+
+
 # -- the component-major pipeline against the components-last one -----------
 
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))

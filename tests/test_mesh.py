@@ -246,6 +246,14 @@ def test_load_mesh_errors():
         load_mesh(io.StringIO(dup))
 
 
+@pytest.mark.parametrize("text", ["0 0 0\n", "3 0 0\n0 0\n1 0\n0 1\n"])
+def test_mesh_without_cells_is_a_topology_error(text):
+    # no vertices raised a ValueError in scaled_cell_areas, three vertices
+    # an IndexError in build_mesh's edge grouping
+    with pytest.raises(TopologyError, match="no cells"):
+        load_mesh(io.StringIO(text))
+
+
 def test_untagged_boundary_edge_rejected():
     with pytest.raises(TopologyError):
         build_mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)], [(0, 1, "OUT")])
