@@ -7,7 +7,6 @@ Edge lengths are always taken in the sorted order l1 >= l2 >= l3, with the
 vertex v^(i) opposite edge i carried along.
 """
 
-from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
@@ -132,7 +131,6 @@ def cfl_number(l, k, scheme):
 # single-cell decomposition object (CLI / inspection / feasibility tests)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ConvexDecomposition:
     """Decomposition of one triangular cell's average.
 
@@ -142,14 +140,16 @@ class ConvexDecomposition:
     inspection.
     """
 
-    k: int
-    lengths: np.ndarray            # sorted descending
-    vertices: np.ndarray           # (3, 2), vertex i opposite sorted edge i
-    edge_weights: np.ndarray       # (3,)
-    nodes: list                    # [(bary (3,), weight)]
-    cfl: float
-    zero_internal_mass: bool
-    raw_nodes: list = field(default_factory=list)
+    def __init__(self, k, lengths, vertices, edge_weights, nodes, cfl,
+                 zero_internal_mass, raw_nodes=None):
+        self.k = k
+        self.lengths = lengths              # sorted descending
+        self.vertices = vertices    # (3, 2), vertex i opposite sorted edge i
+        self.edge_weights = edge_weights    # (3,)
+        self.nodes = nodes                  # [(bary (3,), weight)]
+        self.cfl = cfl
+        self.zero_internal_mass = zero_internal_mass
+        self.raw_nodes = [] if raw_nodes is None else raw_nodes
 
     def node_points(self):
         return np.array([b @ self.vertices for b, _ in self.nodes]).reshape(-1, 2)

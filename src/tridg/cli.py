@@ -11,7 +11,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields
 
 import numpy as np
 
@@ -70,10 +69,10 @@ def _add_run_flags(p):
 def _config_from_args(args):
     cfg = load_config(args.config) if args.config else RunConfig()
     # every field but max_steps has a flag of the same name
-    for f in fields(RunConfig):
-        v = getattr(args, f.name, None)
+    for name, _, _ in RunConfig.FIELDS:
+        v = getattr(args, name, None)
         if v is not None:
-            setattr(cfg, f.name, v)
+            setattr(cfg, name, v)
     return cfg
 
 
@@ -100,6 +99,14 @@ def _check_out_dir(prefix):
     if not os.access(directory, os.W_OK | os.X_OK):
         raise ConfigError(f"field 'out': directory {directory!r} is not "
                           "writable")
+
+
+def _check_out_file(path):
+    """Reject an output file that names a directory, or whose directory is
+    missing or not writable, before the work whose results it would lose."""
+    if os.path.isdir(path):
+        raise ConfigError(f"field 'out': {path!r} is a directory")
+    _check_out_dir(path)
 
 
 def _build_run(cfg):
@@ -244,13 +251,11 @@ def cmd_convergence(args):
         raise ConfigError(f"field 'levels': must be >= 1, got {args.levels}")
     cfg = _config_from_args(args)
     cfg.validate()
-    default = RunConfig()
-    for f in fields(RunConfig):
-        if (f.name not in CONVERGENCE_FIELDS
-                and getattr(cfg, f.name) != getattr(default, f.name)):
-            raise ConfigError(f"field {f.name!r}: not used by 'convergence'")
+    for name, _, default in RunConfig.FIELDS:
+        if name not in CONVERGENCE_FIELDS and getattr(cfg, name) != default:
+            raise ConfigError(f"field {name!r}: not used by 'convergence'")
     if cfg.out:
-        _check_out_dir(cfg.out)
+        _check_out_file(cfg.out)
     rows = convergence_study(cfg.problem, cfg.k, args.levels,
                              oe_mode=cfg.oe_mode,
                              t_end=cfg.tend,
@@ -277,6 +282,8 @@ def cmd_decomp(args):
     if not ok:
         raise ConfigError("field 'vertices': a coordinate is not finite or "
                           "the triangle is degenerate")
+    if args.out:
+        _check_out_file(args.out)
     rows = []
     for k in ([args.k] if args.k else [1, 2]):
         dec = bp_mod.decomposition(v, k)
@@ -301,6 +308,8 @@ def cmd_cflscan(args):
         raise ConfigError(f"field 'count': must be >= 1, got {args.count}")
     if args.seed < 0:
         raise ConfigError(f"field 'seed': must be >= 0, got {args.seed}")
+    if args.out:
+        _check_out_file(args.out)
     ks = [args.k] if args.k else [1, 2]
     rows = []
     for k in ks:

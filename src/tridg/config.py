@@ -1,7 +1,6 @@
 """Run configuration: flat key=value files plus command-line overrides."""
 
 import math
-from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .timestepping import SCHEMES
@@ -12,22 +11,43 @@ BP_MODES = ("off", "zxs", "dcw")
 _OE_CANONICAL = {"off": "off", "cw": "componentwise", "ri": "rioe"}
 
 
-@dataclass
 class RunConfig:
-    problem: str = None
-    k: int = 1
-    rk: str = None            # rk22 | rk33 | rk54 (default matches k)
-    oe: str = "cw"            # off | cw | ri
-    bp: str = "off"           # off | zxs | dcw
-    mesh: str = None          # mesh file path; overrides the problem recipe
-    gen: str = None           # "nx,ny" structured-generator override
-    level: int = 0
-    tend: float = None
-    cfl: float = 1.0
-    out: str = None
-    output_times: str = ""    # comma-separated times
-    max_steps: int = 1_000_000
-    sample_grid: int = 0      # optional uniform point sampling resolution
+    # every field as (name, type, default), in constructor order; every
+    # field but max_steps is also a `tridg run` flag of the same name
+    FIELDS = (
+        ("problem", str, None),
+        ("k", int, 1),
+        ("rk", str, None),            # rk22 | rk33 | rk54 (default matches k)
+        ("oe", str, "cw"),            # off | cw | ri
+        ("bp", str, "off"),           # off | zxs | dcw
+        ("mesh", str, None),      # mesh file path; overrides the problem recipe
+        ("gen", str, None),           # "nx,ny" structured-generator override
+        ("level", int, 0),
+        ("tend", float, None),
+        ("cfl", float, 1.0),
+        ("out", str, None),
+        ("output_times", str, ""),    # comma-separated times
+        ("max_steps", int, 1_000_000),
+        ("sample_grid", int, 0),  # optional uniform point sampling resolution
+    )
+
+    def __init__(self, problem=None, k=1, rk=None, oe="cw", bp="off",
+                 mesh=None, gen=None, level=0, tend=None, cfl=1.0, out=None,
+                 output_times="", max_steps=1_000_000, sample_grid=0):
+        self.problem = problem
+        self.k = k
+        self.rk = rk
+        self.oe = oe
+        self.bp = bp
+        self.mesh = mesh
+        self.gen = gen
+        self.level = level
+        self.tend = tend
+        self.cfl = cfl
+        self.out = out
+        self.output_times = output_times
+        self.max_steps = max_steps
+        self.sample_grid = sample_grid
 
     def validate(self, model=None):
         if self.problem is None:
@@ -87,9 +107,7 @@ class RunConfig:
                               "numbers") from None
 
 
-_CASTS = {"int": int, "float": float, "str": str, int: int, float: float,
-          str: str}
-_TYPES = {f.name: _CASTS.get(f.type, str) for f in fields(RunConfig)}
+_TYPES = {name: cast for name, cast, _ in RunConfig.FIELDS}
 
 
 def load_config(path):

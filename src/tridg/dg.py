@@ -15,8 +15,6 @@ edge fluxes are computed once per edge and scattered with opposite signs,
 which makes the scheme discretely conservative.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import basis, quadrature
@@ -41,16 +39,16 @@ def component_major(coeffs, copy=False):
     return np.array(buf, order="C") if copy else np.ascontiguousarray(buf)
 
 
-@dataclass
 class ModalState:
     """Per-cell modal coefficients u_K^(l) in R^d, l = 0..L_k."""
 
-    k: int
-    # (n_cells, n_modes, d). The solver's states are modal views of a
-    # component-major (d, n_modes, n_cells) buffer and keep that layout;
-    # any other layout is accepted and read through a copy.
-    coeffs: np.ndarray
-    t: float = 0.0
+    def __init__(self, k, coeffs, t=0.0):
+        self.k = k
+        # (n_cells, n_modes, d). The solver's states are modal views of a
+        # component-major (d, n_modes, n_cells) buffer and keep that layout;
+        # any other layout is accepted and read through a copy.
+        self.coeffs = coeffs
+        self.t = t
 
     @property
     def n_cells(self):

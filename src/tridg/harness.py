@@ -6,7 +6,6 @@ BP CFL-number ratio ensembles over random triangles, and the rotational
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +38,15 @@ def error_norms(op, state, exact, t=None):
     return l1, l2, linf
 
 
-@dataclass
 class ConvergenceRow:
-    n_cells: int
-    l1: float
-    order1: float
-    l2: float
-    order2: float
-    linf: float
-    orderinf: float
+    def __init__(self, n_cells, l1, order1, l2, order2, linf, orderinf):
+        self.n_cells = n_cells
+        self.l1 = l1
+        self.order1 = order1
+        self.l2 = l2
+        self.order2 = order2
+        self.linf = linf
+        self.orderinf = orderinf
 
 
 def build_solver(prob, mesh, k, oe_mode, bp_scheme=None, ic=None):

@@ -11,8 +11,6 @@ Conventions
   carrying the translation offset from the left to the right side.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import GeometryError, MeshFormatError, TopologyError
@@ -20,37 +18,41 @@ from .errors import GeometryError, MeshFormatError, TopologyError
 BOUNDARY_TAGS = ("IN", "OUT", "WALL", "EXACT")
 
 
-def _cross2(a, b):
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+def _cross2(ax, ay, bx, by):
+    return ax * by - ay * bx
 
 DEGENERACY_REL_TOL = 1e-14
 PERIODIC_REL_TOL = 1e-12
 
 
-@dataclass
 class Mesh:
     """Immutable triangulation with precomputed geometry and connectivity."""
 
-    vertices: np.ndarray        # (nv, 2)
-    cells: np.ndarray           # (nc, 3) CCW
-    # one record per unique edge (periodic pairs glued)
-    edge_vertices: np.ndarray   # (ne, 2) endpoints, left-cell traversal order
-    edge_cells: np.ndarray      # (ne, 2) [left, right]; right = -1 on boundary
-    edge_local: np.ndarray      # (ne, 2) local edge index within left/right cell
-    edge_tag: list              # boundary tag str or None (periodic/interior)
-    edge_offset: np.ndarray     # (ne, 2) translation left->right side (periodic)
-    edge_periodic: np.ndarray   # (ne,) bool
-    # geometry
-    area: np.ndarray = field(default=None)        # (nc,)
-    edge_len: np.ndarray = field(default=None)    # (nc, 3)
-    normal: np.ndarray = field(default=None)      # (nc, 3, 2) outward unit
-    height: np.ndarray = field(default=None)      # (nc, 3)
-    jac: np.ndarray = field(default=None)         # (nc, 2, 2)
-    jac_inv: np.ndarray = field(default=None)     # (nc, 2, 2)
-    sort_order: np.ndarray = field(default=None)  # (nc, 3) local edges, len desc
-    centroid: np.ndarray = field(default=None)    # (nc, 2)
-    cell_edges: np.ndarray = field(default=None)  # (nc, 3) global edge id
-    cell_edge_forward: np.ndarray = field(default=None)  # (nc, 3) bool
+    def __init__(self, vertices, cells, edge_vertices, edge_cells, edge_local,
+                 edge_tag, edge_offset, edge_periodic, area=None,
+                 edge_len=None, normal=None, height=None, jac=None,
+                 jac_inv=None, sort_order=None, centroid=None,
+                 cell_edges=None, cell_edge_forward=None):
+        self.vertices = vertices            # (nv, 2)
+        self.cells = cells                  # (nc, 3) CCW
+        # one record per unique edge (periodic pairs glued)
+        self.edge_vertices = edge_vertices  # (ne, 2) left-cell traversal order
+        self.edge_cells = edge_cells    # (ne, 2) [left, right]; -1 boundary
+        self.edge_local = edge_local    # (ne, 2) local edge in left/right cell
+        self.edge_tag = edge_tag    # boundary tag str or None (periodic/inner)
+        self.edge_offset = edge_offset  # (ne, 2) left->right side translation
+        self.edge_periodic = edge_periodic  # (ne,) bool
+        # geometry
+        self.area = area                    # (nc,)
+        self.edge_len = edge_len            # (nc, 3)
+        self.normal = normal                # (nc, 3, 2) outward unit
+        self.height = height                # (nc, 3)
+        self.jac = jac                      # (nc, 2, 2)
+        self.jac_inv = jac_inv              # (nc, 2, 2)
+        self.sort_order = sort_order        # (nc, 3) local edges, len desc
+        self.centroid = centroid            # (nc, 2)
+        self.cell_edges = cell_edges        # (nc, 3) global edge id
+        self.cell_edge_forward = cell_edge_forward  # (nc, 3) bool
 
     @property
     def n_vertices(self):
@@ -75,34 +77,49 @@ class Mesh:
         return d @ self.jac_inv[c].T
 
 
+def _corners(vertices, cells):
+    """The x and the y coordinates of the cell corners: two C-contiguous
+    (3, nc) arrays whose row i holds corner i of every cell."""
+    corner = np.ascontiguousarray(cells.T)
+    return vertices[:, 0][corner], vertices[:, 1][corner]
+
+
 def _compute_geometry(mesh):
-    v = mesh.vertices[mesh.cells]                       # (nc, 3, 2)
-    e = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]               # edge i: v[i+1] -> v[i+2]
-    area2 = _cross2(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    # every table is computed on C-contiguous (3, nc) rows, the per-edge ones
+    # transposed to (nc, 3) last: an operation mixing layouts is ~4x slower
+    x, y = _corners(mesh.vertices, mesh.cells)
+    (x0, x1, x2), (y0, y1, y2) = x, y
+    # edge i runs from corner i+1 to corner i+2
+    x_start, y_start = x[[1, 2, 0]], y[[1, 2, 0]]
+    ex, ey = x[[2, 0, 1]] - x_start, y[[2, 0, 1]] - y_start
+    length = np.sqrt(ex * ex + ey * ey)
+    mesh.edge_len = np.ascontiguousarray(length.T)
+    mesh.normal = np.stack([(ey / length).T, (-ex / length).T], axis=-1)
+    # distance from the corner to the line of the edge opposite it
+    height = np.abs(_cross2(ex, ey, x - x_start, y - y_start)) / length
+    mesh.height = np.ascontiguousarray(height.T)
+    d1x, d2x, d1y, d2y = x1 - x0, x2 - x0, y1 - y0, y2 - y0
+    area2 = _cross2(d1x, d1y, d2x, d2y)
     mesh.area = 0.5 * area2
-    mesh.edge_len = np.linalg.norm(e, axis=2)
-    mesh.normal = np.stack([e[..., 1], -e[..., 0]], axis=-1) / mesh.edge_len[..., None]
-    # distance from the opposite vertex to each edge line
-    to_vert = v - v[:, [1, 2, 0]]                       # v[i] - edge start
-    mesh.height = np.abs(_cross2(e, to_vert)) / mesh.edge_len
-    mesh.jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-    inv = np.empty_like(mesh.jac)
-    inv[:, 0, 0] = mesh.jac[:, 1, 1]
-    inv[:, 0, 1] = -mesh.jac[:, 0, 1]
-    inv[:, 1, 0] = -mesh.jac[:, 1, 0]
-    inv[:, 1, 1] = mesh.jac[:, 0, 0]
-    mesh.jac_inv = inv / area2[:, None, None]
+    mesh.jac = np.stack([d1x, d2x, d1y, d2y], axis=1).reshape(-1, 2, 2)
+    mesh.jac_inv = (np.stack([d2y, -d2x, -d1y, d1x], axis=1).reshape(-1, 2, 2)
+                    / area2[:, None, None])
     mesh.sort_order = np.argsort(-mesh.edge_len, axis=1, kind="stable")
-    mesh.centroid = v.mean(axis=1)
+    mesh.centroid = np.stack([x0 + x1 + x2, y0 + y1 + y2], axis=1) / 3
 
 
 def _validate_cells(vertices, cells):
     if cells.min(initial=0) < 0 or cells.max(initial=-1) >= len(vertices):
         raise TopologyError("cell vertex index out of range")
-    # equal vertex triples are adjacent once the row-sorted cells are sorted
-    triples = np.sort(cells, axis=1)
-    triples = triples[np.lexsort(triples.T[::-1])]
-    if np.any(np.all(triples[1:] == triples[:-1], axis=1)):
+    # equal vertex triples (lo, mid, hi) are adjacent once sorted, keyed as
+    # (lo * nv + mid, hi) as build_mesh keys an edge
+    c0, c1, c2 = cells.T
+    lo = np.minimum(np.minimum(c0, c1), c2)
+    hi = np.maximum(np.maximum(c0, c1), c2)
+    head = lo * len(vertices) + (c0 + c1 + c2 - lo - hi)
+    order = np.lexsort((hi, head))
+    hi, head = hi[order], head[order]
+    if np.any((hi[1:] == hi[:-1]) & (head[1:] == head[:-1])):
         raise TopologyError("duplicate cell (same vertex triple appears twice)")
     area, floor = scaled_cell_areas(vertices, cells)
     if np.any(area <= 0):
@@ -132,9 +149,25 @@ def scaled_cell_areas(vertices, cells):
     """
     _, e = np.frexp(np.abs(vertices).max(initial=0.0))
     w = np.ldexp(vertices, -e)
-    v = w[cells]
-    area = 0.5 * _cross2(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-    return area, DEGENERACY_REL_TOL * np.ptp(w, axis=0).max() ** 2
+    (x0, x1, x2), (y0, y1, y2) = _corners(w, cells)
+    area = 0.5 * _cross2(x1 - x0, y1 - y0, x2 - x0, y2 - y0)
+    return area, DEGENERACY_REL_TOL * _extent(w) ** 2
+
+
+def _extent(vertices):
+    """The larger of the x and the y coordinate ranges."""
+    # per column: a reduction over axis 0 of an (nv, 2) array is ~10x slower
+    return np.maximum(np.ptp(vertices[:, 0]), np.ptp(vertices[:, 1]))
+
+
+def _vertex_ids(values, nv):
+    """values as int64; an id beyond int64 becomes -1 or nv, out of range
+    either way."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        big = np.array([int(v) for v in values], dtype=object)
+        return np.clip(big, -1, nv).astype(np.int64)
 
 
 def build_mesh(vertices, cells, boundary_tags=None):
@@ -176,74 +209,130 @@ def build_mesh(vertices, cells, boundary_tags=None):
             raise TopologyError(f"edge {pair} shared by {count[e]} cells")
         raise TopologyError(f"edge {pair} traversed twice in the same direction")
 
-    tag_of = {}
-    if boundary_tags is not None:
-        for iv0, iv1, tag in boundary_tags:
-            tkey = (min(int(iv0), int(iv1)), max(int(iv0), int(iv1)))
-            if tkey in tag_of:
-                raise TopologyError(f"boundary edge {tkey} tagged twice")
-            tag_of[tkey] = str(tag)
-
     ukey = key[start]
     boundary = count == 1
+    tag_edge, tag_names = _find_tagged_edges(boundary_tags, ukey, nv, boundary)
+    ne = len(ukey)
+    # the users 3 c + i of each edge's left and right side; -1: no right cell
+    users = np.stack([first, second], axis=1)
+    ev = np.stack([a[first], b[first]], axis=1)
+    offset = np.zeros((ne, 2))
+    periodic = np.zeros(ne, dtype=bool)
+    edge_tag = np.full(ne, None, dtype=object)
+    edge_tag[tag_edge] = tag_names
+
+    pair = tag_names.astype("<U1") == "P"        # P<k>: a periodic pair
+    if pair.any():
+        # each pair becomes its lower edge id; the higher one is dropped
+        ea, eb, t = _periodic_pairs(vertices, ev, tag_edge[pair],
+                                    tag_names[pair])
+        users[ea, 1] = first[eb]
+        offset[ea] = t
+        periodic[ea] = True
+        edge_tag[ea] = None
+        # np.take: a fancy or masked row index is ~10x slower on (ne, 2)
+        kept = np.delete(np.arange(ne), eb)
+        users, ev, offset, periodic, edge_tag = (
+            np.take(table, kept, axis=0)
+            for table in (users, ev, offset, periodic, edge_tag))
+    ec, el = np.divmod(users, 3)
+    el[users < 0] = -1
+    mesh = Mesh(vertices, cells, ev, ec, el, edge_tag.tolist(), offset,
+                periodic)
+    _compute_geometry(mesh)
+    _build_cell_edge_tables(mesh, users)
+    return mesh
+
+
+def _find_tagged_edges(boundary_tags, ukey, nv, boundary):
+    """The edge id and the tag of every boundary record, in record order:
+    an id array and a str array.
+
+    ukey holds the sorted edge keys lo * nv + hi, boundary whether each edge
+    has one user. Raises TopologyError for a vertex pair tagged twice (at
+    the first repeat in record order), then for the first edge in key order
+    that is an untagged boundary edge or a tagged interior edge, then for
+    the least tagged vertex pair that is no edge.
+    """
+    records = list(boundary_tags) if boundary_tags is not None else []
+    iv0, iv1, names = zip(*records) if records else ((), (), ())
+    names = np.array(names, dtype=str)
+    a, b = _vertex_ids(iv0, nv), _vertex_ids(iv1, nv)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+
+    def record_pair(r):
+        # the record's vertex pair as Python ints, exact at any size
+        u, v = int(iv0[r]), int(iv1[r])
+        return (min(u, v), max(u, v))
+
+    # a record whose vertices are not both in range names no edge; such
+    # records are few, and compared as Python tuples
+    valid = (lo >= 0) & (hi < nv)
+    key = np.where(valid, lo, 0) * nv + np.where(valid, hi, 0)
+    repeats = []
+    ids = np.flatnonzero(valid)
+    if len(ids):
+        by_key = ids[np.argsort(key[ids], kind="stable")]
+        same = key[by_key[1:]] == key[by_key[:-1]]
+        if same.any():
+            repeats.append(int(by_key[1:][same].min()))
+    seen = set()
+    for r in np.flatnonzero(~valid).tolist():
+        if record_pair(r) in seen:
+            repeats.append(r)
+            break
+        seen.add(record_pair(r))
+    if repeats:
+        raise TopologyError(
+            f"boundary edge {record_pair(min(repeats))} tagged twice")
+
+    eid = np.minimum(np.searchsorted(ukey, key), len(ukey) - 1)
+    found = valid & (ukey[eid] == key)
     tagged = np.zeros(len(ukey), dtype=bool)
-    tags = [None] * len(ukey)
-    extra = []
-    for tkey, tag in tag_of.items():
-        k = tkey[0] * nv + tkey[1]
-        eid = (int(np.searchsorted(ukey, k)) if 0 <= tkey[0] and tkey[1] < nv
-               else len(ukey))
-        if eid < len(ukey) and ukey[eid] == k:
-            tagged[eid] = True
-            tags[eid] = tag
-        else:
-            extra.append(tkey)
+    tagged[eid[found]] = True
     # the first edge in key order that is an untagged boundary edge or a
     # tagged interior edge
     wrong = np.flatnonzero(boundary != tagged)
     if len(wrong):
         e = wrong[0]
-        pair = (int(lo[first[e]]), int(hi[first[e]]))
+        pair = divmod(int(ukey[e]), nv)
         if boundary[e]:
             raise TopologyError(f"boundary edge {pair} has no tag")
         raise TopologyError(f"interior edge {pair} carries a boundary tag")
-    if extra:
-        raise TopologyError(f"tag references non-boundary edge {sorted(extra)[0]}")
-
-    ev = np.stack([a[first], b[first]], axis=1)
-    ec = np.stack([first // 3, np.where(boundary, -1, second // 3)], axis=1)
-    el = np.stack([first % 3, np.where(boundary, -1, second % 3)], axis=1)
-    offset = np.zeros((len(ev), 2))
-    periodic = np.zeros(len(ev), dtype=bool)
-
-    mesh = Mesh(vertices, cells, ev, ec, el, tags, offset, periodic)
-    _compute_geometry(mesh)
-    _glue_periodic(mesh)
-    _build_cell_edge_tables(mesh)
-    return mesh
+    if not found.all():
+        absent = np.flatnonzero(valid & ~found)
+        candidates = np.flatnonzero(~valid).tolist()
+        if len(absent):
+            candidates.append(int(absent[np.argmin(key[absent])]))
+        extra = min(map(record_pair, candidates))
+        raise TopologyError(f"tag references non-boundary edge {extra}")
+    return eid, names
 
 
-def _glue_periodic(mesh):
-    # only boundary edges carry tags; build_mesh has tagged every one
-    groups = {}
-    for eid in np.flatnonzero(mesh.edge_cells[:, 1] < 0).tolist():
-        tag = mesh.edge_tag[eid]
-        if tag.startswith("P"):
-            groups.setdefault(tag, []).append(eid)
-    if not groups:
-        return
-    names = sorted(groups)
-    sizes = np.array([len(groups[tag]) for tag in names])
+def _periodic_pairs(vertices, edge_vertices, eids, names):
+    """Pair the periodic boundary edges eids by their tags, names: (ea, eb,
+    t), the lower and the higher edge id of each pair and the translation
+    from edge ea to edge eb, pairs in name order.
+
+    Raises TopologyError for the first pair, in name order, that does not
+    have two edges, has edges of mismatched lengths, whose endpoints do not
+    match under translation or that traverses the same direction on both
+    sides.
+    """
+    by_name = np.lexsort((eids, names))
+    eids, names = eids[by_name], names[by_name]
+    start = np.flatnonzero(np.r_[True, names[1:] != names[:-1]])
+    sizes = np.diff(np.r_[start, len(names)])
     # groups of the wrong size get a placeholder pair; they fail check 0
-    ea, eb = np.array([groups[tag] if len(groups[tag]) == 2
-                       else groups[tag][:1] * 2 for tag in names]).T
-    pa = mesh.vertices[mesh.edge_vertices[ea]]          # (npairs, 2, 2)
-    pb = mesh.vertices[mesh.edge_vertices[eb]]
+    ea = eids[start]
+    eb = eids[np.where(sizes == 2, start + 1, start)]
+    pa = vertices[edge_vertices[ea]]                    # (npairs, 2, 2)
+    pb = vertices[edge_vertices[eb]]
     la = np.linalg.norm(pa[:, 1] - pa[:, 0], axis=1)
     lb = np.linalg.norm(pb[:, 1] - pb[:, 0], axis=1)
     t = pb.mean(axis=1) - pa.mean(axis=1)
     # match endpoints under translation; conforming pairs traverse reversed
-    atol = PERIODIC_REL_TOL * max(np.ptp(mesh.vertices, axis=0).max(), 1.0)
+    atol = PERIODIC_REL_TOL * max(_extent(vertices), 1.0)
     reverse = np.isclose(pa + t[:, None], pb[:, ::-1], atol=atol).all(axis=(1, 2))
     forward = np.isclose(pa + t[:, None], pb, atol=atol).all(axis=(1, 2))
     failed = np.stack([
@@ -255,38 +344,29 @@ def _glue_periodic(mesh):
     bad = np.flatnonzero(failed.any(axis=0))
     if len(bad):
         g = bad[0]
-        tag = names[g]
+        tag = str(names[start[g]])
         raise TopologyError([
             f"periodic pair id {tag} used by {sizes[g]} edges",
             f"periodic pair {tag} has mismatched edge lengths",
             f"periodic pair {tag} endpoints do not match under translation",
             f"periodic pair {tag} traverses the same direction on both sides",
         ][int(np.argmax(failed[:, g]))])
-    mesh.edge_cells[ea, 1] = mesh.edge_cells[eb, 0]
-    mesh.edge_local[ea, 1] = mesh.edge_local[eb, 0]
-    mesh.edge_offset[ea] = t
-    mesh.edge_periodic[ea] = True
-    for eid in ea:
-        mesh.edge_tag[eid] = None
-    idx = np.delete(np.arange(mesh.n_edges), eb)
-    for name in ("edge_vertices", "edge_cells", "edge_local", "edge_offset",
-                 "edge_periodic"):
-        setattr(mesh, name, getattr(mesh, name)[idx])
-    mesh.edge_tag = [mesh.edge_tag[i] for i in idx]
+    return ea, eb, t
 
 
-def _build_cell_edge_tables(mesh):
-    nc = mesh.n_cells
-    mesh.cell_edges = np.full((nc, 3), -1, dtype=np.int64)
-    mesh.cell_edge_forward = np.zeros((nc, 3), dtype=bool)
+def _build_cell_edge_tables(mesh, users):
+    # users (ne, 2): the slot 3 c + i of local edge i of cell c on each side
+    # of every edge, -1 for no right cell
+    left, right = users.T
+    inner = right >= 0
     eids = np.arange(mesh.n_edges)
-    cl, il = mesh.edge_cells[:, 0], mesh.edge_local[:, 0]
-    mesh.cell_edges[cl, il] = eids
-    mesh.cell_edge_forward[cl, il] = True
-    inner = mesh.edge_cells[:, 1] >= 0
-    cr, ir = mesh.edge_cells[inner, 1], mesh.edge_local[inner, 1]
-    mesh.cell_edges[cr, ir] = eids[inner]
-    mesh.cell_edge_forward[cr, ir] = False
+    edges = np.full(3 * mesh.n_cells, -1, dtype=np.int64)
+    forward = np.zeros(3 * mesh.n_cells, dtype=bool)
+    edges[left] = eids
+    forward[left] = True
+    edges[right[inner]] = eids[inner]
+    mesh.cell_edges = edges.reshape(-1, 3)
+    mesh.cell_edge_forward = forward.reshape(-1, 3)
     if np.any(mesh.cell_edges < 0):
         raise TopologyError("internal error: cell edge table incomplete")
 

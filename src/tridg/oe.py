@@ -96,6 +96,8 @@ class OEFilter:
         operator's two-sided tables, whose side 1 of a boundary edge is its
         own cell. ghost_endpoints holds the (points, normals) of the ghost
         edges at their endpoints, the exact vertices, for write_ghosts.
+        cell_edge_take (3, nc) gathers the edge measures back to the three
+        edges of each cell.
         """
         op = self.op
         # endpoint p of local edge i is local vertex (i + 1 + p) % 3. The
@@ -104,6 +106,7 @@ class OEFilter:
         ends = op.two_sided_take((np.arange(3)[:, None] + [1, 2]) % 3)
         self.endpoint_take = np.ascontiguousarray(ends.transpose(0, 2, 1))
         self.cell_take = op.side_cells
+        self.cell_edge_take = np.ascontiguousarray(op.mesh.cell_edges.T)
         self.ghost_endpoints = op.ghost_nodes(
             lambda a, b: np.stack([a, b], axis=1))
 
@@ -246,7 +249,7 @@ class OEFilter:
         J, u = self._endpoint_pass(coeffs, t)
         G = self._edge_measures(coeffs, J, rotated=bool(self.mom))
         G *= self._beta(u)
-        GG = np.take(G, self.op.mesh.cell_edges.T, axis=2)       # (d,k+1,3,nc)
+        GG = np.take(G, self.cell_edge_take, axis=2)             # (d,k+1,3,nc)
         GG *= self.A_h
         sigma = GG[:, :, 0] + GG[:, :, 1] + GG[:, :, 2]
         # running sum over the orders, the additions of np.cumsum in order

@@ -7,8 +7,6 @@ reflection, shock diffraction, flow past a cylinder) require externally
 supplied graded meshes and live in run configs, not here.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .dg import CustomBC, Inflow, Outflow, Reflective
@@ -17,21 +15,24 @@ from .mesh import generate_structured
 from .physics import Advection, Burgers, Euler
 
 
-@dataclass
 class Problem:
-    name: str
-    model_factory: callable
-    ic: callable                    # (x, y) -> state values
-    boundary_factory: callable      # (model) -> {tag: rule}
-    domain: tuple = (0.0, 0.0, 1.0, 1.0)
-    periodic: tuple = ()
-    side_tags: dict = None          # non-periodic side -> tag
-    aspect: float = 1.0             # ny = max(2, round(nx * aspect)) if != 1
-    exact: callable = None          # (x, y, t) -> state values
-    t_end: float = 1.0
-    bp_bounds: tuple = None         # scalar invariant interval
-    base_n: int = 4
-    external_mesh: bool = False     # geometry requires a supplied mesh file
+    def __init__(self, name, model_factory, ic, boundary_factory,
+                 domain=(0.0, 0.0, 1.0, 1.0), periodic=(), side_tags=None,
+                 aspect=1.0, exact=None, t_end=1.0, bp_bounds=None, base_n=4,
+                 external_mesh=False):
+        self.name = name
+        self.model_factory = model_factory
+        self.ic = ic                        # (x, y) -> state values
+        self.boundary_factory = boundary_factory  # (model) -> {tag: rule}
+        self.domain = domain
+        self.periodic = periodic
+        self.side_tags = side_tags          # non-periodic side -> tag
+        self.aspect = aspect        # ny = max(2, round(nx * aspect)) if != 1
+        self.exact = exact                  # (x, y, t) -> state values
+        self.t_end = t_end
+        self.bp_bounds = bp_bounds          # scalar invariant interval
+        self.base_n = base_n
+        self.external_mesh = external_mesh  # geometry needs a mesh file
 
     def make_model(self):
         return self.model_factory()

@@ -7,8 +7,6 @@ then BP limiter.
 """
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -17,29 +15,34 @@ from .dg import ModalState, component_major, modal_view
 from .errors import ConfigError, NumericsError
 
 
-@dataclass(frozen=True)
 class RKScheme:
-    name: str
-    c_ssp: float
-    # stage s: u^(s) = sum_j alpha[s][j] u^(j) + dt * beta[s][j] L(u^(j))
-    alpha: tuple
-    beta: tuple
+    """An SSP Runge-Kutta scheme in Shu-Osher form; immutable.
+
+    Stage s: u^(s) = sum_j alpha[s][j] u^(j) + dt * beta[s][j] L(u^(j)).
+    abscissae holds the stage times c_0..c_n as fractions of dt; c_n is 1 for
+    the step. Stage value u^(s) approximates u(t + c_s dt): c_0 = 0 and
+    c_{s+1} = sum_j (alpha[s][j] c_j + beta[s][j]).
+    """
+
+    __slots__ = ("name", "c_ssp", "alpha", "beta", "abscissae")
+
+    def __init__(self, name, c_ssp, alpha, beta):
+        c = [0.0]
+        for a_row, b_row in zip(alpha, beta):
+            c.append(sum(a * cj + b for a, b, cj in zip(a_row, b_row, c)))
+        for attr, value in zip(self.__slots__,
+                               (name, c_ssp, alpha, beta, tuple(c))):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"RKScheme is immutable: cannot set {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"RKScheme is immutable: cannot delete {attr!r}")
 
     @property
     def n_stages(self):
         return len(self.alpha)
-
-    @cached_property
-    def abscissae(self):
-        """Stage times c_0..c_n as fractions of dt; c_n is 1 for the step.
-
-        Stage value u^(s) approximates u(t + c_s dt): c_0 = 0 and
-        c_{s+1} = sum_j (alpha[s][j] c_j + beta[s][j]).
-        """
-        c = [0.0]
-        for a_row, b_row in zip(self.alpha, self.beta):
-            c.append(sum(a * cj + b for a, b, cj in zip(a_row, b_row, c)))
-        return tuple(c)
 
 
 SSP_RK22 = RKScheme(
@@ -124,13 +127,15 @@ def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
     return out
 
 
-@dataclass
 class RunResult:
-    state: ModalState
-    snapshots: list = field(default_factory=list)   # (t, ModalState)
-    dt_history: list = field(default_factory=list)
-    steps: int = 0
-    bp_violations: int = 0
+    def __init__(self, state, snapshots=None, dt_history=None, steps=0,
+                 bp_violations=0):
+        self.state = state
+        # (t, ModalState)
+        self.snapshots = [] if snapshots is None else snapshots
+        self.dt_history = [] if dt_history is None else dt_history
+        self.steps = steps
+        self.bp_violations = bp_violations
 
     @property
     def average_dt(self):

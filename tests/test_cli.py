@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -191,10 +192,17 @@ def test_mesh_file_without_cells_exits_2(tmp_path, capsys, text):
     (["decomp", "--vertices", "0,0,1,0,0,1", "--out", "{dir}"], "out"),
     (["convergence", "--problem", "advection_smooth", "--levels", "1",
       "--tend", "0", "--out", "{dir}"], "out")])
-def test_fuzzed_inputs_that_escaped_exit_2(tmp_path, capsys, argv, field):
+def test_fuzzed_inputs_that_escaped_exit_2(tmp_path, capsys, monkeypatch,
+                                           argv, field):
     # a negative seed (ValueError in default_rng) and an output file in a
     # missing directory or naming a directory (FileNotFoundError,
-    # IsADirectoryError) ended in a traceback, exit 1
+    # IsADirectoryError) ended in a traceback, exit 1. Each is rejected
+    # before the study or scan whose results it would lose
+    def never(*args, **kwargs):
+        raise AssertionError("entered before the output was checked")
+
+    monkeypatch.setattr(cli, "convergence_study", never)
+    monkeypatch.setattr(cli, "cfl_ratio_scan", never)
     paths = {"missing": str(tmp_path / "missing" / "p"), "dir": str(tmp_path)}
     assert main([a.format(**paths) for a in argv]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
@@ -330,6 +338,34 @@ def test_convergence_rejects_ignored_config_file_keys(tmp_path, capsys):
                "--out", str(tmp_path / "conv.csv")])
     assert rc == 2
     assert "field 'max_steps'" in capsys.readouterr().err
+
+
+# RunConfig's fields as its dataclass declared them: the names, types and
+# defaults that config files, flags and callers rely on
+DECLARED_RUN_CONFIG_FIELDS = (
+    ("problem", str, None), ("k", int, 1), ("rk", str, None),
+    ("oe", str, "cw"), ("bp", str, "off"), ("mesh", str, None),
+    ("gen", str, None), ("level", int, 0), ("tend", float, None),
+    ("cfl", float, 1.0), ("out", str, None), ("output_times", str, ""),
+    ("max_steps", int, 1_000_000), ("sample_grid", int, 0))
+
+
+def test_run_config_field_table():
+    assert RunConfig.FIELDS == DECLARED_RUN_CONFIG_FIELDS
+    # the constructor takes the fields in table order, with their defaults
+    params = inspect.signature(RunConfig).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default)
+        for name, _, default in DECLARED_RUN_CONFIG_FIELDS]
+    cfg = RunConfig("advection_smooth", 2, cfl=0.5)
+    assert (cfg.problem, cfg.k, cfg.cfl, cfg.oe) == ("advection_smooth", 2,
+                                                     0.5, "cw")
+    # every field but max_steps is a `tridg run` flag of the same name
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    flags = {a.dest for a in sub.choices["run"]._actions}
+    names = {name for name, _, _ in RunConfig.FIELDS}
+    assert names - flags == {"max_steps"}
+    assert flags - names == {"help", "config"}
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -783,7 +819,8 @@ import json, sys
 import tridg.cli
 rc = tridg.cli.main(sys.argv[1:])
 print(json.dumps({"rc": rc, **{name: name in sys.modules for name in (
-    "numpy.ma", "fractions", "decimal", "numpy.polynomial")}}))
+    "numpy.ma", "fractions", "decimal", "numpy.polynomial", "dataclasses",
+    "copy")}}))
 """
 
 
@@ -796,7 +833,8 @@ def test_run_leaves_numpy_ma_unimported(tmp_path, problem, args):
     # np.unique without return_index, np.setdiff1d and their kin import
     # numpy.ma on first use: 12-45 ms against a cold start of ~0.08 s.
     # fractions (with decimal) and numpy.polynomial would cost 5-7 ms: the
-    # reference norms and Gauss rules are literals
+    # reference norms and Gauss rules are literals. dataclasses (with copy)
+    # would cost ~1 ms to import and ~5 ms to generate the records' methods
     from tridg.mesh import perturb, save_mesh
     from tridg.problems import get_problem
     mesh_path = tmp_path / "m.txt"
@@ -814,4 +852,5 @@ def test_run_leaves_numpy_ma_unimported(tmp_path, problem, args):
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     assert record == {"rc": 0, "numpy.ma": False, "fractions": False,
-                      "decimal": False, "numpy.polynomial": False}
+                      "decimal": False, "numpy.polynomial": False,
+                      "dataclasses": False, "copy": False}

@@ -651,7 +651,8 @@ def test_no_per_cell_trace_or_scatter_matrix(k):
     op = SpatialOperator(mesh, Euler(), k)
     nc, nm, Q = mesh.n_cells, op.nm, op.Q
     known = {"_flux_take": (3 * Q, nc), "_flux_weights": (3 * Q, nc),
-             "int_points_phys": (nc, op.n_int, 2), "A_h": (k + 1, 3, nc)}
+             "int_points_phys": (nc, op.n_int, 2), "A_h": (k + 1, 3, nc),
+             "cell_edge_take": (3, nc)}
     arrays = [*named_arrays(op), *named_arrays(OEFilter(op, mode="rioe"))]
     assert arrays
     flagged = [(name, a.shape) for name, a in arrays

@@ -8,8 +8,6 @@ cells or a mesh file of at most two cells, t_end <= 1e-3, and at most a few
 steps, capped by the max_steps of the configuration file.
 """
 
-from dataclasses import fields
-
 from hypothesis import given, settings, strategies as st
 
 from tridg.cli import build_parser, main
@@ -107,8 +105,8 @@ def argvs(draw, commands, pools):
 @st.composite
 def config_texts(draw, run_flags, pools):
     """A max_steps line that caps the run, then RunConfig fields and junk."""
-    lines = [f"{f.name} = {values(draw, run_flags.get(f.name), pools, f.name)}"
-             for f in fields(RunConfig) if draw(SOMETIMES)]
+    lines = [f"{name} = {values(draw, run_flags.get(name), pools, name)}"
+             for name, _, _ in RunConfig.FIELDS if draw(SOMETIMES)]
     if draw(RARELY):
         lines.append(draw(st.sampled_from(JUNK_LINES)))
     return "\n".join(["max_steps = 3"] + draw(st.permutations(lines))) + "\n"

@@ -477,6 +477,14 @@ def bad_builds():
         "interior tagged": (v, c, t + [(*interior, "OUT")]),
         "non-edge tag": (v, c, t + [(0, 8, "OUT")]),
         "out-of-range tag": (v, c, t + [(0, 99, "OUT")]),
+        "negative tag vertex": (v, c, t + [(0, 8, "OUT"), (-5, 2, "OUT")]),
+        "tag vertex beyond int64": (v, c, t + [(0, 10**30 + 1, "OUT"),
+                                             (10**30, 0, "IN")]),
+        "out of range twice": (v, c, t + [(0, 99, "OUT"), (99, 0, "IN"),
+                                          (*t[0][:2], "WALL")]),
+        # two broken pair ids: the first in name order is named
+        "pair ids out of order": (pv, pc, other + [
+            (*p_tags[0][:2], "P2"), (*p_tags[1][:2], "P10"), *p_tags[2:]]),
         "lonely pair id": (pv, pc, other + p_tags[:-1] + [(*p_tags[-1][:2], "OUT")]),
         "pair of three": (pv, pc, other + p_tags[:-1] + [(*p_tags[-1][:2], "P0")]),
         "mismatched": (stretched, pc, pt),

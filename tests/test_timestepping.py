@@ -31,6 +31,17 @@ def test_rk33_coefficients_printed_form():
     assert SSP_RK54.c_ssp == pytest.approx(1.508)
 
 
+def test_schemes_are_immutable():
+    # the schemes are module-level constants shared by every run
+    for attr, value in (("c_ssp", 2.0), ("alpha", ()), ("abscissae", ()),
+                        ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(SSP_RK33, attr, value)
+    with pytest.raises(AttributeError):
+        del SSP_RK33.beta
+    assert SSP_RK33.c_ssp == 1.0 and SSP_RK33.n_stages == 3
+
+
 def test_scheme_lookup():
     assert scheme_by_name("rk33") is SSP_RK33
     with pytest.raises(ConfigError):
