@@ -286,10 +286,13 @@ def bp_timestep(mesh, alpha, c_ssp, scheme, k):
 def _theta(mean, node_min, floor):
     """Zhang-Shu scale factor per cell: the largest theta in [0, 1] with
     mean + theta * (node_min - mean) >= floor; 1 where node_min >= floor."""
-    theta = np.ones_like(mean)
-    np.divide(mean - floor, mean - node_min, out=theta,
-              where=node_min < floor)
-    return np.clip(theta, 0.0, 1.0)
+    cut = node_min < floor
+    theta = mean - floor
+    np.divide(theta, mean - node_min, out=theta, where=cut)
+    np.copyto(theta, 1.0, where=~cut)
+    # np.clip(theta, 0, 1) bit for bit: with 0.0 first, a -0.0 stays -0.0
+    np.maximum(0.0, theta, out=theta)
+    return np.minimum(theta, 1.0, out=theta)
 
 
 class BPLimiter:
@@ -333,10 +336,13 @@ class BPLimiter:
         self.w_local = np.empty_like(w)
         np.put_along_axis(self.w_local, mesh.sort_order, w, axis=1)
         self.sum_w = self.w_local.sum(axis=1)
-        # local indices of the vertices opposite the two longest edges, for
-        # k=1 dcw only: (1, 2, nc) against vertex values (d, 3, nc)
-        self.vert_ids = (np.ascontiguousarray(mesh.sort_order[:, :2].T)[None]
-                         if self.k == 1 and scheme == "dcw" else None)
+        # the vertices opposite the two longest edges, for k=1 dcw only: flat
+        # indices vertex * nc + cell (2, nc) into vertex values (d, 3, nc)
+        self.vertex_take = None
+        if self.k == 1 and scheme == "dcw":
+            nc = mesh.n_cells
+            self.vertex_take = (np.ascontiguousarray(mesh.sort_order[:, :2].T)
+                                * nc + np.arange(nc))
 
         self.violations = 0                      # cells scaled so far
 
@@ -355,9 +361,10 @@ class BPLimiter:
         d, _, nc = buf.shape
         tr = op.at_nodes(op.ref_trace, buf)                     # (d,3Q,nc)
         vals = [tr]
-        if self.vert_ids is not None:
+        if self.vertex_take is not None:
             vv = op.at_nodes(op.vertex_basis, buf)               # (d,3,nc)
-            vals.append(np.take_along_axis(vv, self.vert_ids, axis=1))
+            vals.append(np.take(vv.reshape(d, -1), self.vertex_take,
+                                axis=-1))
         if self.k == 2:
             avg = np.einsum("q,diqc->dic", op.edge_w,
                             tr.reshape(d, 3, op.Q, nc))
@@ -398,9 +405,10 @@ class BPLimiter:
         # rho_bar + theta1 (rho - rho_bar) at every node, u* included; only
         # scaled cells are rewritten, so the others keep their exact values
         cut = theta1 < 1.0
-        rb = rho_bar[cut]
-        rho = vals[0]
-        rho[:, cut] = rb + theta1[cut] * (rho[:, cut] - rb)
+        if cut.any():
+            rb = rho_bar[cut]
+            rho = vals[0]
+            rho[:, cut] = rb + theta1[cut] * (rho[:, cut] - rb)
 
         # step 2: internal energy positivity on the density-fixed state
         e_nodes = model.internal_energy(vals.transpose(1, 2, 0))  # (n, nc)

@@ -8,7 +8,7 @@ view. On affine triangles every modal operator is a reference-element matrix
 shared by all cells, applied to that buffer as one stacked product over the
 components, times a few per-cell Jacobian factors: edge orientation lives in
 precomputed gather indices over the flattened (node, cell) axis, so one take
-gives the component-first edge states (d, 2, ne, Q) the models work on; the
+gives the component-first edge states (d, 2, Q, ne) the models work on; the
 volume term weighs the flux by each cell's contravariant vectors along the
 cell axis. No table couples a cell to the modes or to a component. Interior
 edge fluxes are computed once per edge and scattered with opposite signs,
@@ -223,38 +223,41 @@ class SpatialOperator:
         The values (d, n_nodes, nc) of at_nodes are read along their
         flattened (node, cell) axis, at index node * nc + cell, one take for
         all components. side_cells (2, ne), the table of a one-node set,
-        holds the cell each side reads. trace_take (2, ne, Q) reads the
+        holds the cell each side reads. trace_take (2, Q, ne) reads the
         trace product at the edge Gauss points of both sides in global
-        edge-point order. The edge scatter gathers the flux (d, ne, Q) at
-        every (local edge, point, cell) through _flux_take (3Q, nc) and
-        weighs it by _flux_weights (3Q, nc), -sign * length * w_q, the minus
-        of the edge term folded in.
+        edge-point order. The edge scatter gathers the flux (d, Q, ne),
+        flattened at index point * ne + edge, at every (local edge, point,
+        cell) through _flux_take (3Q, nc) and weighs it by _flux_weights
+        (3Q, nc), -sign * length * w_q, the minus of the edge term folded in.
         """
         mesh = self.mesh
-        nc, Q = mesh.n_cells, self.Q
-        self.side_cells = self.two_sided_take(np.zeros((3, 1), int))[..., 0]
+        nc, ne, Q = mesh.n_cells, mesh.n_edges, self.Q
+        self.side_cells = self.two_sided_take(np.zeros((3, 1), int))[:, 0]
         q = np.arange(Q)
         self.trace_take = self.two_sided_take(q + Q * np.arange(3)[:, None])
         fwd = mesh.cell_edge_forward
         gq = np.where(fwd[:, :, None], q, Q - 1 - q)                 # (nc,3,Q)
         self._flux_take = np.ascontiguousarray(
-            (mesh.cell_edges[:, :, None] * Q + gq).reshape(nc, 3 * Q).T)
+            (gq * ne + mesh.cell_edges[:, :, None]).reshape(nc, 3 * Q).T)
         sign = np.where(fwd, -1.0, 1.0)
         wgt = (sign * mesh.edge_len)[:, :, None] * self.edge_w[gq]
         self._flux_weights = np.ascontiguousarray(wgt.reshape(nc, 3 * Q).T)
 
     def two_sided_take(self, rows):
-        """Flat gather indices (2, ne, P), row * nc + cell, of a node set on
-        both sides of every edge in global edge-point order. rows (3, P):
-        the node row of point p of local edge i in the cell's traversal
-        order, which is global order for the left cell and reversed for the
-        right cell. Side 1 of a boundary edge reads the left cell: the
-        outflow state, which write_ghosts overwrites on ghost edges."""
+        """Flat gather indices (2, P, ne), row * nc + cell, of a node set on
+        both sides of every edge in global edge-point order, the edges last.
+        rows (3, P): the node row of point p of local edge i in the cell's
+        traversal order, which is global order for the left cell and
+        reversed for the right cell. Side 1 of a boundary edge reads the
+        left cell: the outflow state, which write_ghosts overwrites on ghost
+        edges."""
         mesh = self.mesh
         ec, nc = mesh.edge_cells, mesh.n_cells
-        left = rows[mesh.edge_local[:, 0]] * nc + ec[:, :1]
-        right = rows[mesh.edge_local[:, 1], ::-1] * nc + ec[:, 1:]
-        return np.stack([left, np.where(ec[:, 1:] >= 0, right, left)])
+        # C-contiguous: np.take copies a strided index array on every call
+        left = np.take(rows.T, mesh.edge_local[:, 0], axis=1) * nc + ec[:, 0]
+        right = (np.take(rows.T[::-1], mesh.edge_local[:, 1], axis=1) * nc
+                 + ec[:, 1])
+        return np.stack([left, np.where(ec[:, 1] >= 0, right, left)])
 
     def ghost_nodes(self, nodes):
         """The (points, normals) of the ghost edges at a node set, for
@@ -304,9 +307,9 @@ class SpatialOperator:
     # -- ghosts -------------------------------------------------------------
 
     def write_ghosts(self, U, nodes, t):
-        """Write the ghosts into side 1 of two-sided values U (d, 2, ne, P).
+        """Write the ghosts into side 1 of two-sided values U (d, 2, P, ne).
 
-        U is component-first, (component, side, edge, node); side 1 of a
+        U is component-first, (component, side, node, edge); side 1 of a
         boundary edge holds its own cell's values until this call, which
         stays the outflow state. nodes: the (points, normals) of the ghost
         edges at U's P nodes, ghost_gauss or the filter's ghost_endpoints.
@@ -314,12 +317,12 @@ class SpatialOperator:
         """
         X, n = nodes
         for rule, eids, pos in self.groups:
-            U[:, 1, eids] = rule.ghost(
-                self.model, U[:, 0, eids].transpose(1, 2, 0), X[pos], n[pos],
-                t).transpose(2, 0, 1)
+            U[:, 1][..., eids] = rule.ghost(
+                self.model, U[:, 0][..., eids].transpose(2, 1, 0), X[pos],
+                n[pos], t).transpose(2, 1, 0)
 
     def _edge_states(self, coeffs, t, buf=None):
-        """Two-sided states at the edge Gauss points: (d, 2, ne, Q).
+        """Two-sided states at the edge Gauss points: (d, 2, Q, ne).
 
         Side 0 is the left cell's trace; side 1 is the right cell's trace on
         interior edges and the boundary rule's ghost on boundary edges.
@@ -335,11 +338,11 @@ class SpatialOperator:
     def _reject_inadmissible(self, ok):
         """Raise for the first inadmissible (edge, side) in edge order.
 
-        ok: (2, ne, Q) admissibility of the two-sided edge states. The error
+        ok: (2, Q, ne) admissibility of the two-sided edge states. The error
         names the cell that owns the bad trace: the right cell for side 1 of
         an interior edge, the boundary cell for a ghost.
         """
-        eid, side = np.argwhere(~ok.all(axis=2).T)[0]
+        eid, side = np.argwhere(~ok.all(axis=1).T)[0]
         raise AdmissibilityError(
             "inadmissible trace at edge quadrature point",
             cell=int(self.side_cells[side, eid]), edge=int(eid))
@@ -365,8 +368,7 @@ class SpatialOperator:
         through the shared reference matrix: (d, nm, nc)."""
         U = self._edge_states(coeffs, t, buf) if states is None else states
         try:
-            fhat = self.model.lf_flux(U, self.edge_normal_cf[:, :, None],
-                                      alpha)
+            fhat = self.model.lf_flux(U, self.edge_normal_cf, alpha)
         except AdmissibilityError:
             # the flux tests admissibility in its own pass; name the cell
             # and edge only on this failure path
@@ -417,5 +419,4 @@ class SpatialOperator:
         if mode != "edge_gauss":
             raise ConfigError(f"unknown wavespeed mode {mode!r}")
         U = self._edge_states(coeffs, t) if states is None else states
-        return float(np.max(self.model.wavespeed(
-            U, self.edge_normal_cf[:, :, None])))
+        return float(np.max(self.model.wavespeed(U, self.edge_normal_cf)))

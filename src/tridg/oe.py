@@ -100,11 +100,9 @@ class OEFilter:
         edges of each cell.
         """
         op = self.op
-        # endpoint p of local edge i is local vertex (i + 1 + p) % 3. The
-        # edges last for the weights GEMM, C-contiguous: np.take copies a
-        # strided index array on every call
-        ends = op.two_sided_take((np.arange(3)[:, None] + [1, 2]) % 3)
-        self.endpoint_take = np.ascontiguousarray(ends.transpose(0, 2, 1))
+        # endpoint p of local edge i is local vertex (i + 1 + p) % 3
+        self.endpoint_take = op.two_sided_take(
+            (np.arange(3)[:, None] + [1, 2]) % 3)
         self.cell_take = op.side_cells
         self.cell_edge_take = np.ascontiguousarray(op.mesh.cell_edges.T)
         self.ghost_endpoints = op.ghost_nodes(
@@ -187,7 +185,7 @@ class OEFilter:
         C[:, :, 1][..., gi] = 0.0
         # the order-0 values, each component contiguous
         u = W[:, 0]
-        op.write_ghosts(u.transpose(0, 1, 3, 2), self.ghost_endpoints, t)
+        op.write_ghosts(u, self.ghost_endpoints, t)
         J = np.empty((d, 2 * nd + self.k + 1, C.shape[-1]))
         np.subtract(W[:, :, 0], W[:, :, 1],
                     out=J[:, :2 * nd].reshape(d, nd, 2, -1))
@@ -207,11 +205,12 @@ class OEFilter:
             # component-wise measures would be overwritten by dhat below
             m1, m2 = J[self.mom[0]], J[self.mom[1]]              # (R, ne)
             n1, n2 = self.op.edge_normal_cf
-            jn = n1 * m1
-            jn += n2 * m2
             jt = n1 * m2
-            jt -= n2 * m1
-            m1[...] = jn
+            tmp = n2 * m1
+            jt -= tmp
+            np.multiply(n1, m1, out=m1)
+            np.multiply(n2, m2, out=tmp)
+            m1 += tmp
             m2[...] = jt
         # squared jumps: rows (alpha, endpoint), columns the edges
         np.square(J, out=J)
@@ -239,7 +238,7 @@ class OEFilter:
         # does not depend on the state
         s = speed(u, self.op.edge_normal_cf)
         for _ in range(s.ndim - 1):
-            s = np.maximum(s[0], s[1])
+            s = np.maximum(s[0], s[1], out=s[0])
         return s
 
     # -- damping ------------------------------------------------------------
@@ -251,14 +250,15 @@ class OEFilter:
         G *= self._beta(u)
         GG = np.take(G, self.cell_edge_take, axis=2)             # (d,k+1,3,nc)
         GG *= self.A_h
-        sigma = GG[:, :, 0] + GG[:, :, 1] + GG[:, :, 2]
+        sigma = GG[:, :, 0] + GG[:, :, 1]
+        sigma += GG[:, :, 2]
         # running sum over the orders, the additions of np.cumsum in order
         X = np.empty((sigma.shape[0], self.k, sigma.shape[2]))
-        acc = sigma[:, 0]
-        for m in range(1, self.k + 1):
-            acc = acc + sigma[:, m]
-            X[:, m - 1] = acc
-        return dt * X
+        np.add(sigma[:, 0], sigma[:, 1], out=X[:, 0])
+        for m in range(2, self.k + 1):
+            np.add(X[:, m - 2], sigma[:, m], out=X[:, m - 1])
+        X *= dt
+        return X
 
     def damping_exponents(self, coeffs, dt, t=0.0):
         """Exponents X[c, m-1, d] = dt * sum_{j<=m} sigma_K^j for m = 1..k.
@@ -273,8 +273,8 @@ class OEFilter:
         averages are untouched."""
         if dt < 0:
             raise ConfigError("dt must be non-negative")
-        X = self._exponents(state.coeffs, dt, state.t)           # (d, k, nc)
-        np.negative(X, out=X)
+        # the sign folded into the factor: -(dt * X) is (-dt) * X bit for bit
+        X = self._exponents(state.coeffs, -dt, state.t)          # (d, k, nc)
         np.exp(X, out=X)
         # one factor per degree, over the m + 1 modes of degree m
         coeffs = component_major(state.coeffs, copy=True)

@@ -246,13 +246,32 @@ class Euler(Model):
         return np.abs(vn) + c
 
     def wavespeed_clamped(self, u, n):
+        """|v . n| + sound speed with rho floored at 1e-12 and p at 0:
+        finite for every finite state. One pass of in-place operations."""
         u = np.asarray(u, dtype=float)
         n = np.asarray(n, dtype=float)
-        rho = np.maximum(u[0], 1e-12)
-        vn = (u[1] * n[0] + u[2] * n[1]) / rho
-        p = np.maximum((self.gamma - 1.0) * _energy(rho, u[1], u[2], u[3]),
-                       0.0)
-        return np.abs(vn) + np.sqrt(self.gamma * p / rho)
+        # length-1 slices keep every operand an array, so that the passes
+        # below write in place also for a single state, whose component
+        # would be a numpy scalar
+        m1, m2, E = u[1:2], u[2:3], u[3:4]
+        rho = np.maximum(u[:1], 1e-12)
+        vn = m1 * n[:1]
+        vn += m2 * n[1:2]
+        vn /= rho
+        p = m1 * m1
+        tmp = m2 * m2
+        p += tmp
+        np.multiply(2.0, rho, out=tmp)
+        p /= tmp
+        np.subtract(E, p, out=p)
+        p *= self.gamma - 1.0
+        np.maximum(p, 0.0, out=p)
+        p *= self.gamma
+        p /= rho
+        np.sqrt(p, out=p)
+        np.abs(vn, out=vn)
+        vn += p
+        return vn[0]
 
     def rotate_state(self, u, phi):
         """diag(1, M, 1) action: momentum rotated, density/energy unchanged."""

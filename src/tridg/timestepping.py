@@ -93,7 +93,8 @@ def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
     The residual of each stage value is evaluated once, on first use, at
     the stage's time t + c_j dt; the filter sees the new stage's time. The
     stage combinations run on component-major buffers, so every stage state
-    is the modal view of one.
+    is the modal view of one. Each combination is summed in place, in the
+    order and with the roundings of sum_j (a u^(j) + (dt b) L(u^(j))).
     """
     c = scheme.abscissae
     stages = [state]
@@ -103,9 +104,9 @@ def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
         for j, (a, b) in enumerate(zip(scheme.alpha[s], scheme.beta[s])):
             if a == 0.0 and b == 0.0:
                 continue
-            term = 0.0
-            if a != 0.0:
-                term = a * component_major(stages[j].coeffs)
+            # a fresh array; where a = 0 the float 0.0, which += replaces
+            # by the fresh array 0.0 + x
+            term = a * component_major(stages[j].coeffs) if a != 0.0 else 0.0
             if b != 0.0:
                 if residuals[j] is None:
                     try:
@@ -114,8 +115,13 @@ def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
                     except Exception as exc:
                         exc.rk_stage = s
                         raise
-                term = term + dt * b * component_major(residuals[j])
-            acc = term if acc is None else acc + term
+                term += dt * b * component_major(residuals[j])
+            if acc is None:
+                acc = term
+            else:
+                acc += term
+            # freed before the next term is formed
+            del term
         new = ModalState(state.k, modal_view(acc), state.t + c[s + 1] * dt)
         if oe is not None:
             new = oe.apply(new, dt)

@@ -99,7 +99,7 @@ class VertexJetFilter(OEFilter):
         ghost_jumps = J[..., gi]
         for a in range(self.n_derivs):
             J[:, a] -= np.take(V[:, a], side1, axis=-1)
-        op.write_ghosts(u.transpose(0, 1, 3, 2), self.ghost_endpoints, t)
+        op.write_ghosts(u, self.ghost_endpoints, t)
         ghost_jumps[:, 0] -= u[:, 1][..., gi]
         J[..., gi] = ghost_jumps
         return J, u
@@ -305,10 +305,11 @@ def limit(lim, state):
     mean = coeffs[:, 0, :]
     tr = op.traces(coeffs)
     vals = [tr.reshape(nc, -1, d)]
-    if lim.vert_ids is not None:
+    if lim.vertex_take is not None:
+        # the vertices opposite the two longest edges
         vv = op.vertex_values(coeffs)
-        vals.append(np.take_along_axis(vv, lim.vert_ids[0].T[:, :, None],
-                                       axis=1))
+        vals.append(np.take_along_axis(
+            vv, op.mesh.sort_order[:, :2, None], axis=1))
     if lim.k == 2:
         avg = np.einsum("q,ciqd->cid", op.edge_w, tr)
         num = mean - (lim.w_local[:, :, None] * avg).sum(axis=1)

@@ -607,3 +607,48 @@ def test_limited_p2_euler_states_are_admissible_at_every_check_node(
             assert np.array_equal(nodes[:, :-1], tr.reshape(len(tr), -1, 4))
             assert nodes[..., 0].min() > 0
             assert model.internal_energy(nodes).min() > 0
+
+
+def former_theta(mean, node_min, floor):
+    """bp._theta as it was written with np.ones_like and np.clip."""
+    theta = np.ones_like(mean)
+    np.divide(mean - floor, mean - node_min, out=theta,
+              where=node_min < floor)
+    return np.clip(theta, 0.0, 1.0)
+
+
+def test_theta_matches_former_bit_for_bit():
+    # node minima above, at and below the floor; floors at and above the
+    # mean (theta 0, or a negative ratio the clip lifts to 0), signed zeros
+    # and a NaN node value
+    rng = np.random.default_rng(11)
+    mean = rng.uniform(-1.0, 2.0, 600)
+    floor = np.minimum(mean, bp.BPLimiter.EPS)
+    floor[:100] = mean[:100] + rng.choice([0.0, 1e-13, 0.5], 100)
+    node_min = floor + rng.choice([-1.0, -1e-15, 0.0, 1e-15, 1.0], 600)
+    node_min[100:150] = floor[100:150]
+    mean[150:160], floor[150:160], node_min[150:160] = -0.0, 0.0, -1.0
+    node_min[160] = np.nan
+    got = bp._theta(mean, node_min, floor)
+    want = former_theta(mean, node_min, floor)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert (got[100:150] == 1.0).all() and ((0.0 < got) & (got < 1.0)).any()
+    # -0.0 / 1 stays -0.0, as np.clip left it
+    assert (got[150:160] == 0.0).all() and np.signbit(got[150:160]).all()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_vertex_take_is_the_take_along_axis_gather(seed, rng):
+    # the k = 1 dcw vertex check nodes: one flat take through vertex_take
+    # reads what take_along_axis read through the sorted local vertices
+    op = perturbed_op(Euler(), 1, seed, periodic=("x",))
+    lim = bp.BPLimiter(op, "dcw")
+    assert lim.vertex_take.flags.c_contiguous
+    assert lim.vertex_take.dtype == np.intp
+    assert bp.BPLimiter(op, "zxs").vertex_take is None
+    vv = op.at_nodes(op.vertex_basis, np.ascontiguousarray(
+        rng.standard_normal((4, op.nm, op.mesh.n_cells))))
+    want = np.take_along_axis(
+        vv, np.ascontiguousarray(op.mesh.sort_order[:, :2].T)[None], axis=1)
+    got = np.take(vv.reshape(4, -1), lim.vertex_take, axis=-1)
+    assert np.array_equal(got, want)

@@ -115,8 +115,8 @@ def test_ghost_state_rules():
     out = bi[[mesh.edge_tag[eid] == "OUT" for eid in bi]]
     assert len(out) and len(out) < len(bi)
     U = op._edge_states(coeffs, 0.3)
-    assert np.array_equal(U[:, 1, out], U[:, 0, out])
-    assert not np.array_equal(U[:, 1, bi], U[:, 0, bi])
+    assert np.array_equal(U[:, 1, ..., out], U[:, 0, ..., out])
+    assert not np.array_equal(U[:, 1, ..., bi], U[:, 0, ..., bi])
     J, _ = OEFilter(op)._endpoint_pass(coeffs, 0.3)
     assert np.all(J[..., out] == 0.0) and np.any(J[..., bi] != 0.0)
     # an all-outflow mesh writes no ghost
@@ -161,13 +161,14 @@ def test_mode0_residual_is_edge_flux_sum(unit_square_2x2):
     R = op.residual(coeffs, alpha)
     # reconstruct mode-0 residual from the edge fluxes directly
     u = op._edge_states(coeffs, 0.0)
-    fhat = op.model.lf_flux(u, op.edge_normal_cf[:, :, None], alpha)
+    fhat = op.model.lf_flux(u, op.edge_normal_cf, alpha)      # (d, Q, ne)
     for c in range(m.n_cells):
         total = 0.0
         for i in range(3):
             eid = m.cell_edges[c, i]
             sgn = 1.0 if m.cell_edge_forward[c, i] else -1.0
-            total -= sgn * m.edge_len[c, i] * np.sum(op.edge_w * fhat[0, eid])
+            total -= sgn * m.edge_len[c, i] * np.sum(op.edge_w
+                                                     * fhat[0, :, eid])
         assert R[c, 0, 0] == pytest.approx(total / m.area[c], rel=1e-12)
 
 
@@ -387,7 +388,7 @@ def test_shared_edge_states_match_unshared_calls(k, model):
     coeffs = 0.02 * rng.standard_normal((mesh.n_cells, op.nm, op.d))
     coeffs[:, 0, :] += mean
     states = op._edge_states(coeffs, 0.3)
-    assert states.shape == (op.d, 2, mesh.n_edges, op.Q)
+    assert states.shape == (op.d, 2, op.Q, mesh.n_edges)
     assert np.array_equal(op.residual(coeffs, 2.5, t=0.3, states=states),
                           op.residual(coeffs, 2.5, t=0.3))
     assert (op.max_wavespeed(coeffs, t=0.3, states=states)
@@ -550,7 +551,7 @@ def test_edge_operators_match_per_cell_reference(mesh_name, k, model):
     want = ref.traces(coeffs)
     want = np.where(fwd[:, :, None, None], want, want[:, :, ::-1])
     assert_close_to_max(op.traces(coeffs), want)
-    assert_close_to_max(np.moveaxis(op._edge_states(coeffs, 0.3), 0, -1),
+    assert_close_to_max(op._edge_states(coeffs, 0.3).transpose(1, 3, 2, 0),
                         ref.edge_states(coeffs, 0.3))
     assert_close_to_max(op.vertex_values(coeffs), ref.vertex_values(coeffs))
     assert_close_to_max(op.residual(coeffs, 2.5, t=0.3),
@@ -749,6 +750,7 @@ def separate_side_tables(op):
     left = (il[:, None] * Q + q) * nc + lc[:, None]
     right = (ir[:, None] * Q + (Q - 1 - q)) * nc + rc[:, None]
     trace_take = np.stack([left, np.where(rc[:, None] >= 0, right, left)])
+    trace_take = trace_take.transpose(0, 2, 1)               # (2, Q, ne)
     cells = np.stack([lc, np.where(rc >= 0, rc, lc)])
     lv_end = np.stack([(il + 1) % 3, (il + 2) % 3])
     rv_end = np.stack([(ir + 2) % 3, (ir + 1) % 3])
@@ -783,6 +785,7 @@ def test_two_sided_tables_match_separate_derivations(mesh_name, k):
     assert_same_array(op.trace_take, trace)
     assert_same_array(f.endpoint_take, ends)
     assert f.endpoint_take.flags.c_contiguous
+    assert op.trace_take.flags.c_contiguous
     assert_same_array(op.side_cells, cells)
     assert_same_array(f.cell_take, cells)
     for got, want in zip(op.ghost_gauss + f.ghost_endpoints, gauss + vertices):
@@ -793,8 +796,8 @@ def test_two_sided_tables_match_separate_derivations(mesh_name, k):
     # cell on side 1 of an interior edge, the boundary cell for a ghost
     for eid in range(mesh.n_edges):
         for side in (0, 1):
-            ok = np.ones((2, mesh.n_edges, op.Q), dtype=bool)
-            ok[side, eid, op.Q - 1] = False
+            ok = np.ones((2, op.Q, mesh.n_edges), dtype=bool)
+            ok[side, op.Q - 1, eid] = False
             with pytest.raises(AdmissibilityError) as e:
                 op._reject_inadmissible(ok)
             cell = mesh.edge_cells[eid, side]

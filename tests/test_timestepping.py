@@ -413,3 +413,45 @@ def test_run_keeps_every_state_component_major(problem, k, oe_mode,
     assert np.array_equal(step[0].coeffs, step[1].coeffs)
     assert is_component_major_view(state.copy().coeffs) is False
     assert is_component_major_view(res.state.copy().coeffs)
+
+
+@pytest.mark.parametrize("problem,k,oe_mode,bp_scheme,counts", [
+    ("euler_double_rarefaction", 1, "rioe", "dcw",
+     {"lf_flux": 2, "wavespeed": 1, "wavespeed_clamped": 2}),
+    ("advection_smooth", 3, "componentwise", None,
+     {"lf_flux": 5, "wavespeed": 6})])
+def test_model_kernels_get_edge_last_normals(problem, k, oe_mode, bp_scheme,
+                                             counts, monkeypatch):
+    # every edge-point call of a model kernel gets C-contiguous (2, ne)
+    # normals whose last axis is the states' last axis, the edges: normals
+    # (2, ne, 1) broadcast over a trailing axis of the Q points ran numpy's
+    # inner loops only 2-4 long
+    from tridg.harness import build_solver
+    from tridg.problems import get_problem
+    prob = get_problem(problem)
+    mesh = perturb(prob.make_rect_mesh(8), seed=3)
+    op, state, oe = build_solver(prob, mesh, k, oe_mode, bp_scheme)
+    calls = []
+
+    def spy(name):
+        kernel = getattr(op.model, name)
+
+        def spied(u, n, *rest):
+            calls.append((name, np.asarray(u), np.asarray(n)))
+            return kernel(u, n, *rest)
+        return spied
+
+    for name in ("lf_flux", "wavespeed", "wavespeed_clamped"):
+        monkeypatch.setattr(op.model, name, spy(name))
+    timestepping.run(op, state, math.inf, oe=oe, bp_scheme=bp_scheme,
+                     bounds=prob.bp_bounds, max_steps=1)
+    assert {name: sum(c[0] == name for c in calls)
+            for name in counts} == counts
+    for name, u, n in calls:
+        if np.shares_memory(n, mesh.normal):
+            # the cell-average bound of unlimited runs: the mesh's normals
+            # per (cell, local edge) against the cell averages, once a step
+            assert bp_scheme is None and u.shape[1:] == (mesh.n_cells, 1)
+            continue
+        assert n.shape == (2, mesh.n_edges) and n.flags.c_contiguous
+        assert u.shape[-1] == mesh.n_edges
