@@ -141,7 +141,7 @@ class ConvexDecomposition:
     """
 
     def __init__(self, k, lengths, vertices, edge_weights, nodes, cfl,
-                 zero_internal_mass, raw_nodes=None):
+                 zero_internal_mass, raw_nodes):
         self.k = k
         self.lengths = lengths              # sorted descending
         self.vertices = vertices    # (3, 2), vertex i opposite sorted edge i
@@ -149,7 +149,7 @@ class ConvexDecomposition:
         self.nodes = nodes                  # [(bary (3,), weight)]
         self.cfl = cfl
         self.zero_internal_mass = zero_internal_mass
-        self.raw_nodes = [] if raw_nodes is None else raw_nodes
+        self.raw_nodes = raw_nodes          # [(bary (3,), weight)]
 
     def node_points(self):
         return np.array([b @ self.vertices for b, _ in self.nodes]).reshape(-1, 2)

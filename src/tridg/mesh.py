@@ -7,8 +7,8 @@ Conventions
   vertices (i+1)%3 -> (i+2)%3 in CCW traversal order.
 * Each unique edge is stored once. Its endpoint order is the traversal order
   of its *left* cell; the right cell (if any) traverses it reversed.
-* Periodic boundary pairs are glued into a single interior-like edge record
-  carrying the translation offset from the left to the right side.
+* Periodic boundary pairs are glued into a single interior-like edge record,
+  flagged in edge_periodic.
 """
 
 import numpy as np
@@ -26,13 +26,11 @@ PERIODIC_REL_TOL = 1e-12
 
 
 class Mesh:
-    """Immutable triangulation with precomputed geometry and connectivity."""
+    """Immutable triangulation; its geometry and cell-edge tables are
+    derived from the topology tables it is given."""
 
     def __init__(self, vertices, cells, edge_vertices, edge_cells, edge_local,
-                 edge_tag, edge_offset, edge_periodic, area=None,
-                 edge_len=None, normal=None, height=None, jac=None,
-                 jac_inv=None, sort_order=None, centroid=None,
-                 cell_edges=None, cell_edge_forward=None):
+                 edge_tag, edge_periodic):
         self.vertices = vertices            # (nv, 2)
         self.cells = cells                  # (nc, 3) CCW
         # one record per unique edge (periodic pairs glued)
@@ -40,19 +38,11 @@ class Mesh:
         self.edge_cells = edge_cells    # (ne, 2) [left, right]; -1 boundary
         self.edge_local = edge_local    # (ne, 2) local edge in left/right cell
         self.edge_tag = edge_tag    # boundary tag str or None (periodic/inner)
-        self.edge_offset = edge_offset  # (ne, 2) left->right side translation
         self.edge_periodic = edge_periodic  # (ne,) bool
-        # geometry
-        self.area = area                    # (nc,)
-        self.edge_len = edge_len            # (nc, 3)
-        self.normal = normal                # (nc, 3, 2) outward unit
-        self.height = height                # (nc, 3)
-        self.jac = jac                      # (nc, 2, 2)
-        self.jac_inv = jac_inv              # (nc, 2, 2)
-        self.sort_order = sort_order        # (nc, 3) local edges, len desc
-        self.centroid = centroid            # (nc, 2)
-        self.cell_edges = cell_edges        # (nc, 3) global edge id
-        self.cell_edge_forward = cell_edge_forward  # (nc, 3) bool
+
+        # every other table follows from these
+        _compute_geometry(self)
+        _build_cell_edge_tables(self)
 
     @property
     def n_vertices(self):
@@ -93,19 +83,40 @@ def _compute_geometry(mesh):
     x_start, y_start = x[[1, 2, 0]], y[[1, 2, 0]]
     ex, ey = x[[2, 0, 1]] - x_start, y[[2, 0, 1]] - y_start
     length = np.sqrt(ex * ex + ey * ey)
-    mesh.edge_len = np.ascontiguousarray(length.T)
+    mesh.edge_len = np.ascontiguousarray(length.T)          # (nc, 3)
+    # (nc, 3, 2) outward unit
     mesh.normal = np.stack([(ey / length).T, (-ex / length).T], axis=-1)
     # distance from the corner to the line of the edge opposite it
     height = np.abs(_cross2(ex, ey, x - x_start, y - y_start)) / length
-    mesh.height = np.ascontiguousarray(height.T)
+    mesh.height = np.ascontiguousarray(height.T)            # (nc, 3)
     d1x, d2x, d1y, d2y = x1 - x0, x2 - x0, y1 - y0, y2 - y0
     area2 = _cross2(d1x, d1y, d2x, d2y)
-    mesh.area = 0.5 * area2
+    mesh.area = 0.5 * area2                                 # (nc,)
+    # (nc, 2, 2) each
     mesh.jac = np.stack([d1x, d2x, d1y, d2y], axis=1).reshape(-1, 2, 2)
     mesh.jac_inv = (np.stack([d2y, -d2x, -d1y, d1x], axis=1).reshape(-1, 2, 2)
                     / area2[:, None, None])
+    # (nc, 3) local edges, len desc
     mesh.sort_order = np.argsort(-mesh.edge_len, axis=1, kind="stable")
+    # (nc, 2)
     mesh.centroid = np.stack([x0 + x1 + x2, y0 + y1 + y2], axis=1) / 3
+
+
+def _build_cell_edge_tables(mesh):
+    # slot 3 c + i is local edge i of cell c, on each side of every edge; a
+    # boundary edge's right slot is negative
+    left, right = (3 * mesh.edge_cells + mesh.edge_local).T
+    inner = right >= 0
+    eids = np.arange(mesh.n_edges)
+    edges = np.full(3 * mesh.n_cells, -1, dtype=np.int64)
+    forward = np.zeros(3 * mesh.n_cells, dtype=bool)
+    edges[left] = eids
+    forward[left] = True
+    edges[right[inner]] = eids[inner]
+    mesh.cell_edges = edges.reshape(-1, 3)              # (nc, 3) global edge id
+    mesh.cell_edge_forward = forward.reshape(-1, 3)     # (nc, 3) bool
+    if np.any(mesh.cell_edges < 0):
+        raise TopologyError("internal error: cell edge table incomplete")
 
 
 def _validate_cells(vertices, cells):
@@ -216,7 +227,6 @@ def build_mesh(vertices, cells, boundary_tags=None):
     # the users 3 c + i of each edge's left and right side; -1: no right cell
     users = np.stack([first, second], axis=1)
     ev = np.stack([a[first], b[first]], axis=1)
-    offset = np.zeros((ne, 2))
     periodic = np.zeros(ne, dtype=bool)
     edge_tag = np.full(ne, None, dtype=object)
     edge_tag[tag_edge] = tag_names
@@ -224,24 +234,18 @@ def build_mesh(vertices, cells, boundary_tags=None):
     pair = tag_names.astype("<U1") == "P"        # P<k>: a periodic pair
     if pair.any():
         # each pair becomes its lower edge id; the higher one is dropped
-        ea, eb, t = _periodic_pairs(vertices, ev, tag_edge[pair],
-                                    tag_names[pair])
+        ea, eb = _periodic_pairs(vertices, ev, tag_edge[pair], tag_names[pair])
         users[ea, 1] = first[eb]
-        offset[ea] = t
         periodic[ea] = True
         edge_tag[ea] = None
         # np.take: a fancy or masked row index is ~10x slower on (ne, 2)
         kept = np.delete(np.arange(ne), eb)
-        users, ev, offset, periodic, edge_tag = (
+        users, ev, periodic, edge_tag = (
             np.take(table, kept, axis=0)
-            for table in (users, ev, offset, periodic, edge_tag))
+            for table in (users, ev, periodic, edge_tag))
     ec, el = np.divmod(users, 3)
     el[users < 0] = -1
-    mesh = Mesh(vertices, cells, ev, ec, el, edge_tag.tolist(), offset,
-                periodic)
-    _compute_geometry(mesh)
-    _build_cell_edge_tables(mesh, users)
-    return mesh
+    return Mesh(vertices, cells, ev, ec, el, edge_tag.tolist(), periodic)
 
 
 def _find_tagged_edges(boundary_tags, ukey, nv, boundary):
@@ -310,9 +314,8 @@ def _find_tagged_edges(boundary_tags, ukey, nv, boundary):
 
 
 def _periodic_pairs(vertices, edge_vertices, eids, names):
-    """Pair the periodic boundary edges eids by their tags, names: (ea, eb,
-    t), the lower and the higher edge id of each pair and the translation
-    from edge ea to edge eb, pairs in name order.
+    """Pair the periodic boundary edges eids by their tags, names: (ea, eb),
+    the lower and the higher edge id of each pair, pairs in name order.
 
     Raises TopologyError for the first pair, in name order, that does not
     have two edges, has edges of mismatched lengths, whose endpoints do not
@@ -351,24 +354,7 @@ def _periodic_pairs(vertices, edge_vertices, eids, names):
             f"periodic pair {tag} endpoints do not match under translation",
             f"periodic pair {tag} traverses the same direction on both sides",
         ][int(np.argmax(failed[:, g]))])
-    return ea, eb, t
-
-
-def _build_cell_edge_tables(mesh, users):
-    # users (ne, 2): the slot 3 c + i of local edge i of cell c on each side
-    # of every edge, -1 for no right cell
-    left, right = users.T
-    inner = right >= 0
-    eids = np.arange(mesh.n_edges)
-    edges = np.full(3 * mesh.n_cells, -1, dtype=np.int64)
-    forward = np.zeros(3 * mesh.n_cells, dtype=bool)
-    edges[left] = eids
-    forward[left] = True
-    edges[right[inner]] = eids[inner]
-    mesh.cell_edges = edges.reshape(-1, 3)
-    mesh.cell_edge_forward = forward.reshape(-1, 3)
-    if np.any(mesh.cell_edges < 0):
-        raise TopologyError("internal error: cell edge table incomplete")
+    return ea, eb
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Component axis convention. The solver's kernel methods take states
 component-first, u (d, ...) with u[c] the c-th conserved variable, and normals
 n (2, ...) broadcasting against u's trailing axes: admissible, normal_flux,
-lf_flux, wavespeed and wavespeed_clamped. normal_flux is the one flux kernel
-of a model, the projection F(u) . n as (d, ...) for unit or non-unit normals,
-with no admissibility check; lf_flux is the entry point that checks.
+two_sided_flux, lf_flux, wavespeed and wavespeed_clamped. normal_flux is the
+one flux kernel of a model, F(u) . n as (d, ...) for unit or non-unit
+normals, unchecked; two_sided_flux checks both sides of an edge for lf_flux.
 The state helpers that serve problem setup, boundary rules and
 post-processing take and return states with the components last, (..., d),
 the layout of ModalState.coeffs and of problem callables: internal_energy,
@@ -59,19 +59,34 @@ class Model:
         """Mirror ghost state at a wall with outward unit normal n; (..., d)."""
         return np.array(u, copy=True)
 
-    def lf_flux(self, u, n, alpha):
-        """Lax-Friedrichs flux 0.5 (F(ui).n + F(ue).n - alpha (ue - ui)).
+    def two_sided_flux(self, u, n):
+        """F(u) . n of two-sided states u (d, 2, ...), side first: (2, d, ...).
 
-        u is two-sided, (d, 2, ...): u[:, 0] the interior and u[:, 1] the
-        exterior states; the normal flux is evaluated once over both sides.
         Positivity-constrained models raise AdmissibilityError for an
         inadmissible state on either side.
         """
         u = np.asarray(u, dtype=float)
         if self.positivity_constrained and not self.admissible(u).all():
             raise AdmissibilityError("inadmissible state in flux evaluation")
-        f = self.normal_flux(u, np.asarray(n, dtype=float))
-        return 0.5 * (f[:, 0] + f[:, 1] - alpha * (u[:, 1] - u[:, 0]))
+        return np.moveaxis(self.normal_flux(u, np.asarray(n, dtype=float)),
+                           1, 0)
+
+    def lf_flux(self, u, n, alpha):
+        """Lax-Friedrichs flux 0.5 (F(ui).n + F(ue).n - alpha (ue - ui)).
+
+        u is two-sided, (d, 2, ...): u[:, 0] the interior and u[:, 1] the
+        exterior states. The combination is written in place over side 0's
+        flux from two_sided_flux.
+        """
+        u = np.asarray(u, dtype=float)
+        f = self.two_sided_flux(u, n)
+        out = f[0]
+        out += f[1]
+        jump = u[:, 1] - u[:, 0]
+        jump *= alpha
+        out -= jump
+        out *= 0.5
+        return out
 
 
 def rotate_vector(v, phi):
@@ -205,29 +220,21 @@ class Euler(Model):
         return self._write_normal_flux(u, self._pressure(u, check=False), n,
                                        out)
 
-    def lf_flux(self, u, n, alpha):
-        """The Lax-Friedrichs flux in one pointwise pass over both sides.
+    def two_sided_flux(self, u, n):
+        """The normal flux of both sides in one pointwise pass.
 
         rho, p and v.n are formed once: the density and internal-energy
-        test of admissible runs on them (AdmissibilityError on failure), the
-        normal flux takes the rho v.n form and the LF combination is written
-        in place over side 0's flux.
+        test of admissible runs on them (AdmissibilityError on failure) and
+        the normal flux takes the rho v.n form.
         """
         u = np.asarray(u, dtype=float)
         n = np.asarray(n, dtype=float)
         p = self._pressure(u, check=True)
-        # side-major storage, so that side 0's flux, the result, is one
-        # contiguous block
+        # side-major storage: each side's flux is one contiguous block
         buf = np.empty((2,) + u.shape[:1] + u.shape[2:])
         self._write_normal_flux(u, p, n,
                                 buf.transpose(1, 0, *range(2, buf.ndim)))
-        out = buf[0]
-        out += buf[1]
-        jump = u[:, 1] - u[:, 0]
-        jump *= alpha
-        out -= jump
-        out *= 0.5
-        return out
+        return buf
 
     def wavespeed(self, u, n):
         """|v . n| + sound speed; errors on inadmissible states."""

@@ -18,7 +18,7 @@ from .physics import Advection, Burgers, Euler
 class Problem:
     def __init__(self, name, model_factory, ic, boundary_factory,
                  domain=(0.0, 0.0, 1.0, 1.0), periodic=(), side_tags=None,
-                 aspect=1.0, exact=None, t_end=1.0, bp_bounds=None, base_n=4,
+                 exact=None, t_end=1.0, bp_bounds=None, base_n=4,
                  external_mesh=False):
         self.name = name
         self.model_factory = model_factory
@@ -27,7 +27,6 @@ class Problem:
         self.domain = domain
         self.periodic = periodic
         self.side_tags = side_tags          # non-periodic side -> tag
-        self.aspect = aspect        # ny = max(2, round(nx * aspect)) if != 1
         self.exact = exact                  # (x, y, t) -> state values
         self.t_end = t_end
         self.bp_bounds = bp_bounds          # scalar invariant interval
@@ -43,7 +42,10 @@ class Problem:
                 f"problem {self.name!r} needs an externally supplied mesh "
                 "file (pass --mesh); its geometry is not rectangular")
         if ny is None:
-            ny = nx if self.aspect == 1.0 else max(2, round(nx * self.aspect))
+            # rows by the domain's aspect ratio; at least two if not square
+            x0, y0, x1, y1 = self.domain
+            w, h = x1 - x0, y1 - y0
+            ny = nx if w == h else max(2, round(nx * h / w))
         return generate_structured(self.domain, nx, ny,
                                    diagonal="alternating",
                                    periodic=self.periodic,
@@ -240,7 +242,6 @@ _register(Problem(
     boundary_factory=lambda model: {"OUT": Outflow()},
     domain=(0.0, 0.0, 1.0, 0.1),
     side_tags=_ALL_OUT,
-    aspect=0.1,
     t_end=0.1,
     base_n=32,
 ))

@@ -134,14 +134,12 @@ def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
 
 
 class RunResult:
-    def __init__(self, state, snapshots=None, dt_history=None, steps=0,
-                 bp_violations=0):
+    def __init__(self, state, snapshots):
         self.state = state
-        # (t, ModalState)
-        self.snapshots = [] if snapshots is None else snapshots
-        self.dt_history = [] if dt_history is None else dt_history
-        self.steps = steps
-        self.bp_violations = bp_violations
+        self.snapshots = snapshots          # [(t, ModalState)]
+        self.dt_history = []
+        self.steps = 0
+        self.bp_violations = 0
 
     @property
     def average_dt(self):
@@ -173,7 +171,7 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
     # dt = C_SSP / alpha * factor; the factor depends only on the mesh
     factor = bp_mod.step_factor(op.mesh, op.k, bp_scheme)
 
-    result = RunResult(state=state, snapshots=[(state.t, state.copy())])
+    result = RunResult(state, [(state.t, state.copy())])
     outputs = sorted(t for t in set(map(float, output_times)) if t > state.t)
 
     while state.t < t_end - 1e-14:

@@ -173,3 +173,24 @@ def test_flower_problem_bounds():
                             bp_scheme="dcw")
     u = res.state.coeffs[:, 0, 0]
     assert u.min() >= -1e-12 and u.max() <= 1 + 1e-12
+
+
+# the aspect ratio each problem once stored: ny = max(2, round(nx * aspect))
+# unless it was 1.0
+FORMER_ASPECT = {"euler_double_rarefaction": 0.1}
+
+
+def test_rect_mesh_rows_follow_the_domain(monkeypatch):
+    import tridg.problems as problems
+    monkeypatch.setattr(problems, "generate_structured",
+                        lambda domain, nx, ny, **kwargs: (nx, ny))
+    checked = 0
+    for name, prob in PROBLEMS.items():
+        if prob.external_mesh:
+            continue
+        aspect = FORMER_ASPECT.get(name, 1.0)
+        for nx in range(1, 71):
+            ny = nx if aspect == 1.0 else max(2, round(nx * aspect))
+            assert prob.make_rect_mesh(nx) == (nx, ny), (name, nx)
+        checked += 1
+    assert checked > len(FORMER_ASPECT)

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 import tridg.mesh as mesh_module
 from tridg.errors import (GeometryError, MeshFormatError, TopologyError,
                           TriDGError)
-from tridg.mesh import (Mesh, _boundary_tag_records, _compute_geometry,
-                        _valid_tag, _validate_cells, build_mesh,
-                        generate_structured, load_mesh, nonfinite_vertex,
-                        perturb, refine_uniform, save_mesh)
+from tridg.harness import _rotate_mesh
+from tridg.mesh import (Mesh, _boundary_tag_records, _valid_tag,
+                        _validate_cells, build_mesh, generate_structured,
+                        load_mesh, nonfinite_vertex, perturb, refine_uniform,
+                        save_mesh)
 from tridg.problems import get_problem
 
 
@@ -192,6 +193,14 @@ def test_refine_periodic_pairing():
     geometry_identities(r)
 
 
+def periodic_translation(m, eid):
+    # from the midpoint of a periodic edge's left side to that of its right
+    # side, the right cell's traversal of local edge i
+    c, i = m.edge_cells[eid, 1], m.edge_local[eid, 1]
+    right = m.vertices[m.cells[c, [(i + 1) % 3, (i + 2) % 3]]]
+    return right.mean(axis=0) - m.vertices[m.edge_vertices[eid]].mean(axis=0)
+
+
 def test_periodic_gluing():
     m = generate_structured((0, 0, 1, 1), 3, 3, periodic=("x", "y"))
     assert len(m.boundary_edge_ids) == 0
@@ -199,7 +208,7 @@ def test_periodic_gluing():
     assert len(per) == 6
     # matched lengths and translation offsets
     for eid in per:
-        t = m.edge_offset[eid]
+        t = periodic_translation(m, eid)
         assert np.linalg.norm(t) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -352,12 +361,12 @@ def loop_build_mesh(vertices, cells, boundary_tags=None):
     extra = set(tag_of) - set(boundary_pairs)
     if extra:
         raise TopologyError(f"tag references non-boundary edge {sorted(extra)[0]}")
-    ev = np.array(ev, dtype=np.int64)
-    mesh = Mesh(vertices, cells, ev, np.array(ec, dtype=np.int64),
-                np.array(el, dtype=np.int64), tags, np.zeros((len(ev), 2)),
-                np.zeros(len(ev), dtype=bool))
-    _compute_geometry(mesh)
-    loop_glue_periodic(mesh)
+    ev, ec, el, tags, periodic = loop_glue_periodic(
+        vertices, np.array(ev, dtype=np.int64), np.array(ec, dtype=np.int64),
+        np.array(el, dtype=np.int64), tags)
+    mesh = Mesh(vertices, cells, ev, ec, el, tags, periodic)
+    # the loop's own cell-edge tables replace the constructor's, so that
+    # the comparison with build_mesh checks those too
     nc = mesh.n_cells
     mesh.cell_edges = np.full((nc, 3), -1, dtype=np.int64)
     mesh.cell_edge_forward = np.zeros((nc, 3), dtype=bool)
@@ -372,21 +381,24 @@ def loop_build_mesh(vertices, cells, boundary_tags=None):
     return mesh
 
 
-def loop_glue_periodic(mesh):
+def loop_glue_periodic(vertices, ev, ec, el, tags):
+    """The edge records (ev, ec, el, tags) with each P<k> pair glued into
+    its first edge, and the periodic flags."""
+    periodic = np.zeros(len(ev), dtype=bool)
     groups = {}
-    for eid, tag in enumerate(mesh.edge_tag):
+    for eid, tag in enumerate(tags):
         if tag is not None and tag.startswith("P"):
             groups.setdefault(tag, []).append(eid)
     if not groups:
-        return
-    scale = max(np.ptp(mesh.vertices, axis=0).max(), 1.0)
-    keep = np.ones(mesh.n_edges, dtype=bool)
+        return ev, ec, el, tags, periodic
+    scale = max(np.ptp(vertices, axis=0).max(), 1.0)
+    keep = np.ones(len(ev), dtype=bool)
     for tag, eids in sorted(groups.items()):
         if len(eids) != 2:
             raise TopologyError(f"periodic pair id {tag} used by {len(eids)} edges")
         ea, eb = eids
-        pa = mesh.vertices[mesh.edge_vertices[ea]]
-        pb = mesh.vertices[mesh.edge_vertices[eb]]
+        pa = vertices[ev[ea]]
+        pb = vertices[ev[eb]]
         la, lb = np.linalg.norm(pa[1] - pa[0]), np.linalg.norm(pb[1] - pb[0])
         if abs(la - lb) > 1e-12 * max(la, lb):
             raise TopologyError(f"periodic pair {tag} has mismatched edge lengths")
@@ -400,21 +412,17 @@ def loop_glue_periodic(mesh):
         if not reversed_match:
             raise TopologyError(
                 f"periodic pair {tag} traverses the same direction on both sides")
-        mesh.edge_cells[ea, 1] = mesh.edge_cells[eb, 0]
-        mesh.edge_local[ea, 1] = mesh.edge_local[eb, 0]
-        mesh.edge_offset[ea] = t
-        mesh.edge_periodic[ea] = True
-        mesh.edge_tag[ea] = None
+        ec[ea, 1] = ec[eb, 0]
+        el[ea, 1] = el[eb, 0]
+        periodic[ea] = True
+        tags[ea] = None
         keep[eb] = False
     idx = np.nonzero(keep)[0]
-    for name in ("edge_vertices", "edge_cells", "edge_local", "edge_offset",
-                 "edge_periodic"):
-        setattr(mesh, name, getattr(mesh, name)[idx])
-    mesh.edge_tag = [mesh.edge_tag[i] for i in idx]
+    return ev[idx], ec[idx], el[idx], [tags[i] for i in idx], periodic[idx]
 
 
 MESH_TABLES = ("vertices", "cells", "edge_vertices", "edge_cells", "edge_local",
-               "edge_offset", "edge_periodic", "cell_edges", "cell_edge_forward")
+               "edge_periodic", "cell_edges", "cell_edge_forward")
 
 
 def assert_same_tables(new, ref):
@@ -451,6 +459,50 @@ def test_build_mesh_matches_loop_builder(name):
     for c in (m.cells, cells):
         assert_same_tables(build_mesh(m.vertices, c, tags),
                            loop_build_mesh(m.vertices, c, tags))
+
+
+TOPOLOGY = ("vertices", "cells", "edge_vertices", "edge_cells", "edge_local",
+            "edge_tag", "edge_periodic")
+
+
+def construction_paths(tmp_path):
+    sq = (0.0, 0.0, 1.0, 1.0)
+    walls = dict.fromkeys(("left", "right", "bottom", "top"), "WALL")
+    walled = generate_structured((0, 0, 2, 1), 5, 3, tags=walls)
+    path = tmp_path / "mesh.txt"
+    save_mesh(perturb(walled, 0.3, seed=5), path)
+    return {
+        "periodic-alternating": generate_structured(sq, 4, 3,
+                                                    periodic=("x", "y")),
+        "periodic-uniform": generate_structured(sq, 3, 4, diagonal="uniform",
+                                                periodic=("x", "y")),
+        "walled-alternating": walled,
+        "walled-uniform": generate_structured(sq, 4, 4, diagonal="uniform",
+                                              tags=walls),
+        "refined": refine_uniform(generate_structured(sq, 3, 2,
+                                                      periodic=("x",))),
+        "perturbed": perturb(generate_structured(sq, 5, 4,
+                                                 periodic=("x", "y")),
+                             0.3, seed=4),
+        "loaded": load_mesh(path),
+        "rotated": _rotate_mesh(walled, 0.7),
+    }
+
+
+def test_mesh_is_a_function_of_its_topology(tmp_path):
+    # every table a mesh stores, geometry and cell-edge tables included,
+    # follows from the seven topology tables the constructor takes, bit for
+    # bit, whichever path built the mesh
+    for name, m in construction_paths(tmp_path).items():
+        rebuilt = vars(Mesh(*(getattr(m, t) for t in TOPOLOGY)))
+        assert rebuilt.keys() == vars(m).keys(), name
+        for table, want in vars(m).items():
+            got = rebuilt[table]
+            if isinstance(want, list):
+                assert got == want, (name, table)
+            else:
+                assert got.dtype == want.dtype, (name, table)
+                assert np.array_equal(got, want), (name, table)
 
 
 def bad_builds():

@@ -287,6 +287,48 @@ def test_lf_flux_rejects_nonpositive_density_on_either_side(rng, rho):
             model.lf_flux(cf(np.stack([a, b])), cf(n), 1.0)
 
 
+def former_lf_flux(model, u, n, alpha):
+    # the base Model.lf_flux before two_sided_flux: one expression over the
+    # checked normal flux of both sides
+    if model.positivity_constrained and not model.admissible(u).all():
+        raise AdmissibilityError("inadmissible state in flux evaluation")
+    f = model.normal_flux(u, n)
+    return 0.5 * (f[:, 0] + f[:, 1] - alpha * (u[:, 1] - u[:, 0]))
+
+
+def former_euler_lf_flux(model, u, n, alpha):
+    # Euler's own lf_flux before two_sided_flux: one pointwise pass, the
+    # combination written in place over side 0's flux
+    p = model._pressure(u, check=True)
+    buf = np.empty((2,) + u.shape[:1] + u.shape[2:])
+    model._write_normal_flux(u, p, n, buf.transpose(1, 0, *range(2, buf.ndim)))
+    out = buf[0]
+    out += buf[1]
+    jump = u[:, 1] - u[:, 0]
+    jump *= alpha
+    out -= jump
+    out *= 0.5
+    return out
+
+
+@pytest.mark.parametrize("model", [Advection(), Burgers(), Euler(),
+                                   ScaledModel(Euler(), 2.5)],
+                         ids=lambda m: m.name)
+def test_lf_flux_is_bit_identical_to_former_forms(rng, model):
+    # the solver's layout: two-sided states (d, 2, Q, ne) against normals
+    # (2, ne), and per-point normals (2, Q, ne)
+    ne, q = 50, 3
+    u = np.ascontiguousarray(cf(random_states(rng, model, 2 * q * ne, 1)
+                                .reshape(2, q, ne, -1)))
+    phi = rng.uniform(0, 2 * np.pi, (q, ne))
+    point_n = np.stack([np.cos(phi), np.sin(phi)])
+    for n in (point_n[:, 0], point_n):
+        got = model.lf_flux(u, n, 3.5)
+        assert np.array_equal(got, former_lf_flux(model, u, n, 3.5))
+        if isinstance(model, Euler):
+            assert np.array_equal(got, former_euler_lf_flux(model, u, n, 3.5))
+
+
 def test_euler_wavespeed_matches_pressure_form(rng):
     model = Euler()
     u = random_admissible(rng, 200)
