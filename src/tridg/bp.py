@@ -141,14 +141,13 @@ class ConvexDecomposition:
     """
 
     def __init__(self, k, lengths, vertices, edge_weights, nodes, cfl,
-                 zero_internal_mass, raw_nodes):
+                 raw_nodes):
         self.k = k
         self.lengths = lengths              # sorted descending
         self.vertices = vertices    # (3, 2), vertex i opposite sorted edge i
         self.edge_weights = edge_weights    # (3,)
         self.nodes = nodes                  # [(bary (3,), weight)]
         self.cfl = cfl
-        self.zero_internal_mass = zero_internal_mass
         self.raw_nodes = raw_nodes          # [(bary (3,), weight)]
 
     def node_points(self):
@@ -180,7 +179,6 @@ def decomposition(vertices, k):
         raw = [(bary, float(omega))]
         # near-equilateral cells produce a node of vanishing weight; drop it
         nodes = [] if omega <= 1e-14 else [(bary, float(omega))]
-        zero = omega <= 1e-14
     elif k == 2:
         w, omega, bary = optimal_p2_weights(shape)
         raw = [(bary[0], float(omega)), (bary[1], float(omega))]
@@ -188,13 +186,11 @@ def decomposition(vertices, k):
             nodes = [(0.5 * (bary[0] + bary[1]), 2.0 * float(omega))]
         else:
             nodes = [(bary[0], float(omega)), (bary[1], float(omega))]
-        zero = False
     else:
         raise ConfigError(f"optimal decomposition is defined for k in (1, 2), got {k}")
     return ConvexDecomposition(
         k=k, lengths=l, vertices=v, edge_weights=w, nodes=nodes,
-        cfl=float(optimal_cfl(shape, k) / l[0]), zero_internal_mass=bool(zero),
-        raw_nodes=raw)
+        cfl=float(optimal_cfl(shape, k) / l[0]), raw_nodes=raw)
 
 
 def decomposition_residual(dec, ab):
@@ -315,6 +311,7 @@ class BPLimiter:
             raise ConfigError("the BP limiter supports k = 1 and 2 only")
         self.op = op
         self.k = op.k
+        self.scheme = scheme    # 'dcw' | 'zxs': also the run's CFL rule
         mesh = op.mesh
         self.positivity = op.model.positivity_constrained
         if not self.positivity:

@@ -210,7 +210,7 @@ def cmd_run(args):
     cfg = _config_from_args(args)
     prefix = cfg.out or f"{cfg.problem}_k{cfg.k}"
     _check_out_dir(prefix)
-    prob, op, state, oe = _build_run(cfg)
+    prob, op, state, oe, bp = _build_run(cfg)
     t_end = cfg.tend if cfg.tend is not None else prob.t_end
     # run records no time before the initial state or past t_end, so such a
     # snapshot would be lost
@@ -220,8 +220,7 @@ def cmd_run(args):
                               f"time within [{state.t!r}, {t_end!r}]")
     t0 = time.perf_counter()
     result = run(op, state, t_end, scheme=cfg.rk and scheme_by_name(cfg.rk),
-                 oe=oe, bp_scheme=cfg.bp_scheme, bounds=prob.bp_bounds,
-                 output_times=cfg.times, cfl_scale=cfg.cfl,
+                 oe=oe, bp=bp, output_times=cfg.times, cfl_scale=cfg.cfl,
                  max_steps=cfg.max_steps)
     wall = time.perf_counter() - t0
     row_prefixes = _cell_prefixes(op)

@@ -132,11 +132,13 @@ class SpatialOperator:
         self.nm = basis.n_modes(k)
         self.Q = k + 1
 
-        # boundary rules
+        # boundary rules, checked in sorted tag order (np.unique would
+        # import numpy.ma)
         boundary = dict(boundary or {})
         bi = mesh.boundary_edge_ids
-        bnd_tags = [mesh.edge_tag[eid] for eid in bi.tolist()]
-        for tag in set(bnd_tags):
+        bnd_tags = mesh.edge_tag[bi]
+        tags = sorted(set(bnd_tags.tolist()))
+        for tag in tags:
             if tag not in boundary:
                 if tag in DEFAULT_RULES:
                     boundary[tag] = DEFAULT_RULES[tag]()
@@ -172,16 +174,14 @@ class SpatialOperator:
         # ghost edges: the boundary edges whose rule writes a state, grouped
         # by tag as (rule, edge ids, their slice of ghost_ids). Outflow
         # edges are in no group: the gather is their ghost.
-        groups = {}
-        for eid, tag in zip(bi.tolist(), bnd_tags):
-            if not isinstance(self.boundary[tag], Outflow):
-                groups.setdefault(tag, []).append(eid)
-        self.groups, gi = [], []
-        for tag, eids in sorted(groups.items()):
-            pos = slice(len(gi), len(gi) + len(eids))
-            self.groups.append((self.boundary[tag], np.array(eids), pos))
-            gi += eids
-        self.ghost_ids = np.array(gi, dtype=int)
+        self.groups, n = [], 0
+        for tag in tags:
+            rule = self.boundary[tag]
+            if not isinstance(rule, Outflow):
+                eids = bi[bnd_tags == tag]
+                self.groups.append((rule, eids, slice(n, n + len(eids))))
+                n += len(eids)
+        self.ghost_ids = np.concatenate([bi[:0], *(g[1] for g in self.groups)])
         self.ghost_gauss = self.ghost_nodes(
             lambda a, b: a[:, None] + tq[None, :, None] * (b - a)[:, None])
 

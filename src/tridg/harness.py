@@ -50,18 +50,23 @@ class ConvergenceRow:
 
 
 def build_solver(prob, mesh, k, oe_mode, bp_scheme=None, ic=None):
-    """Operator, projected initial state and OE filter of prob on mesh.
+    """Operator, initial state, OE filter and BP limiter of prob on mesh.
 
     ic: the initial condition, prob.ic by default. oe_mode 'off' gives no
-    filter; the filter guards its wavespeed exactly when the run is limited.
+    filter and bp_scheme None no limiter. A limited run starts from the
+    limited projection, and its filter guards its wavespeed.
     """
     model = prob.make_model()
     op = SpatialOperator(mesh, model, k, boundary=prob.boundary(model))
     state = op.project(prob.ic if ic is None else ic)
+    bp = None
+    if bp_scheme is not None:
+        bp = bp_mod.BPLimiter(op, scheme=bp_scheme, bounds=prob.bp_bounds)
+        state = bp.apply(state)
     oe = None
     if oe_mode != "off":
-        oe = OEFilter(op, mode=oe_mode, guard_wavespeed=bp_scheme is not None)
-    return op, state, oe
+        oe = OEFilter(op, mode=oe_mode, guard_wavespeed=bp is not None)
+    return op, state, oe, bp
 
 
 def solve_problem(name, k, level=0, oe_mode="componentwise", bp_scheme=None,
@@ -69,11 +74,10 @@ def solve_problem(name, k, level=0, oe_mode="componentwise", bp_scheme=None,
     """Build mesh/operator/state for a library problem and run it with the
     degree's default RK scheme."""
     prob = get_problem(name)
-    op, state, oe = build_solver(prob, prob.make_mesh(level), k, oe_mode,
-                                 bp_scheme)
+    op, state, oe, bp = build_solver(prob, prob.make_mesh(level), k, oe_mode,
+                                     bp_scheme)
     result = run(op, state, t_end if t_end is not None else prob.t_end,
-                 oe=oe, bp_scheme=bp_scheme, bounds=prob.bp_bounds,
-                 output_times=output_times)
+                 oe=oe, bp=bp, output_times=output_times)
     return op, result
 
 
@@ -89,7 +93,7 @@ def convergence_study(name, k, levels, oe_mode="componentwise", t_end=None,
         mesh = prob.make_mesh(level)
         if mesh.n_cells > max_cells:
             break
-        op, state, oe = build_solver(prob, mesh, k, oe_mode)
+        op, state, oe, _ = build_solver(prob, mesh, k, oe_mode)
         result = run(op, state, t_end if t_end is not None else prob.t_end,
                      scheme=scheme, oe=oe)
         e = error_norms(op, result.state, prob.exact)
@@ -183,7 +187,7 @@ def rotated_twin_discrepancy(prob, mesh, mode, k, steps, phi):
 
     averages = []
     for m, ic in ((mesh, prob.ic), (_rotate_mesh(mesh, phi), ic_rotated)):
-        op, state, oe = build_solver(prob, m, k, mode, ic=ic)
+        op, state, oe, _ = build_solver(prob, m, k, mode, ic=ic)
         averages.append(run_fixed_steps(op, state, steps, oe=oe)
                         .cell_averages())
     ubar, ubar_r = averages

@@ -37,7 +37,7 @@ class Mesh:
         self.edge_vertices = edge_vertices  # (ne, 2) left-cell traversal order
         self.edge_cells = edge_cells    # (ne, 2) [left, right]; -1 boundary
         self.edge_local = edge_local    # (ne, 2) local edge in left/right cell
-        self.edge_tag = edge_tag    # boundary tag str or None (periodic/inner)
+        self.edge_tag = edge_tag    # (ne,) object: boundary tag str, else None
         self.edge_periodic = edge_periodic  # (ne,) bool
 
         # every other table follows from these
@@ -245,7 +245,7 @@ def build_mesh(vertices, cells, boundary_tags=None):
             for table in (users, ev, periodic, edge_tag))
     ec, el = np.divmod(users, 3)
     el[users < 0] = -1
-    return Mesh(vertices, cells, ev, ec, el, edge_tag.tolist(), periodic)
+    return Mesh(vertices, cells, ev, ec, el, edge_tag, periodic)
 
 
 def _find_tagged_edges(boundary_tags, ukey, nv, boundary):
@@ -551,7 +551,7 @@ def _boundary_records(mesh):
     c, i = mesh.edge_cells[e, k], mesh.edge_local[e, k]
     rows = np.stack([mesh.cells[c, (i + 1) % 3], mesh.cells[c, (i + 2) % 3]],
                     axis=1)
-    tags = np.array([mesh.edge_tag[eid] for eid in e.tolist()], dtype=object)
+    tags = mesh.edge_tag[e]
     pr = np.flatnonzero(per[e])
     tags[pr] = [f"P{j // 2}" for j in range(len(pr))]
     return rows, side, tags

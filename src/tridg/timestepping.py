@@ -146,30 +146,28 @@ class RunResult:
         return float(np.mean(self.dt_history)) if self.dt_history else 0.0
 
 
-def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
-        output_times=(), cfl_scale=1.0, max_steps=1_000_000):
+def run(op, state, t_end, scheme=None, oe=None, bp=None, output_times=(),
+        cfl_scale=1.0, max_steps=1_000_000):
     """Time loop: per-step global wavespeed, CFL time step, RK advance.
 
-    bp_scheme: None | 'zxs' | 'dcw' selects the BP limiter and its CFL rule.
-    Limited runs bound the wavespeed over the edge Gauss points, the traces
-    the limiter controls, and build those edge states once per step for the
-    bound and the first stage's residual; unlimited runs use the cheap
-    cell-average bound.
+    oe, bp: advance's stage hooks (an OEFilter, a BPLimiter) or None; the
+    limiter's scheme selects its CFL rule. Limited runs bound the wavespeed
+    over the edge Gauss points, the traces the limiter controls, and build
+    those edge states once per step for the bound and the first stage's
+    residual; unlimited runs use the cheap cell-average bound.
     A finite t_end not reached within max_steps steps raises NumericsError;
     with t_end = math.inf the run ends normally after exactly max_steps.
-    The initial state is always recorded; further snapshots are recorded at
-    each requested output time (the step is clipped to land on it exactly).
+    The run starts from state as given, recorded as snapshot 0; further
+    snapshots are recorded at each requested output time (the step is
+    clipped to land on it exactly). result.bp_violations: bp.violations.
     """
     scheme = scheme or default_scheme_for(op.k)
     if not np.all(np.isfinite(state.coeffs)):
         raise NumericsError("non-finite initial state", last_state=state,
                             step=0)
-    limiter = None
-    if bp_scheme is not None:
-        limiter = bp_mod.BPLimiter(op, scheme=bp_scheme, bounds=bounds)
-        state = limiter.apply(state)
     # dt = C_SSP / alpha * factor; the factor depends only on the mesh
-    factor = bp_mod.step_factor(op.mesh, op.k, bp_scheme)
+    factor = bp_mod.step_factor(op.mesh, op.k,
+                                None if bp is None else bp.scheme)
 
     result = RunResult(state, [(state.t, state.copy())])
     outputs = sorted(t for t in set(map(float, output_times)) if t > state.t)
@@ -181,7 +179,7 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
             raise NumericsError("max_steps exceeded", last_state=state,
                                 step=result.steps)
         states = None
-        if limiter is None:
+        if bp is None:
             alpha = op.max_wavespeed(state.coeffs, t=state.t,
                                      mode="cell_average")
         else:
@@ -207,7 +205,7 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
             shared, states = states, None
             return op.residual(c, alpha, t, states=shared)
 
-        new = advance(state, dt, residual_fn, scheme, oe=oe, bp=limiter)
+        new = advance(state, dt, residual_fn, scheme, oe=oe, bp=bp)
         if not np.all(np.isfinite(new.coeffs)):
             raise NumericsError("non-finite solution detected",
                                 last_state=state, step=result.steps)
@@ -218,7 +216,6 @@ def run(op, state, t_end, scheme=None, oe=None, bp_scheme=None, bounds=None,
             result.snapshots.append((outputs.pop(0), state.copy()))
 
     result.state = state
-    if limiter is not None:
-        result.bp_violations = limiter.violations
+    if bp is not None:
+        result.bp_violations = bp.violations
     return result
-

@@ -37,7 +37,6 @@ def test_equilateral_p1():
     dec = bp.decomposition(EQUILATERAL, 1)
     assert np.allclose(dec.edge_weights, 1 / 3, atol=1e-12)
     assert dec.nodes == []
-    assert dec.zero_internal_mass
     assert dec.cfl == pytest.approx(1 / 3, abs=1e-12)
     check_feasible(dec, 1)
 

@@ -854,3 +854,27 @@ def test_run_leaves_numpy_ma_unimported(tmp_path, problem, args):
     assert record == {"rc": 0, "numpy.ma": False, "fractions": False,
                       "decimal": False, "numpy.polynomial": False,
                       "dataclasses": False, "copy": False}
+
+
+def test_missing_boundary_rules_are_reported_in_tag_order(tmp_path):
+    # advection_smooth has rules for neither IN nor EXACT: the error names
+    # the least tag under every hash seed, not the first of a hashed set
+    from tridg.mesh import generate_structured, save_mesh
+    mesh_path = tmp_path / "m.txt"
+    save_mesh(generate_structured(
+        (0, 0, 1, 1), 3, 3, tags={"left": "IN", "bottom": "IN",
+                                  "right": "EXACT", "top": "EXACT"}),
+        mesh_path)
+    src = Path(cli.__file__).resolve().parent.parent
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tridg.cli", "run", "--problem",
+             "advection_smooth", "--mesh", str(mesh_path),
+             "--out", str(tmp_path / "p")],
+            capture_output=True, text=True, timeout=120, env=env,
+            cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "boundary tag 'EXACT' has no rule" in proc.stderr, seed

@@ -1,18 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
-from tridg.bp import step_factor
+from tridg.bp import BPLimiter, step_factor
 from tridg.dg import SpatialOperator, component_major
 from tridg.errors import ConfigError
-from tridg.harness import (cfl_ratio_scan, convergence_study, error_norms,
-                           random_triangle_lengths, rotated_twin_discrepancy,
-                           rotation_experiment, run_fixed_steps,
-                           solve_problem)
+from tridg.harness import (build_solver, cfl_ratio_scan, convergence_study,
+                           error_norms, random_triangle_lengths,
+                           rotated_twin_discrepancy, rotation_experiment,
+                           run_fixed_steps, solve_problem)
 from tridg.mesh import generate_structured, perturb
 from tridg.oe import OEFilter
 from tridg.physics import Advection
 from tridg.problems import PROBLEMS, get_problem
-from tridg.timestepping import advance, default_scheme_for
+from tridg.timestepping import advance, default_scheme_for, run
 
 from components_last import boundary_ghosts
 
@@ -155,6 +157,60 @@ def test_run_fixed_steps_matches_its_own_loop_on_advection():
                        scheme, oe=oe)
     got = run_fixed_steps(op, state, 20, oe=oe)
     assert np.array_equal(got.coeffs, want.coeffs) and got.t == want.t
+
+
+@pytest.mark.parametrize("name,k,oe_mode,bp_scheme", [
+    ("advection_smooth", 1, "componentwise", None),
+    ("advection_smooth", 1, "componentwise", "dcw"),
+    ("advection_flower", 2, "off", "zxs"),
+    ("euler_implosion_mild", 2, "rioe", "dcw"),
+    ("euler_double_rarefaction", 1, "rioe", None)])
+def test_build_solver_returns_the_limiter_its_state_starts_from(
+        name, k, oe_mode, bp_scheme):
+    # one limiter per run, built with the problem's bounds; the filter
+    # guards its wavespeed exactly when the run is limited
+    prob = get_problem(name)
+    mesh = perturb(prob.make_rect_mesh(8), seed=1)
+    op, state, oe, bp = build_solver(prob, mesh, k, oe_mode, bp_scheme)
+    assert (oe is None) == (oe_mode == "off")
+    if oe is not None:
+        assert oe.guard_wavespeed == (bp_scheme is not None)
+    projected = op.project(prob.ic)
+    if bp_scheme is None:
+        assert bp is None
+        assert np.array_equal(state.coeffs, projected.coeffs)
+        return
+    assert isinstance(bp, BPLimiter) and bp.op is op
+    assert bp.scheme == bp_scheme
+    if prob.bp_bounds is not None:
+        assert bp.bounds == prob.bp_bounds
+    # the state is the limited projection, bit for bit, and the limiter's
+    # count holds the cells that limiting scaled
+    fresh = BPLimiter(op, bp_scheme, bounds=prob.bp_bounds)
+    want = fresh.apply(projected)
+    assert np.array_equal(state.coeffs, want.coeffs)
+    assert bp.violations == fresh.violations
+    assert name != "advection_smooth" or bp.violations > 0
+
+
+def test_run_starts_from_the_state_it_is_given():
+    # a limited run does not limit its input: snapshot 0 is the given state,
+    # whether the limiter would scale it (a bare projection) or not
+    prob = get_problem("advection_smooth")
+    op, state, oe, bp = build_solver(prob, prob.make_rect_mesh(8), 1,
+                                     "componentwise", "dcw")
+    projected = op.project(prob.ic)
+    assert not np.array_equal(state.coeffs, projected.coeffs)
+    violations = bp.violations
+    res = run(op, projected, projected.t, oe=oe, bp=bp)
+    assert res.steps == 0 and bp.violations == violations
+    assert np.array_equal(res.snapshots[0][1].coeffs, projected.coeffs)
+    assert np.array_equal(res.state.coeffs, projected.coeffs)
+    res = run(op, state, math.inf, oe=oe, bp=bp, max_steps=1)
+    t0, first = res.snapshots[0]
+    assert t0 == state.t and first is not state
+    assert np.array_equal(first.coeffs, state.coeffs)
+    assert res.steps == 1 and res.bp_violations == bp.violations
 
 
 def test_solve_problem_smoke():

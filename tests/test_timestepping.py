@@ -5,8 +5,9 @@ import pytest
 
 from tridg import timestepping
 from tridg.bp import BPLimiter
-from tridg.dg import ModalState, SpatialOperator
+from tridg.dg import Inflow, ModalState, SpatialOperator
 from tridg.errors import AdmissibilityError, ConfigError, NumericsError
+from tridg.harness import build_solver
 from tridg.mesh import generate_structured, perturb
 from tridg.oe import OEFilter
 from tridg.physics import Advection, Euler
@@ -129,9 +130,10 @@ def test_mass_conservation_with_hooks():
     op = SpatialOperator(mesh, Advection(), 2)
     st = op.project(lambda x, y: 0.5 + 0.3 * np.sin(2 * np.pi * (x + y)))
     mass0 = mesh.area @ st.coeffs[:, 0, 0]
-    for kwargs in (dict(), dict(oe=OEFilter(op)),
-                   dict(oe=OEFilter(op), bp_scheme="dcw", bounds=(0.0, 1.0))):
-        res = run(op, st, t_end=0.05, **kwargs)
+    lim = BPLimiter(op, "dcw", bounds=(0.0, 1.0))
+    for start, kwargs in ((st, dict()), (st, dict(oe=OEFilter(op))),
+                          (lim.apply(st), dict(oe=OEFilter(op), bp=lim))):
+        res = run(op, start, t_end=0.05, **kwargs)
         mass = mesh.area @ res.state.coeffs[:, 0, 0]
         assert mass == pytest.approx(mass0, rel=1e-12)
 
@@ -193,8 +195,9 @@ def test_average_dt_ratio_matches_cfl_numbers():
     mesh = generate_structured((0, 0, 1, 1), 5, 5, periodic=("x", "y"))
     op = SpatialOperator(mesh, Advection(), 1)
     st = op.project(lambda x, y: 0.5 + 0.25 * np.sin(2 * np.pi * x))
-    r_opt = run(op, st, t_end=0.02, bp_scheme="dcw", bounds=(0.0, 1.0))
-    r_cls = run(op, st, t_end=0.02, bp_scheme="zxs", bounds=(0.0, 1.0))
+    r_opt, r_cls = (run(op, lim.apply(st), t_end=0.02, bp=lim) for lim in (
+        BPLimiter(op, "dcw", bounds=(0.0, 1.0)),
+        BPLimiter(op, "zxs", bounds=(0.0, 1.0))))
     lsorted = np.take_along_axis(mesh.edge_len, mesh.sort_order, axis=1)
     want = (np.min(bp_mod.optimal_cfl(lsorted, 1) * mesh.area)
             / np.min(bp_mod.classical_cfl(lsorted, 1) * mesh.area))
@@ -251,6 +254,40 @@ def test_rk_order_with_time_dependent_forcing(scheme, order):
     assert error(0.05) / error(0.025) == pytest.approx(2 ** order, rel=0.25)
 
 
+def inflow_self_convergence_ratio(scheme, frozen=False):
+    # P3 advection to t = 0.1 at dt = 0.005, dt/2 and dt/4, fed through
+    # time-dependent inflow data on the left and bottom: the ratio of
+    # successive differences of the final states, 2^order. The spatial
+    # error is the same in all three and cancels. frozen evaluates every
+    # stage's residual at the step's start time.
+    exact = get_problem("advection_smooth").exact
+    mesh = generate_structured((0, 0, 1, 1), 3, 3,
+                               tags={"left": "IN", "bottom": "IN",
+                                     "right": "OUT", "top": "OUT"})
+    op = SpatialOperator(mesh, Advection(), 3, boundary={
+        "IN": Inflow(lambda x, y, t: exact(x, y, t)[..., None])})
+    alpha = np.sqrt(2.0)
+    finals = []
+    for n in (20, 40, 80):
+        state = op.project(lambda x, y: exact(x, y, 0.0))
+        for _ in range(n):
+            t_n = state.t
+            state = advance(state, 0.1 / n, lambda c, t: op.residual(
+                c, alpha, t_n if frozen else t), scheme)
+        finals.append(state.coeffs)
+    return (np.abs(finals[0] - finals[1]).max()
+            / np.abs(finals[1] - finals[2]).max())
+
+
+@pytest.mark.parametrize("scheme,order", [(SSP_RK22, 2), (SSP_RK33, 3)])
+def test_rk_order_with_time_dependent_inflow(scheme, order):
+    assert inflow_self_convergence_ratio(scheme) == pytest.approx(
+        2 ** order, rel=0.25)
+    # the check sees a residual frozen at t^n within a step: first order
+    assert inflow_self_convergence_ratio(scheme, frozen=True) == (
+        pytest.approx(2, rel=0.25))
+
+
 @pytest.mark.parametrize("bp_scheme", [None, "dcw", "zxs"])
 def test_run_takes_the_step_factor_once(monkeypatch, bp_scheme):
     from tridg import bp
@@ -265,8 +302,11 @@ def test_run_takes_the_step_factor_once(monkeypatch, bp_scheme):
     op.max_wavespeed = lambda *a, **kw: alphas.append(
         max_wavespeed(*a, **kw)) or alphas[-1]
     st = op.project(lambda x, y: 0.5 + 0.25 * np.sin(2 * np.pi * (x + y)))
-    res = run(op, st, 0.1, scheme=SSP_RK22, bp_scheme=bp_scheme,
-              bounds=(0.0, 1.0))
+    lim = None
+    if bp_scheme is not None:
+        lim = BPLimiter(op, bp_scheme, bounds=(0.0, 1.0))
+        st = lim.apply(st)
+    res = run(op, st, 0.1, scheme=SSP_RK22, bp=lim)
     assert len(calls) == 1 and res.steps > 2
     # every step but the last, which is clipped to t_end, has the full bound
     for dt, alpha in zip(res.dt_history[:-1], alphas):
@@ -288,9 +328,9 @@ def test_limited_step_builds_its_start_edge_states_once():
 
     op.residual = recording_residual
     st = op.project(lambda x, y: 0.5 + 0.25 * np.sin(2 * np.pi * (x + y)))
-    res = run(op, st, 0.05, scheme=SSP_RK22,
-              oe=OEFilter(op, guard_wavespeed=True), bp_scheme="dcw",
-              bounds=(0.0, 1.0))
+    lim = BPLimiter(op, "dcw", bounds=(0.0, 1.0))
+    res = run(op, lim.apply(st), 0.05, scheme=SSP_RK22,
+              oe=OEFilter(op, guard_wavespeed=True), bp=lim)
     assert res.steps > 2
     assert len(built) == 2 * res.steps
     assert shared == [True, False] * res.steps
@@ -310,8 +350,9 @@ def test_residual_errors_carry_their_rk_stage(stage):
 
     op.residual = failing_residual
     st = op.project(lambda x, y: 0.5 + 0.25 * np.sin(2 * np.pi * (x + y)))
+    lim = BPLimiter(op, "dcw", bounds=(0.0, 1.0))
     with pytest.raises(AdmissibilityError) as e:
-        run(op, st, 1.0, scheme=SSP_RK33, bp_scheme="dcw", bounds=(0.0, 1.0))
+        run(op, lim.apply(st), 1.0, scheme=SSP_RK33, bp=lim)
     assert e.value.rk_stage == stage
 
 
@@ -325,9 +366,9 @@ def test_mass_conserved_on_perturbed_mesh_with_rioe_and_dcw():
     st = op.project(lambda x, y: model.from_primitive(
         1.0, np.where(x < 0.5, -2.0, 2.0), 0.0 * y, 0.4))
     mass0 = mesh.area @ st.coeffs[:, 0, :]
-    res = run(op, st, 0.02, oe=OEFilter(op, mode="rioe",
-                                        guard_wavespeed=True),
-              bp_scheme="dcw")
+    lim = BPLimiter(op, "dcw")
+    res = run(op, lim.apply(st), 0.02,
+              oe=OEFilter(op, mode="rioe", guard_wavespeed=True), bp=lim)
     assert res.steps > 2 and res.bp_violations > 0
     mass = mesh.area @ res.state.coeffs[:, 0, :]
     scale = (mesh.area @ np.abs(st.coeffs[:, 0, :])).max()
@@ -348,8 +389,8 @@ def test_bp_positivity_at_unit_cfl_on_perturbed_meshes(monkeypatch, problem,
     # checks that the cell averages stay admissible with reflective walls.
     prob = get_problem(problem)
     model = prob.make_model()
-    op = SpatialOperator(perturb(prob.make_rect_mesh(16), seed=seed), model,
-                         k, boundary=prob.boundary(model))
+    op, state, oe, bp = build_solver(
+        prob, perturb(prob.make_rect_mesh(16), seed=seed), k, "rioe", scheme)
     check = BPLimiter(op, scheme)
     lows = []
 
@@ -360,9 +401,7 @@ def test_bp_positivity_at_unit_cfl_on_perturbed_meshes(monkeypatch, problem,
         return out
 
     monkeypatch.setattr(timestepping, "advance", checked_advance)
-    res = run(op, op.project(prob.ic), 0.02,
-              oe=OEFilter(op, mode="rioe", guard_wavespeed=True),
-              bp_scheme=scheme, bounds=prob.bp_bounds, cfl_scale=1.0)
+    res = run(op, state, 0.02, oe=oe, bp=bp, cfl_scale=1.0)
     assert res.steps == len(lows) > 0
     assert res.bp_violations > 0 or problem == "euler_implosion_mild"
     rho_min, e_min = np.min(lows, axis=0)
@@ -426,11 +465,9 @@ def test_model_kernels_get_edge_last_normals(problem, k, oe_mode, bp_scheme,
     # normals whose last axis is the states' last axis, the edges: normals
     # (2, ne, 1) broadcast over a trailing axis of the Q points ran numpy's
     # inner loops only 2-4 long
-    from tridg.harness import build_solver
-    from tridg.problems import get_problem
     prob = get_problem(problem)
     mesh = perturb(prob.make_rect_mesh(8), seed=3)
-    op, state, oe = build_solver(prob, mesh, k, oe_mode, bp_scheme)
+    op, state, oe, bp = build_solver(prob, mesh, k, oe_mode, bp_scheme)
     calls = []
 
     def spy(name):
@@ -443,8 +480,7 @@ def test_model_kernels_get_edge_last_normals(problem, k, oe_mode, bp_scheme,
 
     for name in ("lf_flux", "wavespeed", "wavespeed_clamped"):
         monkeypatch.setattr(op.model, name, spy(name))
-    timestepping.run(op, state, math.inf, oe=oe, bp_scheme=bp_scheme,
-                     bounds=prob.bp_bounds, max_steps=1)
+    timestepping.run(op, state, math.inf, oe=oe, bp=bp, max_steps=1)
     assert {name: sum(c[0] == name for c in calls)
             for name in counts} == counts
     for name, u, n in calls:
