@@ -187,6 +187,7 @@ _register(Problem(
     boundary_factory=lambda model: {},
     periodic=("x", "y"),
     t_end=0.05,
+    bp_bounds=(-0.5, 0.5),
 ))
 
 _register(Problem(
@@ -196,6 +197,7 @@ _register(Problem(
     boundary_factory=_burgers_rm1_boundary,
     side_tags=_ALL_IN,
     t_end=0.5,
+    bp_bounds=(-1.0, 0.8),
     base_n=8,
 ))
 
@@ -208,6 +210,7 @@ _register(Problem(
         "OUT": Outflow()},
     side_tags={"left": "IN", "bottom": "IN", "right": "OUT", "top": "OUT"},
     t_end=1.0 / 12.0,
+    bp_bounds=(1.0, 3.0),
     base_n=8,
 ))
 

@@ -303,6 +303,39 @@ def test_run_bp_vacuum_ok(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("problem", ["burgers_smooth", "burgers_riemann1",
+                                     "burgers_riemann2"])
+def test_burgers_bp_keeps_cell_averages_in_bounds(tmp_path, problem, k):
+    from tridg.problems import get_problem
+    lo, hi = get_problem(problem).bp_bounds
+    rc = main(["run", "--problem", problem, "--k", str(k), "--bp", "dcw",
+               "--gen", "8,8", "--tend", "0.02", "--output-times", "0.01",
+               "--out", str(tmp_path / "b")])
+    assert rc == 0
+    for name in ("b_t0.csv", "b_t1.csv", "b_final.csv"):
+        # mode 0 is the cell average
+        avg = [float(r["value"]) for r in read_csv(tmp_path / name)
+               if r["mode"] == "0"]
+        assert len(avg) == 128
+        assert lo - 1e-12 <= min(avg) and max(avg) <= hi + 1e-12
+
+
+def test_scalar_bp_without_bounds_names_the_field(tmp_path, capsys,
+                                                  monkeypatch):
+    from tridg import problems
+    from tridg.physics import Advection
+    prob = problems.Problem(
+        name="unbounded_advection", model_factory=Advection,
+        ic=lambda x, y: np.sin(x + y), boundary_factory=lambda model: {},
+        periodic=("x", "y"))
+    monkeypatch.setitem(problems.PROBLEMS, prob.name, prob)
+    rc = main(["run", "--problem", prob.name, "--k", "1", "--bp", "dcw",
+               "--tend", "0.01", "--out", str(tmp_path / "u")])
+    assert rc == 2
+    assert "field 'bp'" in capsys.readouterr().err
+
+
 def test_convergence_command(tmp_path):
     out = tmp_path / "conv.csv"
     rc = main(["convergence", "--problem", "advection_smooth", "--k", "1",
@@ -517,8 +550,8 @@ def snapshot_case(model_name, k, nx, ny, seed):
 @pytest.mark.parametrize("model", ["advection", "euler"])
 def test_snapshot_bytes_match_per_row_writer(tmp_path, model, k):
     from tridg.cli import SNAPSHOT_CHUNK_ROWS, _cell_prefixes, _write_snapshot
-    op, state = snapshot_case(model, k, 21, 20, seed=3)
-    # 840 cells: several full chunks and a partial last one
+    op, state = snapshot_case(model, k, 30, 25, seed=3)
+    # 1,500 cells: several full chunks and a partial last one
     step = SNAPSHOT_CHUNK_ROWS // (op.nm * state.d)
     assert op.mesh.n_cells > 2 * step and op.mesh.n_cells % step
     special = [-0.0, 1e-300, 1e300, -3.25, -1e-300, -1e300, 0.1, -2 / 3,
@@ -548,6 +581,62 @@ def test_snapshot_prefixes_follow_the_operator(tmp_path):
         per_row_snapshot(tmp_path / "ref.csv", op, state)
         assert (tmp_path / "snap.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
+
+
+def assert_snapshot_matches_per_row_writer(tmp_path, op, state):
+    from tridg.cli import _cell_prefixes, _write_snapshot
+    _write_snapshot(tmp_path / "snap.csv", _cell_prefixes(op), state)
+    per_row_snapshot(tmp_path / "ref.csv", op, state)
+    want = (tmp_path / "ref.csv").read_bytes()
+    assert want.count(b"\n") == 1 + state.coeffs.size
+    assert (tmp_path / "snap.csv").read_bytes() == want
+
+
+def test_snapshot_bytes_of_a_half_zero_p1_euler_state(tmp_path):
+    # the shape of vacuum-p1's initial snapshot: a piecewise constant state
+    # whose slopes and y-momentum are exact zeros
+    from tridg.harness import build_solver
+    from tridg.mesh import perturb
+    from tridg.problems import get_problem
+    prob = get_problem("euler_double_rarefaction")
+    op, state, _, _ = build_solver(prob, perturb(prob.make_rect_mesh(16),
+                                                 seed=0), 1, "rioe", "dcw")
+    assert np.mean(state.coeffs == 0) >= 0.5
+    assert_snapshot_matches_per_row_writer(tmp_path, op, state)
+
+
+def test_snapshot_bytes_of_a_p2_advection_state_over_several_chunks(
+        tmp_path):
+    from tridg.cli import SNAPSHOT_CHUNK_ROWS
+    op, state = snapshot_case("advection", 2, 24, 24, seed=7)
+    step = SNAPSHOT_CHUNK_ROWS // op.nm
+    assert op.mesh.n_cells > 3 * step and op.mesh.n_cells % step
+    assert_snapshot_matches_per_row_writer(tmp_path, op, state)
+
+
+def test_snapshot_bytes_of_special_values_at_a_chunk_boundary(tmp_path):
+    from tridg.cli import SNAPSHOT_CHUNK_ROWS
+    op, state = snapshot_case("euler", 2, 12, 10, seed=8)
+    step = SNAPSHOT_CHUNK_ROWS // (op.nm * state.d)
+    assert op.mesh.n_cells > step
+    # the last rows of the first chunk and the first rows of the second
+    rows = state.coeffs.reshape(-1)
+    first = step * op.nm * state.d
+    rows[first - 3:first + 3] = [np.nan, np.inf, -0.0, -np.inf, -0.0, np.nan]
+    assert_snapshot_matches_per_row_writer(tmp_path, op, state)
+
+
+@pytest.mark.parametrize("domain", [(0, 0, 1, 1),
+                                    (-2.5e6, -1e-3, 1e-5, 7.0)])
+def test_cell_prefixes_match_the_fstring_form(domain):
+    from tridg.cli import _cell_prefixes
+    from tridg.mesh import generate_structured, perturb
+    mesh = perturb(generate_structured(domain, 40, 130), 0.2, seed=9)
+    # 10,400 cells: ids of one to five digits
+    op = types.SimpleNamespace(mesh=mesh)
+    got = [row.tobytes().rstrip(b"\0") for row in _cell_prefixes(op)]
+    assert got == [f"{c},{x:.17g},{y:.17g},".encode()
+                   for c, (x, y) in enumerate(mesh.centroid.tolist())]
 
 
 def test_decomp_records_raw_nodes(tmp_path):
