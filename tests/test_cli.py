@@ -208,6 +208,18 @@ def test_fuzzed_inputs_that_escaped_exit_2(tmp_path, capsys, monkeypatch,
     assert f"field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["p_t0.csv", "p_final.csv",
+                                  "p_samples.csv", "p_meta.csv"])
+def test_run_output_file_that_is_a_directory_exits_2(tmp_path, capsys, name):
+    # a snapshot file that could not be created ended in a traceback, exit 1
+    (tmp_path / name).mkdir()
+    assert main(["run", "--problem", "advection_smooth", "--k", "1",
+                 "--gen", "3,3", "--tend", "0.001", "--sample-grid", "2",
+                 "--out", str(tmp_path / "p")]) == 2
+    assert f"field 'out': cannot write {str(tmp_path / name)!r}" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("times", ["0.5", "0.02,nan", "inf", "-0.5"])
 def test_output_times_outside_the_run_are_config_errors(tmp_path, times,
                                                         capsys):
@@ -495,7 +507,7 @@ def test_nan_state_exit_code(tmp_path, monkeypatch, argv):
 
 
 def test_snapshot_bytes_match_csv_writer(tmp_path):
-    from tridg.cli import _cell_prefixes, _write_csv, _write_snapshot
+    from tridg.textio import _cell_prefixes, _write_csv, _write_snapshot
     from tridg.dg import SpatialOperator
     from tridg.mesh import generate_structured, perturb
     from tridg.physics import Euler
@@ -549,7 +561,8 @@ def snapshot_case(model_name, k, nx, ny, seed):
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("model", ["advection", "euler"])
 def test_snapshot_bytes_match_per_row_writer(tmp_path, model, k):
-    from tridg.cli import SNAPSHOT_CHUNK_ROWS, _cell_prefixes, _write_snapshot
+    from tridg.textio import (SNAPSHOT_CHUNK_ROWS, _cell_prefixes,
+                              _write_snapshot)
     op, state = snapshot_case(model, k, 30, 25, seed=3)
     # 1,500 cells: several full chunks and a partial last one
     step = SNAPSHOT_CHUNK_ROWS // (op.nm * state.d)
@@ -573,7 +586,7 @@ def test_snapshot_bytes_match_per_row_writer(tmp_path, model, k):
 def test_snapshot_prefixes_follow_the_operator(tmp_path):
     # operators on different meshes, written alternately in one process:
     # each file has its own centroids
-    from tridg.cli import _cell_prefixes, _write_snapshot
+    from tridg.textio import _cell_prefixes, _write_snapshot
     cases = [snapshot_case("advection", 1, 5, 4, seed=1),
              snapshot_case("euler", 2, 4, 5, seed=2)]
     for op, state in cases * 2:
@@ -584,7 +597,7 @@ def test_snapshot_prefixes_follow_the_operator(tmp_path):
 
 
 def assert_snapshot_matches_per_row_writer(tmp_path, op, state):
-    from tridg.cli import _cell_prefixes, _write_snapshot
+    from tridg.textio import _cell_prefixes, _write_snapshot
     _write_snapshot(tmp_path / "snap.csv", _cell_prefixes(op), state)
     per_row_snapshot(tmp_path / "ref.csv", op, state)
     want = (tmp_path / "ref.csv").read_bytes()
@@ -607,7 +620,7 @@ def test_snapshot_bytes_of_a_half_zero_p1_euler_state(tmp_path):
 
 def test_snapshot_bytes_of_a_p2_advection_state_over_several_chunks(
         tmp_path):
-    from tridg.cli import SNAPSHOT_CHUNK_ROWS
+    from tridg.textio import SNAPSHOT_CHUNK_ROWS
     op, state = snapshot_case("advection", 2, 24, 24, seed=7)
     step = SNAPSHOT_CHUNK_ROWS // op.nm
     assert op.mesh.n_cells > 3 * step and op.mesh.n_cells % step
@@ -615,7 +628,7 @@ def test_snapshot_bytes_of_a_p2_advection_state_over_several_chunks(
 
 
 def test_snapshot_bytes_of_special_values_at_a_chunk_boundary(tmp_path):
-    from tridg.cli import SNAPSHOT_CHUNK_ROWS
+    from tridg.textio import SNAPSHOT_CHUNK_ROWS
     op, state = snapshot_case("euler", 2, 12, 10, seed=8)
     step = SNAPSHOT_CHUNK_ROWS // (op.nm * state.d)
     assert op.mesh.n_cells > step
@@ -629,7 +642,7 @@ def test_snapshot_bytes_of_special_values_at_a_chunk_boundary(tmp_path):
 @pytest.mark.parametrize("domain", [(0, 0, 1, 1),
                                     (-2.5e6, -1e-3, 1e-5, 7.0)])
 def test_cell_prefixes_match_the_fstring_form(domain):
-    from tridg.cli import _cell_prefixes
+    from tridg.textio import _cell_prefixes
     from tridg.mesh import generate_structured, perturb
     mesh = perturb(generate_structured(domain, 40, 130), 0.2, seed=9)
     # 10,400 cells: ids of one to five digits
@@ -652,8 +665,8 @@ def test_decomp_records_raw_nodes(tmp_path):
 
 
 def brute_force_samples(path, op, state, n):
-    """The point-by-cell scan `_write_samples` replaced, kept as the reference."""
-    from tridg.cli import _write_csv
+    """The point-by-cell scan `_write_samples` replaced, kept as the reference,
+    written with csv.writer and every float as '%.17g' %."""
     mesh = op.mesh
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
@@ -674,7 +687,10 @@ def brute_force_samples(path, op, state, n):
             u = op.evaluate(state, c, np.array([x, y]))
             rows.append((float(x), float(y),
                          *[float(v) for v in np.atleast_1d(u.squeeze())]))
-    _write_csv(path, ("x", "y", *[f"u{i}" for i in range(state.d)]), rows)
+    with open(path, "w", newline="") as out:
+        w = csv.writer(out)
+        w.writerow(("x", "y", *[f"u{i}" for i in range(state.d)]))
+        w.writerows([["%.17g" % v for v in row] for row in rows])
 
 
 def l_shaped_mesh():
@@ -696,7 +712,7 @@ def l_shaped_mesh():
                                     ("grid-aligned", 17),
                                     ("l-shaped", 11)])
 def test_samples_bytes_match_brute_force_scan(tmp_path, case, n):
-    from tridg.cli import _write_samples
+    from tridg.textio import _write_samples
     from tridg.dg import SpatialOperator
     from tridg.mesh import generate_structured, perturb
     from tridg.physics import Euler
@@ -725,7 +741,7 @@ def test_samples_bytes_match_brute_force_scan(tmp_path, case, n):
 @pytest.mark.parametrize("model,k", [("advection", 1), ("advection", 3),
                                      ("euler", 1)])
 def test_batched_samples_match_per_point_evaluation(tmp_path, model, k):
-    from tridg.cli import _write_samples
+    from tridg.textio import _write_samples
     op, state = snapshot_case(model, k, 6, 5, seed=6)
     # discontinuous across cells, so picking the wrong cell changes the bytes
     state.coeffs[:, 1:, :] += 0.01 * np.arange(op.mesh.n_cells)[:, None, None]
@@ -734,6 +750,85 @@ def test_batched_samples_match_per_point_evaluation(tmp_path, model, k):
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "ref.csv").read_bytes()
     assert new.count(b"\n") == 1 + 15 * 15
+
+
+def test_sample_rows_of_special_values_over_several_chunks(tmp_path):
+    # nan, +-inf, a subnormal and |v| > 1e280 take the encoder's _fmt path;
+    # the grid's last row and column lie at x = -0.0 and y = -0.0
+    from tridg.dg import SpatialOperator
+    from tridg.mesh import generate_structured
+    from tridg.textio import SNAPSHOT_CHUNK_ROWS, _write_samples
+    mesh = generate_structured((-1, -1, -0.0, -0.0), 4, 3)
+    op = SpatialOperator(mesh, Euler(), 1)
+    state = op.project(lambda x, y: Euler().from_primitive(1 + x, y, -x, 2.0))
+    # the constant mode is 1, so each cell's samples are its mode-0 values
+    special = [np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300, -0.0, 1 / 3]
+    state.coeffs[:] = 0.0
+    state.coeffs[:, 0, :] = np.resize(special, (mesh.n_cells, state.d))
+    n = 24
+    step = SNAPSHOT_CHUNK_ROWS // (2 + state.d)
+    assert n * n > step and (n * n) % step
+    _write_samples(tmp_path / "new.csv", op, state, n)
+    brute_force_samples(tmp_path / "ref.csv", op, state, n)
+    want = (tmp_path / "ref.csv").read_bytes()
+    assert all(v in want for v in (b",nan", b",inf", b",-inf",
+                                   b",1.0000000000000001e+300",
+                                   b",-1.0000000000000001e+300",
+                                   b",4.9406564584124654e-324",
+                                   b"\r\n-0,", b",-0,"))
+    assert want.count(b"\n") == 1 + n * n
+    assert (tmp_path / "new.csv").read_bytes() == want
+
+
+def diamond_mesh():
+    """Two cells filling the square with corners at the midpoints of the
+    unit square's sides: no corner of its bounding box is in a cell."""
+    from tridg.mesh import build_mesh
+    vertices = np.array([[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]])
+    cells = np.array([[0, 1, 2], [0, 2, 3]])
+    tags = [(a, (a + 1) % 4, "OUT") for a in range(4)]
+    return build_mesh(vertices, cells, tags)
+
+
+@pytest.mark.parametrize("case,n,rows", [("diamond", 1, 0), ("diamond", 2, 0),
+                                         ("square", 1, 1)])
+def test_sample_grids_with_one_or_no_owned_point(tmp_path, case, n, rows):
+    # a grid with no owned point writes the header only
+    from tridg.dg import SpatialOperator
+    from tridg.mesh import generate_structured
+    from tridg.physics import Advection
+    from tridg.textio import _write_samples
+    mesh = (diamond_mesh() if case == "diamond"
+            else generate_structured((0, 0, 1, 1), 3, 3))
+    op = SpatialOperator(mesh, Advection(), 2)
+    state = op.project(lambda x, y: np.sin(3 * x) * np.exp(y))
+    _write_samples(tmp_path / "new.csv", op, state, n)
+    brute_force_samples(tmp_path / "ref.csv", op, state, n)
+    want = (tmp_path / "ref.csv").read_bytes()
+    assert want.count(b"\n") == 1 + rows
+    assert (tmp_path / "new.csv").read_bytes() == want
+
+
+def test_write_csv_matches_csv_writer(tmp_path, capsys):
+    # the rows of the metadata, convergence, decomp and cflscan tables:
+    # ints, strings (empty too) and floats, these as '%.17g'
+    from tridg.textio import _write_csv
+    header = ("scheme", "k", "nodes", "cfl")
+    rows = [("dcw", 1, "0.25|0.5;1e-05|0.75", 1 / 3),
+            ("zxs", 2, "", np.float64(0.1)),
+            ("cs", np.int64(7), "", -0.0),
+            ("", 0, "x", float("nan")), ("inf", 3, "y", -np.inf),
+            ("big", 4, "z", 1e300)]
+    _write_csv(tmp_path / "new.csv", header, rows)
+    _write_csv(None, header, rows)
+    with open(tmp_path / "ref.csv", "w", newline="") as out:
+        w = csv.writer(out)
+        w.writerow(header)
+        w.writerows([["%.17g" % v if isinstance(v, float) else v
+                      for v in row] for row in rows])
+    want = (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes() == want
+    assert capsys.readouterr().out.encode() == want
 
 
 def test_run_calls_the_traced_entry_points_once(tmp_path, monkeypatch):
@@ -909,7 +1004,7 @@ import tridg.cli
 rc = tridg.cli.main(sys.argv[1:])
 print(json.dumps({"rc": rc, **{name: name in sys.modules for name in (
     "numpy.ma", "fractions", "decimal", "numpy.polynomial", "dataclasses",
-    "copy")}}))
+    "copy", "csv")}}))
 """
 
 
@@ -923,7 +1018,8 @@ def test_run_leaves_numpy_ma_unimported(tmp_path, problem, args):
     # numpy.ma on first use: 12-45 ms against a cold start of ~0.08 s.
     # fractions (with decimal) and numpy.polynomial would cost 5-7 ms: the
     # reference norms and Gauss rules are literals. dataclasses (with copy)
-    # would cost ~1 ms to import and ~5 ms to generate the records' methods
+    # would cost ~1 ms to import and ~5 ms to generate the records' methods;
+    # csv ~1 ms, for rows that need no quoting
     from tridg.mesh import perturb, save_mesh
     from tridg.problems import get_problem
     mesh_path = tmp_path / "m.txt"
@@ -942,7 +1038,7 @@ def test_run_leaves_numpy_ma_unimported(tmp_path, problem, args):
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     assert record == {"rc": 0, "numpy.ma": False, "fractions": False,
                       "decimal": False, "numpy.polynomial": False,
-                      "dataclasses": False, "copy": False}
+                      "dataclasses": False, "copy": False, "csv": False}
 
 
 def test_missing_boundary_rules_are_reported_in_tag_order(tmp_path):

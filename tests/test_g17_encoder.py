@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import tridg.cli as cli
+import tridg.textio as textio
 
 
 def encoded(values):
-    """Each value's bytes from cli._encode_g17, NUL padding dropped."""
+    """Each value's bytes from textio._encode_g17, NUL padding dropped."""
     v = np.asarray(values, dtype=np.float64)
-    out = np.zeros((len(v), cli.G17_WORDS), np.uint64)
-    cli._encode_g17(v, out)
+    out = np.zeros((len(v), textio.G17_WORDS), np.uint64)
+    textio._encode_g17(v, out)
     # the snapshot writer puts "\r\n" in the last three bytes
     assert not out.view(np.uint8)[:, 45:].any()
     return [row.tobytes().translate(None, b"\0") for row in out]
@@ -115,10 +115,76 @@ def test_known_cases(value, text):
 
 def test_only_unprovable_values_take_fmt(monkeypatch):
     calls = []
-    fmt = cli._fmt
-    monkeypatch.setattr(cli, "_fmt", lambda x: calls.append(x) or fmt(x))
+    fmt = textio._fmt
+    monkeypatch.setattr(textio, "_fmt", lambda x: calls.append(x) or fmt(x))
     fast = [0.0, -0.0, 1.0, -2 / 3, 2e-280, -5e279, 0.1, 123456.789, 1e16]
     slow = [np.nan, np.inf, -np.inf, 5e-324, 1e-300, -1e300,
             26215 * 2.0 ** -18]
     assert_matches_oracle(fast + slow)
     assert [repr(x) for x in calls] == [repr(x) for x in slow]
+
+
+def reference_g17_tables():
+    """The encoder's tables built as first written: each power of ten from
+    its own `10 ** p`, the digit groups by int64 floor division."""
+    e_min, e_max = textio.G17_EXPONENTS
+    pow_hi, pow_lo = [], []
+    for p in range(16 - e_min, 15 - e_max, -1):
+        if p >= 0:
+            hi = float(10 ** p)
+            lo = float(10 ** p - int(hi))
+        else:
+            hi = 1 / 10 ** -p
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * 10 ** -p) / (den * 10 ** -p)
+        pow_hi.append(hi)
+        pow_lo.append(lo)
+    chars = ((np.arange(10000)[:, None] // [1000, 100, 10, 1]) % 10
+             + ord("0")).astype(np.uint8)
+    spread = np.full((10000, 8), ord("."), np.uint8)
+    spread[:, ::2] = chars
+    nonzero = chars != ord("0")
+    length = np.where(nonzero.any(axis=1),
+                      4 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    ends = np.stack([np.where(length > 0, 1 + 4 * k + length, 0)
+                     for k in range(4)]).astype(np.uint8)
+    byte = np.arange(8)
+    kept = np.arange(18)[:, None, None]
+    point = np.arange(18)[None, :, None]
+    masks = []
+    for k in range(4):
+        digit = 1 + 4 * k + byte // 2
+        show = np.where(byte % 2 == 0, digit < kept, digit == point - 1)
+        masks.append((show * 0xFF).astype(np.uint8).reshape(-1, 8))
+    e = np.arange(e_min, e_max + 2)
+    fixed = (e >= -4) & (e < 17)
+    int_digits = np.where(fixed, np.maximum(e + 1, 0), 1).astype(np.uint8)
+    heads = np.zeros((2, 5, 2, 10, 8), np.uint8)
+    heads[1, ..., 0] = ord("-")
+    for zeros in range(1, 5):
+        heads[:, zeros, :, :, 1:2 + zeros] = np.frombuffer(
+            b"0." + b"0" * (zeros - 1), np.uint8)
+    heads[..., 6] = ord("0") + np.arange(10)
+    heads[:, :, 1, :, 7] = ord(".")
+    heads = heads.transpose(1, 0, 2, 3, 4).reshape(5, -1).view(np.uint64)
+    exps = textio._text_words([b"" if f else b"e%+03d" % x
+                               for x, f in zip(e.tolist(), fixed)])[:, 0]
+    pow_hi = np.array(pow_hi)
+    return (*textio._dekker_split(pow_hi), np.array(pow_lo),
+            spread.view(np.uint64)[:, 0], ends,
+            [m.view(np.uint64)[:, 0] for m in masks], int_digits,
+            heads[np.where(fixed & (e < 0), -e, 0)].ravel(), exps)
+
+
+def test_tables_equal_their_first_construction():
+    got = textio._g17_tables()
+    want = reference_g17_tables()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, list):
+            assert len(g) == len(w)
+        else:
+            g, w = [g], [w]
+        for a, b in zip(g, w):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
