@@ -209,12 +209,11 @@ def cmd_cflscan(args):
     if args.out:
         _check_out_file(args.out)
     ks = [args.k] if args.k else [1, 2]
+    mesh = _read_mesh(args.mesh) if args.mesh else None
     rows = []
     for k in ks:
-        if args.mesh:
-            res = cfl_ratio_scan(k=k, mesh=_read_mesh(args.mesh))
-        else:
-            res = cfl_ratio_scan(n=args.count, k=k, seed=args.seed)
+        # a mesh's own cells replace the count random triangles of seed
+        res = cfl_ratio_scan(n=args.count, k=k, seed=args.seed, mesh=mesh)
         rows.append((k, res["n"], res["dcw_zxs_min"], res["dcw_zxs_max"],
                      res["dcw_cs_min"], res["dcw_cs_max"]))
     _write_csv(args.out, ("k", "n", "dcw_zxs_min", "dcw_zxs_max",

@@ -335,17 +335,21 @@ class SpatialOperator:
         self.write_ghosts(U, self.ghost_gauss, t)
         return U
 
-    def _reject_inadmissible(self, ok):
+    def _reject_inadmissible(
+            self, ok, message="inadmissible trace at edge quadrature point"):
         """Raise for the first inadmissible (edge, side) in edge order.
 
-        ok: (2, Q, ne) admissibility of the two-sided edge states. The error
-        names the cell that owns the bad trace: the right cell for side 1 of
-        an interior edge, the boundary cell for a ghost.
+        ok: (2, P, ne) admissibility of two-sided states at P points per
+        edge; nothing is raised if all are admissible. The error names the
+        cell that owns the bad state: the right cell for side 1 of an
+        interior edge, the boundary cell for a ghost.
         """
-        eid, side = np.argwhere(~ok.all(axis=1).T)[0]
-        raise AdmissibilityError(
-            "inadmissible trace at edge quadrature point",
-            cell=int(self.side_cells[side, eid]), edge=int(eid))
+        bad = np.argwhere(~ok.all(axis=1).T)
+        if len(bad):
+            eid, side = bad[0]
+            raise AdmissibilityError(message,
+                                     cell=int(self.side_cells[side, eid]),
+                                     edge=int(eid))
 
     # -- residual -----------------------------------------------------------
 
@@ -372,9 +376,7 @@ class SpatialOperator:
         except AdmissibilityError:
             # the flux tests admissibility in its own pass; name the cell
             # and edge only on this failure path
-            ok = self.model.admissible(U)
-            if not ok.all():
-                self._reject_inadmissible(ok)
+            self._reject_inadmissible(self.model.admissible(U))
             raise
         F = np.take(fhat.reshape(self.d, -1), self._flux_take, axis=-1)
         F *= self._flux_weights                                  # (d,3Q,nc)

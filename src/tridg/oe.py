@@ -18,7 +18,7 @@ import numpy as np
 
 from . import basis
 from .dg import REF_VERTICES, ModalState, component_major, modal_view
-from .errors import ConfigError, UnsupportedOperationError
+from .errors import AdmissibilityError, ConfigError, UnsupportedOperationError
 
 EPS_DEVIATION = 1e-12
 
@@ -232,11 +232,19 @@ class OEFilter:
 
     def _beta(self, u):
         """Max wavespeed per edge of the two-sided endpoint values u."""
-        speed = (self.op.model.wavespeed_clamped if self.guard_wavespeed
-                 else self.op.model.wavespeed)
-        # (2, 2, ne) over (side, endpoint, edge), or (ne,) for a speed that
-        # does not depend on the state
-        s = speed(u, self.op.edge_normal_cf)
+        model = self.op.model
+        speed = (model.wavespeed_clamped if self.guard_wavespeed
+                 else model.wavespeed)
+        try:
+            # (2, 2, ne) over (side, endpoint, edge), or (ne,) for a speed
+            # that does not depend on the state
+            s = speed(u, self.op.edge_normal_cf)
+        except AdmissibilityError:
+            # the wavespeed tests admissibility in its own pass; name the
+            # cell and edge only on this failure path
+            self.op._reject_inadmissible(model.admissible(u),
+                                         "inadmissible state at edge endpoint")
+            raise
         for _ in range(s.ndim - 1):
             s = np.maximum(s[0], s[1], out=s[0])
         return s

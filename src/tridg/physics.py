@@ -4,15 +4,17 @@ Component axis convention. The solver's kernel methods take states
 component-first, u (d, ...) with u[c] the c-th conserved variable, and normals
 n (2, ...) broadcasting against u's trailing axes: admissible, normal_flux,
 two_sided_flux, lf_flux, wavespeed and wavespeed_clamped. normal_flux is the
-one flux kernel of a model, F(u) . n as (d, ...) for unit or non-unit
-normals, unchecked; two_sided_flux checks both sides of an edge for lf_flux.
-The state helpers that serve problem setup, boundary rules and
-post-processing take and return states with the components last, (..., d),
-the layout of ModalState.coeffs and of problem callables: internal_energy,
-pressure, from_primitive, to_primitive, rotate_state and reflect.
-Directional wavespeeds bound the spectral radius of the flux Jacobian
-projected on a unit normal.
+one flux kernel of a model, F(u) . n for unit or non-unit normals, unchecked;
+two_sided_flux gives both sides of an edge to lf_flux, checked by Euler. Euler
+forms rho e and p in one in-place pass behind its flux and both wavespeeds,
+which raises AdmissibilityError or, for wavespeed_clamped, floors rho and p.
+The state helpers of problem setup, boundary rules and post-processing keep
+the components last, (..., d): internal_energy, pressure, from_primitive,
+to_primitive, rotate_state and reflect. Directional wavespeeds bound the
+spectral radius of the flux Jacobian projected on a unit normal.
 """
+
+import functools
 
 import numpy as np
 
@@ -42,11 +44,9 @@ class Model:
         raise NotImplementedError
 
     def wavespeed_clamped(self, u, n):
-        """Finite wavespeed estimate even for slightly inadmissible states.
-
-        Used for damping-strength estimates in limited runs, where point
-        values outside the controlled node set may leave the admissible set.
-        """
+        """Finite wavespeed estimate even for slightly inadmissible states:
+        the filter's damping in limited runs, whose point values outside the
+        controlled node set may leave the admissible set."""
         return self.wavespeed(u, n)
 
     def admissible(self, u):
@@ -60,16 +60,10 @@ class Model:
         return np.array(u, copy=True)
 
     def two_sided_flux(self, u, n):
-        """F(u) . n of two-sided states u (d, 2, ...), side first: (2, d, ...).
-
-        Positivity-constrained models raise AdmissibilityError for an
-        inadmissible state on either side.
-        """
-        u = np.asarray(u, dtype=float)
-        if self.positivity_constrained and not self.admissible(u).all():
-            raise AdmissibilityError("inadmissible state in flux evaluation")
-        return np.moveaxis(self.normal_flux(u, np.asarray(n, dtype=float)),
-                           1, 0)
+        """F(u) . n of two-sided states u (d, 2, ...), side first: (2, d, ...),
+        unchecked: a positivity-constrained model defines its own, which
+        raises AdmissibilityError for an inadmissible state on either side."""
+        return np.moveaxis(self.normal_flux(u, n), 1, 0)
 
     def lf_flux(self, u, n, alpha):
         """Lax-Friedrichs flux 0.5 (F(ui).n + F(ue).n - alpha (ue - ui)).
@@ -97,15 +91,27 @@ def rotate_vector(v, phi):
                      -s * v[..., 0] + c * v[..., 1]], axis=-1)
 
 
+def _arrays(kernel):
+    """Run kernel(self, u, n) on float arrays. One state u (d,) runs as the
+    (d, 1) column, whose rows the in-place kernels can write through, against
+    n with one more trailing axis, which the result drops."""
+    @functools.wraps(kernel)
+    def call(self, u, n):
+        u, n = np.asarray(u, dtype=float), np.asarray(n, dtype=float)
+        if u.ndim > 1:
+            return kernel(self, u, n)
+        return kernel(self, u[:, None], n[..., None])[..., 0][()]
+    return call
+
+
 class Advection(Model):
     """u_t + u_x + u_y = 0 (velocity field (1, 1))."""
 
     name = "advection"
     n_components = 1
 
+    @_arrays
     def normal_flux(self, u, n):
-        u = np.asarray(u, dtype=float)
-        n = np.asarray(n, dtype=float)
         f = u * n[0]
         f += u * n[1]
         return f
@@ -123,17 +129,15 @@ class Burgers(Model):
     name = "burgers"
     n_components = 1
 
+    @_arrays
     def normal_flux(self, u, n):
-        u = np.asarray(u, dtype=float)
-        n = np.asarray(n, dtype=float)
         f = 0.5 * u * u
         out = f * n[0]
         out += f * n[1]
         return out
 
+    @_arrays
     def wavespeed(self, u, n):
-        u = np.asarray(u, dtype=float)
-        n = np.asarray(n, dtype=float)
         return np.abs(u[0] * (n[0] + n[1]))
 
 
@@ -154,10 +158,8 @@ class Euler(Model):
         self.gamma = float(gamma)
 
     def internal_energy(self, u):
-        """rho * specific internal energy: E - (m1^2 + m2^2) / (2 rho).
-
-        u: (..., 4), components last.
-        """
+        """rho * specific internal energy, E - (m1^2 + m2^2) / (2 rho), of
+        states u (..., 4), components last."""
         u = np.asarray(u, dtype=float)
         return _energy(u[..., 0], u[..., 1], u[..., 2], u[..., 3])
 
@@ -167,28 +169,48 @@ class Euler(Model):
     def admissible(self, u):
         u = np.asarray(u, dtype=float)
         ok = u[0] > 0
-        e = np.where(ok, _energy(np.where(ok, u[0], 1.0), u[1], u[2], u[3]),
-                     -1.0)
-        return ok & (e > 0)
+        return ok & (_energy(np.where(ok, u[0], 1.0), u[1], u[2], u[3]) > 0)
 
-    def _pressure(self, u, check):
-        """p of component-first states u, from rho e as admissible forms it.
+    _REJECT = {
+        True: ("non-positive density in flux evaluation",
+               "non-positive internal energy in flux evaluation"),
+        "wavespeed": ("inadmissible state in wavespeed evaluation",) * 2}
 
-        check: raise AdmissibilityError unless rho > 0 and e > 0 everywhere,
-        the test of admissible, on the same numbers.
+    def _pressure(self, u, check, n=None):
+        """p of component-first states u in one in-place pass, from rho e as
+        admissible forms it; with normals n, |v . n| + sqrt(gamma p / rho).
+
+        check: True (the flux) or "wavespeed" raise AdmissibilityError, with
+        that caller's _REJECT message, unless rho > 0 and e > 0, admissible's
+        test on the same numbers; "floor" takes rho >= 1e-12 and p >= 0,
+        finite for every finite state; False does neither.
         """
         rho, m1, m2, E = u
-        if check and not np.all(rho > 0):
-            raise AdmissibilityError("non-positive density in flux evaluation")
+        if check == "floor":
+            rho = np.maximum(rho, 1e-12)
+        elif check and not np.all(rho > 0):
+            raise AdmissibilityError(self._REJECT[check][0])
         p = m1 * m1
         p += m2 * m2
         p /= 2.0 * rho
         np.subtract(E, p, out=p)
-        if check and not np.all(p > 0):
-            raise AdmissibilityError(
-                "non-positive internal energy in flux evaluation")
+        if check in self._REJECT and not np.all(p > 0):
+            raise AdmissibilityError(self._REJECT[check][1])
         p *= self.gamma - 1.0
-        return p
+        if check == "floor":
+            np.maximum(p, 0.0, out=p)
+        if n is None:
+            return p
+        # the sound speed, in p's buffer
+        p *= self.gamma
+        p /= rho
+        np.sqrt(p, out=p)
+        vn = m1 * n[0]
+        vn += m2 * n[1]
+        vn /= rho
+        np.abs(vn, out=vn)
+        vn += p
+        return vn
 
     @staticmethod
     def _write_normal_flux(u, p, n, out):
@@ -206,29 +228,16 @@ class Euler(Model):
         out[3] *= vn
         return out
 
+    @_arrays
     def normal_flux(self, u, n):
-        u = np.asarray(u, dtype=float)
-        n = np.asarray(n, dtype=float)
-        if u.ndim == 1:
-            # one state: the kernels write in place through each component's
-            # row, so evaluate the (4, 1) column; with one normal, the result
-            # is that column
-            if n.ndim > 1:
-                return self.normal_flux(u[:, None], n)
-            return self.normal_flux(u[:, None], n[:, None])[:, 0]
         out = np.empty((4,) + np.broadcast_shapes(u.shape[1:], n.shape[1:]))
         return self._write_normal_flux(u, self._pressure(u, check=False), n,
                                        out)
 
+    @_arrays
     def two_sided_flux(self, u, n):
-        """The normal flux of both sides in one pointwise pass.
-
-        rho, p and v.n are formed once: the density and internal-energy
-        test of admissible runs on them (AdmissibilityError on failure) and
-        the normal flux takes the rho v.n form.
-        """
-        u = np.asarray(u, dtype=float)
-        n = np.asarray(n, dtype=float)
+        """The normal flux of both sides in one pointwise pass: _pressure's
+        checked pass, then the rho v.n form."""
         p = self._pressure(u, check=True)
         # side-major storage: each side's flux is one contiguous block
         buf = np.empty((2,) + u.shape[:1] + u.shape[2:])
@@ -236,55 +245,21 @@ class Euler(Model):
                                 buf.transpose(1, 0, *range(2, buf.ndim)))
         return buf
 
+    @_arrays
     def wavespeed(self, u, n):
         """|v . n| + sound speed; errors on inadmissible states."""
-        u = np.asarray(u, dtype=float)
-        rho = u[0]
-        # admissible() without a second pass for the pressure: rho > 0 first,
-        # so e is only formed where it is defined
-        if not np.all(rho > 0):
-            raise AdmissibilityError("inadmissible state in wavespeed evaluation")
-        e = _energy(rho, u[1], u[2], u[3])
-        if not np.all(e > 0):
-            raise AdmissibilityError("inadmissible state in wavespeed evaluation")
-        n = np.asarray(n, dtype=float)
-        vn = (u[1] * n[0] + u[2] * n[1]) / rho
-        c = np.sqrt(self.gamma * ((self.gamma - 1.0) * e) / rho)
-        return np.abs(vn) + c
+        return self._pressure(u, "wavespeed", n)
 
+    @_arrays
     def wavespeed_clamped(self, u, n):
         """|v . n| + sound speed with rho floored at 1e-12 and p at 0:
-        finite for every finite state. One pass of in-place operations."""
-        u = np.asarray(u, dtype=float)
-        n = np.asarray(n, dtype=float)
-        # length-1 slices keep every operand an array, so that the passes
-        # below write in place also for a single state, whose component
-        # would be a numpy scalar
-        m1, m2, E = u[1:2], u[2:3], u[3:4]
-        rho = np.maximum(u[:1], 1e-12)
-        vn = m1 * n[:1]
-        vn += m2 * n[1:2]
-        vn /= rho
-        p = m1 * m1
-        tmp = m2 * m2
-        p += tmp
-        np.multiply(2.0, rho, out=tmp)
-        p /= tmp
-        np.subtract(E, p, out=p)
-        p *= self.gamma - 1.0
-        np.maximum(p, 0.0, out=p)
-        p *= self.gamma
-        p /= rho
-        np.sqrt(p, out=p)
-        np.abs(vn, out=vn)
-        vn += p
-        return vn[0]
+        finite for every finite state."""
+        return self._pressure(u, "floor", n)
 
     def rotate_state(self, u, phi):
         """diag(1, M, 1) action: momentum rotated, density/energy unchanged."""
-        u = np.asarray(u, dtype=float)
-        out = np.array(u, copy=True)
-        out[..., 1:3] = rotate_vector(u[..., 1:3], phi)
+        out = np.array(u, dtype=float)
+        out[..., 1:3] = rotate_vector(out[..., 1:3], phi)
         return out
 
     def reflect(self, u, n):
@@ -331,6 +306,11 @@ class ScaledModel(Model):
 
     def wavespeed_clamped(self, u, n):
         return self.lam * self.base.wavespeed_clamped(u, n)
+
+    def two_sided_flux(self, u, n):
+        f = self.base.two_sided_flux(u, n)
+        f *= self.lam
+        return f
 
     def admissible(self, u):
         return self.base.admissible(u)

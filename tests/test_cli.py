@@ -86,6 +86,29 @@ def test_cflscan_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cflscan_reads_its_mesh_once(tmp_path, monkeypatch):
+    # without --k the scan runs both degrees; it parsed and built the mesh
+    # once per degree
+    from tridg.mesh import generate_structured, perturb, save_mesh
+    mesh = perturb(generate_structured((0, 0, 1, 1), 4, 4), 0.2, seed=1)
+    path = str(tmp_path / "m.txt")
+    save_mesh(mesh, path)
+    calls = []
+    load = cli.load_mesh
+    monkeypatch.setattr(cli, "load_mesh",
+                        lambda p: calls.append(p) or load(p))
+    out = tmp_path / "scan.csv"
+    assert main(["cflscan", "--mesh", path, "--out", str(out)]) == 0
+    assert calls == [path]
+    rows = read_csv(out)
+    assert [r["k"] for r in rows] == ["1", "2"]
+    for r in rows:
+        want = cli.cfl_ratio_scan(k=int(r["k"]), mesh=load(path))
+        assert int(r["n"]) == mesh.n_cells == want["n"]
+        assert float(r["dcw_zxs_min"]) == want["dcw_zxs_min"]
+        assert float(r["dcw_cs_max"]) == want["dcw_cs_max"]
+
+
 def test_run_writes_snapshots_and_metadata(tmp_path, capsys):
     prefix = tmp_path / "adv"
     rc = main(["run", "--problem", "advection_smooth", "--k", "1",
@@ -306,6 +329,19 @@ def test_admissibility_exit_code(tmp_path):
                "--oe", "ri", "--bp", "off", "--tend", "0.05",
                "--out", str(tmp_path / "vac")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("k, oe", [(1, "cw"), (1, "ri"), (3, "cw")])
+def test_filter_wavespeed_abort_names_cell_and_edge(tmp_path, capsys, k, oe):
+    # the unlimited implosion leaves the admissible set first at an edge
+    # endpoint, in the filter's wavespeed, whose abort named no cell or edge
+    rc = main(["run", "--problem", "euler_implosion", "--k", str(k),
+               "--oe", oe, "--bp", "off", "--level", "0",
+               "--out", str(tmp_path / "imp")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "inadmissible state at edge endpoint [cell " in err
+    assert ", edge " in err
 
 
 def test_run_bp_vacuum_ok(tmp_path):

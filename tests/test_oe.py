@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tridg.dg import Inflow, ModalState, Outflow, Reflective, SpatialOperator
-from tridg.errors import ConfigError, UnsupportedOperationError
+from tridg.errors import (AdmissibilityError, ConfigError,
+                          UnsupportedOperationError)
 from tridg.mesh import generate_structured, perturb
 from tridg.oe import EPS_DEVIATION, OEFilter, damping_prefactor
 from tridg.physics import Advection, Burgers, Euler, ScaledModel
@@ -241,6 +242,30 @@ def test_beta_euler_matches_wavespeed(rng):
     n = op.edge_normal_cf[:, :, None]
     direct = model.wavespeed(np.moveaxis(u_end, -1, 0), n).max(axis=1)
     assert np.all(beta >= direct - 1e-13)
+
+
+def test_beta_names_the_cell_and_edge_of_an_inadmissible_endpoint():
+    # one cell's density dips below zero at a vertex, its average and every
+    # other cell admissible: the unguarded filter's wavespeed abort names
+    # that cell and one of its edges; the guarded filter stays finite
+    prob = get_problem("euler_implosion_mild")
+    model = prob.make_model()
+    mesh = perturb(prob.make_rect_mesh(4), seed=1)
+    op = SpatialOperator(mesh, model, 1, boundary=prob.boundary(model))
+    st = op.project(prob.ic)
+    cell = 11
+    st.coeffs[cell, 1:, 0] = 4.0 * st.coeffs[cell, 0, 0]
+    VV = op.vertex_values(st.coeffs)                              # (nc,3,d)
+    ok = model.admissible(np.moveaxis(VV, -1, 0))
+    assert not ok[cell].all() and ok[np.arange(mesh.n_cells) != cell].all()
+    for mode in ("componentwise", "rioe"):
+        with pytest.raises(AdmissibilityError,
+                           match="inadmissible state at edge endpoint") as e:
+            OEFilter(op, mode=mode).apply(st, 1e-3)
+        assert e.value.cell == cell
+        assert e.value.edge in mesh.cell_edges[cell]
+        out = OEFilter(op, mode=mode, guard_wavespeed=True).apply(st, 1e-3)
+        assert np.all(np.isfinite(out.coeffs))
 
 
 def test_rioe_requires_rotation_model():

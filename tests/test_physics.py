@@ -224,6 +224,56 @@ def test_wavespeed_clamped_matches_former_bit_for_bit():
                               former_wavespeed_clamped(model, ui, ni))
 
 
+def former_wavespeed(model, u, n):
+    """Euler.wavespeed as a chain of new arrays, before it shared the
+    flux's in-place pass."""
+    rho = u[0]
+    if not np.all(rho > 0):
+        raise AdmissibilityError("inadmissible state in wavespeed evaluation")
+    e = u[3] - (u[1] * u[1] + u[2] * u[2]) / (2.0 * rho)
+    if not np.all(e > 0):
+        raise AdmissibilityError("inadmissible state in wavespeed evaluation")
+    vn = (u[1] * n[0] + u[2] * n[1]) / rho
+    return np.abs(vn) + np.sqrt(model.gamma * ((model.gamma - 1.0) * e) / rho)
+
+
+def test_wavespeed_matches_former_bit_for_bit():
+    # admissible states down to rho and p of 1e-12 in the filter's
+    # (4, 2, 2, ne) endpoint layout, a single state, one state against many
+    # normals and many states against one normal
+    rng = np.random.default_rng(6)
+    model = Euler(gamma=1.4)
+    u = random_admissible(rng, 400).T.reshape(4, 2, 2, 100).copy()
+    u[:, 0, 0, :10] = model.from_primitive(
+        rng.choice([1e-12, 3e-9, 1e-6], 10), rng.uniform(-2, 2, 10),
+        rng.uniform(-2, 2, 10), rng.uniform(0.05, 4.0, 10)).T
+    u[:, 1, 1, 10:20] = model.from_primitive(
+        rng.uniform(0.1, 3.0, 10), rng.uniform(-2, 2, 10),
+        rng.uniform(-2, 2, 10), rng.choice([1e-12, 3e-9, 1e-6], 10)).T
+    n = rng.standard_normal((2, 100))
+    n /= np.hypot(n[0], n[1])
+    got = model.wavespeed(u, n)
+    assert got.shape == (2, 2, 100)
+    assert np.array_equal(got, former_wavespeed(model, u, n))
+    flat = u.reshape(4, -1)
+    for i in range(0, flat.shape[1], 37):
+        one = model.wavespeed(flat[:, i], n[:, 0])
+        assert np.ndim(one) == 0
+        assert one == former_wavespeed(model, flat[:, i], n[:, 0])
+    for ui, ni in ((flat[:, 3], n), (flat, n[:, 7])):
+        assert np.array_equal(model.wavespeed(ui, ni),
+                              former_wavespeed(model, ui, ni))
+    # NaN, zero and negative density or internal energy still raise
+    for comp, value in ((0, np.nan), (0, 0.0), (0, -1.0), (3, np.nan),
+                        (3, 0.0), (3, -1.0)):
+        bad = u.copy()
+        bad[comp, 1, 0, 42] = value
+        for layout in (bad, bad[:, 1, 0, 42]):
+            with pytest.raises(AdmissibilityError,
+                               match="inadmissible state in wavespeed"):
+                model.wavespeed(layout, n[:, 42])
+
+
 def test_make_model():
     assert make_model("euler").name == "euler"
     assert make_model("euler", gamma=5 / 3).gamma == pytest.approx(5 / 3)
