@@ -279,16 +279,21 @@ def bp_timestep(mesh, alpha, c_ssp, scheme, k):
 # limiter
 # ---------------------------------------------------------------------------
 
-def _theta(mean, node_min, floor):
-    """Zhang-Shu scale factor per cell: the largest theta in [0, 1] with
-    mean + theta * (node_min - mean) >= floor; 1 where node_min >= floor."""
-    cut = node_min < floor
-    theta = mean - floor
-    np.divide(theta, mean - node_min, out=theta, where=cut)
-    np.copyto(theta, 1.0, where=~cut)
+def _below_floor(mean, node_min, floor):
+    """The cells whose node minimum is below their floor, and their
+    Zhang-Shu scale factors: the largest theta in [0, 1] with
+    mean + theta * (node_min - mean) >= floor. Every other cell's factor is
+    1, which scales nothing. floor: per cell, or one for all. With no cell
+    below its floor the factors are None."""
+    cells = np.flatnonzero(node_min < floor)
+    if not len(cells):
+        return cells, None
+    mean = mean[cells]
+    theta = mean - (floor[cells] if np.ndim(floor) else floor)
+    theta /= mean - node_min[cells]
     # np.clip(theta, 0, 1) bit for bit: with 0.0 first, a -0.0 stays -0.0
     np.maximum(0.0, theta, out=theta)
-    return np.minimum(theta, 1.0, out=theta)
+    return cells, np.minimum(theta, 1.0, out=theta)
 
 
 class BPLimiter:
@@ -367,7 +372,7 @@ class BPLimiter:
                             tr.reshape(d, 3, op.Q, nc))
             num = buf[:, 0] - (self.w_local.T * avg).sum(axis=1)
             vals.append((num / (1.0 - self.sum_w))[:, None])
-        return np.concatenate(vals, axis=1)
+        return np.concatenate(vals, axis=1) if len(vals) > 1 else tr
 
     def apply(self, state):
         buf = component_major(state.coeffs, copy=True)           # (d,nm,nc)
@@ -384,33 +389,57 @@ class BPLimiter:
         if np.any(bad):
             raise AdmissibilityError(msg, cell=int(np.argmax(bad)))
         vals = self._node_values(buf)                            # (d,n,nc)
+        # only the cells below a floor are scaled: a factor of 1 scales
+        # nothing, and a cell counts in violations when its factor is < 1
 
         if not self.positivity:
             u = vals[0]
             # the upper bound is the lower bound of -u
-            theta = np.minimum(_theta(mean[0], u.min(axis=0), lo),
-                               _theta(-mean[0], -u.max(axis=0), -hi))
-            buf[0, 1:] *= theta
-            self.violations += int(np.sum(theta < 1.0))
+            cells, theta = _below_floor(mean[0], u.min(axis=0), lo)
+            hi_cells, hi_theta = _below_floor(-mean[0], -u.max(axis=0), -hi)
+            if len(cells) and len(hi_cells):
+                # a cell outside both bounds takes the smaller factor
+                full = np.ones(len(mean[0]))
+                full[cells] = theta
+                full[hi_cells] = np.minimum(full[hi_cells], hi_theta)
+                cells = np.flatnonzero(full != 1.0)
+                theta = full[cells]
+            elif len(hi_cells):
+                cells, theta = hi_cells, hi_theta
+            if len(cells):
+                buf[0][1:, cells] *= theta
+                self.violations += int(np.count_nonzero(theta < 1.0))
             return ModalState(state.k, modal_view(buf), state.t)
 
         # step 1: density positivity
-        theta1 = _theta(rho_bar, vals[0].min(axis=0),
-                        np.minimum(rho_bar, self.EPS))
-        buf[0, 1:] *= theta1
-        # node values are linear in the modes: the density-fixed state has
-        # rho_bar + theta1 (rho - rho_bar) at every node, u* included; only
-        # scaled cells are rewritten, so the others keep their exact values
-        cut = theta1 < 1.0
-        if cut.any():
-            rb = rho_bar[cut]
-            rho = vals[0]
-            rho[:, cut] = rb + theta1[cut] * (rho[:, cut] - rb)
+        rho = vals[0]
+        cells, theta1 = _below_floor(rho_bar, rho.min(axis=0),
+                                     np.minimum(rho_bar, self.EPS))
+        if len(cells):
+            buf[0][1:, cells] *= theta1
+            # a cell below its floor may still round to theta1 = 1
+            cut = theta1 < 1.0
+            cells, theta1 = cells[cut], theta1[cut]
+        if len(cells):
+            # node values are linear in the modes: the density-fixed state
+            # has rho_bar + theta1 (rho - rho_bar) at every node, u*
+            # included; only scaled cells are rewritten, so the others keep
+            # their exact values
+            rb = rho_bar[cells]
+            rho[:, cells] = rb + theta1 * (rho[:, cells] - rb)
 
         # step 2: internal energy positivity on the density-fixed state
         e_nodes = model.internal_energy(vals.transpose(1, 2, 0))  # (n, nc)
-        theta2 = _theta(e_bar, e_nodes.min(axis=0),
-                        np.minimum(e_bar, self.EPS))
-        buf[:, 1:] *= theta2
-        self.violations += int(np.sum(cut | (theta2 < 1.0)))
+        cells2, theta2 = _below_floor(e_bar, e_nodes.min(axis=0),
+                                      np.minimum(e_bar, self.EPS))
+        if len(cells2):
+            buf[:, 1:, cells2] *= theta2
+            cells2 = cells2[theta2 < 1.0]
+        # a cell scaled in both steps counts once
+        if len(cells) and len(cells2):
+            scaled = np.zeros(len(rho_bar), dtype=bool)
+            scaled[cells] = scaled[cells2] = True
+            self.violations += int(np.count_nonzero(scaled))
+        else:
+            self.violations += len(cells) + len(cells2)
         return ModalState(state.k, modal_view(buf), state.t)

@@ -67,6 +67,20 @@ class ModalState:
         return self.coeffs[:, 0, :]
 
 
+class EdgeStates:
+    """The two-sided edge Gauss states U (d, 2, Q, ne) of one state at one
+    time, shared by the callers that read them, as SpatialOperator.
+    _edge_states builds them. flux: their two-sided normal flux (2, d, Q,
+    ne) once the wavespeed bound has formed it, else None; the residual
+    that reads it takes it, since its LF flux is written over it."""
+
+    __slots__ = ("U", "flux")
+
+    def __init__(self, U):
+        self.U = U
+        self.flux = None
+
+
 # ---------------------------------------------------------------------------
 # boundary rules
 # ---------------------------------------------------------------------------
@@ -357,8 +371,8 @@ class SpatialOperator:
         """d(coeffs)/dt of the semi-discrete scheme: the (nc, nm, d) view of
         a component-major buffer.
 
-        states: the two-sided edge states of coeffs at t, when the caller
-        already built them with _edge_states.
+        states: the EdgeStates of coeffs at t, when the caller already built
+        them; their flux, if the bound formed it, is used and taken.
         """
         buf = component_major(coeffs)
         # each term's temporaries are freed before the next term's
@@ -370,9 +384,13 @@ class SpatialOperator:
     def _edge_term(self, coeffs, alpha, t, buf, states):
         """-sign * l * sum_nu w_nu fhat Psi, in each cell's traversal order,
         through the shared reference matrix: (d, nm, nc)."""
-        U = self._edge_states(coeffs, t, buf) if states is None else states
+        if states is None:
+            U, known = self._edge_states(coeffs, t, buf), ()
+        else:
+            # the flux the bound formed is taken: lf_flux writes over it
+            U, known, states.flux = states.U, (states.flux,), None
         try:
-            fhat = self.model.lf_flux(U, self.edge_normal_cf, alpha)
+            fhat = self.model.lf_flux(U, self.edge_normal_cf, alpha, *known)
         except AdmissibilityError:
             # the flux tests admissibility in its own pass; name the cell
             # and edge only on this failure path
@@ -410,15 +428,37 @@ class SpatialOperator:
         mode 'cell_average': max over cells/edges of the wavespeed of the cell
         average. mode 'edge_gauss': max over the edge quadrature traces of
         both sides (the states entering the cell-average update; this is what
-        limited runs control). states: the two-sided edge states of coeffs at
-        t, when the caller already built them with _edge_states.
+        limited runs control). states: the EdgeStates of coeffs at t, when
+        the caller already built them; the bound then forms their flux in
+        the same pass and leaves it in states.flux for the residual.
+        An inadmissible state raises AdmissibilityError naming the first
+        inadmissible cell, and in mode 'edge_gauss' its edge.
         """
+        model = self.model
         if mode == "cell_average":
             ubar = coeffs[:, 0, :].T                                 # (d, nc)
-            s = self.model.wavespeed(ubar[:, :, None],
-                                     self.mesh.normal.transpose(2, 0, 1))
+            try:
+                s = model.wavespeed(ubar[:, :, None],
+                                    self.mesh.normal.transpose(2, 0, 1))
+            except AdmissibilityError as exc:
+                bad = ~model.admissible(ubar)
+                if bad.any():
+                    raise AdmissibilityError(
+                        str(exc), cell=int(np.argmax(bad))) from None
+                raise
             return float(np.max(s))
         if mode != "edge_gauss":
             raise ConfigError(f"unknown wavespeed mode {mode!r}")
-        U = self._edge_states(coeffs, t) if states is None else states
-        return float(np.max(self.model.wavespeed(U, self.edge_normal_cf)))
+        U = self._edge_states(coeffs, t) if states is None else states.U
+        try:
+            if states is None:
+                s = model.wavespeed(U, self.edge_normal_cf)
+            else:
+                states.flux, s = model.two_sided_flux_wavespeed(
+                    U, self.edge_normal_cf)
+        except AdmissibilityError as exc:
+            # the wavespeed tests admissibility in its own pass; name the
+            # cell and edge only on this failure path
+            self._reject_inadmissible(model.admissible(U), str(exc))
+            raise
+        return float(np.max(s))

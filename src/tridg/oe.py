@@ -54,6 +54,7 @@ class OEFilter:
         mesh = op.mesh
         # A^{k,j} h^(j-1) per order j and cell edge: (k+1, 3, nc)
         h = mesh.height.T
+        self.total_area = mesh.area.sum()
         self.A_h = np.stack([damping_prefactor(k, j) * h ** (j - 1)
                              for j in range(k + 1)])
         # jets: the mixed derivatives d^(j-ridx)_xi d^ridx_eta of the orders
@@ -123,7 +124,7 @@ class OEFilter:
         # whatever the layout: BLAS sums a strided product in another order
         # than a contiguous one
         means = np.ascontiguousarray(coeffs[:, :2, :])[:, 0, :]
-        ubar = mesh.area @ means / mesh.area.sum()
+        ubar = mesh.area @ means / self.total_area
         # interior values component-major, (d, N, nc), so that every
         # reduction runs along the cells
         vals = op.at_nodes(op.basis_int, component_major(coeffs))
@@ -180,12 +181,13 @@ class OEFilter:
         # (d, nd, 2, 2, ne) and (d, k+1, 2, ne)
         W = np.take(lo.reshape(d, nd, 3 * nc), self.endpoint_take, axis=-1)
         C = np.take(top, self.cell_take, axis=-1)
-        gi = op.ghost_ids
-        W[:, 1:, 1][..., gi] = 0.0
-        C[:, :, 1][..., gi] = 0.0
         # the order-0 values, each component contiguous
         u = W[:, 0]
-        op.write_ghosts(u, self.ghost_endpoints, t)
+        gi = op.ghost_ids
+        if len(gi):
+            W[:, 1:, 1][..., gi] = 0.0
+            C[:, :, 1][..., gi] = 0.0
+            op.write_ghosts(u, self.ghost_endpoints, t)
         J = np.empty((d, 2 * nd + self.k + 1, C.shape[-1]))
         np.subtract(W[:, :, 0], W[:, :, 1],
                     out=J[:, :2 * nd].reshape(d, nd, 2, -1))
@@ -284,9 +286,12 @@ class OEFilter:
         # the sign folded into the factor: -(dt * X) is (-dt) * X bit for bit
         X = self._exponents(state.coeffs, -dt, state.t)          # (d, k, nc)
         np.exp(X, out=X)
-        # one factor per degree, over the m + 1 modes of degree m
-        coeffs = component_major(state.coeffs, copy=True)
+        # one factor per degree, over the m + 1 modes of degree m, written
+        # beside the averages into a fresh buffer
+        buf = component_major(state.coeffs)
+        out = np.empty_like(buf)
+        out[:, 0] = buf[:, 0]
         for m in range(1, self.k + 1):
-            coeffs[:, m * (m + 1) // 2:(m + 1) * (m + 2) // 2] *= \
-                X[:, m - 1, None]
-        return ModalState(state.k, modal_view(coeffs), state.t)
+            modes = slice(m * (m + 1) // 2, (m + 1) * (m + 2) // 2)
+            np.multiply(buf[:, modes], X[:, m - 1, None], out=out[:, modes])
+        return ModalState(state.k, modal_view(out), state.t)

@@ -3,11 +3,14 @@
 Component axis convention. The solver's kernel methods take states
 component-first, u (d, ...) with u[c] the c-th conserved variable, and normals
 n (2, ...) broadcasting against u's trailing axes: admissible, normal_flux,
-two_sided_flux, lf_flux, wavespeed and wavespeed_clamped. normal_flux is the
-one flux kernel of a model, F(u) . n for unit or non-unit normals, unchecked;
-two_sided_flux gives both sides of an edge to lf_flux, checked by Euler. Euler
-forms rho e and p in one in-place pass behind its flux and both wavespeeds,
-which raises AdmissibilityError or, for wavespeed_clamped, floors rho and p.
+two_sided_flux, two_sided_flux_wavespeed, lf_flux, wavespeed and
+wavespeed_clamped. normal_flux is the one flux kernel of a model, F(u) . n for
+unit or non-unit normals, unchecked; two_sided_flux gives both sides of an
+edge to lf_flux, checked by Euler, and two_sided_flux_wavespeed gives it with
+the wavespeed of the same states. Euler forms rho e and p in one in-place pass
+behind its flux and both wavespeeds, which raises AdmissibilityError or, for
+wavespeed_clamped, floors rho and p; the flux and the wavespeed of one set of
+states share one such pass.
 The state helpers of problem setup, boundary rules and post-processing keep
 the components last, (..., d): internal_energy, pressure, from_primitive,
 to_primitive, rotate_state and reflect. Directional wavespeeds bound the
@@ -65,15 +68,23 @@ class Model:
         raises AdmissibilityError for an inadmissible state on either side."""
         return np.moveaxis(self.normal_flux(u, n), 1, 0)
 
-    def lf_flux(self, u, n, alpha):
+    def two_sided_flux_wavespeed(self, u, n):
+        """(two_sided_flux(u, n), wavespeed(u, n)) of two-sided states u
+        (d, 2, ...): the flux and the speed of both sides, (2, ...), for a
+        caller that needs the two, checked as the wavespeed checks. A model
+        whose two share a pointwise pass forms both from one."""
+        return self.two_sided_flux(u, n), self.wavespeed(u, n)
+
+    def lf_flux(self, u, n, alpha, f=None):
         """Lax-Friedrichs flux 0.5 (F(ui).n + F(ue).n - alpha (ue - ui)).
 
         u is two-sided, (d, 2, ...): u[:, 0] the interior and u[:, 1] the
-        exterior states. The combination is written in place over side 0's
-        flux from two_sided_flux.
+        exterior states. f: their two_sided_flux, when the caller already
+        formed it; the combination is written in place over side 0 of it.
         """
         u = np.asarray(u, dtype=float)
-        f = self.two_sided_flux(u, n)
+        if f is None:
+            f = self.two_sided_flux(u, n)
         out = f[0]
         out += f[1]
         jump = u[:, 1] - u[:, 0]
@@ -201,7 +212,11 @@ class Euler(Model):
             np.maximum(p, 0.0, out=p)
         if n is None:
             return p
-        # the sound speed, in p's buffer
+        return self._speed(rho, m1, m2, p, n)
+
+    def _speed(self, rho, m1, m2, p, n):
+        """|v . n| + sqrt(gamma p / rho) from _pressure's p, the sound speed
+        formed in p's buffer."""
         p *= self.gamma
         p /= rho
         np.sqrt(p, out=p)
@@ -234,16 +249,29 @@ class Euler(Model):
         return self._write_normal_flux(u, self._pressure(u, check=False), n,
                                        out)
 
+    @staticmethod
+    def _two_sided(u, p, n):
+        """The rho v.n form of both sides' flux, side-major: each side's
+        flux is one contiguous block, (2, 4, ...)."""
+        buf = np.empty((2,) + u.shape[:1] + u.shape[2:])
+        Euler._write_normal_flux(u, p, n,
+                                 buf.transpose(1, 0, *range(2, buf.ndim)))
+        return buf
+
     @_arrays
     def two_sided_flux(self, u, n):
         """The normal flux of both sides in one pointwise pass: _pressure's
         checked pass, then the rho v.n form."""
-        p = self._pressure(u, check=True)
-        # side-major storage: each side's flux is one contiguous block
-        buf = np.empty((2,) + u.shape[:1] + u.shape[2:])
-        self._write_normal_flux(u, p, n,
-                                buf.transpose(1, 0, *range(2, buf.ndim)))
-        return buf
+        return self._two_sided(u, self._pressure(u, check=True), n)
+
+    def two_sided_flux_wavespeed(self, u, n):
+        """Both results from one pass of _pressure, checked as the
+        wavespeed checks: the flux first, then the speed in p's buffer."""
+        u, n = np.asarray(u, dtype=float), np.asarray(n, dtype=float)
+        p = self._pressure(u, "wavespeed")
+        f = self._two_sided(u, p, n)
+        rho, m1, m2, _ = u
+        return f, self._speed(rho, m1, m2, p, n)
 
     @_arrays
     def wavespeed(self, u, n):
@@ -311,6 +339,11 @@ class ScaledModel(Model):
         f = self.base.two_sided_flux(u, n)
         f *= self.lam
         return f
+
+    def two_sided_flux_wavespeed(self, u, n):
+        f, s = self.base.two_sided_flux_wavespeed(u, n)
+        f *= self.lam
+        return f, self.lam * s
 
     def admissible(self, u):
         return self.base.admissible(u)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from . import bp as bp_mod
-from .dg import ModalState, component_major, modal_view
+from .dg import EdgeStates, ModalState, component_major, modal_view
 from .errors import ConfigError, NumericsError
 
 
@@ -154,7 +154,8 @@ def run(op, state, t_end, scheme=None, oe=None, bp=None, output_times=(),
     limiter's scheme selects its CFL rule. Limited runs bound the wavespeed
     over the edge Gauss points, the traces the limiter controls, and build
     those edge states once per step for the bound and the first stage's
-    residual; unlimited runs use the cheap cell-average bound.
+    residual, whose flux the bound forms in its own pass over them;
+    unlimited runs use the cheap cell-average bound.
     A finite t_end not reached within max_steps steps raises NumericsError;
     with t_end = math.inf the run ends normally after exactly max_steps.
     The run starts from state as given, recorded as snapshot 0; further
@@ -183,7 +184,7 @@ def run(op, state, t_end, scheme=None, oe=None, bp=None, output_times=(),
             alpha = op.max_wavespeed(state.coeffs, t=state.t,
                                      mode="cell_average")
         else:
-            states = op._edge_states(state.coeffs, state.t)
+            states = EdgeStates(op._edge_states(state.coeffs, state.t))
             alpha = op.max_wavespeed(state.coeffs, t=state.t,
                                      mode="edge_gauss", states=states)
         if not np.isfinite(alpha):
@@ -198,7 +199,8 @@ def run(op, state, t_end, scheme=None, oe=None, bp=None, output_times=(),
 
         def residual_fn(c, t):
             # advance's first call is the start state's residual, at
-            # state.t: it reuses the edge states built for the bound
+            # state.t: it reuses the edge states built for the bound and
+            # the flux the bound formed on them
             nonlocal states
             if states is None:
                 return op.residual(c, alpha, t)

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tridg import bp
-from tridg.dg import ModalState, SpatialOperator
+from tridg.dg import ModalState, SpatialOperator, component_major, modal_view
 from tridg.errors import AdmissibilityError, ConfigError
 from tridg.harness import random_triangle_lengths
 from tridg.mesh import generate_structured, perturb
-from tridg.physics import Advection, Euler
+from tridg.physics import Advection, Burgers, Euler
 
 EQUILATERAL = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
 RIGHT_ISO = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]])  # hypotenuse 1
@@ -628,7 +628,12 @@ def test_theta_matches_former_bit_for_bit():
     node_min[100:150] = floor[100:150]
     mean[150:160], floor[150:160], node_min[150:160] = -0.0, 0.0, -1.0
     node_min[160] = np.nan
-    got = bp._theta(mean, node_min, floor)
+    # the cells below their floor carry their factor; every other cell's
+    # factor is 1, which _below_floor leaves out
+    cells, theta = bp._below_floor(mean, node_min, floor)
+    assert cells.tolist() == np.flatnonzero(node_min < floor).tolist()
+    got = np.ones_like(mean)
+    got[cells] = theta
     want = former_theta(mean, node_min, floor)
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
     assert (got[100:150] == 1.0).all() and ((0.0 < got) & (got < 1.0)).any()
@@ -651,3 +656,90 @@ def test_vertex_take_is_the_take_along_axis_gather(seed, rng):
         vv, np.ascontiguousarray(op.mesh.sort_order[:, :2].T)[None], axis=1)
     got = np.take(vv.reshape(4, -1), lim.vertex_take, axis=-1)
     assert np.array_equal(got, want)
+
+
+# -- the limiter against its former every-cell form ---------------------------
+
+def former_apply(lim, state):
+    """BPLimiter.apply as it was before it scaled only the cells below their
+    floor: every cell scaled by its theta, 1 above the floor. Returns the
+    coefficients and the number of cells it counted as scaled."""
+    buf = component_major(state.coeffs, copy=True)
+    mean = buf[:, 0]
+    vals = lim._node_values(buf).copy()
+    if not lim.positivity:
+        lo, hi = lim.bounds
+        u = vals[0]
+        theta = np.minimum(former_theta(mean[0], u.min(axis=0), lo),
+                           former_theta(-mean[0], -u.max(axis=0), -hi))
+        buf[0, 1:] *= theta
+        return modal_view(buf), int(np.sum(theta < 1.0))
+    model = lim.op.model
+    rho_bar, e_bar = mean[0], model.internal_energy(mean.T)
+    theta1 = former_theta(rho_bar, vals[0].min(axis=0),
+                          np.minimum(rho_bar, lim.EPS))
+    buf[0, 1:] *= theta1
+    cut = theta1 < 1.0
+    if cut.any():
+        rb = rho_bar[cut]
+        rho = vals[0]
+        rho[:, cut] = rb + theta1[cut] * (rho[:, cut] - rb)
+    e_nodes = model.internal_energy(vals.transpose(1, 2, 0))
+    theta2 = former_theta(e_bar, e_nodes.min(axis=0),
+                          np.minimum(e_bar, lim.EPS))
+    buf[:, 1:] *= theta2
+    return modal_view(buf), int(np.sum(cut | (theta2 < 1.0)))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+# high-order amplitudes at which no cell, a few cells and most cells are
+# scaled on the 8x8 perturbed mesh (128 cells)
+SCALES = {"idle": 1e-3, "few": 0.03, "many": 3.0}
+
+
+@pytest.mark.parametrize("level", list(SCALES))
+@pytest.mark.parametrize("model,k,scheme", [
+    (Euler(), 1, "dcw"), (Euler(), 1, "zxs"), (Euler(), 2, "dcw"),
+    (Euler(), 2, "zxs"), (Burgers(), 1, "dcw"), (Burgers(), 2, "zxs")],
+    ids=lambda v: getattr(v, "name", v))
+def test_limiter_matches_its_former_every_cell_form(model, k, scheme, level):
+    # the cells above their floor are skipped, which a factor of 1 would
+    # leave as they are: the coefficients and the count are the former
+    # ones bit for bit, the input is untouched and the result is new
+    rng = np.random.default_rng(k + 7 * len(scheme))
+    mesh = perturb(generate_structured((0, 0, 1, 1), 8, 8,
+                                       diagonal="alternating"),
+                   amplitude=0.3, seed=k)
+    op = SpatialOperator(mesh, model, k)
+    nc = mesh.n_cells
+    if model.positivity_constrained:
+        coeffs = random_euler_state(op, rng, SCALES[level])
+        lim = bp.BPLimiter(op, scheme)
+    else:
+        coeffs = np.zeros((nc, op.nm, 1))
+        coeffs[:, 0, 0] = rng.uniform(0.05, 0.95, nc)
+        coeffs[:, 1:, 0] = SCALES[level] * rng.standard_normal(
+            (nc, op.nm - 1))
+        lim = bp.BPLimiter(op, scheme, bounds=(0.0, 1.0))
+    # a C-ordered state and the modal view of a component-major buffer
+    for st in (ModalState(k, coeffs, 0.5),
+               ModalState(k, modal_view(component_major(coeffs, copy=True)),
+                          0.5)):
+        before = st.coeffs.copy()
+        v0 = lim.violations
+        out = lim.apply(st)
+        want, counted = former_apply(lim, st)
+        assert np.array_equal(bits(out.coeffs), bits(want))
+        assert lim.violations - v0 == counted
+        assert np.array_equal(bits(st.coeffs), bits(before))
+        assert not np.shares_memory(out.coeffs, st.coeffs)
+        assert out.t == 0.5
+        if level == "idle":
+            assert counted == 0
+        elif level == "few":
+            assert 0 < counted <= nc // 4
+        else:
+            assert counted >= nc // 2

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -342,6 +343,34 @@ def test_filter_wavespeed_abort_names_cell_and_edge(tmp_path, capsys, k, oe):
     err = capsys.readouterr().err
     assert "inadmissible state at edge endpoint [cell " in err
     assert ", edge " in err
+
+
+def test_limited_run_from_an_inadmissible_start_state_exits_3(
+        tmp_path, capsys, monkeypatch):
+    # the start state's cells are admissible, the ghost state of its inflow
+    # edges is not: the step's bound, which forms the first stage's flux in
+    # the same pass, aborts with the wavespeed's message, located at a
+    # boundary edge and its cell
+    from tridg import problems
+    from tridg.dg import Inflow
+    base = problems.get_problem("euler_double_rarefaction")
+    prob = problems.Problem(
+        name="vacuum_inflow", model_factory=base.model_factory, ic=base.ic,
+        boundary_factory=lambda model: {"OUT": Inflow(
+            model.from_primitive(-1.0, 0.0, 0.0, 0.4))},
+        domain=base.domain, side_tags=base.side_tags, base_n=8)
+    monkeypatch.setitem(problems.PROBLEMS, prob.name, prob)
+    rc = main(["run", "--problem", prob.name, "--k", "1", "--oe", "ri",
+               "--bp", "dcw", "--tend", "0.01",
+               "--out", str(tmp_path / "v")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "inadmissible state in wavespeed evaluation [cell " in err
+    cell, edge = (int(w) for w in re.search(
+        r"\[cell (\d+), edge (\d+)\]", err).groups())
+    mesh = prob.make_mesh()
+    assert edge in mesh.boundary_edge_ids
+    assert mesh.edge_cells[edge, 0] == cell
 
 
 def test_run_bp_vacuum_ok(tmp_path):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from tridg import basis
-from tridg.dg import (REF_VERTICES, Inflow, ModalState, Outflow,
-                      Reflective, SpatialOperator)
+from tridg.dg import (REF_VERTICES, EdgeStates, Inflow, ModalState,
+                      Outflow, Reflective, SpatialOperator)
 from tridg.errors import AdmissibilityError, ConfigError
 from tridg.mesh import build_mesh, generate_structured, perturb, refine_uniform
 from tridg.oe import OEFilter
 from tridg.physics import Advection, Burgers, Euler, ScaledModel
+from tridg.problems import get_problem
 
 import components_last as cl
 from components_last import (assert_close_to_max, boundary_ghosts, cf,
@@ -258,6 +259,47 @@ def test_max_wavespeed_modes(periodic_square):
             op.max_wavespeed(st.coeffs, mode=mode)
 
 
+def implosion_op_with_bad_cell(cell, mean_density):
+    """The mild implosion at P1 on a perturbed 4x4 mesh, one cell's density
+    oscillating enough to dip below zero at its edge Gauss points, its
+    average set to mean_density."""
+    prob = get_problem("euler_implosion_mild")
+    model = prob.make_model()
+    mesh = perturb(prob.make_rect_mesh(4), seed=1)
+    op = SpatialOperator(mesh, model, 1, boundary=prob.boundary(model))
+    st = op.project(prob.ic)
+    st.coeffs[cell, 0, 0] = mean_density
+    st.coeffs[cell, 1:, 0] = 4.0 * abs(mean_density)
+    return op, st.coeffs
+
+
+def test_edge_gauss_wavespeed_abort_names_the_cell_and_edge():
+    # one cell inadmissible at its edge Gauss points, its average and every
+    # other cell admissible: the checked bound names that cell and one of
+    # its edges, whether it forms the flux in the same pass or not
+    cell = 11
+    op, coeffs = implosion_op_with_bad_cell(cell, 0.5)
+    ok = op.model.admissible(op._edge_states(coeffs, 0.0))
+    assert not ok.all()
+    assert op.model.admissible(coeffs[:, 0].T).all()
+    for states in (None, EdgeStates(op._edge_states(coeffs, 0.0))):
+        with pytest.raises(AdmissibilityError, match=(
+                r"^inadmissible state in wavespeed evaluation "
+                r"\[cell \d+, edge \d+\]$")) as e:
+            op.max_wavespeed(coeffs, mode="edge_gauss", states=states)
+        assert e.value.cell == cell
+        assert e.value.edge in op.mesh.cell_edges[cell]
+
+
+def test_cell_average_wavespeed_abort_names_the_first_bad_cell():
+    op, coeffs = implosion_op_with_bad_cell(11, -0.5)
+    coeffs[13, 0, 3] = -1.0               # a negative energy further on
+    with pytest.raises(AdmissibilityError, match=(
+            r"^inadmissible state in wavespeed evaluation \[cell 11\]$")) as e:
+        op.max_wavespeed(coeffs, mode="cell_average")
+    assert e.value.cell == 11 and e.value.edge is None
+
+
 def test_vertex_derivatives_match_polynomial():
     # quadratic with known mixed derivatives
     m = perturb(generate_structured((0, 0, 1, 1), 3, 3), 0.2, seed=4)
@@ -387,12 +429,22 @@ def test_shared_edge_states_match_unshared_calls(k, model):
         "IN": inflow, "OUT": Outflow(), "WALL": Reflective()})
     coeffs = 0.02 * rng.standard_normal((mesh.n_cells, op.nm, op.d))
     coeffs[:, 0, :] += mean
-    states = op._edge_states(coeffs, 0.3)
-    assert states.shape == (op.d, 2, op.Q, mesh.n_edges)
+    U = op._edge_states(coeffs, 0.3)
+    assert U.shape == (op.d, 2, op.Q, mesh.n_edges)
+    unshared = op.residual(coeffs, 2.5, t=0.3)
+    states = EdgeStates(U)
     assert np.array_equal(op.residual(coeffs, 2.5, t=0.3, states=states),
-                          op.residual(coeffs, 2.5, t=0.3))
+                          unshared)
+    # the bound forms the flux of the shared states in its own pass, and
+    # the next residual takes it
     assert (op.max_wavespeed(coeffs, t=0.3, states=states)
             == op.max_wavespeed(coeffs, t=0.3))
+    assert np.array_equal(states.flux,
+                          model.two_sided_flux(U, op.edge_normal_cf))
+    assert np.array_equal(op.residual(coeffs, 2.5, t=0.3, states=states),
+                          unshared)
+    assert states.flux is None
+    assert np.array_equal(U, op._edge_states(coeffs, 0.3))
 
 
 # -- shared reference-element edge operators against per-cell matrices -------

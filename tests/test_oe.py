@@ -1,9 +1,11 @@
+import copy
 from math import comb
 
 import numpy as np
 import pytest
 
-from tridg.dg import Inflow, ModalState, Outflow, Reflective, SpatialOperator
+from tridg.dg import (Inflow, ModalState, Outflow, Reflective,
+                      SpatialOperator, component_major, modal_view)
 from tridg.errors import (AdmissibilityError, ConfigError,
                           UnsupportedOperationError)
 from tridg.mesh import generate_structured, perturb
@@ -599,3 +601,96 @@ def test_apply_matches_block_loop(k, model, mode):
     assert np.array_equal(out.coeffs, want.coeffs)
     assert np.array_equal(np.signbit(out.coeffs), np.signbit(want.coeffs))
     assert not np.shares_memory(out.coeffs, state.coeffs)
+
+
+# -- reference: the filter before it skipped the ghost pass of ghost-free -----
+# -- meshes and wrote the damped blocks into a fresh buffer ------------------
+
+def former_endpoint_pass(f, coeffs, t):
+    """OEFilter._endpoint_pass with its unconditional ghost zeroing and
+    write_ghosts call."""
+    op = f.op
+    lo, top = f.vertex_jets(coeffs)
+    d, nd, _, nc = lo.shape
+    W = np.take(lo.reshape(d, nd, 3 * nc), f.endpoint_take, axis=-1)
+    C = np.take(top, f.cell_take, axis=-1)
+    gi = op.ghost_ids
+    W[:, 1:, 1][..., gi] = 0.0
+    C[:, :, 1][..., gi] = 0.0
+    u = W[:, 0]
+    op.write_ghosts(u, f.ghost_endpoints, t)
+    J = np.empty((d, 2 * nd + f.k + 1, C.shape[-1]))
+    np.subtract(W[:, :, 0], W[:, :, 1],
+                out=J[:, :2 * nd].reshape(d, nd, 2, -1))
+    np.subtract(C[:, :, 0], C[:, :, 1], out=J[:, 2 * nd:])
+    return J, u
+
+
+def former_global_deviation(f, coeffs):
+    """OEFilter.global_deviation summing the cell areas on every call."""
+    op, mesh = f.op, f.op.mesh
+    means = np.ascontiguousarray(coeffs[:, :2, :])[:, 0, :]
+    ubar = mesh.area @ means / mesh.area.sum()
+    vals = op.at_nodes(op.basis_int, component_major(coeffs))
+    vals -= ubar[:, None, None]
+    mdev = None
+    mom = op.model.momentum_components
+    if mom:
+        m1, m2 = vals[mom[0]], vals[mom[1]]
+        mdev = float(np.sqrt((m1 * m1 + m2 * m2).max()))
+    dev = np.abs(vals, out=vals).max(axis=2).max(axis=1)
+    return ubar, dev, mdev
+
+
+def former_apply(f, state, dt):
+    """OEFilter.apply copying the state, then scaling each degree's block
+    of the copy in place."""
+    ref = copy.copy(f)
+    ref._endpoint_pass = lambda c, t: former_endpoint_pass(ref, c, t)
+    ref.global_deviation = lambda c: former_global_deviation(ref, c)
+    X = ref._exponents(state.coeffs, -dt, state.t)
+    np.exp(X, out=X)
+    coeffs = component_major(state.coeffs, copy=True)
+    for m in range(1, f.k + 1):
+        coeffs[:, m * (m + 1) // 2:(m + 1) * (m + 2) // 2] *= \
+            X[:, m - 1, None]
+    return modal_view(coeffs)
+
+
+@pytest.mark.parametrize("walled", [False, True], ids=["periodic", "walled"])
+@pytest.mark.parametrize("k,mode", [(1, "rioe"), (2, "componentwise"),
+                                    (2, "rioe"), (3, "rioe")])
+def test_apply_matches_the_former_copy_then_scale_form(walled, k, mode):
+    # a periodic mesh has no ghost edge, so the endpoint pass skips the
+    # ghost zeroing and write_ghosts; the walled mesh keeps the ghost path
+    rng = np.random.default_rng(40 + k)
+    prob = get_problem("euler_implosion_mild")
+    model = prob.make_model()
+    if walled:
+        mesh = perturb(prob.make_rect_mesh(6), seed=k)
+    else:
+        mesh = perturb(generate_structured((0, 0, 0.3, 0.3), 6, 6,
+                                           periodic=("x", "y")), seed=k)
+    op = SpatialOperator(mesh, model, k, boundary=prob.boundary(model))
+    assert (len(op.ghost_ids) > 0) == walled
+    f = OEFilter(op, mode=mode)
+    written = []
+    write_ghosts = op.write_ghosts
+    op.write_ghosts = lambda *a: written.append(1) or write_ghosts(*a)
+    coeffs = op.project(prob.ic).coeffs.copy()
+    coeffs[:, 1:] += 0.02 * rng.standard_normal(coeffs[:, 1:].shape)
+    coeffs[::7, 1:, :] = -0.0
+    # a C-ordered state and the modal view of a component-major buffer
+    for state in (ModalState(k, coeffs, 0.1),
+                  ModalState(k, modal_view(component_major(coeffs,
+                                                           copy=True)), 0.1)):
+        before = state.coeffs.copy()
+        written.clear()
+        out = f.apply(state, 1e-3)
+        assert bool(written) == walled
+        want = former_apply(f, state, 1e-3)
+        assert np.array_equal(out.coeffs.view(np.int64), want.view(np.int64))
+        assert np.array_equal(state.coeffs.view(np.int64),
+                              before.view(np.int64))
+        assert not np.shares_memory(out.coeffs, state.coeffs)
+        assert (out.t, out.k) == (0.1, k)

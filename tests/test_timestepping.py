@@ -336,6 +336,36 @@ def test_limited_step_builds_its_start_edge_states_once():
     assert shared == [True, False] * res.steps
 
 
+@pytest.mark.parametrize("oe_mode,scheme,scheme_name", [
+    ("off", "dcw", "rk22"), ("rioe", "zxs", "rk22"), ("off", "dcw", "rk33")])
+def test_limited_step_forms_one_pressure_pass_at_its_start_edge_states(
+        oe_mode, scheme, scheme_name, monkeypatch):
+    # Euler's rho e and p, by the check each pass makes: per step the bound
+    # forms them once at the start edge states ("wavespeed"), where the
+    # first stage's flux used to form them again, and each later stage's
+    # flux once (True); the volume flux once per stage (False), and the
+    # guarded filter once per stage ("floor")
+    prob = get_problem("euler_double_rarefaction")
+    mesh = perturb(prob.make_rect_mesh(16), seed=1)
+    op, state, oe, bp = build_solver(prob, mesh, 1, oe_mode, scheme)
+    rk = timestepping.scheme_by_name(scheme_name)
+    passes = []
+    pressure = Euler._pressure
+    monkeypatch.setattr(
+        Euler, "_pressure", lambda self, u, check, n=None:
+        passes.append(check) or pressure(self, u, check, n))
+    steps = 3
+    res = timestepping.run(op, state, math.inf, scheme=rk, oe=oe, bp=bp,
+                           max_steps=steps)
+    assert res.steps == steps and bp.violations > 0
+    stages = rk.n_stages
+    want = {"wavespeed": steps, True: (stages - 1) * steps,
+            False: stages * steps}
+    if oe is not None:
+        want["floor"] = stages * steps
+    assert {c: passes.count(c) for c in set(passes)} == want
+
+
 @pytest.mark.parametrize("stage", [0, 1, 2])
 def test_residual_errors_carry_their_rk_stage(stage):
     mesh = generate_structured((0, 0, 1, 1), 4, 4, periodic=("x", "y"))
@@ -456,7 +486,8 @@ def test_run_keeps_every_state_component_major(problem, k, oe_mode,
 
 @pytest.mark.parametrize("problem,k,oe_mode,bp_scheme,counts", [
     ("euler_double_rarefaction", 1, "rioe", "dcw",
-     {"lf_flux": 2, "wavespeed": 1, "wavespeed_clamped": 2}),
+     {"lf_flux": 2, "two_sided_flux_wavespeed": 1, "wavespeed": 0,
+      "wavespeed_clamped": 2}),
     ("advection_smooth", 3, "componentwise", None,
      {"lf_flux": 5, "wavespeed": 6})])
 def test_model_kernels_get_edge_last_normals(problem, k, oe_mode, bp_scheme,
@@ -478,7 +509,8 @@ def test_model_kernels_get_edge_last_normals(problem, k, oe_mode, bp_scheme,
             return kernel(u, n, *rest)
         return spied
 
-    for name in ("lf_flux", "wavespeed", "wavespeed_clamped"):
+    for name in ("lf_flux", "two_sided_flux_wavespeed", "wavespeed",
+                 "wavespeed_clamped"):
         monkeypatch.setattr(op.model, name, spy(name))
     timestepping.run(op, state, math.inf, oe=oe, bp=bp, max_steps=1)
     assert {name: sum(c[0] == name for c in calls)
