@@ -230,6 +230,17 @@ class SpatialOperator:
             (mesh.area[:, None, None] * mesh.jac_inv).transpose(2, 1, 0)
         )[:, :, None]
         self._inv_det = 0.5 / mesh.area
+        # a linear flux u v needs no interior values: with V_a the direction
+        # a block of _vol_ref and B = basis_int, the volume term is
+        # sum_a s_a (V_a B) u, s_a = v . (|K| row a of J^-1) per cell, so
+        # one (2 nm, nm) matrix [V_0 B; V_1 B] and the (2, 1, nc) factors
+        self._vol_linear = self._vol_speed = None
+        v = self.model.velocity
+        if v is not None:
+            V = self._vol_ref.reshape(self.nm, 2, -1).transpose(1, 0, 2)
+            self._vol_linear = (V @ self.basis_int).reshape(2 * self.nm, -1)
+            C = self._contravariant
+            self._vol_speed = v[0] * C[0] + v[1] * C[1]
 
     def _gather_tables(self):
         """Flat gather indices between cell-local and global edge orders.
@@ -402,7 +413,15 @@ class SpatialOperator:
 
     def _volume_term(self, buf):
         """sum_a sum_q w_q dPsi/dxi_a F(u) . (|K| row a of J^-1), the flux
-        (d, a, q, nc) against the reference matrix: (d, nm, nc)."""
+        (d, a, q, nc) against the reference matrix: (d, nm, nc). For a
+        linear flux, the reference matrix [V_0 B; V_1 B] on the buffer with
+        each half scaled by its cell factor, a view."""
+        if self._vol_linear is not None:
+            T = (self._vol_linear @ buf).reshape(self.d, 2, self.nm, -1)
+            T *= self._vol_speed
+            V = T[:, 0]
+            V += T[:, 1]
+            return V
         Ui = self.at_nodes(self.basis_int, buf)                     # (d,N,nc)
         Fc = self.model.normal_flux(Ui[:, None], self._contravariant)
         return self._vol_ref @ Fc.reshape(self.d, 2 * self.n_int, -1)

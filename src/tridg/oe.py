@@ -76,6 +76,11 @@ class OEFilter:
             basis.physical_derivative_transform(mesh.jac_inv, j)
             .transpose(1, 2, 0)) for j in range(1, k + 1)]
         self._gather_tables()
+        # |v . n| per edge of a model with a constant velocity, which does
+        # not depend on the state; None: the model's speed at every apply
+        self._edge_speed = (
+            None if op.model.velocity is None
+            else np.abs(op.model.normal_velocity(op.edge_normal_cf)))
         # trapezoidal weights 0.5 binom(j, aidx) on the rows (stacked alpha,
         # endpoint) of the squared jumps of order j < k, and binom(k, aidx)
         # on the one row per alpha of order k, whose jump is the same at
@@ -128,13 +133,21 @@ class OEFilter:
         # interior values component-major, (d, N, nc), so that every
         # reduction runs along the cells
         vals = op.at_nodes(op.basis_int, component_major(coeffs))
-        vals -= ubar[:, None, None]
+        flat = vals.reshape(len(ubar), -1)
+        # max |fl(v - ubar)| is max(fl(max v - ubar), fl(ubar - min v)):
+        # rounding is monotone and symmetric. That maximum is >= 0, and abs
+        # turns a -0.0 into the +0.0 of |fl(v - ubar)|
+        dev = np.abs(np.maximum(flat.max(axis=1) - ubar,
+                                ubar - flat.min(axis=1)))
         mdev = None
         mom = op.model.momentum_components
         if mom:
-            m1, m2 = vals[mom[0]], vals[mom[1]]
-            mdev = float(np.sqrt((m1 * m1 + m2 * m2).max()))
-        dev = np.abs(vals, out=vals).max(axis=2).max(axis=1)
+            m1 = vals[mom[0]] - ubar[mom[0]]
+            m2 = vals[mom[1]] - ubar[mom[1]]
+            m1 *= m1
+            m2 *= m2
+            m1 += m2
+            mdev = float(np.sqrt(m1.max()))
         return ubar, dev, mdev
 
     # -- jump assembly ------------------------------------------------------
@@ -234,6 +247,8 @@ class OEFilter:
 
     def _beta(self, u):
         """Max wavespeed per edge of the two-sided endpoint values u."""
+        if self._edge_speed is not None:
+            return self._edge_speed
         model = self.op.model
         speed = (model.wavespeed_clamped if self.guard_wavespeed
                  else model.wavespeed)

@@ -10,7 +10,10 @@ edge to lf_flux, checked by Euler, and two_sided_flux_wavespeed gives it with
 the wavespeed of the same states. Euler forms rho e and p in one in-place pass
 behind its flux and both wavespeeds, which raises AdmissibilityError or, for
 wavespeed_clamped, floors rho and p; the flux and the wavespeed of one set of
-states share one such pass.
+states share one such pass. A model whose flux is u v for a constant velocity
+v declares it as velocity: the residual's volume term then needs no interior
+quadrature and the OE filter forms |v . n| once, and Advection's lf_flux takes
+the upwind form.
 The state helpers of problem setup, boundary rules and post-processing keep
 the components last, (..., d): internal_energy, pressure, from_primitive,
 to_primitive, rotate_state and reflect. Directional wavespeeds bound the
@@ -34,6 +37,16 @@ class Model:
     # rejects inadmissible traces and the BP limiter enforces positivity;
     # otherwise BP limiting enforces a scalar interval
     positivity_constrained = False
+    # the constant velocity (v1, v2) of a linear flux F(u) = u v, else None:
+    # the residual then applies its volume term as one reference matrix on
+    # the coefficients and the OE filter takes |v . n| once, at setup
+    velocity = None
+
+    def normal_velocity(self, n):
+        """v . n of a model with a constant velocity, for normals n (2, ...):
+        in the shape of n's trailing axes."""
+        v, n = self.velocity, np.asarray(n, dtype=float)
+        return v[0] * n[0] + v[1] * n[1]
 
     def normal_flux(self, u, n):
         """F(u) . n = F_x n1 + F_y n2 for normals n (2, ...): (d, ...).
@@ -116,22 +129,33 @@ def _arrays(kernel):
 
 
 class Advection(Model):
-    """u_t + u_x + u_y = 0 (velocity field (1, 1))."""
+    """u_t + v . grad u = 0 with the constant velocity v = (1, 1)."""
 
     name = "advection"
     n_components = 1
+    velocity = (1.0, 1.0)
 
     @_arrays
     def normal_flux(self, u, n):
-        f = u * n[0]
-        f += u * n[1]
+        v1, v2 = self.velocity
+        f = u * (v1 * n[0])
+        f += u * (v2 * n[1])
         return f
 
     def wavespeed(self, u, n):
-        """|n1 + n2| in the shape of n's trailing axes: the speed does not
+        """|v . n| in the shape of n's trailing axes: the speed does not
         depend on the state."""
-        n = np.asarray(n, dtype=float)
-        return np.abs(n[0] + n[1])
+        return np.abs(self.normal_velocity(n))
+
+    def lf_flux(self, u, n, alpha, f=None):
+        """Model.lf_flux in its upwind form for the flux u v . n:
+        0.5 (v.n + alpha) ui + 0.5 (v.n - alpha) ue, with no flux of either
+        side formed. f, a two-sided flux the caller formed, is not read."""
+        u = np.asarray(u, dtype=float)
+        vn = self.normal_velocity(n)
+        out = 0.5 * (vn + alpha) * u[:, 0]
+        out += 0.5 * (vn - alpha) * u[:, 1]
+        return out
 
 
 class Burgers(Model):
@@ -153,8 +177,15 @@ class Burgers(Model):
 
 
 def _energy(rho, m1, m2, E):
-    """rho * specific internal energy from the conserved variables."""
-    return E - (m1 * m1 + m2 * m2) / (2.0 * rho)
+    """rho * specific internal energy, E - (m1^2 + m2^2) / (2 rho), written
+    in place over m1 * m1. 0-d or scalar inputs give a numpy or Python
+    scalar, which the augmented operations rebind."""
+    e = m1 * m1
+    e += m2 * m2
+    e /= 2.0 * rho
+    if isinstance(e, np.ndarray):
+        return np.subtract(E, e, out=e)
+    return E - e
 
 
 class Euler(Model):
@@ -314,7 +345,9 @@ class Euler(Model):
 
 
 class ScaledModel(Model):
-    """Wrapper with flux lam * F; used for evolution-invariance checks."""
+    """Wrapper with flux lam * F; used for evolution-invariance checks. It
+    declares no velocity, so a scaled linear flux takes the quadrature path
+    of the residual and the filter."""
 
     def __init__(self, base, lam):
         self.base = base

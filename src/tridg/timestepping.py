@@ -95,38 +95,43 @@ def advance(state, dt, residual_fn, scheme, oe=None, bp=None):
     stage combinations run on component-major buffers, so every stage state
     is the modal view of one. Each combination is summed in place, in the
     order and with the roundings of sum_j (a u^(j) + (dt b) L(u^(j))).
+    An exception from the residual or a hook carries the index of the stage
+    it ended as exc.rk_stage.
     """
     c = scheme.abscissae
     stages = [state]
     residuals = [None] * scheme.n_stages
     for s in range(scheme.n_stages):
-        acc = None
-        for j, (a, b) in enumerate(zip(scheme.alpha[s], scheme.beta[s])):
-            if a == 0.0 and b == 0.0:
-                continue
-            # a fresh array; where a = 0 the float 0.0, which += replaces
-            # by the fresh array 0.0 + x
-            term = a * component_major(stages[j].coeffs) if a != 0.0 else 0.0
-            if b != 0.0:
-                if residuals[j] is None:
-                    try:
+        try:
+            acc = None
+            for j, (a, b) in enumerate(zip(scheme.alpha[s], scheme.beta[s])):
+                if a == 0.0 and b == 0.0:
+                    continue
+                # a fresh array; where a = 0 the float 0.0, which +=
+                # replaces by the fresh array 0.0 + x
+                term = (a * component_major(stages[j].coeffs) if a != 0.0
+                        else 0.0)
+                if b != 0.0:
+                    if residuals[j] is None:
                         residuals[j] = residual_fn(stages[j].coeffs,
                                                    state.t + c[j] * dt)
-                    except Exception as exc:
-                        exc.rk_stage = s
-                        raise
-                term += dt * b * component_major(residuals[j])
-            if acc is None:
-                acc = term
-            else:
-                acc += term
-            # freed before the next term is formed
-            del term
-        new = ModalState(state.k, modal_view(acc), state.t + c[s + 1] * dt)
-        if oe is not None:
-            new = oe.apply(new, dt)
-        if bp is not None:
-            new = bp.apply(new)
+                    term += dt * b * component_major(residuals[j])
+                if acc is None:
+                    acc = term
+                else:
+                    acc += term
+                # freed before the next term is formed
+                del term
+            new = ModalState(state.k, modal_view(acc),
+                             state.t + c[s + 1] * dt)
+            if oe is not None:
+                new = oe.apply(new, dt)
+            if bp is not None:
+                new = bp.apply(new)
+        except Exception as exc:
+            # an error of the residual or of a hook names its stage
+            exc.rk_stage = s
+            raise
         stages.append(new)
     out = stages[-1]
     out.t = state.t + dt

@@ -7,7 +7,7 @@ import pytest
 
 from tridg import basis
 from tridg.dg import (REF_VERTICES, EdgeStates, Inflow, ModalState,
-                      Outflow, Reflective, SpatialOperator)
+                      Outflow, Reflective, SpatialOperator, component_major)
 from tridg.errors import AdmissibilityError, ConfigError
 from tridg.mesh import build_mesh, generate_structured, perturb, refine_uniform
 from tridg.oe import OEFilter
@@ -362,8 +362,10 @@ def test_p4_pipeline():
 
 def with_stacked_fluxes(model):
     """A copy of `model` whose residual path uses stacked F and einsum F.n,
-    components last."""
+    components last. A constant velocity is dropped: it would take the
+    linear path."""
     ref = copy.copy(model)
+    ref.velocity = None
 
     def normal_flux(u, n):
         return cf(np.einsum("...kd,...k->...d",
@@ -404,6 +406,14 @@ def test_residual_matches_stacked_flux_reference(k, model):
     if isinstance(model, Euler):
         # the rho v.n form of Euler's flux rounds differently
         assert_close_to_max(got, want, rtol=1e-14)
+    elif model.velocity is not None:
+        # the linear volume term and the upwind LF flux round differently;
+        # the quadrature path of the same flux, which ScaledModel runs, is
+        # the reference bit for bit
+        assert_close_to_max(got, want, rtol=1e-14)
+        quad = SpatialOperator(mesh, ScaledModel(model, 1.0), k,
+                               boundary=boundary)
+        assert np.array_equal(quad.residual(coeffs, 2.5, t=0.3), want)
     else:
         assert np.array_equal(got, want)
 
@@ -445,6 +455,73 @@ def test_shared_edge_states_match_unshared_calls(k, model):
                           unshared)
     assert states.flux is None
     assert np.array_equal(U, op._edge_states(coeffs, 0.3))
+
+
+# -- a constant velocity: the volume term without interior values ----------
+
+LINEAR_MESHES = {
+    "tagged": perturb(generate_structured((0, 0, 1, 1), 5, 4, tags={
+        "left": "IN", "right": "OUT", "bottom": "WALL", "top": "WALL"}),
+        0.25, seed=6),
+    "periodic": perturb(generate_structured((0, 0, 1, 1), 5, 4,
+                                            periodic=("x", "y")), 0.3, seed=7),
+}
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+@pytest.mark.parametrize("mesh_name", sorted(LINEAR_MESHES))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_linear_residual_matches_the_quadrature_path(k, mesh_name, shared):
+    # ScaledModel declares no velocity: with lam = 1 it runs the quadrature
+    # volume term and the base LF combination of the same flux, bit for bit
+    # as the solver did before the linear path. shared: the residual reads
+    # the EdgeStates whose flux the wavespeed bound formed
+    rng = np.random.default_rng(80 + k)
+    mesh = LINEAR_MESHES[mesh_name]
+    boundary = {"IN": Inflow(lambda x, y, t: np.sin(3 * x + y + t)[..., None])}
+    ops = [SpatialOperator(mesh, model, k, boundary=boundary)
+           for model in (Advection(), ScaledModel(Advection(), 1.0))]
+    assert ops[0]._vol_linear is not None and ops[1]._vol_linear is None
+    coeffs = 0.3 * rng.standard_normal((mesh.n_cells, ops[0].nm, 1))
+    coeffs[:, 0, :] += 0.5
+
+    def residual(op):
+        states = None
+        if shared:
+            states = EdgeStates(op._edge_states(coeffs, 0.3))
+            op.max_wavespeed(coeffs, t=0.3, states=states)
+            assert states.flux is not None
+        return op.residual(coeffs, 2.5, t=0.3, states=states)
+
+    got, want = map(residual, ops)
+    assert np.abs(want).min() > 0
+    assert_close_to_max(got, want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_linear_volume_term_leaves_mode_0_exactly_zero(k):
+    # row 0 of [V_0 B; V_1 B] is w_q dPsi_0/dxi_a = 0: the volume term adds
+    # nothing to a cell average
+    mesh = LINEAR_MESHES["periodic"]
+    op = SpatialOperator(mesh, Advection(), k)
+    coeffs = np.random.default_rng(90 + k).standard_normal(
+        (mesh.n_cells, op.nm, 1))
+    V = op._volume_term(component_major(coeffs))
+    assert V.shape == (1, op.nm, mesh.n_cells)
+    assert np.all(V[:, 0] == 0.0) and np.abs(V[:, 1:]).min() > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_linear_residual_conserves_mass_on_perturbed_periodic_mesh(k):
+    # the rule of the Burgers conservation test: the area-weighted total of
+    # the mode-0 residual vanishes against its absolute sum
+    rng = np.random.default_rng(100 + k)
+    mesh = LINEAR_MESHES["periodic"]
+    op = SpatialOperator(mesh, Advection(), k)
+    coeffs = 0.3 * rng.standard_normal((mesh.n_cells, op.nm, 1))
+    coeffs[:, 0, :] += 1.0
+    R0 = op.residual(coeffs, 2.0)[:, 0, 0]
+    assert abs(mesh.area @ R0) <= 1e-13 * (mesh.area @ np.abs(R0))
 
 
 # -- shared reference-element edge operators against per-cell matrices -------

@@ -694,3 +694,80 @@ def test_apply_matches_the_former_copy_then_scale_form(walled, k, mode):
                               before.view(np.int64))
         assert not np.shares_memory(out.coeffs, state.coeffs)
         assert (out.t, out.k) == (0.1, k)
+
+
+# -- the deviation from the extreme values, against the former form ----------
+
+def same_bits(got, want):
+    return np.array_equal(np.asarray(got, dtype=float).view(np.int64),
+                          np.asarray(want, dtype=float).view(np.int64))
+
+
+@pytest.mark.parametrize("model,mode", [
+    (Advection(), "componentwise"), (Burgers(), "componentwise"),
+    (Euler(), "componentwise"), (Euler(), "rioe")],
+    ids=lambda v: getattr(v, "name", v))
+def test_global_deviation_from_extremes_matches_the_former_form(model, mode):
+    # max(fl(max v - ubar), fl(ubar - min v)) against the largest
+    # |fl(v - ubar)| over every node, former_global_deviation's form, bit
+    # for bit: a rough state, one whose interior values reach +inf and
+    # -inf, one of signed zeros and one with a component constant in
+    # every cell; Euler's momentum-magnitude deviation too
+    rng = np.random.default_rng(11)
+    op = SpatialOperator(tagged_perturbed_mesh(seed=4), model, 2,
+                         boundary={"IN": Outflow()})
+    f = OEFilter(op, mode=mode)
+    nc, nm, d = op.mesh.n_cells, op.nm, op.d
+    rough = rng.standard_normal((nc, nm, d))
+    rough[:, 0] += 1.0
+    huge = rough.copy()
+    huge[3, :2] = [[1.5e308], [1e308]]
+    huge[11, :2] = [[-1.5e308], [-1e308]]
+    with np.errstate(over="ignore"):
+        vals = op.at_nodes(op.basis_int, component_major(huge))
+    assert np.isposinf(vals).all(axis=0).any()
+    assert np.isneginf(vals).all(axis=0).any()
+    assert not np.isnan(vals).any()
+    zeros = np.zeros((nc, nm, d))
+    zeros[::3] = -0.0
+    flat = rough.copy()
+    flat[:, 1:, -1] = 0.0
+    flat[:, 0, -1] = 0.25
+    for coeffs in (rough, huge, zeros, flat):
+        with np.errstate(over="ignore"):
+            got = f.global_deviation(coeffs)
+            want = former_global_deviation(f, coeffs)
+        assert all(map(same_bits, got[:2], want[:2]))
+        assert (got[2] is None) == (want[2] is None) == (d == 1)
+        if want[2] is not None:
+            assert same_bits(got[2], want[2])
+        if coeffs is huge and d > 1:
+            assert got[2] == np.inf
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("guard", [False, True])
+def test_constant_velocity_speed_is_formed_once_and_matches_the_model(
+        k, guard):
+    # a model with a constant velocity gets |v . n| per edge at setup: the
+    # exponents equal those of the same flux without a declared velocity,
+    # whose filter calls the model's speed at every apply, and no speed
+    # kernel is called
+    rng = np.random.default_rng(30 + k)
+    mesh = tagged_perturbed_mesh(seed=k)
+    filters = [OEFilter(SpatialOperator(mesh, model, k,
+                                        boundary={"IN": Inflow(0.5)}),
+                        guard_wavespeed=guard)
+               for model in (Advection(), ScaledModel(Advection(), 1.0))]
+    assert filters[1]._edge_speed is None
+    coeffs = 0.2 * rng.standard_normal((mesh.n_cells, filters[0].op.nm, 1))
+    want = filters[1].damping_exponents(coeffs, 0.01, t=0.3)
+
+    def no_call(u, n):
+        raise AssertionError("wavespeed called")
+
+    model = filters[0].op.model
+    model.wavespeed = model.wavespeed_clamped = no_call
+    got = filters[0].damping_exponents(coeffs, 0.01, t=0.3)
+    assert np.abs(want).min() > 0
+    assert same_bits(got, want)

@@ -386,6 +386,30 @@ def test_residual_errors_carry_their_rk_stage(stage):
     assert e.value.rk_stage == stage
 
 
+@pytest.mark.parametrize("hook", ["oe", "bp"])
+@pytest.mark.parametrize("stage", [0, 1, 2])
+def test_hook_errors_carry_their_rk_stage(stage, hook):
+    mesh = generate_structured((0, 0, 1, 1), 4, 4, periodic=("x", "y"))
+    op = SpatialOperator(mesh, Advection(), 1)
+    st = op.project(lambda x, y: 0.5 + 0.25 * np.sin(2 * np.pi * (x + y)))
+    lim = BPLimiter(op, "dcw", bounds=(0.0, 1.0))
+    start = lim.apply(st)
+    filt = OEFilter(op)
+    target = {"oe": filt, "bp": lim}[hook]
+    apply, calls = target.apply, []
+
+    def failing_apply(state, *args):
+        if len(calls) == stage:
+            raise AdmissibilityError("injected")
+        calls.append(state.t)
+        return apply(state, *args)
+
+    target.apply = failing_apply
+    with pytest.raises(AdmissibilityError, match="injected") as e:
+        run(op, start, 1.0, scheme=SSP_RK33, oe=filt, bp=lim)
+    assert e.value.rk_stage == stage
+
+
 def test_mass_conserved_on_perturbed_mesh_with_rioe_and_dcw():
     # diverging flow on a periodic perturbed mesh: a near-vacuum rarefaction
     # at x = 0.5 and a collision at x = 0, so OE and BP both act
@@ -489,7 +513,7 @@ def test_run_keeps_every_state_component_major(problem, k, oe_mode,
      {"lf_flux": 2, "two_sided_flux_wavespeed": 1, "wavespeed": 0,
       "wavespeed_clamped": 2}),
     ("advection_smooth", 3, "componentwise", None,
-     {"lf_flux": 5, "wavespeed": 6})])
+     {"lf_flux": 5, "wavespeed": 1})])
 def test_model_kernels_get_edge_last_normals(problem, k, oe_mode, bp_scheme,
                                              counts, monkeypatch):
     # every edge-point call of a model kernel gets C-contiguous (2, ne)
