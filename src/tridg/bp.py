@@ -7,6 +7,7 @@ Edge lengths are always taken in the sorted order l1 >= l2 >= l3, with the
 vertex v^(i) opposite edge i carried along.
 """
 
+import functools
 from math import sqrt
 
 import numpy as np
@@ -297,14 +298,14 @@ def _below_floor(mean, node_min, floor):
 
 
 class BPLimiter:
-    """Two-step scaling limiter enforcing admissibility at the check nodes.
+    """Scaling limiter enforcing admissibility at the check nodes.
 
     Check nodes (`check_values`): the edge Gauss points always; for k=1 with
     the optimal decomposition also the two vertices opposite the longest
     edges; for k=2 the conserved remainder state u* of the decomposition.
-    Scalar models enforce the maximum principle on a fixed interval
-    `bounds`; positivity-constrained models (Euler) enforce positive density
-    then positive internal energy. Cell averages are never modified.
+    It enforces the model's ordered `limiter_steps(bounds)`: a scalar law's
+    interval, Euler's positive density, then internal energy. Cell averages
+    are never modified.
     """
 
     EPS = 1e-13
@@ -318,11 +319,7 @@ class BPLimiter:
         self.k = op.k
         self.scheme = scheme    # 'dcw' | 'zxs': also the run's CFL rule
         mesh = op.mesh
-        self.positivity = op.model.positivity_constrained
-        if not self.positivity:
-            if bounds is None:
-                raise ConfigError("scalar BP limiting needs bounds=(lo, hi)")
-            self.bounds = (float(bounds[0]), float(bounds[1]))
+        self.steps = op.model.limiter_steps(bounds)
 
         lsorted = np.take_along_axis(mesh.edge_len, mesh.sort_order, axis=1)
         if scheme == "dcw":
@@ -377,69 +374,51 @@ class BPLimiter:
     def apply(self, state):
         buf = component_major(state.coeffs, copy=True)           # (d,nm,nc)
         mean = buf[:, 0]
-        model = self.op.model
-        if self.positivity:
-            rho_bar, e_bar = mean[0], model.internal_energy(mean.T)
-            bad = (rho_bar <= 0) | (e_bar <= 0)
-            msg = "inadmissible cell average (CFL violation or upstream bug)"
-        else:
-            lo, hi = self.bounds
-            bad = (mean[0] < lo - 1e-12) | (mean[0] > hi + 1e-12)
-            msg = "cell average outside the invariant interval"
-        if np.any(bad):
-            raise AdmissibilityError(msg, cell=int(np.argmax(bad)))
+        steps = [(scales, [(g, floor, g(mean)) for g, floor in pairs])
+                 for scales, pairs in self.steps]
+        # the first cell whose average fails a constraint, named with the
+        # message of the first constraint it fails
+        floors = [floor for _, pairs in steps for _, floor, _ in pairs]
+        fails = [g_bar <= 0 if floor is None else g_bar < floor - 1e-12
+                 for _, pairs in steps for _, floor, g_bar in pairs]
+        bad = functools.reduce(np.logical_or, fails)
+        if bad.any():
+            cell = int(np.argmax(bad))
+            raise AdmissibilityError(
+                "inadmissible cell average (CFL violation or upstream bug)"
+                if next(f for f, b in zip(floors, fails) if b[cell]) is None
+                else "cell average outside the invariant interval", cell=cell)
         vals = self._node_values(buf)                            # (d,n,nc)
-        # only the cells below a floor are scaled: a factor of 1 scales
-        # nothing, and a cell counts in violations when its factor is < 1
-
-        if not self.positivity:
-            u = vals[0]
-            # the upper bound is the lower bound of -u
-            cells, theta = _below_floor(mean[0], u.min(axis=0), lo)
-            hi_cells, hi_theta = _below_floor(-mean[0], -u.max(axis=0), -hi)
-            if len(cells) and len(hi_cells):
-                # a cell outside both bounds takes the smaller factor
-                full = np.ones(len(mean[0]))
-                full[cells] = theta
-                full[hi_cells] = np.minimum(full[hi_cells], hi_theta)
-                cells = np.flatnonzero(full != 1.0)
-                theta = full[cells]
-            elif len(hi_cells):
-                cells, theta = hi_cells, hi_theta
-            if len(cells):
-                buf[0][1:, cells] *= theta
-                self.violations += int(np.count_nonzero(theta < 1.0))
-            return ModalState(state.k, modal_view(buf), state.t)
-
-        # step 1: density positivity
-        rho = vals[0]
-        cells, theta1 = _below_floor(rho_bar, rho.min(axis=0),
-                                     np.minimum(rho_bar, self.EPS))
-        if len(cells):
-            buf[0][1:, cells] *= theta1
-            # a cell below its floor may still round to theta1 = 1
-            cut = theta1 < 1.0
-            cells, theta1 = cells[cut], theta1[cut]
-        if len(cells):
-            # node values are linear in the modes: the density-fixed state
-            # has rho_bar + theta1 (rho - rho_bar) at every node, u*
-            # included; only scaled cells are rewritten, so the others keep
-            # their exact values
-            rb = rho_bar[cells]
-            rho[:, cells] = rb + theta1 * (rho[:, cells] - rb)
-
-        # step 2: internal energy positivity on the density-fixed state
-        e_nodes = model.internal_energy(vals.transpose(1, 2, 0))  # (n, nc)
-        cells2, theta2 = _below_floor(e_bar, e_nodes.min(axis=0),
-                                      np.minimum(e_bar, self.EPS))
-        if len(cells2):
-            buf[:, 1:, cells2] *= theta2
-            cells2 = cells2[theta2 < 1.0]
-        # a cell scaled in both steps counts once
-        if len(cells) and len(cells2):
-            scaled = np.zeros(len(rho_bar), dtype=bool)
-            scaled[cells] = scaled[cells2] = True
-            self.violations += int(np.count_nonzero(scaled))
-        else:
-            self.violations += len(cells) + len(cells2)
+        # only the cells below a floor are scaled, a cell below two floors
+        # of a step by the smaller factor: a factor of 1 scales nothing,
+        # and a cell counts in violations, once, when its factor is < 1
+        hit = np.zeros(mean.shape[1], dtype=bool)
+        for i, (scales, pairs) in enumerate(steps):
+            found = [_below_floor(g_bar, g(vals).min(axis=0),
+                                  np.minimum(g_bar, self.EPS)
+                                  if floor is None else floor)
+                     for g, floor, g_bar in pairs]
+            found = [f for f in found if len(f[0])]
+            if not found:
+                continue
+            cells, theta = found[0]
+            if len(found) > 1:
+                theta = np.ones(len(hit))
+                for c, th in found:
+                    theta[c] = np.minimum(theta[c], th)
+                cells = np.flatnonzero(theta != 1.0)
+                theta = theta[cells]
+            buf[scales, 1:, cells] *= theta
+            # a cell below its floor may still round to theta = 1
+            cut = theta < 1.0
+            cells, theta = cells[cut], theta[cut]
+            hit[cells] = True
+            if i + 1 < len(steps):
+                # node values are linear in the modes: the scaled state has
+                # mean + theta (value - mean) at every node, u* included; the
+                # other cells keep their exact values for the next step
+                mb = mean[scales, None, cells]
+                vals[scales, :, cells] = mb + theta * (vals[scales, :, cells]
+                                                       - mb)
+        self.violations += int(np.count_nonzero(hit))
         return ModalState(state.k, modal_view(buf), state.t)

@@ -61,9 +61,6 @@ def build_solver(prob, mesh, k, oe_mode, bp_scheme=None, ic=None):
     state = op.project(prob.ic if ic is None else ic)
     bp = None
     if bp_scheme is not None:
-        if prob.bp_bounds is None and not model.positivity_constrained:
-            raise ConfigError(f"field 'bp': problem {prob.name!r} declares "
-                              "no bounds for its scalar limiting")
         bp = bp_mod.BPLimiter(op, scheme=bp_scheme, bounds=prob.bp_bounds)
         state = bp.apply(state)
     oe = None

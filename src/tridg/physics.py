@@ -13,7 +13,8 @@ wavespeed_clamped, floors rho and p; the flux and the wavespeed of one set of
 states share one such pass. A model whose flux is u v for a constant velocity
 v declares it as velocity: the residual's volume term then needs no interior
 quadrature and the OE filter forms |v . n| once, and Advection's lf_flux takes
-the upwind form.
+the upwind form and reads no flux. limiter_steps lists the constraints that
+the BP limiter enforces, in order.
 The state helpers of problem setup, boundary rules and post-processing keep
 the components last, (..., d): internal_energy, pressure, from_primitive,
 to_primitive, rotate_state and reflect. Directional wavespeeds bound the
@@ -21,10 +22,13 @@ spectral radius of the flux Jacobian projected on a unit normal.
 """
 
 import functools
+import operator
 
 import numpy as np
 
-from .errors import AdmissibilityError, UnsupportedOperationError
+from .errors import AdmissibilityError, ConfigError, UnsupportedOperationError
+
+_first = operator.itemgetter(0)        # u[0] of states u (d, ...)
 
 
 class Model:
@@ -33,10 +37,6 @@ class Model:
     name = "model"
     n_components = 1
     momentum_components = ()
-    # states must keep positive density and internal energy: the residual
-    # rejects inadmissible traces and the BP limiter enforces positivity;
-    # otherwise BP limiting enforces a scalar interval
-    positivity_constrained = False
     # the constant velocity (v1, v2) of a linear flux F(u) = u v, else None:
     # the residual then applies its volume term as one reference matrix on
     # the coefficients and the OE filter takes |v . n| once, at setup
@@ -85,8 +85,22 @@ class Model:
         """(two_sided_flux(u, n), wavespeed(u, n)) of two-sided states u
         (d, 2, ...): the flux and the speed of both sides, (2, ...), for a
         caller that needs the two, checked as the wavespeed checks. A model
-        whose two share a pointwise pass forms both from one."""
+        whose two share a pointwise pass forms both from one; one whose
+        lf_flux reads no flux gives None for it."""
         return self.two_sided_flux(u, n), self.wavespeed(u, n)
+
+    def limiter_steps(self, bounds):
+        """The BP limiter's steps (scales, ((g, floor), ...)), in order: each
+        scales the components `scales` toward the cell mean until g(u) >=
+        floor at the check nodes, g taking states (d, ...). A number floor
+        is a bound, which a cell average may miss by 1e-12; None asks for
+        g > 0 at the cell average and g >= min(g_bar, EPS) at the nodes.
+        A scalar law keeps lo <= u <= hi of bounds (lo, hi) in one step."""
+        if bounds is None:
+            raise ConfigError(f"field 'bp': {self.name} limiting needs the "
+                              "problem's bounds (lo, hi)")
+        return ((slice(None), ((_first, float(bounds[0])),
+                               (_negated_first, -float(bounds[1])))),)
 
     def lf_flux(self, u, n, alpha, f=None):
         """Lax-Friedrichs flux 0.5 (F(ui).n + F(ue).n - alpha (ue - ui)).
@@ -105,6 +119,10 @@ class Model:
         out -= jump
         out *= 0.5
         return out
+
+
+def _negated_first(u):
+    return -u[0]
 
 
 def rotate_vector(v, phi):
@@ -157,6 +175,9 @@ class Advection(Model):
         out += 0.5 * (vn - alpha) * u[:, 1]
         return out
 
+    def two_sided_flux_wavespeed(self, u, n):
+        return None, self.wavespeed(u, n)
+
 
 class Burgers(Model):
     """u_t + (u^2/2)_x + (u^2/2)_y = 0."""
@@ -188,13 +209,16 @@ def _energy(rho, m1, m2, E):
     return E - e
 
 
+def _rho_e(u):
+    return _energy(u[0], u[1], u[2], u[3])
+
+
 class Euler(Model):
     """2D compressible Euler equations, conservative variables (rho, m1, m2, E)."""
 
     name = "euler"
     n_components = 4
     momentum_components = (1, 2)
-    positivity_constrained = True
 
     def __init__(self, gamma=1.4):
         self.gamma = float(gamma)
@@ -207,6 +231,11 @@ class Euler(Model):
 
     def pressure(self, u):
         return (self.gamma - 1.0) * self.internal_energy(u)
+
+    def limiter_steps(self, bounds):
+        """rho > 0, scaling rho, then rho e > 0, scaling every component."""
+        return ((slice(0, 1), ((_first, None),)),
+                (slice(None), ((_rho_e, None),)))
 
     def admissible(self, u):
         u = np.asarray(u, dtype=float)
@@ -355,7 +384,6 @@ class ScaledModel(Model):
         self.name = f"scaled({base.name}, {lam})"
         self.n_components = base.n_components
         self.momentum_components = base.momentum_components
-        self.positivity_constrained = base.positivity_constrained
 
     def normal_flux(self, u, n):
         f = self.base.normal_flux(u, n)
@@ -373,16 +401,11 @@ class ScaledModel(Model):
         f *= self.lam
         return f
 
-    def two_sided_flux_wavespeed(self, u, n):
-        f, s = self.base.two_sided_flux_wavespeed(u, n)
-        f *= self.lam
-        return f, self.lam * s
-
     def admissible(self, u):
         return self.base.admissible(u)
 
-    def internal_energy(self, u):
-        return self.base.internal_energy(u)
+    def limiter_steps(self, bounds):
+        return self.base.limiter_steps(bounds)
 
     def rotate_state(self, u, phi):
         return self.base.rotate_state(u, phi)

@@ -297,9 +297,11 @@ def damping_exponents(f, coeffs, dt, t):
     return dt * np.cumsum(sigma, axis=0)[1:].transpose(1, 0, 2)
 
 
-def limit(lim, state):
-    """BPLimiter.apply on a C-ordered copy of the state."""
+def limit(lim, state, bounds=None):
+    """BPLimiter.apply on a C-ordered copy of the state. bounds: the scalar
+    interval the limiter was built with."""
     op, model = lim.op, lim.op.model
+    energy = Euler().internal_energy      # of Euler and of a scaled Euler
     coeffs = np.array(state.coeffs, order="C")
     nc, _, d = coeffs.shape
     mean = coeffs[:, 0, :]
@@ -321,21 +323,21 @@ def limit(lim, state):
         np.divide(m - floor, m - node_min, out=th, where=node_min < floor)
         return np.clip(th, 0.0, 1.0)
 
-    if not lim.positivity:
-        lo, hi = lim.bounds
+    if not model.momentum_components:
+        lo, hi = bounds
         u = vals[..., 0]
         th = np.minimum(theta(mean[:, 0], u.min(axis=1), lo),
                         theta(-mean[:, 0], -u.max(axis=1), -hi))
         coeffs[:, 1:, 0] *= th[:, None]
         return ModalState(state.k, coeffs, state.t)
-    rho_bar, e_bar = mean[:, 0].copy(), model.internal_energy(mean)
+    rho_bar, e_bar = mean[:, 0].copy(), energy(mean)
     theta1 = theta(rho_bar, vals[..., 0].min(axis=1),
                    np.minimum(rho_bar, lim.EPS))
     coeffs[:, 1:, 0] *= theta1[:, None]
     cut = theta1 < 1.0
     rb = rho_bar[cut, None]
     vals[cut, :, 0] = rb + theta1[cut, None] * (vals[cut, :, 0] - rb)
-    theta2 = theta(e_bar, model.internal_energy(vals).min(axis=1),
+    theta2 = theta(e_bar, energy(vals).min(axis=1),
                    np.minimum(e_bar, lim.EPS))
     coeffs[:, 1:, :] *= theta2[:, None, None]
     return ModalState(state.k, coeffs, state.t)

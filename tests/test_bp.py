@@ -10,7 +10,8 @@ from tridg.dg import ModalState, SpatialOperator, component_major, modal_view
 from tridg.errors import AdmissibilityError, ConfigError
 from tridg.harness import random_triangle_lengths
 from tridg.mesh import generate_structured, perturb
-from tridg.physics import Advection, Burgers, Euler
+from tridg.physics import Advection, Burgers, Euler, Model
+from tridg.timestepping import run
 
 EQUILATERAL = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
 RIGHT_ISO = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5]])  # hypotenuse 1
@@ -311,6 +312,37 @@ def test_scalar_limiter_requires_bounds():
         bp.BPLimiter(op, "dcw")
 
 
+@pytest.mark.parametrize("energy_first", [True, False])
+def test_cell_average_abort_names_the_first_inadmissible_cell(energy_first):
+    # every constraint's cell-average test runs before any scaling: the
+    # abort names the first failing cell, whichever constraint or step it
+    # fails, with the message of the model's kind of constraint
+    mesh = generate_structured((0, 0, 1, 1), 3, 3)
+    first, later = 4, 13
+    op = SpatialOperator(mesh, Euler(), 1)
+    coeffs = np.zeros((mesh.n_cells, op.nm, 4))
+    coeffs[:, 0] = Euler().from_primitive(1.0, 0.5, 0.0, 1.0)
+    e_cell, rho_cell = (first, later) if energy_first else (later, first)
+    coeffs[e_cell, 0, 3] = 0.1          # rho_bar > 0, rho_bar e_bar < 0
+    coeffs[rho_cell, 0, 0] = -0.5       # rho_bar <= 0
+    with pytest.raises(AdmissibilityError, match=(
+            r"^inadmissible cell average \(CFL violation or upstream bug\) "
+            rf"\[cell {first}\]$")) as e:
+        bp.BPLimiter(op, "dcw").apply(ModalState(1, coeffs))
+    assert e.value.cell == first
+    # a scalar interval: above hi, then below lo (or the reverse)
+    op = SpatialOperator(mesh, Burgers(), 2)
+    coeffs = np.zeros((mesh.n_cells, op.nm, 1))
+    high, low = (first, later) if energy_first else (later, first)
+    coeffs[high, 0, 0], coeffs[low, 0, 0] = 1.0 + 1e-9, -1e-9
+    with pytest.raises(AdmissibilityError, match=(
+            r"^cell average outside the invariant interval "
+            rf"\[cell {first}\]$")) as e:
+        bp.BPLimiter(op, "zxs", bounds=(0.0, 1.0)).apply(
+            ModalState(2, coeffs))
+    assert e.value.cell == first
+
+
 def test_limiter_rejects_unsupported_degree():
     mesh = generate_structured((0, 0, 1, 1), 2, 2)
     op = SpatialOperator(mesh, Advection(), 3)
@@ -361,7 +393,7 @@ class _ParentBPLimiter:
         self.op = op
         self.k = op.k
         mesh = op.mesh
-        self.positivity = op.model.positivity_constrained
+        self.positivity = bool(op.model.momentum_components)
         if not self.positivity:
             self.bounds = (float(bounds[0]), float(bounds[1]))
         lsorted = np.take_along_axis(mesh.edge_len, mesh.sort_order, axis=1)
@@ -571,7 +603,7 @@ def test_limiter_evaluates_check_nodes_once(model, k, scheme, rng):
             calls[name] += ref is getattr(op, name)
         return at_nodes(ref, buf)
     op.at_nodes = counted
-    if model.positivity_constrained:
+    if model.momentum_components:
         coeffs = random_euler_state(op, rng, 0.5)
         lim = bp.BPLimiter(op, scheme)
     else:
@@ -660,21 +692,22 @@ def test_vertex_take_is_the_take_along_axis_gather(seed, rng):
 
 # -- the limiter against its former every-cell form ---------------------------
 
-def former_apply(lim, state):
+def former_apply(lim, state, bounds=None):
     """BPLimiter.apply as it was before it scaled only the cells below their
     floor: every cell scaled by its theta, 1 above the floor. Returns the
-    coefficients and the number of cells it counted as scaled."""
+    coefficients and the number of cells it counted as scaled. bounds: the
+    scalar interval the limiter was built with."""
     buf = component_major(state.coeffs, copy=True)
     mean = buf[:, 0]
     vals = lim._node_values(buf).copy()
-    if not lim.positivity:
-        lo, hi = lim.bounds
+    model = lim.op.model
+    if not model.momentum_components:
+        lo, hi = bounds
         u = vals[0]
         theta = np.minimum(former_theta(mean[0], u.min(axis=0), lo),
                            former_theta(-mean[0], -u.max(axis=0), -hi))
         buf[0, 1:] *= theta
         return modal_view(buf), int(np.sum(theta < 1.0))
-    model = lim.op.model
     rho_bar, e_bar = mean[0], model.internal_energy(mean.T)
     theta1 = former_theta(rho_bar, vals[0].min(axis=0),
                           np.minimum(rho_bar, lim.EPS))
@@ -715,15 +748,16 @@ def test_limiter_matches_its_former_every_cell_form(model, k, scheme, level):
                    amplitude=0.3, seed=k)
     op = SpatialOperator(mesh, model, k)
     nc = mesh.n_cells
-    if model.positivity_constrained:
+    bounds = None
+    if model.momentum_components:
         coeffs = random_euler_state(op, rng, SCALES[level])
-        lim = bp.BPLimiter(op, scheme)
     else:
         coeffs = np.zeros((nc, op.nm, 1))
         coeffs[:, 0, 0] = rng.uniform(0.05, 0.95, nc)
         coeffs[:, 1:, 0] = SCALES[level] * rng.standard_normal(
             (nc, op.nm - 1))
-        lim = bp.BPLimiter(op, scheme, bounds=(0.0, 1.0))
+        bounds = (0.0, 1.0)
+    lim = bp.BPLimiter(op, scheme, bounds=bounds)
     # a C-ordered state and the modal view of a component-major buffer
     for st in (ModalState(k, coeffs, 0.5),
                ModalState(k, modal_view(component_major(coeffs, copy=True)),
@@ -731,7 +765,7 @@ def test_limiter_matches_its_former_every_cell_form(model, k, scheme, level):
         before = st.coeffs.copy()
         v0 = lim.violations
         out = lim.apply(st)
-        want, counted = former_apply(lim, st)
+        want, counted = former_apply(lim, st, bounds)
         assert np.array_equal(bits(out.coeffs), bits(want))
         assert lim.violations - v0 == counted
         assert np.array_equal(bits(st.coeffs), bits(before))
@@ -743,3 +777,84 @@ def test_limiter_matches_its_former_every_cell_form(model, k, scheme, level):
             assert 0 < counted <= nc // 4
         else:
             assert counted >= nc // 2
+
+
+# -- a model the package does not know: shallow water ----------------------
+
+class ShallowWater(Model):
+    """h_t + div(h v) = 0, (h v)_t + div(h v v + g h^2 / 2 I) = 0 in
+    (h, hu, hv), limited in two steps: h > 0, scaling every component, then
+    the concave speed bound V^2 h - |h v|^2 / h > 0, i.e. |v| < V, scaling
+    every component. Without the second step a node the first step takes
+    to h ~ EPS keeps its momentum, and its speed (1e10 and more after one
+    stage of the dam break below) leaves the step's alpha far behind. With
+    it, V + sqrt(g h) bounds the speed at every check node of every stage,
+    and the wavespeed is that bound."""
+
+    name = "shallow_water"
+    n_components = 3
+    momentum_components = (1, 2)
+    GRAVITY = 9.81
+    V = 20.0
+
+    def normal_flux(self, u, n):
+        h, m1, m2 = u
+        vn = (m1 * n[0] + m2 * n[1]) / h
+        p = 0.5 * self.GRAVITY * h * h
+        return np.stack([h * vn, m1 * vn + p * n[0], m2 * vn + p * n[1]])
+
+    def wavespeed(self, u, n):
+        h = np.asarray(u)[0]
+        if not np.all(h > 0):
+            raise AdmissibilityError("non-positive depth")
+        return np.broadcast_to(self.V + np.sqrt(self.GRAVITY * h),
+                               np.broadcast_shapes(h.shape, n.shape[1:]))
+
+    def admissible(self, u):
+        return np.asarray(u)[0] > 0
+
+    def limiter_steps(self, bounds):
+        return ((slice(None), ((_depth, None),)),
+                (slice(None), ((_speed_margin, None),)))
+
+
+def _depth(u):
+    return u[0]
+
+
+def _speed_margin(u):
+    return ShallowWater.V ** 2 * u[0] - (u[1] * u[1] + u[2] * u[2]) / u[0]
+
+
+@pytest.mark.parametrize("scheme", ["dcw", "zxs"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_limiter_keeps_a_near_dry_dam_break_positive(k, scheme):
+    # the limiter's one loop serves a model through its steps alone: a dam
+    # of depth 1 against a bed of depth 1e-6 on a periodic perturbed mesh,
+    # unfiltered. The limiter scales cells in the run, and the depth and the
+    # speed margin stay positive at every check node of every stage
+    model = ShallowWater()
+    mesh = perturb(generate_structured((0, 0, 1, 1), 12, 12,
+                                       periodic=("x", "y")), 0.25, seed=k)
+    op = SpatialOperator(mesh, model, k)
+    lim = bp.BPLimiter(op, scheme)
+    state = lim.apply(op.project(lambda x, y: np.stack(
+        [np.where(np.abs(x - 0.5) < 0.25, 1.0, 1e-6), 0 * x, 0 * y],
+        axis=-1)))
+    lows = []
+    apply = lim.apply
+
+    def checked(st):
+        out = apply(st)
+        nodes = lim.check_values(out.coeffs).transpose(2, 0, 1)
+        lows.append((nodes[0].min(), _speed_margin(nodes).min()))
+        return out
+
+    lim.apply = checked
+    before = lim.violations
+    res = run(op, state, math.inf, bp=lim, max_steps=20)
+    assert res.steps == 20 and len(lows) == 20 * (k + 1)
+    assert lim.violations > before
+    h_min, margin_min = np.min(lows, axis=0)
+    assert h_min > 0 and margin_min > 0
+    assert np.all(res.state.coeffs[:, 0, 0] > 0)

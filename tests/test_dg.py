@@ -429,7 +429,7 @@ def test_shared_edge_states_match_unshared_calls(k, model):
     mesh = perturb(generate_structured((0, 0, 1, 1), 5, 4, tags={
         "left": "IN", "right": "OUT", "bottom": "WALL", "top": "WALL"}),
         0.25, seed=k)
-    if model.positivity_constrained:
+    if model.momentum_components:
         mean = Euler().from_primitive(1.0, 0.3, -0.2, 1.0)
         inflow = Inflow(Euler().from_primitive(1.2, 0.5, 0.1, 0.9))
     else:
@@ -446,11 +446,15 @@ def test_shared_edge_states_match_unshared_calls(k, model):
     assert np.array_equal(op.residual(coeffs, 2.5, t=0.3, states=states),
                           unshared)
     # the bound forms the flux of the shared states in its own pass, and
-    # the next residual takes it
+    # the next residual takes it; advection's upwind LF flux reads none, so
+    # its bound forms none
     assert (op.max_wavespeed(coeffs, t=0.3, states=states)
             == op.max_wavespeed(coeffs, t=0.3))
-    assert np.array_equal(states.flux,
-                          model.two_sided_flux(U, op.edge_normal_cf))
+    if model.velocity is None:
+        assert np.array_equal(states.flux,
+                              model.two_sided_flux(U, op.edge_normal_cf))
+    else:
+        assert states.flux is None
     assert np.array_equal(op.residual(coeffs, 2.5, t=0.3, states=states),
                           unshared)
     assert states.flux is None
@@ -475,7 +479,8 @@ def test_linear_residual_matches_the_quadrature_path(k, mesh_name, shared):
     # ScaledModel declares no velocity: with lam = 1 it runs the quadrature
     # volume term and the base LF combination of the same flux, bit for bit
     # as the solver did before the linear path. shared: the residual reads
-    # the EdgeStates whose flux the wavespeed bound formed
+    # the EdgeStates whose flux the wavespeed bound formed, which Advection's
+    # bound leaves unformed since its upwind LF flux does not read it
     rng = np.random.default_rng(80 + k)
     mesh = LINEAR_MESHES[mesh_name]
     boundary = {"IN": Inflow(lambda x, y, t: np.sin(3 * x + y + t)[..., None])}
@@ -490,7 +495,7 @@ def test_linear_residual_matches_the_quadrature_path(k, mesh_name, shared):
         if shared:
             states = EdgeStates(op._edge_states(coeffs, 0.3))
             op.max_wavespeed(coeffs, t=0.3, states=states)
-            assert states.flux is not None
+            assert (states.flux is None) == (op.model.velocity is not None)
         return op.residual(coeffs, 2.5, t=0.3, states=states)
 
     got, want = map(residual, ops)
@@ -663,7 +668,7 @@ def test_edge_operators_match_per_cell_reference(mesh_name, k, model):
     bi = mesh.boundary_edge_ids
     assert not len(bi) or len(np.unique(mesh.edge_local[bi, 0])) >= 2
     rng = np.random.default_rng(40 + k)
-    if model.positivity_constrained:
+    if model.momentum_components:
         mean = Euler().from_primitive(1.0, 0.3, -0.2, 1.0)
         inflow = Inflow(Euler().from_primitive(1.2, 0.5, 0.1, 0.9))
     else:
@@ -709,7 +714,7 @@ def test_mass_conserved_on_perturbed_periodic_mesh(k):
 def test_volume_and_jets_match_per_cell_reference(mesh_name, k, model, mode):
     mesh = MESHES[mesh_name]
     rng = np.random.default_rng(60 + k)
-    if model.positivity_constrained:
+    if model.momentum_components:
         mean = Euler().from_primitive(1.0, 0.3, -0.2, 1.0)
         inflow = Inflow(Euler().from_primitive(1.2, 0.5, 0.1, 0.9))
     else:
@@ -947,7 +952,7 @@ def test_pipeline_matches_components_last_reference(mesh_name, k, model):
     from tridg.dg import component_major, modal_view
     mesh = MESHES[mesh_name]
     rng = np.random.default_rng(70 + k)
-    if model.positivity_constrained:
+    if model.momentum_components:
         mean = Euler().from_primitive(1.0, 0.3, -0.2, 1.0)
         inflow = Inflow(Euler().from_primitive(1.2, 0.5, 0.1, 0.9))
     else:
@@ -976,13 +981,15 @@ def test_pipeline_matches_components_last_reference(mesh_name, k, model):
     # states the limiter scales: negative density at some nodes, or node
     # values outside the scalar interval
     rough = coeffs.copy()
-    if model.positivity_constrained:
+    bounds = None
+    if model.momentum_components:
         rough[::3, 1:, 0] *= 40.0
-        lim = BPLimiter(op, "dcw")
     else:
         rough[:, 1:, :] *= 20.0
-        lim = BPLimiter(op, "dcw", bounds=(0.0, 1.0))
+        bounds = (0.0, 1.0)
+    lim = BPLimiter(op, "dcw", bounds=bounds)
     rough_state = ModalState(k, modal_view(component_major(rough)), 0.3)
     got = lim.apply(rough_state)
     assert lim.violations > 0
-    assert_close_to_max(got.coeffs, cl.limit(lim, rough_state).coeffs)
+    assert_close_to_max(got.coeffs,
+                        cl.limit(lim, rough_state, bounds).coeffs)

@@ -212,8 +212,7 @@ def test_build_solver_returns_the_limiter_its_state_starts_from(
         return
     assert isinstance(bp, BPLimiter) and bp.op is op
     assert bp.scheme == bp_scheme
-    if prob.bp_bounds is not None:
-        assert bp.bounds == prob.bp_bounds
+    assert bp.steps == op.model.limiter_steps(prob.bp_bounds)
     # the state is the limited projection, bit for bit, and the limiter's
     # count holds the cells that limiting scaled
     fresh = BPLimiter(op, bp_scheme, bounds=prob.bp_bounds)

@@ -357,7 +357,7 @@ def test_normal_flux_matches_einsum_reference(rng, model):
     # Euler's normal flux takes the rho v.n form, which rounds differently
     # from the contraction of F(u); the scalar laws' fluxes are exact, and
     # so is every LF flux but Euler's and advection's upwind form
-    rtol = 1e-14 if model.positivity_constrained else 0.0
+    rtol = 1e-14 if model.momentum_components else 0.0
     lf_rtol = 1e-14 if model.velocity is not None else rtol
     for n in (edge_n, point_n):
         assert_close_to_max(model.normal_flux(cf(u), cf(n)),
@@ -384,7 +384,7 @@ def test_lf_flux_rejects_nonpositive_density_on_either_side(rng, rho):
 def former_lf_flux(model, u, n, alpha):
     # the base Model.lf_flux before two_sided_flux: one expression over the
     # checked normal flux of both sides
-    if model.positivity_constrained and not model.admissible(u).all():
+    if model.momentum_components and not model.admissible(u).all():
         raise AdmissibilityError("inadmissible state in flux evaluation")
     f = model.normal_flux(u, n)
     return 0.5 * (f[:, 0] + f[:, 1] - alpha * (u[:, 1] - u[:, 0]))

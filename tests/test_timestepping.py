@@ -10,7 +10,7 @@ from tridg.errors import AdmissibilityError, ConfigError, NumericsError
 from tridg.harness import build_solver
 from tridg.mesh import generate_structured, perturb
 from tridg.oe import OEFilter
-from tridg.physics import Advection, Euler
+from tridg.physics import Advection, Euler, Model
 from tridg.problems import get_problem
 from tridg.timestepping import (SSP_RK22, SSP_RK33, SSP_RK54, advance,
                                 default_scheme_for, run, scheme_by_name)
@@ -547,3 +547,34 @@ def test_model_kernels_get_edge_last_normals(problem, k, oe_mode, bp_scheme,
             continue
         assert n.shape == (2, mesh.n_edges) and n.flags.c_contiguous
         assert u.shape[-1] == mesh.n_edges
+
+
+def test_limited_advection_bound_forms_no_flux(monkeypatch):
+    # the bound of a limited run forms the start edge states' flux for the
+    # residual's LF flux; advection's upwind form reads none, so its bound
+    # forms none, and the run is the one whose bound formed it, bit for bit
+    prob = get_problem("advection_smooth")
+    mesh = perturb(prob.make_rect_mesh(16), seed=1)
+    calls = []
+    two_sided_flux = Advection.two_sided_flux
+    monkeypatch.setattr(Advection, "two_sided_flux", lambda self, u, n: (
+        calls.append(1) or two_sided_flux(self, u, n)))
+
+    def limited_run():
+        op, state, oe, bp = build_solver(prob, mesh, 2, "componentwise",
+                                         "dcw")
+        return run(op, state, math.inf, oe=oe, bp=bp, max_steps=3)
+
+    got = limited_run()
+    assert got.steps == 3 and calls == []
+    with monkeypatch.context() as m:
+        m.setattr(Advection, "two_sided_flux_wavespeed",
+                  Model.two_sided_flux_wavespeed)
+        want = limited_run()
+    assert len(calls) == 3
+    for (t, a), (t_want, b) in zip(got.snapshots + [(None, got.state)],
+                                   want.snapshots + [(None, want.state)]):
+        assert t == t_want and a.t == b.t
+        assert np.array_equal(a.coeffs.view(np.int64),
+                              b.coeffs.view(np.int64))
+    assert got.bp_violations == want.bp_violations
